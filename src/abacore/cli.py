@@ -396,6 +396,10 @@ def _cmd_verify(args) -> int:
     runner = _RUNNERS[args.suite]
     emit = _emit if args.stream else (lambda case: None)
     cases, failures = runner(args, emit)
+    if cases == 0:
+        raise ValueError(
+            f"no cases to check for verify {args.suite} with these parameters"
+        )
     parameters = {"suite": args.suite}
     for key in _SUITE_PARAMS[args.suite]:
         value = getattr(args, key)

@@ -2,11 +2,12 @@
 charged e- and m-multipartitions, and the affine permutations that make the
 two core-quotient routes commute.
 
-Everything acts on beads.  A bead of an e-abacus is a pair (x, i) with x an
-integer position in component i.  The twisted quotient-remainder map qr_em
-re-reads such a bead as a bead of an m-abacus; the Uglov bijection is its
-bead-by-bead application; the affine permutations are the corrections that
-relate splitting at two different charges.
+A bead of an e-abacus is a pair (x, i) with x an integer position in
+component i.  The twisted quotient-remainder map qr_em re-reads one such bead
+as a bead of an m-abacus; the Uglov bijection moves every bead this way, with
+partitions.regroup.  The affine permutations are the corrections that relate
+splitting at two different charges; on charged multipartitions they permute
+components and shift charges.
 """
 
 from __future__ import annotations
@@ -15,15 +16,14 @@ from dataclasses import dataclass
 from math import gcd
 
 from .partitions import (
-    BetaSet,
     ChargedMultiPartition,
     ChargedPartition,
     Partition,
-    ceil_div,
+    _abaci,
+    _charged,
     e_core,
-    from_beta,
+    regroup,
     split_charged,
-    to_beta,
 )
 
 
@@ -61,23 +61,6 @@ def qr_em_inv(q: int, r: int, e: int, m: int) -> tuple[int, int]:
     return qr_em(q, r, m, e)
 
 
-def _uglov_abaci(abaci: tuple[BetaSet, ...], m: int) -> tuple[BetaSet, ...]:
-    """Bead-by-bead image of an e-abacus under qr_em, as an m-abacus."""
-    e = len(abaci)
-    out = []
-    for rho in range(m):
-        # component i's infinite part contributes beads e*q + i for
-        # q < ceil((floor_i - rho) / m)
-        floors = [ceil_div(b.floor - rho, m) for b in abaci]
-        tmin = min(floors)
-        beads = set()
-        for i, b in enumerate(abaci):
-            beads.update(e * ((x - rho) // m) + i for x in b.tail if x % m == rho)
-            beads.update(e * q + i for q in range(tmin, floors[i]))
-        out.append(BetaSet.from_floor_and_beads(e * tmin, beads))
-    return tuple(out)
-
-
 def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     """The Uglov bijection from charged e-multipartitions to charged
     m-multipartitions, realized on abaci.
@@ -87,12 +70,8 @@ def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     """
     if m < 1:
         raise ValueError("target level must be >= 1")
-    abaci = tuple(
-        to_beta(ChargedPartition(p, s)) for p, s in zip(cmp.components, cmp.charges)
-    )
-    images = [from_beta(b) for b in _uglov_abaci(abaci, m)]
     return ChargedMultiPartition(
-        tuple(c.partition for c in images), tuple(c.charge for c in images)
+        *_charged(regroup(_abaci(cmp.components, cmp.charges), m))
     )
 
 
@@ -150,19 +129,18 @@ def affine_perm(e: int, m: int, s: int) -> AffinePerm:
 def apply_affine(ap: AffinePerm, cmp: ChargedMultiPartition) -> ChargedMultiPartition:
     """Act on a charged multipartition through its abacus, bead by bead.
 
-    Components are permuted and each shifted component's charge moves by the
-    shift amount.
+    Shifting every bead of a component by d keeps its partition and adds d to
+    its charge, so component i moves to perm[i] and its charge moves by the
+    target's shift.
     """
     if cmp.level != ap.e:
         raise ValueError(f"expected {ap.e} components, got {cmp.level}")
-    out: list[ChargedPartition | None] = [None] * ap.e
-    for i in range(ap.e):
-        j = ap.perm[i]
-        beta = to_beta(ChargedPartition(cmp.components[i], cmp.charges[i]))
-        out[j] = from_beta(beta.shifted(ap.shifts[j]))
-    return ChargedMultiPartition(
-        tuple(c.partition for c in out), tuple(c.charge for c in out)
-    )
+    components = [None] * ap.e
+    charges = [0] * ap.e
+    for i, j in enumerate(ap.perm):
+        components[j] = cmp.components[i]
+        charges[j] = cmp.charges[i] + ap.shifts[j]
+    return ChargedMultiPartition(tuple(components), tuple(charges))
 
 
 def check_bead_square(x: int, e: int, m: int, s: int, t: int) -> bool:

@@ -12,20 +12,15 @@ Conventions used throughout the package:
   many beads above the floor in decreasing order.
 * charge(beta) = floor + len(tail), which equals the charge used to build
   the beta set.
-* Splitting a beta set into e residue classes (an e-abacus) and rebuilding
-  partitions componentwise gives the charged core-quotient bijection;
-  components are indexed 0..e-1 by residue.
+* An e-abacus is an e-tuple of beta sets, components indexed 0..e-1.  The
+  one bead map between abaci of two levels is `regroup`; splitting, joining
+  and the level-rank bijection are all built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-
-
-def ceil_div(a: int, b: int) -> int:
-    """Ceiling division for a positive divisor b."""
-    return -((-a) // b)
 
 
 @dataclass(frozen=True)
@@ -143,25 +138,12 @@ class BetaSet:
             if i + 1 < len(self.tail) and self.tail[i + 1] >= x:
                 raise ValueError("tail must be strictly decreasing")
 
-    @classmethod
-    def from_floor_and_beads(cls, floor: int, beads) -> "BetaSet":
-        """Canonicalize Z_{<floor} union beads (beads below floor are absorbed)."""
-        pending = {x for x in beads if x >= floor}
-        while floor in pending:
-            pending.discard(floor)
-            floor += 1
-        return cls(floor, tuple(sorted(pending, reverse=True)))
-
     @property
     def charge(self) -> int:
         return self.floor + len(self.tail)
 
     def __contains__(self, x: int) -> bool:
         return x < self.floor or x in self.tail
-
-    def shifted(self, d: int) -> "BetaSet":
-        """The beta set {x + d : x in self}."""
-        return BetaSet(self.floor + d, tuple(x + d for x in self.tail))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +173,63 @@ def is_e_core(p: Partition, e: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# charged partitions <-> beta sets
+# the abacus: charged partitions <-> beta sets, and the one bead map
+
+Abacus = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _abaci(components, charges) -> Abacus:
+    """Canonical (floor, tail) pairs of charged partitions: the beads of
+    |p, s> are {p[i] - (i+1) + s : i >= 0}."""
+    return tuple(
+        (s - len(p.parts), tuple(x - i + s for i, x in enumerate(p.parts, 1)))
+        for p, s in zip(components, charges)
+    )
+
+
+def _charged(abaci: Abacus) -> tuple[MultiPartition, MultiCharge]:
+    """Inverse of _abaci: (components, charges), charge = floor + len(tail)."""
+    components = []
+    charges = []
+    for floor, tail in abaci:
+        s = floor + len(tail)
+        components.append(Partition(tuple(x + i - s for i, x in enumerate(tail, 1))))
+        charges.append(s)
+    return tuple(components), tuple(charges)
+
+
+def regroup(abaci: Abacus, m: int) -> Abacus:
+    """Move every bead (x, i) of an e-abacus to (e*(x//m) + i, x % m).
+
+    abaci is a non-empty e-tuple of canonical (floor, tail) pairs and m >= 1;
+    the result is the canonical m-tuple.  Total charge is preserved and
+    regroup(regroup(abaci, m), e) == abaci.  From e = 1 this splits a beta set
+    by residue mod m; to m = 1 it joins e components; in general it is the
+    Uglov level-rank map, bead by bead (levelrank.qr_em).
+
+    >>> regroup(((2, (5,)),), 3)
+    ((1, ()), (1, ()), (0, (1,)))
+    >>> regroup(((1, ()), (1, ()), (0, (1,))), 1)
+    ((2, (5,)),)
+    """
+    e = len(abaci)
+    out = []
+    for rho in range(m):
+        # beads x < floor_i with x = rho mod m land on e*q + i for all q below
+        # ceil((floor_i - rho) / m)
+        tops = [-((rho - floor) // m) for floor, _ in abaci]
+        low = min(tops)
+        beads = set()
+        for i, ((_, tail), top) in enumerate(zip(abaci, tops)):
+            beads.update(range(e * low + i, e * top + i, e))
+            beads.update(e * (x // m) + i for x in tail if x % m == rho)
+        floor = e * low
+        while floor in beads:
+            beads.discard(floor)
+            floor += 1
+        out.append((floor, tuple(sorted(beads, reverse=True))))
+    return tuple(out)
+
 
 def to_beta(cp: ChargedPartition) -> BetaSet:
     """The beta set {parts[i] - (i+1) + charge : i >= 0} of a charged partition.
@@ -199,17 +237,13 @@ def to_beta(cp: ChargedPartition) -> BetaSet:
     >>> to_beta(ChargedPartition(Partition((2, 1)), 0))
     BetaSet(floor=-2, tail=(1, -1))
     """
-    parts = cp.partition.parts
-    s = cp.charge
-    tail = tuple(parts[i] - (i + 1) + s for i in range(len(parts)))
-    return BetaSet(s - len(parts), tail)
+    return BetaSet(*_abaci((cp.partition,), (cp.charge,))[0])
 
 
 def from_beta(b: BetaSet) -> ChargedPartition:
     """Inverse of to_beta; the output charge equals charge(b)."""
-    s = b.charge
-    parts = tuple(x + i + 1 - s for i, x in enumerate(b.tail))
-    return ChargedPartition(Partition(parts), s)
+    (p,), (s,) = _charged(((b.floor, b.tail),))
+    return ChargedPartition(p, s)
 
 
 def split_beta(b: BetaSet, e: int) -> tuple[BetaSet, ...]:
@@ -220,12 +254,7 @@ def split_beta(b: BetaSet, e: int) -> tuple[BetaSet, ...]:
     """
     if e < 1:
         raise ValueError("e must be >= 1")
-    comps = []
-    for i in range(e):
-        floor_i = ceil_div(b.floor - i, e)
-        beads = {(x - i) // e for x in b.tail if x % e == i}
-        comps.append(BetaSet.from_floor_and_beads(floor_i, beads))
-    return tuple(comps)
+    return tuple(BetaSet(*c) for c in regroup(((b.floor, b.tail),), e))
 
 
 def join_beta(comps) -> BetaSet:
@@ -233,13 +262,7 @@ def join_beta(comps) -> BetaSet:
     comps = tuple(comps)
     if not comps:
         raise ValueError("need at least one component")
-    e = len(comps)
-    tmin = min(c.floor for c in comps)
-    beads = set()
-    for i, c in enumerate(comps):
-        beads.update(e * x + i for x in c.tail)
-        beads.update(e * q + i for q in range(tmin, c.floor))
-    return BetaSet.from_floor_and_beads(e * tmin, beads)
+    return BetaSet(*regroup(tuple((c.floor, c.tail) for c in comps), 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,21 +273,17 @@ def split_charged(cp: ChargedPartition, e: int) -> ChargedMultiPartition:
 
     The total charge of the output equals the input charge.
     """
-    comps = [from_beta(c) for c in split_beta(to_beta(cp), e)]
+    if e < 1:
+        raise ValueError("e must be >= 1")
     return ChargedMultiPartition(
-        tuple(c.partition for c in comps), tuple(c.charge for c in comps)
+        *_charged(regroup(_abaci((cp.partition,), (cp.charge,)), e))
     )
 
 
 def join_charged(cmp: ChargedMultiPartition) -> ChargedPartition:
     """Inverse of split_charged."""
-    beta = join_beta(
-        tuple(
-            to_beta(ChargedPartition(p, s))
-            for p, s in zip(cmp.components, cmp.charges)
-        )
-    )
-    return from_beta(beta)
+    (p,), (s,) = _charged(regroup(_abaci(cmp.components, cmp.charges), 1))
+    return ChargedPartition(p, s)
 
 
 @lru_cache(maxsize=None)
@@ -277,11 +296,12 @@ def e_core(p: Partition, e: int) -> Partition:
     >>> e_core(Partition((3,)), 3)
     Partition(parts=())
     """
-    cmp = split_charged(ChargedPartition(p, 0), e)
-    emptied = ChargedMultiPartition(
-        tuple(Partition(()) for _ in range(e)), cmp.charges
-    )
-    return join_charged(emptied).partition
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    split = regroup(_abaci((p,), (0,)), e)
+    emptied = tuple((floor + len(tail), ()) for floor, tail in split)
+    (core,), _ = _charged(regroup(emptied, 1))
+    return core
 
 
 @lru_cache(maxsize=None)
@@ -389,14 +409,6 @@ def parse_charges(text: str) -> MultiCharge:
 
 def render_charges(charges: MultiCharge) -> str:
     return ",".join(str(c) for c in charges)
-
-
-def all_boxes(mp: MultiPartition):
-    """Yield (component index, row, column) over all boxes of a multipartition."""
-    for j, p in enumerate(mp):
-        for i, row_len in enumerate(p.parts, start=1):
-            for col in range(1, row_len + 1):
-                yield (j, i, col)
 
 
 def syt_count(p: Partition) -> int:

@@ -111,4 +111,34 @@ def apply_affine_on_beads(perm, shifts, bead_sets):
     return out
 
 
+def regroup_on_beads(components, m, index_offset=0):
+    """The bead map (x, i) -> (e*q + i, r) with (q, r) = divmod(x, m), applied
+    to explicit finite bead windows.
+
+    components is an e-list of (parts, charge); returns the m-list of
+    (parts, charge) read back from the image windows.  The window starts 2m
+    below the lowest floor, so every image position below `edge` is a bead
+    and every image position from `edge` up comes from a bead in the window.
+    index_offset sends images to component (i + index_offset) % e instead of
+    i; it is nonzero only in negative controls.
+    """
+    e = len(components)
+    low = min(charge - len(parts) for parts, charge in components) - 2 * m
+    images = [set() for _ in range(m)]
+    for i, (parts, charge) in enumerate(components):
+        beads = set(range(low, charge - len(parts)))
+        beads.update(p - k + charge for k, p in enumerate(parts, start=1))
+        for x in beads:
+            q, r = divmod(x, m)
+            images[r].add(e * q + (i + index_offset) % e)
+    edge = e * (low // m + 1)
+    out = []
+    for image in images:
+        above = sorted((y for y in image if y >= edge), reverse=True)
+        charge = edge + len(above)
+        parts = tuple(y + k - charge for k, y in enumerate(above, start=1))
+        out.append((tuple(p for p in parts if p), charge))
+    return out
+
+
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]

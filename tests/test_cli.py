@@ -160,6 +160,20 @@ class TestVerify:
         assert code == 2
         assert "coprime" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("thm1", "--max-n", "-3"),
+            ("thm1", "--max-n", "0"),
+            ("roundtrip", "--trials", "-5"),
+        ],
+    )
+    def test_refuses_to_pass_vacuously(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv, "--stream")
+        assert code == 2
+        assert out == ""
+        assert "no cases to check" in err
+
     def test_roundtrip_deterministic(self, capsys):
         args = ("verify", "roundtrip", "--trials", "200", "--seed", "7")
         code1, out1, _ = run(capsys, *args)

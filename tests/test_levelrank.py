@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abacore import levelrank
 from abacore.levelrank import (
     AffinePerm,
     affine_perm,
@@ -21,12 +22,14 @@ from abacore.partitions import (
     ChargedMultiPartition,
     ChargedPartition,
     Partition,
+    join_beta,
     join_charged,
     partitions_of,
+    split_beta,
     split_charged,
     to_beta,
 )
-from oracles import apply_affine_on_beads
+from oracles import apply_affine_on_beads, regroup_on_beads
 
 P = Partition
 
@@ -247,6 +250,65 @@ class TestUglov:
                     assert q in image_abaci[r]
 
 
+# every (partition of size <= 5, charge in -3..3), the inputs of the bead sweep
+CHARGED_SMALL = [
+    (p.parts, s) for n in range(6) for p in partitions_of(n) for s in range(-3, 4)
+]
+
+
+def bead_sweep():
+    """(components, m) for all levels e, m in 1..4, coprime or not.
+
+    For each e, component i runs over every entry of CHARGED_SMALL as k does
+    (the step i + 1 is prime to its length 133), with a different pairing of
+    components for each i.
+    """
+    total = len(CHARGED_SMALL)
+    for e in range(1, 5):
+        for m in range(1, 5):
+            for k in range(total):
+                yield [
+                    CHARGED_SMALL[(k * (i + 1) + 37 * i) % total] for i in range(e)
+                ], m
+
+
+def as_pairs(cmp):
+    return [(p.parts, s) for p, s in zip(cmp.components, cmp.charges)]
+
+
+def from_pairs(pairs):
+    return ChargedMultiPartition(
+        tuple(P(parts) for parts, _ in pairs), tuple(s for _, s in pairs)
+    )
+
+
+class TestBeadMapOracle:
+    def test_sweep_matches_bead_windows(self):
+        for comps, m in bead_sweep():
+            expected = regroup_on_beads(comps, m)
+            cmp0 = from_pairs(comps)
+            assert as_pairs(uglov(cmp0, m)) == expected
+            if len(comps) == 1:
+                cp = ChargedPartition(*cmp0.components, *cmp0.charges)
+                assert as_pairs(split_charged(cp, m)) == expected
+                assert split_beta(to_beta(cp), m) == tuple(
+                    to_beta(ChargedPartition(P(parts), s)) for parts, s in expected
+                )
+            if m == 1:
+                ((parts, s),) = expected
+                assert join_charged(cmp0) == ChargedPartition(P(parts), s)
+                abaci = [to_beta(ChargedPartition(P(q), c)) for q, c in comps]
+                assert join_beta(abaci) == to_beta(ChargedPartition(P(parts), s))
+
+    def test_off_by_one_component_is_caught(self):
+        disagreements = sum(
+            as_pairs(uglov(from_pairs(comps), m))
+            != regroup_on_beads(comps, m, index_offset=1)
+            for comps, m in bead_sweep()
+        )
+        assert disagreements > 0
+
+
 class TestDiagrams:
     def test_bead_square_windows(self):
         for e in range(1, 7):
@@ -282,6 +344,24 @@ class TestDiagrams:
     def test_uglov_diagram_rejects_non_coprime(self):
         with pytest.raises(ValueError):
             check_uglov_diagram(P((1,)), 2, 4, 0, 0)
+
+    def test_core_matched_diagram_catches_shift_mutant(self, monkeypatch):
+        # the e-side correction sends target component 0 one step too far
+        real = affine_perm
+        failed = total = 0
+        for e, m in ((1, 2), (2, 3), (3, 4), (3, 5), (4, 3)):
+            def off_by_one(a, b, s, e=e):
+                ap = real(a, b, s)
+                if a != e:
+                    return ap
+                return AffinePerm(a, ap.perm, (ap.shifts[0] + 1,) + ap.shifts[1:])
+
+            monkeypatch.setattr(levelrank, "affine_perm", off_by_one)
+            for n in range(7):
+                for p in partitions_of(n):
+                    failed += not check_core_matched_diagram(p, e, m)
+                    total += 1
+        assert failed > 0.9 * total
 
     def test_core_matched_diagram_sample(self):
         for n in range(9):

@@ -85,10 +85,6 @@ class TestBetaSets:
         with pytest.raises(ValueError):
             BetaSet(0, (2, 3))
 
-    def test_from_floor_and_beads_normalizes(self):
-        assert BetaSet.from_floor_and_beads(0, {0, 1, 5}) == BetaSet(2, (5,))
-        assert BetaSet.from_floor_and_beads(3, {1, 2}) == BetaSet(3, ())
-
     def test_to_beta_examples(self):
         assert to_beta(CP(P(()), 0)) == BetaSet(0, ())
         assert to_beta(CP(P((2, 1)), 0)) == BetaSet(-2, (1, -1))
