@@ -70,23 +70,25 @@ from .polynomials import ennola_e, generic_degree, phi_multiplicity, singular_ch
 
 DEFAULT_SEED = 123456789
 LEVEL_SWEEP_MAX = 12
+VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials", "window")
+SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _coprime_pairs(args) -> list[tuple[int, int]]:
+def _coprime_pairs(e, m) -> list[tuple[int, int]]:
     """The (e, m) pairs to sweep: a single pair if given, else all coprime
     pairs with 1 <= e < m <= 12."""
-    if (args.e is None) != (args.m is None):
+    if (e is None) != (m is None):
         raise ValueError("give both --e and --m, or neither")
-    if args.e is not None:
-        if args.e < 1 or args.m < 1:
+    if e is not None:
+        if e < 1 or m < 1:
             raise ValueError("levels must be >= 1")
-        if gcd(args.e, args.m) != 1:
-            raise ValueError(f"levels {args.e}, {args.m} must be coprime")
-        return [(args.e, args.m)]
+        if gcd(e, m) != 1:
+            raise ValueError(f"levels {e}, {m} must be coprime")
+        return [(e, m)]
     return [
         (e, m)
         for m in range(2, LEVEL_SWEEP_MAX + 1)
@@ -96,71 +98,45 @@ def _coprime_pairs(args) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# verify runners; each returns (cases_checked, failures)
+# verify suites; each generator yields (cases checked, case) with case["pass"]
 
-def _run_thm1(args, emit):
-    cases = 0
-    failures = []
-    for n in range(1, args.max_n + 1):
-        for e, m in _coprime_pairs(args):
-            report = block_match_report(n, e, m)
-            cases += len(partitions_of(n))
-            for entry in report["intersections"]:
-                case = {"n": n, "e": e, "m": m, **entry}
-                emit(case)
-                if not entry["pass"]:
-                    failures.append(case)
-    return cases, failures
+def _thm1_cases(max_n, e, m):
+    pairs = _coprime_pairs(e, m)
+    for n in range(1, max_n + 1):
+        for e, m in pairs:
+            for entry in block_match_report(n, e, m)["intersections"]:
+                yield len(entry["members"]), {"n": n, "e": e, "m": m, **entry}
 
 
-def _run_thm2(args, emit):
-    cases = 0
-    failures = []
-    for n in range(1, args.max_n + 1):
-        for e, m in _coprime_pairs(args):
+def _thm2_cases(max_n, e, m):
+    pairs = _coprime_pairs(e, m)
+    for n in range(1, max_n + 1):
+        for e, m in pairs:
             for p in partitions_of(n):
                 ok = check_core_matched_diagram(p, e, m)
-                cases += 1
-                case = {"n": n, "e": e, "m": m, "partition": str(p), "pass": ok}
-                emit(case)
-                if not ok:
-                    failures.append(case)
-    return cases, failures
+                yield 1, {"n": n, "e": e, "m": m, "partition": str(p), "pass": ok}
 
 
-def _run_content_lemma(args, emit):
-    cases = 0
-    failures = []
-    for n in range(args.max_n + 1):
+def _content_lemma_cases(max_n, window):
+    for n in range(max_n + 1):
         for p in partitions_of(n):
             for s in range(-4, 5):
                 for e in range(1, 6):
-                    window = args.window or (n + abs(s) + e + 5)
-                    ok = check_content_lemma(p, s, e, window)
-                    cases += 1
-                    case = {
-                        "partition": str(p),
-                        "s": s,
-                        "e": e,
-                        "window": window,
-                        "pass": ok,
+                    w = n + abs(s) + e + 5 if window is None else window
+                    ok = check_content_lemma(p, s, e, w)
+                    yield 1, {
+                        "partition": str(p), "s": s, "e": e, "window": w, "pass": ok
                     }
-                    emit(case)
-                    if not ok:
-                        failures.append(case)
-    return cases, failures
 
 
-def _run_content_prop(args, emit):
-    cases = 0
-    failures = []
+def _content_prop_cases(max_n):
     level_pairs = [
         (e, m)
         for e in range(1, 7)
         for m in range(1, 7)
         if gcd(e, m) == 1
     ]
-    for n in range(1, args.max_n + 1):
+    for n in range(1, max_n + 1):
         for e, m in level_pairs:
             by_core: dict[tuple[int, ...], list[Partition]] = {}
             for p in partitions_of(n):
@@ -169,7 +145,6 @@ def _run_content_prop(args, emit):
                 members = sorted(members, key=lambda q: q.parts)
                 for i in range(len(members)):
                     for j in range(i + 1, len(members)):
-                        cases += 1
                         case = {
                             "n": n,
                             "e": e,
@@ -185,37 +160,25 @@ def _run_content_prop(args, emit):
                         except EquivalenceViolation as exc:
                             case["pass"] = False
                             case["error"] = str(exc)
-                            failures.append(case)
-                        emit(case)
-    return cases, failures
+                        yield 1, case
 
 
-def _run_cuspidal(args, emit):
-    cases = 0
-    failures = []
-    for n in range(args.max_n + 1):
+def _cuspidal_cases(max_n):
+    for n in range(max_n + 1):
         for p in partitions_of(n):
             hooks = hook_lengths(p)
             for e in range(1, 11):
-                cases += 1
                 ok = singular_check(p, e) == is_e_core(p, e)
                 if n >= 1:
                     expected = n // e - sum(1 for h in hooks if h % e == 0)
                     ok = ok and phi_multiplicity(generic_degree(p), e) == expected
-                case = {"partition": str(p), "e": e, "pass": ok}
-                emit(case)
-                if not ok:
-                    failures.append(case)
-    return cases, failures
+                yield 1, {"partition": str(p), "e": e, "pass": ok}
 
 
-def _run_degmod(args, emit):
-    cases = 0
-    failures = []
-    for n in range(1, args.max_n + 1):
+def _degmod_cases(max_n):
+    for n in range(1, max_n + 1):
         for p in partitions_of(n):
             for e in range(1, n + 1):
-                cases += 1
                 case = {"partition": str(p), "e": e}
                 try:
                     case["sign"] = degree_sign(p, e)
@@ -223,21 +186,16 @@ def _run_degmod(args, emit):
                 except DegreeSignError as exc:
                     case["pass"] = False
                     case["error"] = str(exc)
-                    failures.append(case)
-                emit(case)
-    return cases, failures
+                yield 1, case
 
 
 def _random_partition(rng: random.Random, max_size: int) -> Partition:
     return rng.choice(partitions_of(rng.randint(0, max_size)))
 
 
-def _run_roundtrip(args, emit):
-    rng = random.Random(args.seed)
-    cases = 0
-    failures = []
-    for trial in range(args.trials):
-        cases += 1
+def _roundtrip_cases(seed, trials):
+    rng = random.Random(seed)
+    for trial in range(trials):
         problems = []
 
         p = _random_partition(rng, 10)
@@ -278,24 +236,50 @@ def _run_roundtrip(args, emit):
         if qr_em_inv(q, r, e2, m2) != (x, y) or e2 * x + m2 * y != m2 * q + e2 * r:
             problems.append("index bijection")
 
-        ok = not problems
-        case = {"trial": trial, "pass": ok}
+        case = {"trial": trial, "pass": not problems}
         if problems:
             case["problems"] = problems
-            failures.append(case)
-        emit(case)
-    return cases, failures
+        yield 1, case
 
 
-_RUNNERS = {
-    "thm1": _run_thm1,
-    "thm2": _run_thm2,
-    "content-lemma": _run_content_lemma,
-    "content-prop": _run_content_prop,
-    "cuspidal": _run_cuspidal,
-    "degmod": _run_degmod,
-    "roundtrip": _run_roundtrip,
+# suite name -> (case generator, {flag the suite reads: default})
+SUITES = {
+    "thm1": (_thm1_cases, {"max_n": 12, "e": None, "m": None}),
+    "thm2": (_thm2_cases, {"max_n": 12, "e": None, "m": None}),
+    "content-lemma": (_content_lemma_cases, {"max_n": 10, "window": None}),
+    "content-prop": (_content_prop_cases, {"max_n": 10}),
+    "cuspidal": (_cuspidal_cases, {"max_n": 10}),
+    "degmod": (_degmod_cases, {"max_n": 10}),
+    "roundtrip": (_roundtrip_cases, {"seed": DEFAULT_SEED, "trials": 10000}),
 }
+
+
+def run_suite(suite: str, emit=lambda case: None, **given):
+    """Run one verify suite with the flags `given` (the rest at their
+    defaults), passing each case to `emit`.  Returns (parameters,
+    cases_checked, failures); raises ValueError for a flag the suite does
+    not read and for a run that checks nothing."""
+    cases_of, defaults = SUITES[suite]
+    for flag in given:
+        if flag not in defaults:
+            raise ValueError(
+                f"verify {suite} does not take --{flag.replace('_', '-')}"
+            )
+    values = {**defaults, **given}
+    cases = 0
+    failures = []
+    for checked, case in cases_of(**values):
+        cases += checked
+        emit(case)
+        if not case["pass"]:
+            failures.append(case)
+    if cases == 0:
+        raise ValueError(
+            f"no cases to check for verify {suite} with these parameters"
+        )
+    parameters = {"suite": suite}
+    parameters.update((k, v) for k, v in values.items() if v is not None)
+    return parameters, cases, failures
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +320,13 @@ def _cmd_uglov(args) -> int:
     return 0
 
 
+def _check_size(n: int) -> None:
+    if n > SERIES_MAX_N:
+        raise ValueError(f"--n {n} is too large; at most {SERIES_MAX_N} is supported")
+
+
 def _cmd_series(args) -> int:
+    _check_size(args.n)
     if args.n < 1 or args.e < 1:
         raise ValueError("n and e must be >= 1")
     _emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
@@ -344,6 +334,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
+    _check_size(args.n)
     if args.n < 1 or args.e < 1 or args.m < 1:
         raise ValueError("n, e, m must be >= 1")
     wanted = parse_partition(args.core) if args.core is not None else None
@@ -381,38 +372,23 @@ def _cmd_blocks(args) -> int:
     return 0
 
 
-_SUITE_PARAMS = {
-    "thm1": ("max_n", "e", "m"),
-    "thm2": ("max_n", "e", "m"),
-    "content-lemma": ("max_n", "window"),
-    "content-prop": ("max_n",),
-    "cuspidal": ("max_n",),
-    "degmod": ("max_n",),
-    "roundtrip": ("seed", "trials"),
-}
-
-
 def _cmd_verify(args) -> int:
-    runner = _RUNNERS[args.suite]
-    emit = _emit if args.stream else (lambda case: None)
-    cases, failures = runner(args, emit)
-    if cases == 0:
-        raise ValueError(
-            f"no cases to check for verify {args.suite} with these parameters"
-        )
-    parameters = {"suite": args.suite}
-    for key in _SUITE_PARAMS[args.suite]:
-        value = getattr(args, key)
-        if value is not None:
-            parameters[key] = value
-    report = {
-        "command": f"verify {args.suite}",
-        "parameters": parameters,
-        "cases_checked": cases,
-        "failures": failures,
-        "pass": not failures,
+    given = {
+        flag: getattr(args, flag)
+        for flag in VERIFY_FLAGS
+        if getattr(args, flag) is not None
     }
-    _emit(report)
+    emit = _emit if args.stream else (lambda case: None)
+    parameters, cases, failures = run_suite(args.suite, emit, **given)
+    _emit(
+        {
+            "command": f"verify {args.suite}",
+            "parameters": parameters,
+            "cases_checked": cases,
+            "failures": failures,
+            "pass": not failures,
+        }
+    )
     return 0 if not failures else 1
 
 
@@ -451,17 +427,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="batch verification suites")
     p_ver.add_argument(
         "suite",
-        choices=sorted(_RUNNERS),
+        choices=sorted(SUITES),
         help="which suite to run",
     )
-    p_ver.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p_ver.add_argument("--e", type=int, default=None)
-    p_ver.add_argument("--m", type=int, default=None)
-    p_ver.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help=f"default {DEFAULT_SEED}"
-    )
-    p_ver.add_argument("--trials", type=int, default=10000)
-    p_ver.add_argument("--window", type=int, default=None)
+    # no defaults here: run_suite fills them in, and must see which flags
+    # were given to reject the ones a suite does not read
+    p_ver.add_argument("--max-n", dest="max_n", type=int)
+    p_ver.add_argument("--e", type=int)
+    p_ver.add_argument("--m", type=int)
+    p_ver.add_argument("--seed", type=int, help=f"default {DEFAULT_SEED}")
+    p_ver.add_argument("--trials", type=int)
+    p_ver.add_argument("--window", type=int)
     p_ver.add_argument(
         "--stream", action="store_true", help="one JSON line per case, summary last"
     )
@@ -469,21 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULT_MAX_N = {
-    "thm1": 12,
-    "thm2": 12,
-    "content-lemma": 10,
-    "content-prop": 10,
-    "cuspidal": 10,
-    "degmod": 10,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "verify" and args.max_n is None:
-        args.max_n = _DEFAULT_MAX_N.get(args.suite, 10)
     try:
         return args.func(args)
     except (ValueError, DegreeSignError) as exc:

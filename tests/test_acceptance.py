@@ -4,28 +4,18 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  All checks are exact; no tolerances anywhere.
 """
 
-import argparse
-from math import gcd
-
-from abacore.blocks import (
-    EquivalenceViolation,
-    block_match_report,
-    check_content_lemma,
-    check_core_key_equivalence,
-)
-from abacore.cli import DEFAULT_SEED, _run_roundtrip
-from abacore.hc_series import DegreeSignError, degree_sign
-from abacore.levelrank import check_core_matched_diagram
-from abacore.partitions import e_core, hook_lengths, is_e_core, partitions_of
+from abacore.cli import run_suite
+from abacore.partitions import partitions_of
 from abacore.polynomials import (
     cyclotomic,
     ennola_e,
     ennola_substitute,
     generic_degree,
-    phi_multiplicity,
-    singular_check,
 )
-from oracles import syt_by_recursion
+from oracles import PARTITION_COUNTS, syt_by_recursion
+
+# coprime level pairs 1 <= e < m <= 12, the default thm1/thm2 sweep
+COPRIME_PAIRS_TO_12 = 45
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -35,114 +25,60 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} [{name}] failed{suffix}"
 
 
-def coprime_pairs(limit: int):
-    return [
-        (e, m)
-        for m in range(2, limit + 1)
-        for e in range(1, m)
-        if gcd(e, m) == 1
-    ]
+def _suite_criterion(number: int, name: str, suite: str, expected_cases: int):
+    """Run a verify suite at its default size, as `abacore verify <suite>`
+    does, and report it as one criterion that also pins its case count."""
+    parameters, cases, failures = run_suite(suite)
+    _report(
+        number,
+        name,
+        cases == expected_cases and not failures,
+        f"{parameters}: {cases} of {expected_cases} cases checked,"
+        f" {len(failures)} failures, first: {failures[:3]}",
+    )
 
 
 def test_criterion_1_intersections_are_single_blocks():
-    failures = []
-    for n in range(1, 13):
-        for e, m in coprime_pairs(12):
-            report = block_match_report(n, e, m)
-            if not report["pass"]:
-                failures.append((n, e, m))
-    _report(
+    _suite_criterion(
         1,
         "series intersections are single blocks, unitary variant agrees",
-        not failures,
-        f"failing triples: {failures[:5]}" if failures else "n <= 12, pairs to 12",
+        "thm1",
+        COPRIME_PAIRS_TO_12 * sum(PARTITION_COUNTS[1:13]),
     )
 
 
 def test_criterion_2_level_rank_diagram_commutes():
-    failures = []
-    for n in range(1, 13):
-        for e, m in coprime_pairs(12):
-            for p in partitions_of(n):
-                if not check_core_matched_diagram(p, e, m):
-                    failures.append((n, e, m, p.parts))
-    _report(
+    _suite_criterion(
         2,
         "both routes of the level-rank diagram agree",
-        not failures,
-        f"first failures: {failures[:5]}" if failures else "n <= 12, pairs to 12",
+        "thm2",
+        COPRIME_PAIRS_TO_12 * sum(PARTITION_COUNTS[1:13]),
     )
 
 
 def test_criterion_3_content_series_identities():
-    failures = []
-    for n in range(11):
-        for p in partitions_of(n):
-            for s in range(-4, 5):
-                for e in range(1, 6):
-                    window = n + abs(s) + e + 5
-                    if not check_content_lemma(p, s, e, window):
-                        failures.append((p.parts, s, e))
-    _report(
+    # sizes 0..10, charges -4..4, levels 1..5
+    _suite_criterion(
         3,
         "content generating identities hold coefficientwise",
-        not failures,
-        f"first failures: {failures[:5]}" if failures else "sizes <= 10",
+        "content-lemma",
+        sum(PARTITION_COUNTS[:11]) * 9 * 5,
     )
 
 
 def test_criterion_4_core_and_key_equivalence():
-    violations = []
-    checked = 0
-    for n in range(1, 11):
-        for e in range(1, 7):
-            for m in range(1, 7):
-                if gcd(e, m) != 1:
-                    continue
-                by_core = {}
-                for p in partitions_of(n):
-                    by_core.setdefault(e_core(p, e).parts, []).append(p)
-                for members in by_core.values():
-                    for i in range(len(members)):
-                        for j in range(i + 1, len(members)):
-                            checked += 1
-                            try:
-                                check_core_key_equivalence(
-                                    members[i], members[j], e, m
-                                )
-                            except EquivalenceViolation:
-                                violations.append(
-                                    (members[i].parts, members[j].parts, e, m)
-                                )
-    _report(
-        4,
-        "same m-core iff same residue key",
-        not violations,
-        f"{checked} pairs, first violations: {violations[:5]}"
-        if violations
-        else f"{checked} pairs checked",
-    )
+    # pairs of partitions of 1..10 sharing an e-core, over the coprime
+    # (e, m) in 1..6; recorded from the reference run
+    _suite_criterion(4, "same m-core iff same residue key", "content-prop", 20073)
 
 
 def test_criterion_5_cuspidal_multiplicities():
-    failures = []
-    for n in range(11):
-        for p in partitions_of(n):
-            hooks = hook_lengths(p)
-            for e in range(1, 11):
-                ok = singular_check(p, e) == is_e_core(p, e)
-                if n >= 1:
-                    expected = n // e - sum(1 for h in hooks if h % e == 0)
-                    ok = ok and (
-                        phi_multiplicity(generic_degree(p), e) == expected
-                    )
-                if not ok:
-                    failures.append((p.parts, e))
-    _report(
+    # sizes 0..10, levels 1..10
+    _suite_criterion(
         5,
         "cuspidality criterion and multiplicity formula",
-        not failures,
-        f"first failures: {failures[:5]}" if failures else "sizes <= 10, e <= 10",
+        "cuspidal",
+        sum(PARTITION_COUNTS[:11]) * 10,
     )
 
 
@@ -153,34 +89,19 @@ def test_criterion_6_degree_remainders():
     # computation never raises.  This fails beyond the series attached to
     # maximal tori; the smallest witnesses are (2,1) at e=2 (remainder 0)
     # and (4,1) at e=3 (remainder x).
-    failures = []
-    for n in range(1, 11):
-        for p in partitions_of(n):
-            for e in range(1, n + 1):
-                try:
-                    degree_sign(p, e)
-                except DegreeSignError:
-                    failures.append((p.parts, e))
+    _, cases, failures = run_suite("degmod")
+    expected_cases = sum(n * PARTITION_COUNTS[n] for n in range(1, 11))
     _report(
         6,
         "degree remainders are signed wreath dimensions",
-        not failures,
-        f"{len(failures)} of the (partition, e) cases fail;"
-        f" smallest: {failures[:3]}",
+        cases == expected_cases and not failures,
+        f"{len(failures)} of the {cases} (partition, e) cases fail;"
+        f" smallest: {[(f['partition'], f['e']) for f in failures[:3]]}",
     )
 
 
 def test_criterion_7_round_trips():
-    args = argparse.Namespace(seed=DEFAULT_SEED, trials=10000)
-    cases, failures = _run_roundtrip(args, lambda case: None)
-    _report(
-        7,
-        "seeded bijection round trips",
-        cases == 10000 and not failures,
-        f"{cases} trials, failures: {failures[:3]}"
-        if failures
-        else f"{cases} trials",
-    )
+    _suite_criterion(7, "seeded bijection round trips", "roundtrip", 10000)
 
 
 def test_criterion_8_sign_twists_and_tableaux():

@@ -1,8 +1,12 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from abacore.cli import main
+import abacore
+from abacore import cli
+from abacore.cli import main, run_suite
 from oracles import PARTITION_COUNTS
 
 
@@ -174,6 +178,50 @@ class TestVerify:
         assert out == ""
         assert "no cases to check" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("cuspidal", "--e", "3"), "--e"),
+            (("roundtrip", "--max-n", "5"), "--max-n"),
+            (("thm1", "--seed", "4"), "--seed"),
+            (("thm2", "--window", "9"), "--window"),
+        ],
+    )
+    def test_rejects_flags_the_suite_does_not_read(self, capsys, argv, flag):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert f"does not take {flag}" in err
+
+    @pytest.mark.parametrize("window", ["0", "3"])
+    def test_window_too_small(self, capsys, window):
+        code, out, err = run(
+            capsys, "verify", "content-lemma", "--max-n", "2", "--window", window
+        )
+        assert code == 2
+        assert out == ""
+        assert "window too small" in err
+
+    def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
+        # negative control: one broken (partition, e, m) case must surface
+        # as exactly one failure and a nonzero exit
+        real = cli.check_core_matched_diagram
+
+        def broken(p, e, m):
+            if (p.parts, e, m) == ((2, 1), 2, 3):
+                return False
+            return real(p, e, m)
+
+        monkeypatch.setattr(cli, "check_core_matched_diagram", broken)
+        _, cases, failures = run_suite("thm2", max_n=3)
+        assert cases == 45 * 6  # partitions of 1..3
+        assert failures == [
+            {"n": 3, "e": 2, "m": 3, "partition": "2,1", "pass": False}
+        ]
+        code, out, _ = run(capsys, "verify", "thm2", "--max-n", "3")
+        assert code == 1
+        assert json.loads(out)["failures"] == failures
+
     def test_roundtrip_deterministic(self, capsys):
         args = ("verify", "roundtrip", "--trials", "200", "--seed", "7")
         code1, out1, _ = run(capsys, *args)
@@ -249,8 +297,11 @@ class TestSubprocessDeterminism:
             "--max-n",
             "4",
         ]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        # the child imports the same abacore as this process, installed or not
+        src = Path(abacore.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
@@ -267,3 +318,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "--n", "41", "--e", "2"),
+            ("blocks", "--n", "41", "--e", "2", "--m", "3"),
+        ],
+    )
+    def test_size_guard(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "at most 40" in err
