@@ -3,24 +3,26 @@
 The block key of a charged e-multipartition is the multiset of integers
 e*(content + charge) + component over its boxes; blocks at level m compare
 this multiset modulo m.  For parameters involving roots of unity the key is
-evaluated in Q/Z instead, which keeps sign twists exact.  The generating
-series identities tie the keys to beta sets and underlie the equivalence
-between sharing an m-core and sharing a key.
+evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
+(1/d)Z/Z for d = lcm(2 * at_root, the denominators of the parameter
+arguments), so keys are computed as integers mod d and returned as reduced
+fractions.  The generating series identities tie the keys to beta sets and
+underlie the equivalence between sharing an m-core and sharing a key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .hc_series import (
     GL,
     GU,
     CuspidalPairGL,
+    HeckeParam,
     HeckeSpecialization,
     hc_pairs,
-    hc_series_of,
     specialization,
 )
 from .partitions import (
@@ -158,8 +160,47 @@ def residue_mod(rm: ResidueMultiset, m: int) -> ResidueMultisetMod:
     return ResidueMultisetMod(m, tuple(sorted(acc.items())))
 
 
-def _eval_param(arg: Fraction, exponent: int, at_root: int) -> Fraction:
-    return (arg + Fraction(exponent, at_root)) % 1
+def _root_values(
+    level: int, params: HeckeSpecialization, at_root: int
+) -> tuple[int, int, tuple[int, ...]]:
+    """(d, omega, alphas): the parameters evaluated at a primitive at_root-th
+    root as integers mod d, the value k standing for k/d in Q/Z.
+
+    Raises like root_residue_key for a bad root, a component count other
+    than level, and a symmetric ratio of 1.
+    """
+    if at_root < 1:
+        raise ValueError("at_root must be >= 1")
+    if level != len(params.tau_params):
+        raise ValueError("component count does not match parameter count")
+    d = 2 * at_root
+    for param in params.tau_params + params.sigma_params:
+        d = lcm(d, param.arg.denominator)
+
+    def value(param: HeckeParam) -> int:
+        turns = param.arg.numerator * (d // param.arg.denominator)
+        return (turns + param.exponent * (d // at_root)) % d
+
+    s0, s1 = params.sigma_params
+    if value(s0) != 0:
+        raise ValueError("first symmetric parameter must evaluate to 1")
+    omega = (value(s1) + d // 2) % d
+    if omega == 0:
+        raise OmegaIsOne(f"symmetric ratio is 1 at a {at_root}-th root")
+    return d, omega, tuple(value(t) for t in params.tau_params)
+
+
+def _root_counts(
+    mp: MultiPartition, d: int, omega: int, alphas: tuple[int, ...]
+) -> tuple[tuple[int, int], ...]:
+    """Sorted (k, count) pairs of the box values (content*omega + alpha) mod d."""
+    acc: dict[int, int] = {}
+    for p, alpha in zip(mp, alphas):
+        for row, length in enumerate(p.parts):
+            for content in range(-row, length - row):
+                v = (content * omega + alpha) % d
+                acc[v] = acc.get(v, 0) + 1
+    return tuple(sorted(acc.items()))
 
 
 def root_residue_key(
@@ -169,26 +210,15 @@ def root_residue_key(
 
     Each box contributes omega^content times the component's parameter,
     recorded additively in Q/Z; omega is the negated second symmetric
-    parameter.  Raises OmegaIsOne when omega evaluates to 1, where the block
-    criterion does not apply.
+    parameter.  The values are computed as integers mod d, with d the lcm of
+    2 * at_root and the denominators of the parameter arguments, and returned
+    as reduced fractions in [0, 1).  Raises OmegaIsOne when omega evaluates
+    to 1, where the block criterion does not apply.
     """
-    if at_root < 1:
-        raise ValueError("at_root must be >= 1")
-    if len(mp) != len(params.tau_params):
-        raise ValueError("component count does not match parameter count")
-    s0, s1 = params.sigma_params
-    if _eval_param(s0.arg, s0.exponent, at_root) != 0:
-        raise ValueError("first symmetric parameter must evaluate to 1")
-    omega = (_eval_param(s1.arg, s1.exponent, at_root) + Fraction(1, 2)) % 1
-    if omega == 0:
-        raise OmegaIsOne(f"symmetric ratio is 1 at a {at_root}-th root")
-    acc: dict[Fraction, int] = {}
-    for j, p in enumerate(mp):
-        alpha = _eval_param(params.tau_params[j].arg, params.tau_params[j].exponent, at_root)
-        for content in p.contents():
-            v = (content * omega + alpha) % 1
-            acc[v] = acc.get(v, 0) + 1
-    return RootResidueKey(tuple(sorted(acc.items())))
+    d, omega, alphas = _root_values(len(mp), params, at_root)
+    return RootResidueKey(
+        tuple((Fraction(k, d), c) for k, c in _root_counts(mp, d, omega, alphas))
+    )
 
 
 def root_key_partition(
@@ -196,9 +226,11 @@ def root_key_partition(
 ) -> tuple[tuple[MultiPartition, ...], ...]:
     """Partition of all e-multipartitions of size a by their root-of-unity
     block keys under the given parameters."""
-    grouped: dict[RootResidueKey, list[MultiPartition]] = {}
-    for mp in multipartitions_of(e, a):
-        grouped.setdefault(root_residue_key(mp, params, at_root), []).append(mp)
+    mps = multipartitions_of(e, a)
+    d, omega, alphas = _root_values(e, params, at_root)
+    grouped: dict[tuple[tuple[int, int], ...], list[MultiPartition]] = {}
+    for mp in mps:
+        grouped.setdefault(_root_counts(mp, d, omega, alphas), []).append(mp)
     return _canonical_blocks(grouped.values())
 
 
@@ -360,8 +392,8 @@ def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bo
 # the series-versus-blocks report
 
 def _image_multipartition(p: Partition, e: int) -> MultiPartition:
-    _, image = hc_series_of(p, e)
-    return image.components
+    """p's image in its level-e series, as hc_series_of gives it."""
+    return e_quotient_charged(p, e, e_core(p, e).length).components
 
 
 def _side_blocks(
@@ -410,22 +442,28 @@ def block_match_report(n: int, e: int, m: int) -> dict:
     side_cache: dict[tuple[int, Partition], tuple] = {}
 
     def side(pair: CuspidalPairGL, at_root: int):
+        """(blocks, index, gu_ok), with index mapping each multipartition
+        to the position of its block."""
         key = (pair.e, pair.core)
         if key not in side_cache:
-            side_cache[key] = _side_blocks(pair, at_root)
+            blocks, gu_ok = _side_blocks(pair, at_root)
+            index = {mp: i for i, block in enumerate(blocks) for mp in block}
+            side_cache[key] = blocks, index, gu_ok
         return side_cache[key]
 
-    def image_matches_one_block(members, level, blocks):
-        image = sorted(
-            (tuple(q.parts for q in _image_multipartition(p, level)) for p in members)
+    def image_matches_one_block(members, level, blocks, index):
+        """Whether the members' images are distinct and fill one whole
+        block, and the sizes of the blocks they touch, in block order."""
+        images = {_image_multipartition(p, level) for p in members}
+        hits = {index.get(mp) for mp in images}
+        touched = sorted(i for i in hits if i is not None)
+        ok = (
+            len(images) == len(members)
+            and len(hits) == 1
+            and None not in hits
+            and len(blocks[touched[0]]) == len(images)
         )
-        touched = []
-        for block in blocks:
-            flat = sorted(tuple(q.parts for q in mp) for mp in block)
-            if any(x in flat for x in image):
-                touched.append(flat)
-        ok = len(touched) == 1 and touched[0] == image
-        return ok, [len(b) for b in touched]
+        return ok, [len(blocks[i]) for i in touched]
 
     intersections = []
     all_pass = True
@@ -433,10 +471,10 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         groups.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
     ):
         members = sorted(members, key=lambda q: q.parts)
-        blocks_e, gu_ok_e = side(pairs_e[core_e], m)
-        blocks_m, gu_ok_m = side(pairs_m[core_m], e)
-        ok_e, sizes_e = image_matches_one_block(members, e, blocks_e)
-        ok_m, sizes_m = image_matches_one_block(members, m, blocks_m)
+        blocks_e, index_e, gu_ok_e = side(pairs_e[core_e], m)
+        blocks_m, index_m, gu_ok_m = side(pairs_m[core_m], e)
+        ok_e, sizes_e = image_matches_one_block(members, e, blocks_e, index_e)
+        ok_m, sizes_m = image_matches_one_block(members, m, blocks_m, index_m)
         ok = ok_e and ok_m and gu_ok_e and gu_ok_m
         all_pass = all_pass and ok
         intersections.append(

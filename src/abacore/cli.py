@@ -118,6 +118,10 @@ def _thm2_cases(max_n, e, m):
 
 
 def _content_lemma_cases(max_n, window):
+    # the largest case (n = max_n, |s| = 4, e = 5) needs the widest window;
+    # refuse a given window before any case is emitted
+    if window is not None and window < max_n + 4 + 5 + 5:
+        raise ValueError("window too small to be lossless")
     for n in range(max_n + 1):
         for p in partitions_of(n):
             for s in range(-4, 5):

@@ -5,6 +5,7 @@ by removing rim hooks from the Young diagram, tableau counts by recursive
 corner removal, and hooks by counting boxes in the raw cell set.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -139,6 +140,35 @@ def regroup_on_beads(components, m, index_offset=0):
         parts = tuple(y + k - charge for k, y in enumerate(above, start=1))
         out.append((tuple(p for p in parts if p), charge))
     return out
+
+
+def root_key_oracle(components, tau, sigma, at_root):
+    """The root-of-unity block key, computed with Fractions in Q/Z.
+
+    components is a list of part tuples; tau holds one (arg, exponent) pair
+    per component and sigma the two symmetric (arg, exponent) pairs, each
+    standing for exp(2 pi i arg) * x^exponent at x a primitive at_root-th
+    root.  Returns the sorted (value, count) pairs of
+    (content * omega + alpha_j) % 1 over the boxes of component j, where
+    omega = sigma_1 + 1/2 and alpha_j is tau_j evaluated; returns None when
+    omega is 0, and raises ValueError when sigma_0 does not evaluate to 0.
+    """
+    def evaluate(arg, exponent):
+        return (arg + Fraction(exponent, at_root)) % 1
+
+    if evaluate(*sigma[0]) != 0:
+        raise ValueError("first symmetric parameter must evaluate to 1")
+    omega = (evaluate(*sigma[1]) + Fraction(1, 2)) % 1
+    if omega == 0:
+        return None
+    counts = {}
+    for parts, (arg, exponent) in zip(components, tau):
+        alpha = evaluate(arg, exponent)
+        for i, row in enumerate(parts, start=1):
+            for j in range(1, row + 1):
+                v = ((j - i) * omega + alpha) % 1
+                counts[v] = counts.get(v, 0) + 1
+    return tuple(sorted(counts.items()))
 
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]

@@ -100,6 +100,13 @@ def test_criterion_6_degree_remainders():
     )
 
 
+def test_degmod_failure_count():
+    # Criterion 6 reads its failures through run_suite alone; pin the
+    # known counts so that a run_suite dropping failures cannot make it pass.
+    _, cases, failures = run_suite("degmod")
+    assert (cases, len(failures)) == (1106, 547)
+
+
 def test_criterion_7_round_trips():
     _suite_criterion(7, "seeded bijection round trips", "roundtrip", 10000)
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from abacore import blocks
 from abacore.blocks import (
     EquivalenceViolation,
     OmegaIsOne,
@@ -19,7 +20,16 @@ from abacore.blocks import (
     root_residue_key,
     same_block,
 )
-from abacore.hc_series import GL, GU, CuspidalPairGL, hc_pairs, specialization
+from abacore.cli import run_suite
+from abacore.hc_series import (
+    GL,
+    GU,
+    CuspidalPairGL,
+    HeckeParam,
+    HeckeSpecialization,
+    hc_pairs,
+    specialization,
+)
 from abacore.partitions import (
     BetaSet,
     ChargedMultiPartition,
@@ -31,7 +41,7 @@ from abacore.partitions import (
     to_beta,
 )
 from abacore.polynomials import ennola_e
-from oracles import rim_hook_core
+from oracles import rim_hook_core, root_key_oracle
 
 P = Partition
 
@@ -126,6 +136,68 @@ class TestRootKeys:
                     pair.e, pair.a, params, ennola_e(m)
                 )
                 assert gu_blocks == gl_blocks
+
+
+def _compare_with_oracle(mp, params, at_root):
+    """Assert that root_residue_key agrees with the Fraction oracle; returns
+    True when the symmetric ratio is 1, where both must refuse."""
+    expected = root_key_oracle(
+        [p.parts for p in mp],
+        [tuple(t) for t in params.tau_params],
+        [tuple(s) for s in params.sigma_params],
+        at_root,
+    )
+    if expected is None:
+        with pytest.raises(OmegaIsOne):
+            root_residue_key(mp, params, at_root)
+        return True
+    assert root_residue_key(mp, params, at_root).counts == expected, (mp, at_root)
+    return False
+
+
+class TestRootKeyOracle:
+    def test_sweep_series_parameters(self):
+        # every multipartition of every series with n <= 7, e <= 4, both
+        # variants, roots 2..7
+        omega_one = keyed = 0
+        for n in range(1, 8):
+            for e in range(1, 5):
+                for pair in hc_pairs(n, e):
+                    if pair.a == 0:
+                        continue
+                    for variant in (GL, GU):
+                        params = specialization(pair, variant)
+                        for mp in multipartitions_of(e, pair.a):
+                            for at_root in range(2, 8):
+                                if _compare_with_oracle(mp, params, at_root):
+                                    omega_one += 1
+                                else:
+                                    keyed += 1
+        assert (keyed, omega_one) == (1442, 346)
+
+    def test_argument_with_denominator_three(self):
+        # d = lcm(2 * at_root, 3) exceeds 2 * at_root unless 3 divides
+        # at_root; at root 6, omega = 1/3 + 1/6 + 1/2 is 0
+        third = Fraction(1, 3)
+        zero = Fraction(0)
+        tau = (HeckeParam(third, 1), HeckeParam(2 * third, 0), HeckeParam(zero, 5))
+        params = HeckeSpecialization(tau, (HeckeParam(zero, 0), HeckeParam(third, 1)))
+        for a in range(4):
+            for mp in multipartitions_of(3, a):
+                for at_root in range(2, 8):
+                    assert _compare_with_oracle(mp, params, at_root) == (at_root == 6)
+        key = root_residue_key((P((1,)), P(()), P(())), params, 4)
+        assert key.counts == ((Fraction(7, 12), 1),)  # 1/3 + 1/4
+
+    def test_first_symmetric_parameter_must_be_one(self):
+        params = HeckeSpecialization(
+            (HeckeParam(Fraction(0), 0),),
+            (HeckeParam(Fraction(1, 3), 0), HeckeParam(Fraction(0), 1)),
+        )
+        with pytest.raises(ValueError, match="first symmetric"):
+            root_key_oracle([(1,)], [(Fraction(0), 0)], params.sigma_params, 2)
+        with pytest.raises(ValueError, match="first symmetric"):
+            root_residue_key((P((1,)),), params, 2)
 
 
 class TestSameBlock:
@@ -324,3 +396,113 @@ class TestBlockMatchReport:
             m for entry in report["intersections"] for m in entry["members"]
         )
         assert members == sorted(str(p) for p in partitions_of(6))
+
+    def test_colliding_images_fail(self, monkeypatch):
+        # negative control: two members of one intersection share an image
+        real = blocks._image_multipartition
+
+        def collide(p, e):
+            return real(P((3,)) if p == P((1, 1, 1)) else p, e)
+
+        monkeypatch.setattr(blocks, "_image_multipartition", collide)
+        report = block_match_report(3, 2, 3)
+        assert [
+            (entry["members"], entry["pass"]) for entry in report["intersections"]
+        ] == [(["1,1,1", "3"], False), (["2,1"], True)]
+        assert report["pass"] is False
+        _, cases, failures = run_suite("thm1", max_n=4, e=2, m=3)
+        assert cases == 1 + 2 + 3 + 5
+        assert [(f["n"], f["members"]) for f in failures] == [(3, ["1,1,1", "3"])]
+
+        # still a failure when the one shared image is a whole block: every
+        # block split into singletons, GL and GU alike
+        real_sides = blocks._side_blocks
+
+        def singletons(pair, at_root):
+            found, gu_ok = real_sides(pair, at_root)
+            return tuple((mp,) for block in found for mp in block), gu_ok
+
+        monkeypatch.setattr(blocks, "_side_blocks", singletons)
+        report = block_match_report(3, 2, 3)
+        assert [
+            (entry["blockE_sizes"], entry["blockM_sizes"], entry["pass"])
+            for entry in report["intersections"]
+        ] == [([1], [1], False), ([1], [1], True)]
+
+    def test_image_outside_every_block_fails(self, monkeypatch):
+        # negative control: one member's image is no multipartition of the
+        # series, so it lies in no block on either side
+        real = blocks._image_multipartition
+
+        def stray(p, e):
+            return (P((9,)),) * e if p == P((2, 1)) else real(p, e)
+
+        monkeypatch.setattr(blocks, "_image_multipartition", stray)
+        report = block_match_report(3, 2, 3)
+        assert [
+            (e["members"], e["blockE_sizes"], e["blockM_sizes"], e["pass"])
+            for e in report["intersections"]
+        ] == [(["1,1,1", "3"], [2], [2], True), (["2,1"], [], [], False)]
+
+    @pytest.mark.parametrize(
+        "reshape, failing",
+        [
+            (
+                lambda found: ((found[0][0],), found[0][1:]) + found[1:],
+                {("1,1,1,1,1", "3,2"): [1, 1]},
+            ),
+            (
+                lambda found: (found[0] + found[1],) + found[2:],
+                {("1,1,1,1,1", "3,2"): [4], ("2,2,1", "5"): [4]},
+            ),
+            (
+                lambda found: (
+                    (found[0][0], found[1][1]),
+                    (found[1][0], found[0][1]),
+                ) + found[2:],
+                {("1,1,1,1,1", "3,2"): [2, 2], ("2,2,1", "5"): [2, 2]},
+            ),
+        ],
+        ids=["split", "merged", "swapped"],
+    )
+    def test_reshaped_block_fails(self, monkeypatch, reshape, failing):
+        # negative control: the e-side blocks of core (1) at (n, e, m) =
+        # (5, 2, 3), of sizes 2, 2, 1, have their first block split in two,
+        # their first two blocks merged, or one member swapped between them;
+        # GL and GU alike, so that only the match itself can fail
+        real = blocks._side_blocks
+
+        def reshaped(pair, at_root):
+            found, gu_ok = real(pair, at_root)
+            if (pair.e, pair.core) == (2, P((1,))):
+                assert [len(block) for block in found] == [2, 2, 1]
+                found = reshape(found)
+            return found, gu_ok
+
+        monkeypatch.setattr(blocks, "_side_blocks", reshaped)
+        report = block_match_report(5, 2, 3)
+        assert report["pass"] is False
+        assert {
+            tuple(entry["members"]): entry["blockE_sizes"]
+            for entry in report["intersections"]
+            if not entry["pass"]
+        } == failing
+
+    def test_gu_partition_mismatch_fails(self, monkeypatch):
+        # negative control: the GU keys of the e-side series of core (1)
+        # merge its GL blocks into one
+        real = blocks.root_key_partition
+
+        def merged(e, a, params, at_root):
+            found = real(e, a, params, at_root)
+            if (e, a) == (2, 2):
+                assert len(found) > 1
+                return (tuple(mp for block in found for mp in block),)
+            return found
+
+        monkeypatch.setattr(blocks, "root_key_partition", merged)
+        report = block_match_report(5, 2, 3)
+        assert report["pass"] is False
+        assert [entry["pass"] for entry in report["intersections"]] == [
+            entry["coreE"] != "1" for entry in report["intersections"]
+        ]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -202,6 +203,16 @@ class TestVerify:
         assert out == ""
         assert "window too small" in err
 
+    def test_window_checked_before_the_first_case(self, capsys):
+        # --window 12 is wide enough for the first cases but not for n = 3
+        code, out, err = run(
+            capsys,
+            "verify", "content-lemma", "--max-n", "3", "--window", "12", "--stream",
+        )
+        assert code == 2
+        assert out == ""
+        assert "window too small" in err
+
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
         # as exactly one failure and a nonzero exit
@@ -281,6 +292,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "content-prop", "--max-n", "6")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+class TestOutputBytes:
+    # sha256 of stdout as recorded with the Fraction-based block keys
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("verify", "thm1", "--max-n", "8", "--stream"),
+                "1655698859fb61c6c48827fdf2eee11540bca85c7dc95f10241971d85a1cfd05",
+            ),
+            (
+                ("blocks", "--n", "8", "--e", "2", "--m", "3", "--variant", "gu"),
+                "f02c66198e073c934e3f62fc165ede0f8b8de309f7d1773cb83de3961a9fd689",
+            ),
+        ],
+    )
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSubprocessDeterminism:
