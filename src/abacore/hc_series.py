@@ -203,7 +203,7 @@ def degree_sign(p: Partition, e: int) -> int:
     if not rem.is_constant():
         raise DegreeSignError(f"nonconstant remainder {rem} for {p.parts} at e={e}")
     c = rem.constant_value()
-    _, image = hc_series_of(p, e)
+    image = e_quotient_charged(p, e, e_core(p, e).length)
     expected = wreath_dim(image.components)
     if abs(c) != expected:
         raise DegreeSignError(

@@ -4,7 +4,10 @@ finite general linear groups.
 
 All coefficients are Python integers; any inexact division raises instead of
 approximating, since an inexact division here always means a transcription
-bug somewhere upstream.
+bug somewhere upstream.  Multiplication and division skip zero coefficients:
+they loop only over the nonzero terms of the right operand or divisor, and
+most divisors here (x^h - 1 and the cyclotomics) have few.  phi_multiplicity
+is memoised; each multiplicity is still found by repeated exact division.
 """
 
 from __future__ import annotations
@@ -80,41 +83,42 @@ class IntPolynomial:
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        a = self.coeffs
+        n = len(a)
+        out = [0] * (n + len(other.coeffs) - 1)
+        for j, b in enumerate(other.coeffs):
+            if b:
+                out[j : j + n] = [o + b * c for o, c in zip(out[j : j + n], a)]
         return IntPolynomial(*out)
 
     def __divmod__(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division over the integers.
 
         Each elimination step must divide exactly in Z (automatic for monic
-        divisors); otherwise InexactDivisionError is raised.
+        divisors); otherwise InexactDivisionError is raised.  The top index
+        walks down over the remainder, and each step subtracts only the
+        divisor's nonzero terms below its lead.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [0] * max(len(self.coeffs) - len(d.coeffs) + 1, 0)
-        r = list(self.coeffs)
-        dl = len(d.coeffs)
+        deg = d.degree
         lead = d.coeffs[-1]
-        while len(r) >= dl:
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < dl:
-                break
-            t, rem = divmod(r[-1], lead)
+        terms = [(i, c) for i, c in enumerate(d.coeffs[:-1]) if c]
+        q = [0] * max(len(self.coeffs) - deg, 0)
+        r = list(self.coeffs)
+        for top in range(len(r) - 1, deg - 1, -1):
+            if not r[top]:
+                continue
+            t, rem = divmod(r[top], lead)
             if rem:
                 raise InexactDivisionError(
-                    f"leading coefficient {r[-1]} not divisible by {lead}"
+                    f"leading coefficient {r[top]} not divisible by {lead}"
                 )
-            shift = len(r) - dl
+            shift = top - deg
             q[shift] = t
-            for i, c in enumerate(d.coeffs):
+            for i, c in terms:
                 r[shift + i] -= t * c
-        return IntPolynomial(*q), IntPolynomial(*r)
+        return IntPolynomial(*q), IntPolynomial(*r[:deg])
 
     def __mod__(self, d: "IntPolynomial") -> "IntPolynomial":
         return divmod(self, d)[1]
@@ -156,6 +160,13 @@ X = IntPolynomial(0, 1)
 
 
 def x_power_minus_one(k: int) -> IntPolynomial:
+    """x^k - 1 for k >= 1.
+
+    >>> x_power_minus_one(3)
+    IntPolynomial('x^3 - 1')
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     return IntPolynomial(-1, *([0] * (k - 1)), 1)
 
 
@@ -175,8 +186,10 @@ def cyclotomic(e: int) -> IntPolynomial:
     return poly
 
 
+@lru_cache(maxsize=None)
 def phi_multiplicity(f: IntPolynomial, e: int) -> int:
-    """The largest power of the e-th cyclotomic polynomial dividing f."""
+    """The largest power of the e-th cyclotomic polynomial dividing f, by
+    repeated exact division."""
     if f.is_zero():
         raise ValueError("multiplicity undefined for the zero polynomial")
     phi = cyclotomic(e)

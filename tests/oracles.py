@@ -171,4 +171,44 @@ def root_key_oracle(components, tau, sigma, at_root):
     return tuple(sorted(counts.items()))
 
 
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def schoolbook_divmod(f, d):
+    """Dense long division of coefficient tuples (constant term first).
+
+    d must have a nonzero lead.  Returns the trimmed (quotient, remainder)
+    pair, or the error message when a leading coefficient is not divisible
+    by d's lead.
+    """
+    q = [0] * max(len(f) - len(d) + 1, 0)
+    r = list(f)
+    while len(r) >= len(d):
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) < len(d):
+            break
+        t, rem = divmod(r[-1], d[-1])
+        if rem:
+            return f"leading coefficient {r[-1]} not divisible by {d[-1]}"
+        shift = len(r) - len(d)
+        q[shift] = t
+        for i, c in enumerate(d):
+            r[shift + i] -= t * c
+    return _trim(q), _trim(r)
+
+
+def naive_product(f, g):
+    """Product of coefficient tuples, every pair of terms multiplied."""
+    out = [0] * (len(f) + len(g))
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _trim(out)
+
+
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import os
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 import abacore
 from abacore import cli
 from abacore.cli import main, run_suite
+from abacore.partitions import Partition
+from abacore.polynomials import generic_degree
 from oracles import PARTITION_COUNTS
 
 
@@ -233,6 +236,38 @@ class TestVerify:
         assert code == 1
         assert json.loads(out)["failures"] == failures
 
+    @pytest.mark.parametrize(
+        "name, first_arg, wrong",
+        [
+            ("phi_multiplicity", generic_degree, lambda value: value + 1),
+            ("singular_check", lambda p: p, operator.not_),
+        ],
+        ids=["phi_multiplicity", "singular_check"],
+    )
+    def test_cuspidal_reports_a_planted_failure(
+        self, capsys, monkeypatch, name, first_arg, wrong
+    ):
+        # negative control: one (partition, e) gone wrong must surface as
+        # exactly one failure.  The patch sits on the name the suite calls,
+        # above the multiplicity cache, so no stale entry outlives it.
+        real = getattr(cli, name)
+        target = (first_arg(Partition((2, 1))), 3)
+
+        def broken(x, e):
+            value = real(x, e)
+            return wrong(value) if (x, e) == target else value
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, broken)
+            _, cases, failures = run_suite("cuspidal", max_n=4)
+            assert cases == 12 * 10  # partitions of 0..4, e = 1..10
+            assert failures == [{"partition": "2,1", "e": 3, "pass": False}]
+            code, out, _ = run(capsys, "verify", "cuspidal", "--max-n", "4")
+            assert code == 1
+            assert json.loads(out)["failures"] == failures
+        assert getattr(cli, name) is real
+        assert run_suite("cuspidal", max_n=4)[2] == []
+
     def test_roundtrip_deterministic(self, capsys):
         args = ("verify", "roundtrip", "--trials", "200", "--seed", "7")
         code1, out1, _ = run(capsys, *args)
@@ -312,6 +347,28 @@ class TestOutputBytes:
     def test_stdout_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of stdout as recorded with dense, unmemoised polynomial division;
+    # degmod exits 1 because criterion 6 fails
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            (
+                ("verify", "cuspidal", "--max-n", "8", "--stream"),
+                0,
+                "a0a556963420c91ba0ac722f4b04b1edb6224eeea5fb6afb8c3c4f5ca8daec22",
+            ),
+            (
+                ("verify", "degmod", "--max-n", "7", "--stream"),
+                1,
+                "cba3ecd78eabd61b8c4e8922923fcb8f64d10257e1938b7b0c6fbe2e31810a93",
+            ),
+        ],
+    )
+    def test_degree_suite_digest(self, capsys, argv, exit_code, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from abacore.partitions import Partition, hook_lengths, partitions_of
@@ -15,7 +17,7 @@ from abacore.polynomials import (
     x_power_minus_one,
 )
 from abacore.partitions import is_e_core
-from oracles import syt_by_recursion
+from oracles import naive_product, schoolbook_divmod, syt_by_recursion
 
 P = Partition
 
@@ -44,6 +46,13 @@ class TestIntPolynomial:
         with pytest.raises(InexactDivisionError):
             IntPolynomial(1, 1).exact_div(IntPolynomial(-1, 1))
 
+    def test_x_power_minus_one(self):
+        assert x_power_minus_one(1) == IntPolynomial(-1, 1)
+        assert x_power_minus_one(4) == IntPolynomial(-1, 0, 0, 0, 1)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                x_power_minus_one(k)
+
     def test_evaluate(self):
         assert IntPolynomial(1, -2, 1)(3) == 4
         assert IntPolynomial()(10) == 0
@@ -54,6 +63,49 @@ class TestIntPolynomial:
         assert str(IntPolynomial(1, -1, 1)) == "x^2 - x + 1"
         assert str(IntPolynomial(0, 0, 2)) == "2x^2"
         assert str(IntPolynomial(0, 1)) == "x"
+
+
+COEFFS = (-2, -1, 0, 1, 3)
+
+
+def _tuples(max_len):
+    """Every coefficient tuple of length <= max_len over COEFFS."""
+    for length in range(max_len + 1):
+        yield from product(COEFFS, repeat=length)
+
+
+class TestAgainstSchoolbook:
+    # every f of length <= 4 against every divisor of length 1-3 with a
+    # nonzero lead, trailing zeros and the empty tuple included
+    FS = list(_tuples(4))
+    DIVISORS = [d for d in _tuples(3) if d and d[-1]]
+
+    def test_divmod(self):
+        cases = raised = 0
+        for d in self.DIVISORS:
+            dp = IntPolynomial(*d)
+            for f in self.FS:
+                expected = schoolbook_divmod(f, d)
+                try:
+                    q, r = divmod(IntPolynomial(*f), dp)
+                    got = (q.coeffs, r.coeffs)
+                except InexactDivisionError as exc:
+                    got = str(exc)
+                    raised += 1
+                assert got == expected, (f, d)
+                cases += 1
+        assert cases == 96_844
+        assert 0 < raised < cases
+
+    def test_product(self):
+        for g in [()] + self.DIVISORS:
+            gp = IntPolynomial(*g)
+            for f in self.FS:
+                assert (IntPolynomial(*f) * gp).coeffs == naive_product(f, g), (f, g)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(IntPolynomial(1, 2), IntPolynomial())
 
 
 class TestCyclotomic:
