@@ -5,9 +5,12 @@ e*(content + charge) + component over its boxes; blocks at level m compare
 this multiset modulo m.  For parameters involving roots of unity the key is
 evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
 (1/d)Z/Z for d = lcm(2 * at_root, the denominators of the parameter
-arguments), so keys are computed as integers mod d and returned as reduced
-fractions.  The generating series identities tie the keys to beta sets and
-underlie the equivalence between sharing an m-core and sharing a key.
+arguments).  One kernel computes both keys as sorted (value mod d, count)
+pairs of the box values content*omega + alpha_j mod d: a level-m key takes
+d = m, omega = e mod m and alpha_j = (e*charge_j + j) mod m, and a root key
+takes the evaluated parameters and is returned as reduced fractions.  The
+generating series identities tie the keys to beta sets and underlie the
+equivalence between sharing an m-core and sharing a key.
 """
 
 from __future__ import annotations
@@ -61,27 +64,6 @@ class ResidueMultiset:
         for v in values:
             acc[v] = acc.get(v, 0) + 1
         return cls(tuple(sorted(acc.items())))
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
-    def values(self):
-        for v, c in self.counts:
-            for _ in range(c):
-                yield v
-
-
-@dataclass(frozen=True)
-class ResidueMultisetMod:
-    """A multiset of residue classes modulo m."""
-
-    m: int
-    counts: tuple[tuple[int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
 
 
 @dataclass(frozen=True)
@@ -150,16 +132,6 @@ def residue_multiset(cmp: ChargedMultiPartition, e: int) -> ResidueMultiset:
     return ResidueMultiset.from_values(values)
 
 
-def residue_mod(rm: ResidueMultiset, m: int) -> ResidueMultisetMod:
-    """Sum multiplicities over residue classes modulo m."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    acc: dict[int, int] = {}
-    for v, c in rm.counts:
-        acc[v % m] = acc.get(v % m, 0) + c
-    return ResidueMultisetMod(m, tuple(sorted(acc.items())))
-
-
 def _root_values(
     level: int, params: HeckeSpecialization, at_root: int
 ) -> tuple[int, int, tuple[int, ...]]:
@@ -188,6 +160,15 @@ def _root_values(
     if omega == 0:
         raise OmegaIsOne(f"symmetric ratio is 1 at a {at_root}-th root")
     return d, omega, tuple(value(t) for t in params.tau_params)
+
+
+def _level_values(
+    e: int, charges: tuple[int, ...], m: int
+) -> tuple[int, int, tuple[int, ...]]:
+    """(d, omega, alphas) = (m, e % m, (e*s_j + j) % m) for the charges s_j."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return m, e % m, tuple((e * s + j) % m for j, s in enumerate(charges))
 
 
 def _root_counts(
@@ -226,22 +207,13 @@ def root_key_partition(
 ) -> tuple[tuple[MultiPartition, ...], ...]:
     """Partition of all e-multipartitions of size a by their root-of-unity
     block keys under the given parameters."""
-    mps = multipartitions_of(e, a)
-    d, omega, alphas = _root_values(e, params, at_root)
-    grouped: dict[tuple[tuple[int, int], ...], list[MultiPartition]] = {}
-    for mp in mps:
-        grouped.setdefault(_root_counts(mp, d, omega, alphas), []).append(mp)
-    return _canonical_blocks(grouped.values())
+    return _group_by_counts(multipartitions_of(e, a), _root_values(e, params, at_root))
 
 
-def _series_charges(core: Partition, e: int) -> tuple[int, ...]:
-    return e_quotient_charged(core, e, core.length).charges
-
-
-def _member_key(p: Partition, e: int, core: Partition, m: int) -> ResidueMultisetMod:
-    return residue_mod(
-        residue_multiset(e_quotient_charged(p, e, core.length), e), m
-    )
+def _member_key(p: Partition, e: int, core: Partition, m: int) -> tuple:
+    """The level-m residue key of p's charged e-quotient, as (k, count) pairs."""
+    quotient = e_quotient_charged(p, e, core.length)
+    return _root_counts(quotient.components, *_level_values(e, quotient.charges, m))
 
 
 def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> bool:
@@ -277,6 +249,14 @@ def _canonical_blocks(groups) -> tuple[tuple[MultiPartition, ...], ...]:
     return tuple(blocks)
 
 
+def _group_by_counts(mps, values) -> tuple[tuple[MultiPartition, ...], ...]:
+    """Canonical blocks of mps grouped by _root_counts(mp, *values)."""
+    grouped: dict[tuple, list[MultiPartition]] = {}
+    for mp in mps:
+        grouped.setdefault(_root_counts(mp, *values), []).append(mp)
+    return _canonical_blocks(grouped.values())
+
+
 def block_partition(
     e: int, a: int, core: Partition, m: int
 ) -> tuple[tuple[MultiPartition, ...], ...]:
@@ -286,16 +266,10 @@ def block_partition(
     core.  Raises OmegaIsOne when m divides e, where the underlying ratio
     specializes to 1.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    values = _level_values(e, e_quotient_charged(core, e, core.length).charges, m)
     if e % m == 0:
         raise OmegaIsOne(f"level {m} blocks are undefined at level e={e}")
-    charges = _series_charges(core, e)
-    grouped: dict[ResidueMultisetMod, list[MultiPartition]] = {}
-    for mp in multipartitions_of(e, a):
-        key = residue_mod(residue_multiset(ChargedMultiPartition(mp, charges), e), m)
-        grouped.setdefault(key, []).append(mp)
-    return _canonical_blocks(grouped.values())
+    return _group_by_counts(multipartitions_of(e, a), values)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ DEFAULT_SEED = 123456789
 LEVEL_SWEEP_MAX = 12
 VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials", "window")
 SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
+INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
 
 
 def _emit(obj: dict) -> None:
@@ -289,10 +290,18 @@ def run_suite(suite: str, emit=lambda case: None, **given):
 # ---------------------------------------------------------------------------
 # commands
 
+def _check_bounds(bound: int, *named: tuple[str, int]) -> None:
+    """Refuse any (name, value) pair with value above bound."""
+    for name, value in named:
+        if value > bound:
+            raise ValueError(f"{name} {value} is too large; at most {bound} is supported")
+
+
 def _cmd_core(args) -> int:
     p = parse_partition(args.partition)
     if args.e < 1:
         raise ValueError("e must be >= 1")
+    _check_bounds(INPUT_MAX, ("--e", args.e), ("partition size", p.size))
     pair, image = hc_series_of(p, args.e)
     _emit(
         {
@@ -309,6 +318,13 @@ def _cmd_uglov(args) -> int:
     charges = parse_charges(args.charges)
     if args.e < 1 or args.m < 1:
         raise ValueError("levels must be >= 1")
+    _check_bounds(
+        INPUT_MAX,
+        ("--e", args.e),
+        ("--m", args.m),
+        *(("partition size", q.size) for q in mp),
+        *(("|charge|", abs(c)) for c in charges),
+    )
     if len(mp) != args.e or len(charges) != args.e:
         raise ValueError(
             f"expected {args.e} components, got {len(mp)} partitions"
@@ -324,13 +340,8 @@ def _cmd_uglov(args) -> int:
     return 0
 
 
-def _check_size(n: int) -> None:
-    if n > SERIES_MAX_N:
-        raise ValueError(f"--n {n} is too large; at most {SERIES_MAX_N} is supported")
-
-
 def _cmd_series(args) -> int:
-    _check_size(args.n)
+    _check_bounds(SERIES_MAX_N, ("--n", args.n))
     if args.n < 1 or args.e < 1:
         raise ValueError("n and e must be >= 1")
     _emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
@@ -338,7 +349,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
-    _check_size(args.n)
+    _check_bounds(SERIES_MAX_N, ("--n", args.n))
     if args.n < 1 or args.e < 1 or args.m < 1:
         raise ValueError("n, e, m must be >= 1")
     wanted = parse_partition(args.core) if args.core is not None else None

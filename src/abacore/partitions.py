@@ -106,10 +106,6 @@ class ChargedMultiPartition:
         return len(self.components)
 
     @property
-    def total_size(self) -> int:
-        return sum(p.size for p in self.components)
-
-    @property
     def total_charge(self) -> int:
         return sum(self.charges)
 
@@ -405,10 +401,6 @@ def parse_charges(text: str) -> MultiCharge:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad charge text {text!r}") from exc
-
-
-def render_charges(charges: MultiCharge) -> str:
-    return ",".join(str(c) for c in charges)
 
 
 def syt_count(p: Partition) -> int:

@@ -171,6 +171,24 @@ def root_key_oracle(components, tau, sigma, at_root):
     return tuple(sorted(counts.items()))
 
 
+def residue_key_oracle(components, charges, e, m, index_offset=0):
+    """The level-m block key of a charged e-multipartition, from raw parts.
+
+    components is a list of part tuples and charges holds one integer per
+    component.  Returns the sorted (residue, count) pairs of
+    e * (content + s_j) + j mod m over the boxes of component j, the box in
+    row i and column c having content c - i.  index_offset is added to j; it
+    is nonzero only in negative controls.
+    """
+    counts = {}
+    for j, (parts, s) in enumerate(zip(components, charges)):
+        for i, row in enumerate(parts, start=1):
+            for c in range(1, row + 1):
+                v = (e * (c - i + s) + j + index_offset) % m
+                counts[v] = counts.get(v, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 def _trim(coeffs):
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:

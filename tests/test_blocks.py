@@ -8,13 +8,13 @@ from abacore.blocks import (
     EquivalenceViolation,
     OmegaIsOne,
     ResidueMultiset,
+    RootResidueKey,
     TruncatedSeries,
     block_match_report,
     block_partition,
     check_content_lemma,
     check_core_key_equivalence,
     generating_series,
-    residue_mod,
     residue_multiset,
     root_key_partition,
     root_residue_key,
@@ -36,12 +36,13 @@ from abacore.partitions import (
     ChargedPartition,
     Partition,
     e_core,
+    e_quotient_charged,
     multipartitions_of,
     partitions_of,
     to_beta,
 )
 from abacore.polynomials import ennola_e
-from oracles import rim_hook_core, root_key_oracle
+from oracles import residue_key_oracle, rim_hook_core, root_key_oracle
 
 P = Partition
 
@@ -57,41 +58,90 @@ class TestResidueMultisets:
 
     def test_total_mass(self):
         cmp0 = ChargedMultiPartition((P((3, 1)), P((2, 2))), (2, -1))
-        assert residue_multiset(cmp0, 2).total == 8
+        assert sum(c for _, c in residue_multiset(cmp0, 2).counts) == 8
 
     def test_level_mismatch(self):
         with pytest.raises(ValueError):
             residue_multiset(ChargedMultiPartition((P(()),), (0,)), 2)
 
-    def test_residue_mod_examples(self):
-        rm = ResidueMultiset(((0, 1), (1, 1)))
-        assert residue_mod(rm, 2).counts == ((0, 1), (1, 1))
-        assert residue_mod(ResidueMultiset(((3, 1),)), 2).counts == ((1, 1),)
-        assert residue_mod(ResidueMultiset(((5, 1),)), 2) == residue_mod(
-            ResidueMultiset(((3, 1),)), 2
-        )
-
     def test_uniform_charge_shift_preserves_key_equality(self):
         # shifting all charges by c shifts every residue by e*c
         e = 3
         charges = (1, 1, 1)
-        mps = multipartitions_of(e, 2)
+        mps = [[p.parts for p in mp] for mp in multipartitions_of(e, 2)]
         for c in (-2, 1, 4):
             shifted = tuple(s + c for s in charges)
             for m in (2, 4, 5):
                 for a in mps:
                     for b in mps:
-                        base = residue_mod(
-                            residue_multiset(ChargedMultiPartition(a, charges), e), m
-                        ) == residue_mod(
-                            residue_multiset(ChargedMultiPartition(b, charges), e), m
+                        base = residue_key_oracle(a, charges, e, m) == (
+                            residue_key_oracle(b, charges, e, m)
                         )
-                        moved = residue_mod(
-                            residue_multiset(ChargedMultiPartition(a, shifted), e), m
-                        ) == residue_mod(
-                            residue_multiset(ChargedMultiPartition(b, shifted), e), m
+                        moved = residue_key_oracle(a, shifted, e, m) == (
+                            residue_key_oracle(b, shifted, e, m)
                         )
                         assert base == moved
+
+
+def _key_disagreements(index_offset=0):
+    """Compare the level-m keys of every series of hc_pairs(n, e), n <= 8,
+    e <= 4, m = 2..7 with e % m != 0, against the residue oracle: each
+    member's _member_key, and block_partition against the oracle's grouping.
+    Returns ((series, m) pairs compared, keys compared, disagreements)."""
+    series = keys = wrong = 0
+    for n in range(1, 9):
+        for e in range(1, 5):
+            for m in (m for m in range(2, 8) if e % m != 0):
+                for p in partitions_of(n):
+                    core = e_core(p, e)
+                    quotient = e_quotient_charged(p, e, core.length)
+                    expected = residue_key_oracle(
+                        [q.parts for q in quotient.components],
+                        quotient.charges, e, m, index_offset,
+                    )
+                    keys += 1
+                    wrong += blocks._member_key(p, e, core, m) != expected
+                for pair in hc_pairs(n, e):
+                    charges = e_quotient_charged(pair.core, e, pair.core.length).charges
+                    grouped = {}
+                    for mp in multipartitions_of(e, pair.a):
+                        key = residue_key_oracle(
+                            [q.parts for q in mp], charges, e, m, index_offset
+                        )
+                        grouped.setdefault(key, set()).add(mp)
+                    found = block_partition(e, pair.a, pair.core, m)
+                    series += 1
+                    wrong += {frozenset(b) for b in found} != {
+                        frozenset(g) for g in grouped.values()
+                    }
+    return series, keys, wrong
+
+
+class TestResidueKeyOracle:
+    def test_fixed_examples(self):
+        # residues {0, 1}, {3} and {5} reduced mod 2, from the oracle and
+        # from the library's box-count kernel
+        cases = [
+            (((2,),), (0,), 1, ((0, 1), (1, 1))),
+            (((), (1,)), (0, 1), 2, ((1, 1),)),
+            (((), (1,)), (0, 2), 2, ((1, 1),)),
+        ]
+        for parts, charges, e, expected in cases:
+            assert residue_key_oracle(parts, charges, e, 2) == expected
+            mp = tuple(P(q) for q in parts)
+            values = blocks._level_values(e, charges, 2)
+            assert blocks._root_counts(mp, *values) == expected
+
+    def test_sweep_series(self):
+        # 66 partitions of 1..8 at each of the 20 (e, m) pairs, and 329
+        # (series, m) pairs
+        assert _key_disagreements() == (329, 1320, 0)
+
+    def test_component_offset_disagrees(self):
+        # negative control: an oracle reading component j as j + 1 shifts
+        # every key, so the sweep must see it
+        _, _, wrong = _key_disagreements(index_offset=1)
+        assert wrong > 0
 
 
 class TestRootKeys:
@@ -206,6 +256,15 @@ class TestSameBlock:
         assert same_block(P((3,)), P((1, 1, 1)), 3, 2, empty)
         assert not same_block(P((3,)), P((2, 1)), 3, 2, empty)
         assert same_block(P((2, 1)), P((2, 1)), 3, 2, empty)
+
+    def test_disagreeing_root_keys_raise(self, monkeypatch):
+        # negative control: constant root keys claim one block where the
+        # residue keys see two
+        monkeypatch.setattr(
+            blocks, "root_residue_key", lambda mp, params, at_root: RootResidueKey(())
+        )
+        with pytest.raises(EquivalenceViolation, match="residue and root keys disagree"):
+            same_block(P((3,)), P((2, 1)), 3, 2, P(()))
 
     def test_core_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import abacore
-from abacore import cli
+from abacore import blocks, cli
 from abacore.cli import main, run_suite
 from abacore.partitions import Partition
 from abacore.polynomials import generic_degree
@@ -268,6 +268,36 @@ class TestVerify:
         assert getattr(cli, name) is real
         assert run_suite("cuspidal", max_n=4)[2] == []
 
+    def test_content_prop_reports_a_planted_failure(self, capsys, monkeypatch):
+        # negative control: (2, 1) is given the 2-core (1) instead of itself,
+        # so every pair with it at m = 2 shares an m-core but not a key.  As
+        # a 2-core it is alone in its e-core class at e = 2, where the wrong
+        # value would be read as its e-core.
+        real = blocks.e_core
+
+        def wrong(p, k):
+            return Partition((1,)) if (p.parts, k) == ((2, 1), 2) else real(p, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "e_core", wrong)
+            _, cases, failures = run_suite("content-prop", max_n=4)
+            assert cases == 162
+            assert [(f["e"], f["m"], f["p"], f["r"]) for f in failures] == [
+                (1, 2, "1,1,1", "2,1"),
+                (1, 2, "2,1", "3"),
+                (3, 2, "1,1,1", "2,1"),
+                (3, 2, "2,1", "3"),
+            ]
+            assert all(
+                f["n"] == 3 and "core comparison True but key comparison False"
+                in f["error"]
+                for f in failures
+            )
+            code, out, _ = run(capsys, "verify", "content-prop", "--max-n", "4")
+            assert code == 1
+            assert json.loads(out)["failures"] == failures
+        assert run_suite("content-prop", max_n=4)[2] == []
+
     def test_roundtrip_deterministic(self, capsys):
         args = ("verify", "roundtrip", "--trials", "200", "--seed", "7")
         code1, out1, _ = run(capsys, *args)
@@ -371,6 +401,26 @@ class TestOutputBytes:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout as recorded with level-m keys reduced from
+    # ResidueMultiset objects, before they shared the root-key kernel
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("blocks", "--n", "10", "--e", "3", "--m", "4"),
+                "8715e76f1e8e512bdd54015b7dc1f05f7a86b44efa1e254959091724355bab94",
+            ),
+            (
+                ("verify", "content-prop", "--max-n", "7", "--stream"),
+                "8c0965ed85808c11a3d9653f6e9c6381bd881137a8d0eda338ca507f73646762",
+            ),
+        ],
+    )
+    def test_gl_block_key_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSubprocessDeterminism:
     def test_byte_identical_runs(self):
@@ -413,10 +463,30 @@ class TestUsageErrors:
         [
             ("series", "--n", "41", "--e", "2"),
             ("blocks", "--n", "41", "--e", "2", "--m", "3"),
+            ("core", "--partition", "1", "--e", "3000000"),
+            ("core", "--partition", "1001", "--e", "2"),
+            ("uglov", "--mp", "1", "--charges", "0", "--e", "1", "--m", "3000000"),
+            ("uglov", "--mp", "1", "--charges", "0", "--e", "3000000", "--m", "2"),
+            ("uglov", "--mp", ";", "--charges", "0,3000000", "--e", "2", "--m", "1"),
+            ("uglov", "--mp", ";", "--charges=-1001,0", "--e", "2", "--m", "1"),
+            ("uglov", "--mp", "1001;", "--charges", "0,0", "--e", "2", "--m", "3"),
         ],
     )
     def test_size_guard(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert "at most 40" in err
+        bound = 40 if argv[0] in ("series", "blocks") else 1000
+        assert f"at most {bound}" in err
+
+    def test_size_guard_admits_the_bound(self, capsys):
+        code, out, _ = run(capsys, "core", "--partition", "1000", "--e", "1000")
+        assert code == 0
+        assert json.loads(out)["core"] == ""
+        code, out, _ = run(
+            capsys, "uglov", "--mp", "1000;", "--charges=-1000,1000",
+            "--e", "2", "--m", "1000",
+        )
+        assert code == 0
+        charges = json.loads(out)["charges"]
+        assert (len(charges), sum(charges)) == (1000, 0)
