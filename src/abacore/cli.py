@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ug = sub.add_parser("uglov", help="level-rank bijection on charged multipartitions")
     p_ug.add_argument("--mp", required=True, help='components joined with ";"')
-    p_ug.add_argument("--charges", required=True, help="comma-separated integers")
+    charges_help = "comma-separated integers; write --charges=-1,0 if the first is negative"
+    p_ug.add_argument("--charges", required=True, help=charges_help)
     p_ug.add_argument("--e", type=int, required=True, help="input level")
     p_ug.add_argument("--m", type=int, required=True, help="output level")
     p_ug.set_defaults(func=_cmd_uglov)

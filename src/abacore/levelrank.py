@@ -13,17 +13,17 @@ components and shift charges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .partitions import (
+    Abacus,
     ChargedMultiPartition,
-    ChargedPartition,
     Partition,
     _abaci,
     _charged,
     e_core,
     regroup,
-    split_charged,
 )
 
 
@@ -115,6 +115,7 @@ def residue_perm(e: int, m: int, s: int) -> tuple[int, ...]:
     return tuple(w)
 
 
+@lru_cache(maxsize=None)
 def affine_perm(e: int, m: int, s: int) -> AffinePerm:
     """The affine permutation correcting the e-abacus for charge s.
 
@@ -143,6 +144,20 @@ def apply_affine(ap: AffinePerm, cmp: ChargedMultiPartition) -> ChargedMultiPart
     return ChargedMultiPartition(tuple(components), tuple(charges))
 
 
+def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
+    """apply_affine on canonical (floor, tail) pairs: component i moves to
+    perm[i], its floor and every tail bead shifted by shifts[perm[i]].
+
+    >>> _shift_pairs(affine_perm(2, 3, 3), ((0, ()), (1, (3,))))
+    ((0, (2,)), (-3, ()))
+    """
+    out = [None] * ap.e
+    for (floor, tail), j in zip(abaci, ap.perm):
+        d = ap.shifts[j]
+        out[j] = (floor + d, tuple(x + d for x in tail))
+    return tuple(out)
+
+
 def check_bead_square(x: int, e: int, m: int, s: int, t: int) -> bool:
     """Pointwise commutation of the bead-level square at the integer x.
 
@@ -166,14 +181,12 @@ def check_uglov_diagram(p: Partition, e: int, m: int, s: int, t: int) -> bool:
     Route one: split at charge s into e components, apply the (e, m, s)
     affine permutation, then the Uglov bijection to level m.  Route two:
     split at charge t into m components and apply the (m, e, t) affine
-    permutation.
+    permutation.  Both routes stay on canonical abaci, which determine the
+    charged multipartitions.
     """
-    route_e = uglov(
-        apply_affine(affine_perm(e, m, s), split_charged(ChargedPartition(p, s), e)), m
-    )
-    route_m = apply_affine(
-        affine_perm(m, e, t), split_charged(ChargedPartition(p, t), m)
-    )
+    ape, apm = affine_perm(e, m, s), affine_perm(m, e, t)
+    route_e = regroup(_shift_pairs(ape, regroup(_abaci((p,), (s,)), e)), m)
+    route_m = _shift_pairs(apm, regroup(_abaci((p,), (t,)), m))
     return route_e == route_m
 
 

@@ -215,15 +215,17 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
         # ceil((floor_i - rho) / m)
         tops = [-((rho - floor) // m) for floor, _ in abaci]
         low = min(tops)
-        beads = set()
+        # images are distinct (component i lands on e*q + i, its tail above its range)
+        beads = []
         for i, ((_, tail), top) in enumerate(zip(abaci, tops)):
-            beads.update(range(e * low + i, e * top + i, e))
-            beads.update(e * (x // m) + i for x in tail if x % m == rho)
+            beads.extend(range(e * low + i, e * top + i, e))
+            beads.extend(e * (x // m) + i for x in tail if x % m == rho)
+        beads.sort(reverse=True)
         floor = e * low
-        while floor in beads:
-            beads.discard(floor)
+        while beads and beads[-1] == floor:
+            beads.pop()
             floor += 1
-        out.append((floor, tuple(sorted(beads, reverse=True))))
+        out.append((floor, tuple(beads)))
     return tuple(out)
 
 

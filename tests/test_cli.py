@@ -89,6 +89,22 @@ class TestUglov:
         assert code == 2
         assert "error" in err
 
+    def test_negative_leading_charge_needs_equals(self, capsys):
+        # argparse reads "-1,0" after a space as an option, so the README and
+        # the help text ask for --charges=-1,0
+        code, out, _ = run(
+            capsys, "uglov", "--mp", ";", "--charges=-1,0", "--e", "2", "--m", "3"
+        )
+        assert code == 0
+        assert out == '{"charges": [0, 0, -1], "mp": ";;1"}\n'
+
+        with pytest.raises(SystemExit) as exc:
+            main(["uglov", "--mp", ";", "--charges", "-1,0", "--e", "2", "--m", "3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--charges: expected one argument" in captured.err
+
 
 class TestSeriesCommand:
     def test_shape_and_fields(self, capsys):

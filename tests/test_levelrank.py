@@ -22,9 +22,12 @@ from abacore.partitions import (
     ChargedMultiPartition,
     ChargedPartition,
     Partition,
+    _abaci,
+    is_e_core,
     join_beta,
     join_charged,
     partitions_of,
+    regroup,
     split_beta,
     split_charged,
     to_beta,
@@ -272,6 +275,25 @@ def bead_sweep():
                 ], m
 
 
+# partitions of size <= 4, paired with charges spread over -40..40
+WIDE_PARTS = [p.parts for n in range(5) for p in partitions_of(n)]
+
+
+def wide_floor_sweep():
+    """(components, m) for e, m in 1..5 whose component floors lie far apart.
+
+    Component charges step by 37 mod 81 over -40..40, so within one input the
+    floors differ by many multiples of m; e = 1 splits and m = 1 joins.
+    """
+    for e in range(1, 6):
+        for m in range(1, 6):
+            for k in range(24):
+                yield [
+                    (WIDE_PARTS[(k + 5 * i) % len(WIDE_PARTS)], (29 * k + 37 * i) % 81 - 40)
+                    for i in range(e)
+                ], m
+
+
 def as_pairs(cmp):
     return [(p.parts, s) for p, s in zip(cmp.components, cmp.charges)]
 
@@ -305,6 +327,21 @@ class TestBeadMapOracle:
             as_pairs(uglov(from_pairs(comps), m))
             != regroup_on_beads(comps, m, index_offset=1)
             for comps, m in bead_sweep()
+        )
+        assert disagreements > 0
+
+    def test_wide_floor_sweep_matches_bead_windows(self):
+        cases = 0
+        for comps, m in wide_floor_sweep():
+            assert as_pairs(uglov(from_pairs(comps), m)) == regroup_on_beads(comps, m)
+            cases += 1
+        assert cases == 25 * 24
+
+    def test_wide_floor_sweep_catches_off_by_one_component(self):
+        disagreements = sum(
+            as_pairs(uglov(from_pairs(comps), m))
+            != regroup_on_beads(comps, m, index_offset=1)
+            for comps, m in wide_floor_sweep()
         )
         assert disagreements > 0
 
@@ -368,3 +405,109 @@ class TestDiagrams:
             for p in partitions_of(n):
                 for e, m in ((2, 3), (3, 5), (4, 3)):
                     assert check_core_matched_diagram(p, e, m)
+
+
+def object_routes(p, e, m, s, t, make_perm=affine_perm):
+    """The two routes of check_uglov_diagram through the public, validated
+    objects: split, affine correction and (on the e-side) the Uglov map."""
+    route_e = uglov(
+        apply_affine(make_perm(e, m, s), split_charged(ChargedPartition(p, s), e)), m
+    )
+    route_m = apply_affine(make_perm(m, e, t), split_charged(ChargedPartition(p, t), m))
+    return route_e, route_m
+
+
+def pair_routes(p, e, m, s, t):
+    """The same two routes on canonical (floor, tail) pairs."""
+    shift = levelrank._shift_pairs
+    route_e = regroup(shift(affine_perm(e, m, s), regroup(_abaci((p,), (s,)), e)), m)
+    route_m = shift(affine_perm(m, e, t), regroup(_abaci((p,), (t,)), m))
+    return route_e, route_m
+
+
+class TestRouteAgreement:
+    CHARGES = ((0, 0), (2, -1), (-3, 4), (7, -5))
+
+    def test_object_routes_match_pair_routes(self):
+        cases = 0
+        for e in range(1, 7):
+            for m in range(1, 7):
+                if gcd(e, m) != 1:
+                    continue
+                for s, t in self.CHARGES:
+                    for n in range(9):
+                        for p in partitions_of(n):
+                            obj_e, obj_m = object_routes(p, e, m, s, t)
+                            pair_e, pair_m = pair_routes(p, e, m, s, t)
+                            assert _abaci(obj_e.components, obj_e.charges) == pair_e
+                            assert _abaci(obj_m.components, obj_m.charges) == pair_m
+                            assert check_uglov_diagram(p, e, m, s, t) == (obj_e == obj_m)
+                            cases += 1
+        # 23 coprime pairs, 4 charge pairs, 67 partitions of size <= 8
+        assert cases == 23 * 4 * 67
+
+    def test_verdicts_agree_under_a_shift_mutant(self, monkeypatch):
+        # the same wrong correction in both checks: the verdicts still agree,
+        # and now some are false, so the agreement is not only on true ones
+        real = affine_perm
+
+        def off_by_one(a, b, s):
+            ap = real(a, b, s)
+            return AffinePerm(a, ap.perm, (ap.shifts[0] + 1,) + ap.shifts[1:])
+
+        monkeypatch.setattr(levelrank, "affine_perm", off_by_one)
+        failed = total = 0
+        for e, m in ((2, 3), (3, 4), (5, 2)):
+            for s, t in self.CHARGES:
+                for n in range(7):
+                    for p in partitions_of(n):
+                        obj_e, obj_m = object_routes(p, e, m, s, t, off_by_one)
+                        verdict = check_uglov_diagram(p, e, m, s, t)
+                        assert verdict == (obj_e == obj_m)
+                        failed += not verdict
+                        total += 1
+        assert 0 < failed < total
+
+
+def floor_only_shift(ap, abaci):
+    """Mutant of _shift_pairs: the floor moves but the tail does not."""
+    out = [None] * ap.e
+    for (floor, tail), j in zip(abaci, ap.perm):
+        out[j] = (floor + ap.shifts[j], tail)
+    return tuple(out)
+
+
+def source_indexed_shift(ap, abaci):
+    """Mutant of _shift_pairs: shifts indexed by the source component i
+    instead of the target perm[i]."""
+    out = [None] * ap.e
+    for i, ((floor, tail), j) in enumerate(zip(abaci, ap.perm)):
+        d = ap.shifts[i]
+        out[j] = (floor + d, tuple(x + d for x in tail))
+    return tuple(out)
+
+
+class TestPairShiftMutants:
+    LEVELS = ((2, 3), (3, 4), (4, 3), (3, 5))
+
+    def verdicts(self, monkeypatch, mutant):
+        monkeypatch.setattr(levelrank, "_shift_pairs", mutant)
+        return {
+            (p, e, m): check_core_matched_diagram(p, e, m)
+            for e, m in self.LEVELS
+            for n in range(7)
+            for p in partitions_of(n)
+        }
+
+    def test_source_indexed_shift_is_caught(self, monkeypatch):
+        verdicts = self.verdicts(monkeypatch, source_indexed_shift)
+        assert sum(not ok for ok in verdicts.values()) > 0.9 * len(verdicts)
+
+    def test_floor_only_shift_is_caught_off_simultaneous_cores(self, monkeypatch):
+        # a partition that is both an e-core and an m-core splits into empty
+        # components on both sides at the core-matched charges, so it has no
+        # tail to leave behind; every other partition must fail
+        verdicts = self.verdicts(monkeypatch, floor_only_shift)
+        for (p, e, m), ok in verdicts.items():
+            assert ok == (is_e_core(p, e) and is_e_core(p, m))
+        assert sum(not ok for ok in verdicts.values()) > 0.8 * len(verdicts)
