@@ -9,8 +9,9 @@ arguments).  One kernel computes both keys as sorted (value mod d, count)
 pairs of the box values content*omega + alpha_j mod d: a level-m key takes
 d = m, omega = e mod m and alpha_j = (e*charge_j + j) mod m, and a root key
 takes the evaluated parameters and is returned as reduced fractions.  The
-generating series identities tie the keys to beta sets and underlie the
-equivalence between sharing an m-core and sharing a key.
+content lemma ties the residue multisets to beta sets, comparing integer
+counts exponent by exponent, and underlies the equivalence between sharing
+an m-core and sharing a key.
 """
 
 from __future__ import annotations
@@ -72,47 +73,6 @@ class RootResidueKey:
     (reduced fraction in [0, 1), count) pairs."""
 
     counts: tuple[tuple[Fraction, int], ...]
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """A series in t with integer coefficients, exact for exponents >= low.
-
-    coeffs[k] is the coefficient of t^(low + k); high zeros are trimmed.
-    """
-
-    low: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        trimmed = self.coeffs
-        while trimmed and trimmed[-1] == 0:
-            trimmed = trimmed[:-1]
-        object.__setattr__(self, "coeffs", tuple(trimmed))
-
-    def coefficient(self, k: int) -> int:
-        if k < self.low:
-            raise ValueError(f"exponent {k} below truncation {self.low}")
-        idx = k - self.low
-        return self.coeffs[idx] if idx < len(self.coeffs) else 0
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        low = max(self.low, other.low)
-        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        return TruncatedSeries(
-            low,
-            tuple(
-                self.coefficient(k) - other.coefficient(k) for k in range(low, high)
-            ),
-        )
-
-    def matches(self, other: "TruncatedSeries") -> bool:
-        """Coefficientwise equality on exponents >= max(self.low, other.low)."""
-        low = max(self.low, other.low)
-        high = max(self.low + len(self.coeffs), other.low + len(other.coeffs))
-        return all(
-            self.coefficient(k) == other.coefficient(k) for k in range(low, high)
-        )
 
 
 def residue_multiset(cmp: ChargedMultiPartition, e: int) -> ResidueMultiset:
@@ -273,41 +233,25 @@ def block_partition(
 
 
 # ---------------------------------------------------------------------------
-# generating series
+# the content lemma
 
-def generating_series(obj, low: int) -> TruncatedSeries:
-    """Exponent-indicator series of a beta set, or multiplicity series of a
-    residue multiset, truncated below low.
-
-    For a residue multiset, low must not exceed the support.
-    """
-    if isinstance(obj, BetaSet):
-        high = obj.tail[0] + 1 if obj.tail else obj.floor
-        return TruncatedSeries(
-            low, tuple(1 if k in obj else 0 for k in range(low, max(high, low)))
-        )
-    if isinstance(obj, ResidueMultiset):
-        if obj.counts and obj.counts[0][0] < low:
-            raise ValueError("truncation cuts into the multiset support")
-        if not obj.counts:
-            return TruncatedSeries(low, ())
-        high = obj.counts[-1][0] + 1
-        table = dict(obj.counts)
-        return TruncatedSeries(
-            low, tuple(table.get(k, 0) for k in range(low, high))
-        )
-    raise TypeError(f"no generating series for {type(obj).__name__}")
+def lossless_window(n: int, s: int, e: int) -> int:
+    """The least window check_content_lemma accepts for size n, charge s
+    and level e."""
+    return n + abs(s) + e + 5
 
 
-def _scaled_difference_series(rm: ResidueMultiset, e: int, low: int) -> TruncatedSeries:
-    """The series (1 - t^-e) * sum multiplicity(k) t^k, exactly, from low up."""
-    table = dict(rm.counts)
-    high = (rm.counts[-1][0] + 1) if rm.counts else low
-    return TruncatedSeries(
-        low,
-        tuple(
-            table.get(k, 0) - table.get(k + e, 0) for k in range(low, max(high, low))
-        ),
+def _counts_match(
+    rm: ResidueMultiset, step: int, beta: BetaSet, ref: BetaSet, window: int
+) -> bool:
+    """Whether count(k) - count(k + step) == [k in beta] - [k in ref] for all
+    k >= -window, count being rm's multiplicities.  Above the top value and
+    beads of the three both sides are 0."""
+    count = dict(rm.counts)
+    tops = [b.tail[0] if b.tail else b.floor - 1 for b in (beta, ref)]
+    return all(
+        count.get(k, 0) - count.get(k + step, 0) == (k in beta) - (k in ref)
+        for k in range(-window, max(tops + list(count)) + 1)
     )
 
 
@@ -318,23 +262,19 @@ def check_content_lemma(p: Partition, s: int, e: int, window: int) -> bool:
     beta-set series minus the series of the trivial abacus at charge s.
     Second: (1 - t^-e) times the residue series of the charged e-quotient
     equals the beta-set series of p minus that of its e-core, both at
-    charge s.  All series are compared on exponents >= -window.
+    charge s.  Both are compared as integer counts on exponents >= -window.
     """
-    if window < p.size + abs(s) + e + 5:
+    if window < lossless_window(p.size, s, e):
         raise ValueError("window too small to be lossless")
-    low = -window
     beta_p = to_beta(ChargedPartition(p, s))
     level1 = residue_multiset(ChargedMultiPartition((p,), (s,)), 1)
-    lhs1 = _scaled_difference_series(level1, 1, low)
-    rhs1 = generating_series(beta_p, low) - generating_series(BetaSet(s), low)
-    if not lhs1.matches(rhs1):
+    if not _counts_match(level1, 1, beta_p, BetaSet(s), window):
         return False
     quotient = e_quotient_charged(p, e, s - e)  # charge s overall
-    level_e = residue_multiset(quotient, e)
-    lhs2 = _scaled_difference_series(level_e, e, low)
     beta_core = to_beta(ChargedPartition(e_core(p, e), s))
-    rhs2 = generating_series(beta_p, low) - generating_series(beta_core, low)
-    return lhs2.matches(rhs2)
+    return _counts_match(
+        residue_multiset(quotient, e), e, beta_p, beta_core, window
+    )
 
 
 def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bool:

@@ -29,6 +29,7 @@ from .blocks import (
     block_partition,
     check_content_lemma,
     check_core_key_equivalence,
+    lossless_window,
     root_key_partition,
 )
 from .hc_series import (
@@ -73,6 +74,8 @@ LEVEL_SWEEP_MAX = 12
 VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials", "window")
 SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
+VERIFY_MAX_N = 16  # content-prop, the slowest suite at n = 16, takes about 19 s
+VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 22 s at this bound
 
 
 def _emit(obj: dict) -> None:
@@ -121,13 +124,13 @@ def _thm2_cases(max_n, e, m):
 def _content_lemma_cases(max_n, window):
     # the largest case (n = max_n, |s| = 4, e = 5) needs the widest window;
     # refuse a given window before any case is emitted
-    if window is not None and window < max_n + 4 + 5 + 5:
+    if window is not None and window < lossless_window(max_n, 4, 5):
         raise ValueError("window too small to be lossless")
     for n in range(max_n + 1):
         for p in partitions_of(n):
             for s in range(-4, 5):
                 for e in range(1, 6):
-                    w = n + abs(s) + e + 5 if window is None else window
+                    w = lossless_window(n, s, e) if window is None else window
                     ok = check_content_lemma(p, s, e, w)
                     yield 1, {
                         "partition": str(p), "s": s, "e": e, "window": w, "pass": ok
@@ -393,6 +396,8 @@ def _cmd_verify(args) -> int:
         for flag in VERIFY_FLAGS
         if getattr(args, flag) is not None
     }
+    _check_bounds(VERIFY_MAX_N, ("--max-n", given.get("max_n", 0)))
+    _check_bounds(VERIFY_MAX_TRIALS, ("--trials", given.get("trials", 0)))
     emit = _emit if args.stream else (lambda case: None)
     parameters, cases, failures = run_suite(args.suite, emit, **given)
     _emit(

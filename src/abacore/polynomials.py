@@ -155,10 +155,6 @@ class IntPolynomial:
         return f"IntPolynomial('{self}')"
 
 
-ONE = IntPolynomial(1)
-X = IntPolynomial(0, 1)
-
-
 def x_power_minus_one(k: int) -> IntPolynomial:
     """x^k - 1 for k >= 1.
 

@@ -9,12 +9,11 @@ from abacore.blocks import (
     OmegaIsOne,
     ResidueMultiset,
     RootResidueKey,
-    TruncatedSeries,
     block_match_report,
     block_partition,
     check_content_lemma,
     check_core_key_equivalence,
-    generating_series,
+    lossless_window,
     residue_multiset,
     root_key_partition,
     root_residue_key,
@@ -33,13 +32,11 @@ from abacore.hc_series import (
 from abacore.partitions import (
     BetaSet,
     ChargedMultiPartition,
-    ChargedPartition,
     Partition,
     e_core,
     e_quotient_charged,
     multipartitions_of,
     partitions_of,
-    to_beta,
 )
 from abacore.polynomials import ennola_e
 from oracles import residue_key_oracle, rim_hook_core, root_key_oracle
@@ -324,31 +321,6 @@ class TestBlockPartition:
             block_partition(3, 1, P(()), 1)
 
 
-class TestGeneratingSeries:
-    def test_multiset_series(self):
-        rm = ResidueMultiset(((-1, 1), (0, 1)))
-        ser = generating_series(rm, -3)
-        assert ser.coefficient(-1) == 1 and ser.coefficient(0) == 1
-        assert ser.coefficient(-2) == 0
-
-    def test_beta_series_examples(self):
-        beta = to_beta(ChargedPartition(P((2,)), 0))
-        ser = generating_series(beta, -4)
-        assert [ser.coefficient(k) for k in range(-4, 2)] == [1, 1, 1, 0, 0, 1]
-        trivial = generating_series(BetaSet(0), -3)
-        assert [trivial.coefficient(k) for k in range(-3, 1)] == [1, 1, 1, 0]
-
-    def test_truncation_into_support_rejected(self):
-        with pytest.raises(ValueError):
-            generating_series(ResidueMultiset(((-5, 1),)), -3)
-
-    def test_series_subtraction(self):
-        a = TruncatedSeries(-2, (1, 1, 1))
-        b = TruncatedSeries(-2, (1, 0, 0, 2))
-        diff = a - b
-        assert [diff.coefficient(k) for k in range(-2, 2)] == [0, 1, 1, -2]
-
-
 class TestContentLemma:
     def test_examples(self):
         assert check_content_lemma(P((2,)), 0, 1, 10)
@@ -358,14 +330,70 @@ class TestContentLemma:
     def test_window_precondition(self):
         with pytest.raises(ValueError):
             check_content_lemma(P((2,)), 0, 2, 5)
+        assert lossless_window(2, -3, 2) == 12
+        with pytest.raises(ValueError, match="too small to be lossless"):
+            check_content_lemma(P((2,)), -3, 2, 11)
+        assert check_content_lemma(P((2,)), -3, 2, 12)
+
+    @staticmethod
+    def _failures():
+        """Cases of n <= 7, s in -4..4, e in 1..5 at the least window that
+        the check rejects."""
+        return [
+            (p.parts, s, e)
+            for n in range(8)
+            for p in partitions_of(n)
+            for s in range(-4, 5)
+            for e in range(1, 6)
+            if not check_content_lemma(p, s, e, lossless_window(n, s, e))
+        ]
 
     def test_sweep_small(self):
-        for n in range(8):
-            for p in partitions_of(n):
-                for s in (-4, -1, 0, 2, 4):
-                    for e in range(1, 6):
-                        window = n + abs(s) + e + 5
-                        assert check_content_lemma(p, s, e, window)
+        assert sum(len(partitions_of(n)) for n in range(8)) * 9 * 5 == 2025
+        assert self._failures() == []
+
+    # negative controls: each mutant feeds the second identity a wrong
+    # operand; the failure counts were recorded with the identities compared
+    # as truncated series
+    def test_wrong_core_mutant_fails(self, monkeypatch):
+        real = blocks.e_core
+        monkeypatch.setattr(
+            blocks, "e_core", lambda p, e: real(p, e + 1) if e > 1 else real(p, e)
+        )
+        assert len(self._failures()) == 1161
+
+    def test_wrong_quotient_charge_mutant_fails(self, monkeypatch):
+        real = blocks.e_quotient_charged
+        monkeypatch.setattr(
+            blocks, "e_quotient_charged", lambda p, e, s: real(p, e, s + 1)
+        )
+        assert len(self._failures()) == 1521
+
+    def test_shifted_level_one_residues_mutant_fails(self, monkeypatch):
+        # the first identity read at charge s + 1: every case but the empty
+        # partition fails
+        real = blocks.residue_multiset
+
+        def shifted(cmp, e):
+            if e == 1:
+                charges = tuple(c + 1 for c in cmp.charges)
+                cmp = ChargedMultiPartition(cmp.components, charges)
+            return real(cmp, e)
+
+        monkeypatch.setattr(blocks, "residue_multiset", shifted)
+        assert len(self._failures()) == 2025 - 45
+
+    def test_comparison_reaches_both_ends(self):
+        # one differing coefficient is seen at the top bead, at the top of
+        # an empty tail (floor - 1), at the top value and at -window, and
+        # nothing below -window is compared
+        empty = ResidueMultiset(())
+        assert blocks._counts_match(empty, 1, BetaSet(0), BetaSet(0), 5)
+        assert not blocks._counts_match(empty, 1, BetaSet(0, (3,)), BetaSet(0), 5)
+        assert not blocks._counts_match(empty, 1, BetaSet(1), BetaSet(0), 5)
+        for value, seen in ((4, True), (-5, True), (-6, False)):
+            rm = ResidueMultiset(((value, 1),))
+            assert blocks._counts_match(rm, 1, BetaSet(0), BetaSet(0), 5) != seen
 
 
 class TestCoreKeyEquivalence:

@@ -223,14 +223,14 @@ class TestVerify:
         assert "window too small" in err
 
     def test_window_checked_before_the_first_case(self, capsys):
-        # --window 12 is wide enough for the first cases but not for n = 3
-        code, out, err = run(
-            capsys,
-            "verify", "content-lemma", "--max-n", "3", "--window", "12", "--stream",
-        )
+        # --window 16 is wide enough for every case but the widest,
+        # n = 3, |s| = 4, e = 5, which needs 17
+        argv = ("verify", "content-lemma", "--max-n", "3", "--stream", "--window")
+        code, out, err = run(capsys, *argv, "16")
         assert code == 2
         assert out == ""
         assert "window too small" in err
+        assert run(capsys, *argv, "17")[0] == 0
 
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
@@ -313,6 +313,27 @@ class TestVerify:
             assert code == 1
             assert json.loads(out)["failures"] == failures
         assert run_suite("content-prop", max_n=4)[2] == []
+
+    def test_content_lemma_reports_a_planted_failure(self, capsys, monkeypatch):
+        # negative control: (2, 1) is given the 2-core (1) instead of itself,
+        # so the second identity fails for it at e = 2 and every charge
+        real = blocks.e_core
+
+        def wrong(p, k):
+            return Partition((1,)) if (p.parts, k) == ((2, 1), 2) else real(p, k)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(blocks, "e_core", wrong)
+            _, cases, failures = run_suite("content-lemma", max_n=3)
+            assert cases == 7 * 9 * 5  # partitions of 0..3, s = -4..4, e = 1..5
+            assert failures == [
+                {"partition": "2,1", "s": s, "e": 2, "window": 10 + abs(s), "pass": False}
+                for s in range(-4, 5)
+            ]
+            code, out, _ = run(capsys, "verify", "content-lemma", "--max-n", "3")
+            assert code == 1
+            assert json.loads(out)["failures"] == failures
+        assert run_suite("content-lemma", max_n=3)[2] == []
 
     def test_roundtrip_deterministic(self, capsys):
         args = ("verify", "roundtrip", "--trials", "200", "--seed", "7")
@@ -437,6 +458,16 @@ class TestOutputBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_content_lemma_digest(self, capsys):
+        # sha256 of stdout as recorded with the content identities compared
+        # as truncated series
+        code, out, _ = run(capsys, "verify", "content-lemma", "--max-n", "6", "--stream")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "52aa09de272a8cb69e05971260ca474cc9d7dac4430933ce66abc4b7645c9d92"
+        )
+
 
 class TestSubprocessDeterminism:
     def test_byte_identical_runs(self):
@@ -486,14 +517,18 @@ class TestUsageErrors:
             ("uglov", "--mp", ";", "--charges", "0,3000000", "--e", "2", "--m", "1"),
             ("uglov", "--mp", ";", "--charges=-1001,0", "--e", "2", "--m", "1"),
             ("uglov", "--mp", "1001;", "--charges", "0,0", "--e", "2", "--m", "3"),
+            ("verify", "content-prop", "--max-n", "17"),
+            ("verify", "thm2", "--max-n", "1000000", "--e", "2", "--m", "3"),
+            ("verify", "roundtrip", "--trials", "100001"),
         ],
     )
     def test_size_guard(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        bound = 40 if argv[0] in ("series", "blocks") else 1000
-        assert f"at most {bound}" in err
+        flag = argv[2] if argv[0] == "verify" else argv[0]
+        bound = {"series": 40, "blocks": 40, "--max-n": 16, "--trials": 100000}
+        assert f"at most {bound.get(flag, 1000)}" in err
 
     def test_size_guard_admits_the_bound(self, capsys):
         code, out, _ = run(capsys, "core", "--partition", "1000", "--e", "1000")

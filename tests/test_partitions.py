@@ -99,6 +99,11 @@ class TestBetaSets:
         assert BetaSet(-2, (1, -1)).charge == 0
         assert BetaSet(2, (5,)).charge == 3
 
+    def test_membership(self):
+        beta = to_beta(CP(P((2,)), 0))
+        assert [k for k in range(-4, 2) if k in beta] == [-4, -3, -2, 1]
+        assert [k for k in range(-3, 1) if k in BetaSet(0)] == [-3, -2, -1]
+
     def test_round_trip_exhaustive(self):
         for p in all_partitions_up_to(12):
             for s in range(-6, 7):
