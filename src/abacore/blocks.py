@@ -232,12 +232,23 @@ def block_partition(
     return _group_by_counts(multipartitions_of(e, a), values)
 
 
+def series_blocks(
+    pair: CuspidalPairGL, m: int, variant: str = GL
+) -> tuple[tuple[MultiPartition, ...], ...]:
+    """Level-m blocks of a series: GL residue keys, or for GU with a > 0 the
+    root keys at ennola_e(m), where the sign-twisted parameters hit a
+    primitive m-th root."""
+    if variant == GU and pair.a > 0:
+        return root_key_partition(pair.e, pair.a, specialization(pair, GU), ennola_e(m))
+    return block_partition(pair.e, pair.a, pair.core, m)
+
+
 # ---------------------------------------------------------------------------
 # the content lemma
 
 def lossless_window(n: int, s: int, e: int) -> int:
-    """The least window check_content_lemma accepts for size n, charge s
-    and level e."""
+    """The window check_content_lemma compares from for size n, charge s and
+    level e: below -window both sides of both identities are 0."""
     return n + abs(s) + e + 5
 
 
@@ -255,17 +266,17 @@ def _counts_match(
     )
 
 
-def check_content_lemma(p: Partition, s: int, e: int, window: int) -> bool:
+def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     """Coefficientwise check of the two content generating identities.
 
     First: (1 - 1/t) times the level-1 residue series of |p, s> equals the
     beta-set series minus the series of the trivial abacus at charge s.
     Second: (1 - t^-e) times the residue series of the charged e-quotient
     equals the beta-set series of p minus that of its e-core, both at
-    charge s.  Both are compared as integer counts on exponents >= -window.
+    charge s.  Both are compared as integer counts on every exponent from
+    -lossless_window(|p|, s, e) up, which covers all nonzero coefficients.
     """
-    if window < lossless_window(p.size, s, e):
-        raise ValueError("window too small to be lossless")
+    window = lossless_window(p.size, s, e)
     beta_p = to_beta(ChargedPartition(p, s))
     level1 = residue_multiset(ChargedMultiPartition((p,), (s,)), 1)
     if not _counts_match(level1, 1, beta_p, BetaSet(s), window):
@@ -314,22 +325,12 @@ def _side_blocks(
     pair: CuspidalPairGL, at_root: int
 ) -> tuple[tuple[tuple[MultiPartition, ...], ...], bool]:
     """Block partition of a series at a given root, and whether the unitary
-    variant induces the same partition.
-
-    At at_root = 1 every key collapses, so the partition is the single full
-    block on both variants.  The unitary keys are evaluated at the paired
-    cyclotomic index, where the sign-twisted parameters hit a primitive
-    at_root-th root.
-    """
-    mps = multipartitions_of(pair.e, pair.a)
+    variant induces the same partition; at at_root = 1 every key collapses,
+    so it is the single full block on both variants."""
     if at_root == 1:
-        return _canonical_blocks([mps]), True
-    blocks = block_partition(pair.e, pair.a, pair.core, at_root)
-    if pair.a == 0:
-        return blocks, True
-    gu_params = specialization(pair, GU)
-    gu_blocks = root_key_partition(pair.e, pair.a, gu_params, ennola_e(at_root))
-    return blocks, gu_blocks == blocks
+        return _canonical_blocks([multipartitions_of(pair.e, pair.a)]), True
+    blocks = series_blocks(pair, at_root)
+    return blocks, pair.a == 0 or series_blocks(pair, at_root, GU) == blocks
 
 
 def block_match_report(n: int, e: int, m: int) -> dict:
@@ -348,49 +349,32 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         raise ValueError("levels must be coprime")
 
     groups: dict[tuple[Partition, Partition], list[Partition]] = {}
-    for p in partitions_of(n):
+    for p in sorted(partitions_of(n), key=lambda q: q.parts):
         groups.setdefault((e_core(p, e), e_core(p, m)), []).append(p)
+    pairs = {(pr.e, pr.core): pr for level in (e, m) for pr in hc_pairs(n, level)}
+    sides: dict[tuple[int, Partition], tuple] = {}
 
-    pairs_e = {pr.core: pr for pr in hc_pairs(n, e)}
-    pairs_m = {pr.core: pr for pr in hc_pairs(n, m)}
-    side_cache: dict[tuple[int, Partition], tuple] = {}
-
-    def side(pair: CuspidalPairGL, at_root: int):
-        """(blocks, index, gu_ok), with index mapping each multipartition
-        to the position of its block."""
-        key = (pair.e, pair.core)
-        if key not in side_cache:
-            blocks, gu_ok = _side_blocks(pair, at_root)
+    def side(members, level, core, at_root):
+        """Whether the members' images are distinct and fill one whole block
+        of their level series at at_root on both variants, and the sizes of
+        the blocks they touch, in block order."""
+        if (level, core) not in sides:
+            blocks, gu_ok = _side_blocks(pairs[level, core], at_root)
             index = {mp: i for i, block in enumerate(blocks) for mp in block}
-            side_cache[key] = blocks, index, gu_ok
-        return side_cache[key]
-
-    def image_matches_one_block(members, level, blocks, index):
-        """Whether the members' images are distinct and fill one whole
-        block, and the sizes of the blocks they touch, in block order."""
+            sides[level, core] = blocks, index, gu_ok
+        blocks, index, gu_ok = sides[level, core]
         images = {_image_multipartition(p, level) for p in members}
         hits = {index.get(mp) for mp in images}
-        touched = sorted(i for i in hits if i is not None)
-        ok = (
-            len(images) == len(members)
-            and len(hits) == 1
-            and None not in hits
-            and len(blocks[touched[0]]) == len(images)
-        )
-        return ok, [len(blocks[i]) for i in touched]
+        sizes = [len(blocks[i]) for i in sorted(hits - {None})]
+        ok = gu_ok and None not in hits and len(images) == len(members)
+        return ok and sizes == [len(members)], sizes
 
     intersections = []
-    all_pass = True
     for (core_e, core_m), members in sorted(
         groups.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
     ):
-        members = sorted(members, key=lambda q: q.parts)
-        blocks_e, index_e, gu_ok_e = side(pairs_e[core_e], m)
-        blocks_m, index_m, gu_ok_m = side(pairs_m[core_m], e)
-        ok_e, sizes_e = image_matches_one_block(members, e, blocks_e, index_e)
-        ok_m, sizes_m = image_matches_one_block(members, m, blocks_m, index_m)
-        ok = ok_e and ok_m and gu_ok_e and gu_ok_m
-        all_pass = all_pass and ok
+        ok_e, sizes_e = side(members, e, core_e, m)
+        ok_m, sizes_m = side(members, m, core_m, e)
         intersections.append(
             {
                 "coreE": str(core_e),
@@ -398,7 +382,7 @@ def block_match_report(n: int, e: int, m: int) -> dict:
                 "members": [str(p) for p in members],
                 "blockE_sizes": sizes_e,
                 "blockM_sizes": sizes_m,
-                "pass": ok,
+                "pass": ok_e and ok_m,
             }
         )
     return {
@@ -406,5 +390,5 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         "e": e,
         "m": m,
         "intersections": intersections,
-        "pass": all_pass,
+        "pass": all(entry["pass"] for entry in intersections),
     }

@@ -26,20 +26,17 @@ from math import gcd
 from .blocks import (
     EquivalenceViolation,
     block_match_report,
-    block_partition,
     check_content_lemma,
     check_core_key_equivalence,
     lossless_window,
-    root_key_partition,
+    series_blocks,
 )
 from .hc_series import (
-    GU,
     DegreeSignError,
     degree_sign,
     hc_pairs,
     hc_series_of,
     series_json,
-    specialization,
 )
 from .levelrank import (
     check_core_matched_diagram,
@@ -67,13 +64,14 @@ from .partitions import (
     split_charged,
     to_beta,
 )
-from .polynomials import ennola_e, generic_degree, phi_multiplicity, singular_check
+from .polynomials import generic_degree, phi_multiplicity, singular_check
 
 DEFAULT_SEED = 123456789
 LEVEL_SWEEP_MAX = 12
-VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials", "window")
+VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials")
 SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
+LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 29 s
 VERIFY_MAX_N = 16  # content-prop, the slowest suite at n = 16, takes about 19 s
 VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 22 s at this bound
 
@@ -121,17 +119,13 @@ def _thm2_cases(max_n, e, m):
                 yield 1, {"n": n, "e": e, "m": m, "partition": str(p), "pass": ok}
 
 
-def _content_lemma_cases(max_n, window):
-    # the largest case (n = max_n, |s| = 4, e = 5) needs the widest window;
-    # refuse a given window before any case is emitted
-    if window is not None and window < lossless_window(max_n, 4, 5):
-        raise ValueError("window too small to be lossless")
+def _content_lemma_cases(max_n):
     for n in range(max_n + 1):
         for p in partitions_of(n):
             for s in range(-4, 5):
                 for e in range(1, 6):
-                    w = lossless_window(n, s, e) if window is None else window
-                    ok = check_content_lemma(p, s, e, w)
+                    w = lossless_window(n, s, e)
+                    ok = check_content_lemma(p, s, e)
                     yield 1, {
                         "partition": str(p), "s": s, "e": e, "window": w, "pass": ok
                     }
@@ -254,7 +248,7 @@ def _roundtrip_cases(seed, trials):
 SUITES = {
     "thm1": (_thm1_cases, {"max_n": 12, "e": None, "m": None}),
     "thm2": (_thm2_cases, {"max_n": 12, "e": None, "m": None}),
-    "content-lemma": (_content_lemma_cases, {"max_n": 10, "window": None}),
+    "content-lemma": (_content_lemma_cases, {"max_n": 10}),
     "content-prop": (_content_prop_cases, {"max_n": 10}),
     "cuspidal": (_cuspidal_cases, {"max_n": 10}),
     "degmod": (_degmod_cases, {"max_n": 10}),
@@ -345,6 +339,7 @@ def _cmd_uglov(args) -> int:
 
 def _cmd_series(args) -> int:
     _check_bounds(SERIES_MAX_N, ("--n", args.n))
+    _check_bounds(LEVEL_MAX, ("--e", args.e))
     if args.n < 1 or args.e < 1:
         raise ValueError("n and e must be >= 1")
     _emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
@@ -353,6 +348,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_blocks(args) -> int:
     _check_bounds(SERIES_MAX_N, ("--n", args.n))
+    _check_bounds(LEVEL_MAX, ("--e", args.e), ("--m", args.m))
     if args.n < 1 or args.e < 1 or args.m < 1:
         raise ValueError("n, e, m must be >= 1")
     wanted = parse_partition(args.core) if args.core is not None else None
@@ -360,13 +356,7 @@ def _cmd_blocks(args) -> int:
     for pair in hc_pairs(args.n, args.e):
         if wanted is not None and pair.core != wanted:
             continue
-        if args.variant == GU and pair.a > 0:
-            params = specialization(pair, GU)
-            blocks = root_key_partition(
-                pair.e, pair.a, params, ennola_e(args.m)
-            )
-        else:
-            blocks = block_partition(pair.e, pair.a, pair.core, args.m)
+        blocks = series_blocks(pair, args.m, args.variant)
         series.append(
             {
                 "core": render_partition(pair.core),
@@ -398,6 +388,7 @@ def _cmd_verify(args) -> int:
     }
     _check_bounds(VERIFY_MAX_N, ("--max-n", given.get("max_n", 0)))
     _check_bounds(VERIFY_MAX_TRIALS, ("--trials", given.get("trials", 0)))
+    _check_bounds(LEVEL_MAX, ("--e", given.get("e", 0)), ("--m", given.get("m", 0)))
     emit = _emit if args.stream else (lambda case: None)
     parameters, cases, failures = run_suite(args.suite, emit, **given)
     _emit(
@@ -458,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--m", type=int)
     p_ver.add_argument("--seed", type=int, help=f"default {DEFAULT_SEED}")
     p_ver.add_argument("--trials", type=int)
-    p_ver.add_argument("--window", type=int)
     p_ver.add_argument(
         "--stream", action="store_true", help="one JSON line per case, summary last"
     )

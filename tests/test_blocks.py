@@ -323,29 +323,22 @@ class TestBlockPartition:
 
 class TestContentLemma:
     def test_examples(self):
-        assert check_content_lemma(P((2,)), 0, 1, 10)
-        assert check_content_lemma(P((2,)), 0, 2, 10)
-        assert check_content_lemma(P(()), 3, 4, 15)
-
-    def test_window_precondition(self):
-        with pytest.raises(ValueError):
-            check_content_lemma(P((2,)), 0, 2, 5)
+        assert check_content_lemma(P((2,)), 0, 1)
+        assert check_content_lemma(P((2,)), 0, 2)
+        assert check_content_lemma(P(()), 3, 4)
+        assert check_content_lemma(P((2,)), -3, 2)
         assert lossless_window(2, -3, 2) == 12
-        with pytest.raises(ValueError, match="too small to be lossless"):
-            check_content_lemma(P((2,)), -3, 2, 11)
-        assert check_content_lemma(P((2,)), -3, 2, 12)
 
     @staticmethod
     def _failures():
-        """Cases of n <= 7, s in -4..4, e in 1..5 at the least window that
-        the check rejects."""
+        """Cases of n <= 7, s in -4..4, e in 1..5 that the check rejects."""
         return [
             (p.parts, s, e)
             for n in range(8)
             for p in partitions_of(n)
             for s in range(-4, 5)
             for e in range(1, 6)
-            if not check_content_lemma(p, s, e, lossless_window(n, s, e))
+            if not check_content_lemma(p, s, e)
         ]
 
     def test_sweep_small(self):
@@ -531,6 +524,18 @@ class TestBlockMatchReport:
             for e in report["intersections"]
         ] == [(["1,1,1", "3"], [2], [2], True), (["2,1"], [], [], False)]
 
+        # still a failure when the other member's image lies in a block
+        # whose size is the member count
+        def stray_beside(p, e):
+            return (P((9,)),) * e if p == P((3,)) else real(p, e)
+
+        monkeypatch.setattr(blocks, "_image_multipartition", stray_beside)
+        report = block_match_report(3, 2, 3)
+        assert [
+            (e["members"], e["blockE_sizes"], e["blockM_sizes"], e["pass"])
+            for e in report["intersections"]
+        ] == [(["1,1,1", "3"], [2], [2], False), (["2,1"], [1], [1], True)]
+
     @pytest.mark.parametrize(
         "reshape, failing",
         [
@@ -593,3 +598,55 @@ class TestBlockMatchReport:
         assert [entry["pass"] for entry in report["intersections"]] == [
             entry["coreE"] != "1" for entry in report["intersections"]
         ]
+
+    # negative controls for the m side: at (n, e, m) = (5, 2, 3) the level-3
+    # series are reshaped while every level-2 series is left as it is, so
+    # only the m-side check can fail
+    M_SIDE_FAILING = {
+        ("1,1,1,1,1", "3,2"): [3],
+        ("2,2,1", "5"): [3],
+        ("4,1",): [3],
+        ("2,1,1,1",): [3],
+    }
+
+    @staticmethod
+    def _failing_m_side(report):
+        return {
+            tuple(entry["members"]): entry["blockM_sizes"]
+            for entry in report["intersections"]
+            if not entry["pass"]
+        }
+
+    def test_merged_m_side_blocks_fail(self, monkeypatch):
+        # the first two blocks of each level-3 series merged, GL and GU alike
+        real = blocks._side_blocks
+
+        def merged(pair, at_root):
+            found, gu_ok = real(pair, at_root)
+            if pair.e == 3 and len(found) > 1:
+                found = (found[0] + found[1],) + found[2:]
+            return found, gu_ok
+
+        monkeypatch.setattr(blocks, "_side_blocks", merged)
+        report = block_match_report(5, 2, 3)
+        assert report["pass"] is False
+        assert self._failing_m_side(report) == self.M_SIDE_FAILING
+
+    def test_m_side_gu_partition_mismatch_fails(self, monkeypatch):
+        # the GU keys of the level-3 series with a = 1 merge its GL blocks
+        real = blocks.root_key_partition
+
+        def merged(e, a, params, at_root):
+            found = real(e, a, params, at_root)
+            if (e, a) == (3, 1):
+                assert len(found) > 1
+                return (tuple(mp for block in found for mp in block),)
+            return found
+
+        monkeypatch.setattr(blocks, "root_key_partition", merged)
+        report = block_match_report(5, 2, 3)
+        assert self._failing_m_side(report).keys() == self.M_SIDE_FAILING.keys()
+        assert {
+            tuple(entry["members"]): entry["pass"]
+            for entry in report["intersections"]
+        }[("3,1,1",)] is True

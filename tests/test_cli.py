@@ -152,6 +152,12 @@ class TestBlocksCommand:
         code, _, err = run(capsys, "blocks", "--n", "2", "--e", "2", "--m", "2")
         assert code == 2
         assert "error" in err
+        # GU evaluates its root keys at the paired index ennola_e(3) = 6
+        code, out, err = run(
+            capsys, "blocks", "--n", "6", "--e", "3", "--m", "3", "--variant", "gu"
+        )
+        assert (code, out) == (2, "")
+        assert "symmetric ratio is 1 at a 6-th root" in err
 
     def test_unknown_core(self, capsys):
         code, _, _ = run(
@@ -204,7 +210,7 @@ class TestVerify:
             (("cuspidal", "--e", "3"), "--e"),
             (("roundtrip", "--max-n", "5"), "--max-n"),
             (("thm1", "--seed", "4"), "--seed"),
-            (("thm2", "--window", "9"), "--window"),
+            (("thm2", "--trials", "9"), "--trials"),
         ],
     )
     def test_rejects_flags_the_suite_does_not_read(self, capsys, argv, flag):
@@ -212,25 +218,6 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert f"does not take {flag}" in err
-
-    @pytest.mark.parametrize("window", ["0", "3"])
-    def test_window_too_small(self, capsys, window):
-        code, out, err = run(
-            capsys, "verify", "content-lemma", "--max-n", "2", "--window", window
-        )
-        assert code == 2
-        assert out == ""
-        assert "window too small" in err
-
-    def test_window_checked_before_the_first_case(self, capsys):
-        # --window 16 is wide enough for every case but the widest,
-        # n = 3, |s| = 4, e = 5, which needs 17
-        argv = ("verify", "content-lemma", "--max-n", "3", "--stream", "--window")
-        code, out, err = run(capsys, *argv, "16")
-        assert code == 2
-        assert out == ""
-        assert "window too small" in err
-        assert run(capsys, *argv, "17")[0] == 0
 
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
@@ -416,6 +403,26 @@ class TestOutputBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout as recorded with the GL/GU choice made in the blocks
+    # command itself rather than in blocks.series_blocks
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("blocks", "--n", "9", "--e", "2", "--m", "3", "--core", "2,1", "--variant", "gu"),
+                "fa1dd7031a6c398c0a3ceaaea1f6c07394ebd97d1151a1ca3d040a2769be85f3",
+            ),
+            (
+                ("blocks", "--n", "10", "--e", "3", "--m", "2", "--core", "1"),
+                "4adc4e6e49f2c27f41a319a16ab23e68d030131e3164e0ae66f5669230a455c6",
+            ),
+        ],
+    )
+    def test_blocks_core_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of stdout as recorded with dense, unmemoised polynomial division;
     # degmod exits 1 because criterion 6 fails
     @pytest.mark.parametrize(
@@ -505,6 +512,13 @@ class TestUsageErrors:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    def test_window_flag_is_gone(self, capsys):
+        # content-lemma always compares from -lossless_window per case
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "content-lemma", "--max-n", "2", "--window", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -520,6 +534,12 @@ class TestUsageErrors:
             ("verify", "content-prop", "--max-n", "17"),
             ("verify", "thm2", "--max-n", "1000000", "--e", "2", "--m", "3"),
             ("verify", "roundtrip", "--trials", "100001"),
+            ("series", "--n", "3", "--e", "41"),
+            ("blocks", "--n", "2", "--e", "1000", "--m", "3"),
+            ("blocks", "--n", "2", "--e", "3", "--m", "41", "--variant", "gu"),
+            ("verify", "thm1", "--e", "1000", "--m", "1001", "--max-n", "3"),
+            ("verify", "thm2", "--e", "1000", "--m", "1001", "--max-n", "3"),
+            ("verify", "thm1", "--e", "2", "--m", "41", "--max-n", "3"),
         ],
     )
     def test_size_guard(self, capsys, argv):
@@ -527,7 +547,8 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         flag = argv[2] if argv[0] == "verify" else argv[0]
-        bound = {"series": 40, "blocks": 40, "--max-n": 16, "--trials": 100000}
+        # series and blocks bound --n and the levels alike at 40
+        bound = {"series": 40, "blocks": 40, "--max-n": 16, "--trials": 100000, "--e": 40}
         assert f"at most {bound.get(flag, 1000)}" in err
 
     def test_size_guard_admits_the_bound(self, capsys):
@@ -541,3 +562,11 @@ class TestUsageErrors:
         assert code == 0
         charges = json.loads(out)["charges"]
         assert (len(charges), sum(charges)) == (1000, 0)
+        code, out, _ = run(
+            capsys, "blocks", "--n", "3", "--e", "40", "--m", "39", "--variant", "gu"
+        )
+        assert code == 0
+        assert [entry["a"] for entry in json.loads(out)["series"]] == [0, 0, 0]
+        code, out, _ = run(capsys, "verify", "thm1", "--max-n", "3", "--e", "39", "--m", "40")
+        assert code == 0
+        assert json.loads(out)["pass"] is True
