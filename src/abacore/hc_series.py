@@ -25,7 +25,6 @@ from .partitions import (
     e_quotient_charged,
     is_e_core,
     multinomial,
-    multipartitions_of,
     partitions_of,
     render_multipartition,
     render_partition,
@@ -53,10 +52,6 @@ class CuspidalPairGL:
         if not is_e_core(self.core, self.e):
             raise ValueError(f"{self.core.parts} is not a {self.e}-core")
 
-    @property
-    def is_cuspidal_singleton(self) -> bool:
-        return self.a == 0
-
 
 @dataclass(frozen=True)
 class WreathGroup:
@@ -66,9 +61,6 @@ class WreathGroup:
 
     e: int
     a: int
-
-    def irreducible_count(self) -> int:
-        return len(multipartitions_of(self.e, self.a))
 
     def order(self) -> int:
         result = self.e**self.a
@@ -127,29 +119,15 @@ def hc_series_of(p: Partition, e: int) -> tuple[CuspidalPairGL, ChargedMultiPart
 def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:
     """Partition of the partitions of n into series, keyed by cuspidal pair.
 
-    Members are listed in lexicographic order of their part tuples.
+    Members are listed in lexicographic order of their part tuples.  Each
+    member is filed under the cached pair of its e-core, so no pair is built
+    per partition.
     """
-    grouped: dict[CuspidalPairGL, list[Partition]] = {pr: [] for pr in hc_pairs(n, e)}
-    for p in partitions_of(n):
-        pair, _ = hc_series_of(p, e)
-        grouped[pair].append(p)
-    return {
-        pair: tuple(sorted(members, key=lambda q: q.parts))
-        for pair, members in grouped.items()
-    }
-
-
-def series_intersection(
-    pair_e: CuspidalPairGL, pair_m: CuspidalPairGL
-) -> tuple[Partition, ...]:
-    """All partitions lying in both series; may be empty."""
-    if pair_e.n != pair_m.n:
-        raise ValueError("pairs belong to different ranks")
-    return tuple(
-        p
-        for p in sorted(partitions_of(pair_e.n), key=lambda q: q.parts)
-        if e_core(p, pair_e.e) == pair_e.core and e_core(p, pair_m.e) == pair_m.core
-    )
+    pairs = hc_pairs(n, e)
+    by_core: dict[Partition, list[Partition]] = {pair.core: [] for pair in pairs}
+    for p in sorted(partitions_of(n), key=lambda q: q.parts):
+        by_core[e_core(p, e)].append(p)
+    return {pair: tuple(by_core[pair.core]) for pair in pairs}
 
 
 def series_json(n: int, e: int) -> list[dict]:
@@ -162,7 +140,8 @@ def series_json(n: int, e: int) -> list[dict]:
     out = []
     for pair, members in hc_partition(n, e).items():
         quotients = [
-            render_multipartition(hc_series_of(p, e)[1].components) for p in members
+            render_multipartition(e_quotient_charged(p, e, pair.core.length).components)
+            for p in members
         ]
         charges = e_quotient_charged(pair.core, e, pair.core.length).charges
         out.append(

@@ -92,10 +92,6 @@ class AffinePerm:
         if sorted(self.perm) != list(range(self.e)) or len(self.shifts) != self.e:
             raise ValueError("inconsistent affine permutation data")
 
-    def bead(self, x: int, i: int) -> tuple[int, int]:
-        j = self.perm[i]
-        return (x + self.shifts[j], j)
-
 
 def residue_perm(e: int, m: int, s: int) -> tuple[int, ...]:
     """The permutation w of range(e) with w((m*b + s) mod e) = b.
@@ -156,23 +152,6 @@ def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
         d = ap.shifts[j]
         out[j] = (floor + d, tuple(x + d for x in tail))
     return tuple(out)
-
-
-def check_bead_square(x: int, e: int, m: int, s: int, t: int) -> bool:
-    """Pointwise commutation of the bead-level square at the integer x.
-
-    Route one: split x through the e-side (charge s), correct by the affine
-    permutation, then re-read via qr_em.  Route two: split x through the
-    m-side (charge t) and correct there.  The two must agree.
-    """
-    ape = affine_perm(e, m, s)
-    apm = affine_perm(m, e, t)
-    a, b = qr(x + s, e)
-    left = ape.bead(a, b)
-    via_e = qr_em(left[0], left[1], e, m)
-    c, d = qr(x + t, m)
-    via_m = apm.bead(c, d)
-    return via_e == via_m
 
 
 def check_uglov_diagram(p: Partition, e: int, m: int, s: int, t: int) -> bool:

@@ -247,11 +247,6 @@ def singular_check(p: Partition, e: int) -> bool:
     return phi_multiplicity(generic_degree(p), e) == phi_multiplicity(gl_order(n), e)
 
 
-def ennola_substitute(f: IntPolynomial) -> IntPolynomial:
-    """f(-x): alternate the signs of the coefficients."""
-    return IntPolynomial(*(c if k % 2 == 0 else -c for k, c in enumerate(f.coeffs)))
-
-
 def ennola_e(e: int) -> int:
     """The index pairing of cyclotomic polynomials under x -> -x.
 

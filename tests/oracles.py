@@ -229,4 +229,10 @@ def naive_product(f, g):
     return _trim(out)
 
 
+def ennola_substitute(coeffs):
+    """f(-x) for f given as a coefficient tuple (constant term first): every
+    odd-degree coefficient changes sign."""
+    return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))
+
+
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]

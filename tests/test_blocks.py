@@ -376,6 +376,55 @@ class TestContentLemma:
         monkeypatch.setattr(blocks, "residue_multiset", shifted)
         assert len(self._failures()) == 2025 - 45
 
+    @staticmethod
+    def _lowest_nonzero(rm, step, beta, ref):
+        """Lowest exponent at which either side of one identity is nonzero:
+        count(k) - count(k + step) on the left, [k in beta] - [k in ref] on
+        the right, both beta sets being full below their floors."""
+        count = dict(rm.counts)
+        left = [
+            k
+            for v in count
+            for k in (v, v - step)
+            if count.get(k, 0) != count.get(k + step, 0)
+        ]
+        top = max(beta.floor, ref.floor, *beta.tail, *ref.tail)
+        right = [
+            k
+            for k in range(min(beta.floor, ref.floor), top + 1)
+            if (k in beta) != (k in ref)
+        ]
+        return min(left + right, default=None)
+
+    def test_window_is_lossless_and_used(self, monkeypatch):
+        # both identities are compared from exactly -lossless_window, and no
+        # nonzero coefficient of either side lies below that point; a check
+        # cut short of the window would still pass every true case, so the
+        # window it uses is read off its calls
+        seen = []
+        real = blocks._counts_match
+
+        def recording(rm, step, beta, ref, window):
+            seen.append((rm, step, beta, ref, window))
+            return real(rm, step, beta, ref, window)
+
+        monkeypatch.setattr(blocks, "_counts_match", recording)
+        slack = []
+        for n in range(9):
+            for p in partitions_of(n):
+                for s in range(-4, 5):
+                    for e in range(1, 6):
+                        seen.clear()
+                        assert check_content_lemma(p, s, e)
+                        window = lossless_window(n, s, e)
+                        assert [call[4] for call in seen] == [window, window]
+                        for rm, step, beta, ref, _ in seen:
+                            lowest = self._lowest_nonzero(rm, step, beta, ref)
+                            if lowest is not None:
+                                slack.append(lowest + window)
+        # the formula is lossless with exactly 6 exponents to spare here
+        assert min(slack) == 6
+
     def test_comparison_reaches_both_ends(self):
         # one differing coefficient is seen at the top bead, at the top of
         # an empty tail (floor - 1), at the top value and at -window, and

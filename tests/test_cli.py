@@ -403,6 +403,30 @@ class TestOutputBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout as recorded with a validated cuspidal pair built for
+    # every partition, twice, instead of filing members under the cached pairs
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("series", "--n", "14", "--e", "3"),
+                "4278bf63b027989b810d173ef924e5bfa48e9e7f4c7c1e20b3733963102c9349",
+            ),
+            (
+                ("series", "--n", "16", "--e", "10"),
+                "9a2ceafb9ddf97169982314d19ac653ebf0f7f9acc28ddbd72ecbd6988c7b79e",
+            ),
+            (
+                ("series", "--n", "18", "--e", "4"),
+                "2b36b739158949a4690cde90e3413cdc2f32e1e7db1e9b2419f9163118d04b84",
+            ),
+        ],
+    )
+    def test_series_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of stdout as recorded with the GL/GU choice made in the blocks
     # command itself rather than in blocks.series_blocks
     @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from abacore.hc_series import (
     hc_pairs,
     hc_partition,
     hc_series_of,
-    series_intersection,
+    series_json,
     specialization,
     wreath_dim,
 )
@@ -27,6 +27,18 @@ from abacore.partitions import (
 from abacore.polynomials import singular_check
 
 P = Partition
+
+
+def series_intersection(pair_e, pair_m):
+    """All partitions lying in both series, in lexicographic order of their
+    parts; may be empty."""
+    if pair_e.n != pair_m.n:
+        raise ValueError("pairs belong to different ranks")
+    return tuple(
+        p
+        for p in sorted(partitions_of(pair_e.n), key=lambda q: q.parts)
+        if e_core(p, pair_e.e) == pair_e.core and e_core(p, pair_m.e) == pair_m.core
+    )
 
 
 def pairs_as_set(pairs):
@@ -55,9 +67,7 @@ class TestPairs:
             CuspidalPairGL(3, 2, 0, P((1,)))  # sizes do not add up
 
     def test_singleton_flag(self):
-        flags = {
-            pr.core.parts: pr.is_cuspidal_singleton for pr in hc_pairs(3, 2)
-        }
+        flags = {pr.core.parts: pr.a == 0 for pr in hc_pairs(3, 2)}
         assert flags == {(1,): False, (2, 1): True}
 
 
@@ -130,9 +140,28 @@ class TestSeriesMap:
                     pair, _ = hc_series_of(p, e)
                     assert (
                         is_e_core(p, e)
-                        == pair.is_cuspidal_singleton
+                        == (pair.a == 0)
                         == singular_check(p, e)
                     )
+
+    @pytest.mark.parametrize("n, e", [(3, 2), (9, 3), (12, 5)])
+    def test_series_builds_no_pair_per_partition(self, monkeypatch, n, e):
+        # once hc_pairs is warm, listing the series validates no new pair
+        # (each validation reruns is_e_core on a core e_core just produced)
+        hc_pairs(n, e)
+        built = []
+        real = CuspidalPairGL.__post_init__
+
+        def counting(self):
+            built.append(self.core)
+            real(self)
+
+        monkeypatch.setattr(CuspidalPairGL, "__post_init__", counting)
+        series = series_json(n, e)
+        assert built == []
+        assert sum(len(entry["members"]) for entry in series) == len(partitions_of(n))
+        hc_series_of(P((1,) * n), e)
+        assert len(built) == 1  # the counter sees a construction
 
     def test_intersection_examples(self):
         pe = CuspidalPairGL(3, 2, 1, P((1,)))
@@ -160,12 +189,10 @@ class TestWreath:
     def test_sum_of_squares_is_group_order(self):
         for e in (1, 2, 3):
             for a in (0, 1, 2, 3, 4):
-                group = WreathGroup(e, a)
                 total = sum(
                     wreath_dim(mp) ** 2 for mp in multipartitions_of(e, a)
                 )
-                assert total == group.order()
-                assert group.irreducible_count() == len(multipartitions_of(e, a))
+                assert total == WreathGroup(e, a).order()
 
 
 class TestDegreeSign:

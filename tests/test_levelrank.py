@@ -9,7 +9,6 @@ from abacore.levelrank import (
     AffinePerm,
     affine_perm,
     apply_affine,
-    check_bead_square,
     check_core_matched_diagram,
     check_uglov_diagram,
     qr,
@@ -35,6 +34,26 @@ from abacore.partitions import (
 from oracles import apply_affine_on_beads, regroup_on_beads
 
 P = Partition
+
+
+def bead(ap, x, i):
+    """The bead (x, i) moved by the affine permutation ap: to component
+    perm[i], shifted by that component's shift."""
+    j = ap.perm[i]
+    return (x + ap.shifts[j], j)
+
+
+def check_bead_square(x, e, m, s, t):
+    """Pointwise commutation of the bead-level square at the integer x.
+
+    Route one: split x through the e-side (charge s), correct by the affine
+    permutation, then re-read via qr_em.  Route two: split x through the
+    m-side (charge t) and correct there.  The two must agree.
+    """
+    a, b = qr(x + s, e)
+    via_e = qr_em(*bead(affine_perm(e, m, s), a, b), e, m)
+    c, d = qr(x + t, m)
+    return via_e == bead(affine_perm(m, e, t), c, d)
 
 
 class TestQuotientRemainder:
@@ -123,7 +142,7 @@ class TestAffinePerm:
                 ap = affine_perm(e, m, s)
                 for b in range(e):
                     for a in (-3, 0, 7):
-                        assert ap.bead(a, (m * b + s) % e) == (
+                        assert bead(ap, a, (m * b + s) % e) == (
                             a - (m * b + s) // e,
                             b,
                         )

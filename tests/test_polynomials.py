@@ -8,7 +8,6 @@ from abacore.polynomials import (
     IntPolynomial,
     cyclotomic,
     ennola_e,
-    ennola_substitute,
     generic_degree,
     gl_order,
     mod_cyclotomic,
@@ -17,7 +16,12 @@ from abacore.polynomials import (
     x_power_minus_one,
 )
 from abacore.partitions import is_e_core
-from oracles import naive_product, schoolbook_divmod, syt_by_recursion
+from oracles import (
+    ennola_substitute,
+    naive_product,
+    schoolbook_divmod,
+    syt_by_recursion,
+)
 
 P = Partition
 
@@ -229,9 +233,9 @@ class TestSingularCheck:
 
 class TestEnnola:
     def test_substitute_examples(self):
-        assert ennola_substitute(IntPolynomial(0, 1, 1)) == IntPolynomial(0, -1, 1)
-        assert ennola_substitute(IntPolynomial(1)) == IntPolynomial(1)
-        assert ennola_substitute(cyclotomic(3)) == cyclotomic(6)
+        assert ennola_substitute((0, 1, 1)) == (0, -1, 1)
+        assert ennola_substitute((1,)) == (1,)
+        assert ennola_substitute(cyclotomic(3).coeffs) == cyclotomic(6).coeffs
 
     def test_index_examples(self):
         assert ennola_e(3) == 6
@@ -244,7 +248,7 @@ class TestEnnola:
 
     def test_cyclotomic_pairing_with_sign(self):
         for e in range(1, 25):
-            twisted = ennola_substitute(cyclotomic(e))
+            twisted = IntPolynomial(*ennola_substitute(cyclotomic(e).coeffs))
             partner = cyclotomic(ennola_e(e))
             if e in (1, 2):
                 assert twisted == -partner
