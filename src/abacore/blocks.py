@@ -7,16 +7,15 @@ evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
 (1/d)Z/Z for d = lcm(2 * at_root, the denominators of the parameter
 arguments).  One kernel computes both keys as sorted (value mod d, count)
 pairs of the box values content*omega + alpha_j mod d: a level-m key takes
-d = m, omega = e mod m and alpha_j = (e*charge_j + j) mod m, and a root key
-takes the evaluated parameters and is returned as reduced fractions.  The
-content lemma ties the residue multisets to beta sets, comparing integer
+d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and a
+root key takes the evaluated parameters and is returned as reduced fractions.
+The content lemma ties the residue multisets to beta sets, comparing integer
 counts exponent by exponent, and underlies the equivalence between sharing
 an m-core and sharing a key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -35,10 +34,12 @@ from .partitions import (
     ChargedPartition,
     MultiPartition,
     Partition,
+    core_exponents,
     e_core,
     e_quotient_charged,
     multipartitions_of,
     partitions_of,
+    split_charged,
     to_beta,
 )
 from .polynomials import ennola_e
@@ -53,43 +54,26 @@ class EquivalenceViolation(AssertionError):
     """The core comparison and the key comparison disagreed."""
 
 
-@dataclass(frozen=True)
-class ResidueMultiset:
-    """A finite multiset of integers, stored as sorted (value, count) pairs."""
-
-    counts: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_values(cls, values) -> "ResidueMultiset":
-        acc: dict[int, int] = {}
-        for v in values:
-            acc[v] = acc.get(v, 0) + 1
-        return cls(tuple(sorted(acc.items())))
+# sorted (value, count) pairs: a residue multiset, or a block key mod d
+Counts = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class RootResidueKey:
-    """A finite multiset of elements of Q/Z, stored as sorted
-    (reduced fraction in [0, 1), count) pairs."""
-
-    counts: tuple[tuple[Fraction, int], ...]
-
-
-def residue_multiset(cmp: ChargedMultiPartition, e: int) -> ResidueMultiset:
+def residue_multiset(cmp: ChargedMultiPartition, e: int) -> Counts:
     """Box residues e*(content + charge) + component of a charged
-    e-multipartition.
+    e-multipartition, as sorted (value, count) pairs.
 
     >>> mp = ChargedMultiPartition((Partition(()), Partition((1,))), (0, 0))
-    >>> residue_multiset(mp, 2).counts
+    >>> residue_multiset(mp, 2)
     ((1, 1),)
     """
     if cmp.level != e:
         raise ValueError(f"expected {e} components, got {cmp.level}")
-    values = []
+    acc: dict[int, int] = {}
     for j, (p, s) in enumerate(zip(cmp.components, cmp.charges)):
         for content in p.contents():
-            values.append(e * (content + s) + j)
-    return ResidueMultiset.from_values(values)
+            v = e * (content + s) + j
+            acc[v] = acc.get(v, 0) + 1
+    return tuple(sorted(acc.items()))
 
 
 def _root_values(
@@ -122,18 +106,15 @@ def _root_values(
     return d, omega, tuple(value(t) for t in params.tau_params)
 
 
-def _level_values(
-    e: int, charges: tuple[int, ...], m: int
-) -> tuple[int, int, tuple[int, ...]]:
-    """(d, omega, alphas) = (m, e % m, (e*s_j + j) % m) for the charges s_j."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return m, e % m, tuple((e * s + j) % m for j, s in enumerate(charges))
+def _level_values(core: Partition, e: int, m: int) -> tuple[int, int, tuple[int, ...]]:
+    """(d, omega, alphas) = (m, e % m, core_exponents(core, e) % m): the
+    level-m key data of the series of core, for m >= 1."""
+    return m, e % m, tuple(a % m for a in core_exponents(core, e))
 
 
 def _root_counts(
     mp: MultiPartition, d: int, omega: int, alphas: tuple[int, ...]
-) -> tuple[tuple[int, int], ...]:
+) -> Counts:
     """Sorted (k, count) pairs of the box values (content*omega + alpha) mod d."""
     acc: dict[int, int] = {}
     for p, alpha in zip(mp, alphas):
@@ -146,20 +127,18 @@ def _root_counts(
 
 def root_residue_key(
     mp: MultiPartition, params: HeckeSpecialization, at_root: int
-) -> RootResidueKey:
+) -> tuple[tuple[Fraction, int], ...]:
     """Evaluate the block key of mp at x = a primitive at_root-th root.
 
     Each box contributes omega^content times the component's parameter,
     recorded additively in Q/Z; omega is the negated second symmetric
     parameter.  The values are computed as integers mod d, with d the lcm of
     2 * at_root and the denominators of the parameter arguments, and returned
-    as reduced fractions in [0, 1).  Raises OmegaIsOne when omega evaluates
-    to 1, where the block criterion does not apply.
+    as sorted (reduced fraction in [0, 1), count) pairs.  Raises OmegaIsOne
+    when omega evaluates to 1, where the block criterion does not apply.
     """
     d, omega, alphas = _root_values(len(mp), params, at_root)
-    return RootResidueKey(
-        tuple((Fraction(k, d), c) for k, c in _root_counts(mp, d, omega, alphas))
-    )
+    return tuple((Fraction(k, d), c) for k, c in _root_counts(mp, d, omega, alphas))
 
 
 def root_key_partition(
@@ -170,27 +149,37 @@ def root_key_partition(
     return _group_by_counts(multipartitions_of(e, a), _root_values(e, params, at_root))
 
 
-def _member_key(p: Partition, e: int, core: Partition, m: int) -> tuple:
-    """The level-m residue key of p's charged e-quotient, as (k, count) pairs."""
-    quotient = e_quotient_charged(p, e, core.length)
-    return _root_counts(quotient.components, *_level_values(e, quotient.charges, m))
+def _member_key(p: Partition, e: int, m: int) -> Counts:
+    """The level-m residue key of p's image under the series map."""
+    image = e_quotient_charged(p, e).components
+    return _root_counts(image, *_level_values(e_core(p, e), e, m))
+
+
+def _require_blocks(e: int, m: int) -> None:
+    """Reject m < 1; raise OmegaIsOne when m | e, where omega = x^e is 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if e % m == 0:
+        raise OmegaIsOne(f"level {m} blocks are undefined at level e={e}")
 
 
 def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> bool:
     """Whether p and r lie in the same level-m block of their common series.
 
     Both partitions must have e-core equal to core.  Compares the residue
-    keys of the charged e-quotients modulo m; whenever the root-of-unity
-    route applies, its verdict is asserted to agree.
+    keys of their images modulo m; whenever the root-of-unity route
+    applies, its verdict is asserted to agree.  Raises OmegaIsOne when m
+    divides e.
     """
+    _require_blocks(e, m)
     if e_core(p, e) != core or e_core(r, e) != core:
         raise ValueError("both partitions must have the given core")
-    result = _member_key(p, e, core, m) == _member_key(r, e, core, m)
-    if p.size == r.size and p.size > core.size and e % m != 0:
+    result = _member_key(p, e, m) == _member_key(r, e, m)
+    if p.size == r.size and p.size > core.size:
         pair = CuspidalPairGL(p.size, e, (p.size - core.size) // e, core)
         params = specialization(pair, GL)
-        kp = root_residue_key(e_quotient_charged(p, e, core.length).components, params, m)
-        kr = root_residue_key(e_quotient_charged(r, e, core.length).components, params, m)
+        kp = root_residue_key(e_quotient_charged(p, e).components, params, m)
+        kr = root_residue_key(e_quotient_charged(r, e).components, params, m)
         if (kp == kr) != result:
             raise EquivalenceViolation(
                 f"residue and root keys disagree for {p.parts}, {r.parts}"
@@ -226,10 +215,8 @@ def block_partition(
     core.  Raises OmegaIsOne when m divides e, where the underlying ratio
     specializes to 1.
     """
-    values = _level_values(e, e_quotient_charged(core, e, core.length).charges, m)
-    if e % m == 0:
-        raise OmegaIsOne(f"level {m} blocks are undefined at level e={e}")
-    return _group_by_counts(multipartitions_of(e, a), values)
+    _require_blocks(e, m)
+    return _group_by_counts(multipartitions_of(e, a), _level_values(core, e, m))
 
 
 def series_blocks(
@@ -238,6 +225,8 @@ def series_blocks(
     """Level-m blocks of a series: GL residue keys, or for GU with a > 0 the
     root keys at ennola_e(m), where the sign-twisted parameters hit a
     primitive m-th root."""
+    if variant not in (GL, GU):
+        raise ValueError(f"unknown variant {variant!r}")
     if variant == GU and pair.a > 0:
         return root_key_partition(pair.e, pair.a, specialization(pair, GU), ennola_e(m))
     return block_partition(pair.e, pair.a, pair.core, m)
@@ -253,12 +242,12 @@ def lossless_window(n: int, s: int, e: int) -> int:
 
 
 def _counts_match(
-    rm: ResidueMultiset, step: int, beta: BetaSet, ref: BetaSet, window: int
+    counts: Counts, step: int, beta: BetaSet, ref: BetaSet, window: int
 ) -> bool:
     """Whether count(k) - count(k + step) == [k in beta] - [k in ref] for all
-    k >= -window, count being rm's multiplicities.  Above the top value and
-    beads of the three both sides are 0."""
-    count = dict(rm.counts)
+    k >= -window, count(k) being the multiplicity of k in counts.  Above the
+    top value and beads of the three both sides are 0."""
+    count = dict(counts)
     tops = [b.tail[0] if b.tail else b.floor - 1 for b in (beta, ref)]
     return all(
         count.get(k, 0) - count.get(k + step, 0) == (k in beta) - (k in ref)
@@ -281,11 +270,9 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     level1 = residue_multiset(ChargedMultiPartition((p,), (s,)), 1)
     if not _counts_match(level1, 1, beta_p, BetaSet(s), window):
         return False
-    quotient = e_quotient_charged(p, e, s - e)  # charge s overall
+    quotient = residue_multiset(split_charged(ChargedPartition(p, s), e), e)
     beta_core = to_beta(ChargedPartition(e_core(p, e), s))
-    return _counts_match(
-        residue_multiset(quotient, e), e, beta_p, beta_core, window
-    )
+    return _counts_match(quotient, e, beta_p, beta_core, window)
 
 
 def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bool:
@@ -300,11 +287,10 @@ def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bo
         raise ValueError("levels must be coprime")
     if p.size != r.size:
         raise ValueError("partitions must have the same size")
-    core = e_core(p, e)
-    if e_core(r, e) != core:
+    if e_core(r, e) != e_core(p, e):
         raise ValueError("partitions must have the same e-core")
     same_core = e_core(p, m) == e_core(r, m)
-    same_key = _member_key(p, e, core, m) == _member_key(r, e, core, m)
+    same_key = _member_key(p, e, m) == _member_key(r, e, m)
     if same_core != same_key:
         raise EquivalenceViolation(
             f"core comparison {same_core} but key comparison {same_key}"
@@ -315,11 +301,6 @@ def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bo
 
 # ---------------------------------------------------------------------------
 # the series-versus-blocks report
-
-def _image_multipartition(p: Partition, e: int) -> MultiPartition:
-    """p's image in its level-e series, as hc_series_of gives it."""
-    return e_quotient_charged(p, e, e_core(p, e).length).components
-
 
 def _side_blocks(
     pair: CuspidalPairGL, at_root: int
@@ -363,7 +344,7 @@ def block_match_report(n: int, e: int, m: int) -> dict:
             index = {mp: i for i, block in enumerate(blocks) for mp in block}
             sides[level, core] = blocks, index, gu_ok
         blocks, index, gu_ok = sides[level, core]
-        images = {_image_multipartition(p, level) for p in members}
+        images = {e_quotient_charged(p, level).components for p in members}
         hits = {index.get(mp) for mp in images}
         sizes = [len(blocks[i]) for i in sorted(hits - {None})]
         ok = gu_ok and None not in hits and len(images) == len(members)

@@ -5,8 +5,8 @@ degree polynomials modulo cyclotomics, and the predicted Hecke parameters.
 
 A cuspidal pair for GL_n at level e is encoded by an e-core of size n - a*e;
 the pairs with a = 0 are cuspidal singletons.  The members of a pair's series
-are the partitions of n with that e-core, and the series map sends a member
-to its charged e-quotient taken at charge e + len(core).
+are the partitions of n with that e-core, and the series map e_quotient_charged
+sends a member to its charged e-quotient taken at charge e + len(core).
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def hc_series_of(p: Partition, e: int) -> tuple[CuspidalPairGL, ChargedMultiPart
     """
     core = e_core(p, e)
     pair = CuspidalPairGL(p.size, e, (p.size - core.size) // e, core)
-    return pair, e_quotient_charged(p, e, core.length)
+    return pair, e_quotient_charged(p, e)
 
 
 def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:
@@ -140,10 +140,9 @@ def series_json(n: int, e: int) -> list[dict]:
     out = []
     for pair, members in hc_partition(n, e).items():
         quotients = [
-            render_multipartition(e_quotient_charged(p, e, pair.core.length).components)
+            render_multipartition(e_quotient_charged(p, e).components)
             for p in members
         ]
-        charges = e_quotient_charged(pair.core, e, pair.core.length).charges
         out.append(
             {
                 "n": pair.n,
@@ -152,7 +151,7 @@ def series_json(n: int, e: int) -> list[dict]:
                 "core": render_partition(pair.core),
                 "members": [render_partition(p) for p in members],
                 "quotients": quotients,
-                "charges": list(charges),
+                "charges": list(e_quotient_charged(pair.core, e).charges),
             }
         )
     return out
@@ -182,7 +181,7 @@ def degree_sign(p: Partition, e: int) -> int:
     if not rem.is_constant():
         raise DegreeSignError(f"nonconstant remainder {rem} for {p.parts} at e={e}")
     c = rem.constant_value()
-    image = e_quotient_charged(p, e, e_core(p, e).length)
+    image = e_quotient_charged(p, e)
     expected = wreath_dim(image.components)
     if abs(c) != expected:
         raise DegreeSignError(

@@ -303,21 +303,22 @@ def e_core(p: Partition, e: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def e_quotient_charged(p: Partition, e: int, s: int) -> ChargedMultiPartition:
-    """The charged e-quotient of p at charge e + s.
+def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
+    """The series map: p's charged e-quotient at charge e + len(e-core of p).
 
-    The multipartition part carries the quotient and the charge part is the
-    charge vector used downstream for residue keys and Hecke exponents.
+    The components are p's image in the series of its e-core; the charges
+    depend on the core alone and give the Hecke exponents (core_exponents)
+    and the residue keys of the series.
     """
-    return split_charged(ChargedPartition(p, e + s), e)
+    return split_charged(ChargedPartition(p, e + e_core(p, e).length), e)
 
 
 @lru_cache(maxsize=None)
 def core_exponents(core: Partition, e: int) -> tuple[int, ...]:
     """The exponent vector (e*c_i + i) read off the quotient charges of an e-core.
 
-    Entry i is e times the i-th charge of e_quotient_charged(core, e, length)
-    plus i.  Rejects inputs that are not e-cores.
+    Entry i is e times the i-th charge of e_quotient_charged(core, e) plus
+    i.  Rejects inputs that are not e-cores.
 
     >>> core_exponents(Partition(()), 2)
     (2, 3)
@@ -326,8 +327,7 @@ def core_exponents(core: Partition, e: int) -> tuple[int, ...]:
     """
     if not is_e_core(core, e):
         raise ValueError(f"{core.parts} is not a {e}-core")
-    charges = e_quotient_charged(core, e, core.length).charges
-    return tuple(e * c + i for i, c in enumerate(charges))
+    return tuple(e * c + i for i, c in enumerate(e_quotient_charged(core, e).charges))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ from abacore import blocks
 from abacore.blocks import (
     EquivalenceViolation,
     OmegaIsOne,
-    ResidueMultiset,
-    RootResidueKey,
     block_match_report,
     block_partition,
     check_content_lemma,
@@ -18,6 +16,7 @@ from abacore.blocks import (
     root_key_partition,
     root_residue_key,
     same_block,
+    series_blocks,
 )
 from abacore.cli import run_suite
 from abacore.hc_series import (
@@ -32,6 +31,7 @@ from abacore.hc_series import (
 from abacore.partitions import (
     BetaSet,
     ChargedMultiPartition,
+    ChargedPartition,
     Partition,
     e_core,
     e_quotient_charged,
@@ -47,15 +47,15 @@ P = Partition
 class TestResidueMultisets:
     def test_examples(self):
         one = ChargedMultiPartition((P((1,)),), (0,))
-        assert residue_multiset(one, 1).counts == ((0, 1),)
+        assert residue_multiset(one, 1) == ((0, 1),)
         two = ChargedMultiPartition((P((2,)),), (0,))
-        assert residue_multiset(two, 1).counts == ((0, 1), (1, 1))
+        assert residue_multiset(two, 1) == ((0, 1), (1, 1))
         mixed = ChargedMultiPartition((P(()), P((1,))), (0, 0))
-        assert residue_multiset(mixed, 2).counts == ((1, 1),)
+        assert residue_multiset(mixed, 2) == ((1, 1),)
 
     def test_total_mass(self):
         cmp0 = ChargedMultiPartition((P((3, 1)), P((2, 2))), (2, -1))
-        assert sum(c for _, c in residue_multiset(cmp0, 2).counts) == 8
+        assert sum(c for _, c in residue_multiset(cmp0, 2)) == 8
 
     def test_level_mismatch(self):
         with pytest.raises(ValueError):
@@ -90,16 +90,15 @@ def _key_disagreements(index_offset=0):
         for e in range(1, 5):
             for m in (m for m in range(2, 8) if e % m != 0):
                 for p in partitions_of(n):
-                    core = e_core(p, e)
-                    quotient = e_quotient_charged(p, e, core.length)
+                    quotient = e_quotient_charged(p, e)
                     expected = residue_key_oracle(
                         [q.parts for q in quotient.components],
                         quotient.charges, e, m, index_offset,
                     )
                     keys += 1
-                    wrong += blocks._member_key(p, e, core, m) != expected
+                    wrong += blocks._member_key(p, e, m) != expected
                 for pair in hc_pairs(n, e):
-                    charges = e_quotient_charged(pair.core, e, pair.core.length).charges
+                    charges = e_quotient_charged(pair.core, e).charges
                     grouped = {}
                     for mp in multipartitions_of(e, pair.a):
                         key = residue_key_oracle(
@@ -116,17 +115,19 @@ def _key_disagreements(index_offset=0):
 
 class TestResidueKeyOracle:
     def test_fixed_examples(self):
-        # residues {0, 1}, {3} and {5} reduced mod 2, from the oracle and
-        # from the library's box-count kernel
+        # residues {1, 2}, {3} and {5} reduced mod 2, from the oracle at the
+        # series charges (1,), (1, 1) and (1, 2) of the cores () and (1),
+        # and from the library's box-count kernel
         cases = [
-            (((2,),), (0,), 1, ((0, 1), (1, 1))),
-            (((), (1,)), (0, 1), 2, ((1, 1),)),
-            (((), (1,)), (0, 2), 2, ((1, 1),)),
+            (((2,),), P(()), 1, ((0, 1), (1, 1))),
+            (((), (1,)), P(()), 2, ((1, 1),)),
+            (((), (1,)), P((1,)), 2, ((1, 1),)),
         ]
-        for parts, charges, e, expected in cases:
+        for parts, core, e, expected in cases:
+            charges = e_quotient_charged(core, e).charges
             assert residue_key_oracle(parts, charges, e, 2) == expected
             mp = tuple(P(q) for q in parts)
-            values = blocks._level_values(e, charges, 2)
+            values = blocks._level_values(core, e, 2)
             assert blocks._root_counts(mp, *values) == expected
 
     def test_sweep_series(self):
@@ -147,7 +148,7 @@ class TestRootKeys:
         params = specialization(pair, GL)
         for mp in multipartitions_of(2, 1):
             key = root_residue_key(mp, params, 3)
-            assert all(v.denominator in (1, 3) for v, _ in key.counts)
+            assert all(v.denominator in (1, 3) for v, _ in key)
 
     def test_equal_and_distinct_keys(self):
         pair = CuspidalPairGL(2, 1, 2, P(()))
@@ -162,7 +163,7 @@ class TestRootKeys:
     def test_empty_multipartition(self):
         pair = CuspidalPairGL(2, 2, 1, P(()))
         params = specialization(pair, GL)
-        assert root_residue_key((P(()), P(())), params, 3).counts == ()
+        assert root_residue_key((P(()), P(())), params, 3) == ()
 
     def test_omega_one_raises(self):
         pair = CuspidalPairGL(2, 2, 1, P(()))
@@ -198,7 +199,7 @@ def _compare_with_oracle(mp, params, at_root):
         with pytest.raises(OmegaIsOne):
             root_residue_key(mp, params, at_root)
         return True
-    assert root_residue_key(mp, params, at_root).counts == expected, (mp, at_root)
+    assert root_residue_key(mp, params, at_root) == expected, (mp, at_root)
     return False
 
 
@@ -234,7 +235,7 @@ class TestRootKeyOracle:
                 for at_root in range(2, 8):
                     assert _compare_with_oracle(mp, params, at_root) == (at_root == 6)
         key = root_residue_key((P((1,)), P(()), P(())), params, 4)
-        assert key.counts == ((Fraction(7, 12), 1),)  # 1/3 + 1/4
+        assert key == ((Fraction(7, 12), 1),)  # 1/3 + 1/4
 
     def test_first_symmetric_parameter_must_be_one(self):
         params = HeckeSpecialization(
@@ -257,15 +258,24 @@ class TestSameBlock:
     def test_disagreeing_root_keys_raise(self, monkeypatch):
         # negative control: constant root keys claim one block where the
         # residue keys see two
-        monkeypatch.setattr(
-            blocks, "root_residue_key", lambda mp, params, at_root: RootResidueKey(())
-        )
+        monkeypatch.setattr(blocks, "root_residue_key", lambda mp, params, at_root: ())
         with pytest.raises(EquivalenceViolation, match="residue and root keys disagree"):
             same_block(P((3,)), P((2, 1)), 3, 2, P(()))
 
     def test_core_mismatch_rejected(self):
         with pytest.raises(ValueError):
             same_block(P((2, 1)), P((3,)), 2, 3, P(()))
+
+    def test_omega_one_hard_error(self):
+        # m dividing e (m = 1 included) specializes the symmetric ratio to
+        # 1, as in block_partition; checked before the core precondition
+        for e, m in ((2, 2), (2, 1), (4, 2), (3, 1), (1, 1)):
+            with pytest.raises(OmegaIsOne):
+                same_block(P((2,)), P((1, 1)), e, m, P(()))
+        with pytest.raises(OmegaIsOne):
+            same_block(P((2, 1)), P((3,)), 2, 2, P(()))
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            same_block(P((2,)), P((1, 1)), 2, 0, P(()))
 
     def test_equivalence_relation(self):
         core = P(())
@@ -320,6 +330,17 @@ class TestBlockPartition:
         with pytest.raises(OmegaIsOne):
             block_partition(3, 1, P(()), 1)
 
+    def test_series_blocks_rejects_unknown_variant(self):
+        # no spelling of the variant other than "gl" and "gu" falls back
+        # to GL blocks, for toral and cuspidal pairs alike
+        for pair in (CuspidalPairGL(4, 2, 2, P(())), CuspidalPairGL(3, 2, 0, P((2, 1)))):
+            assert series_blocks(pair, 3, GL) == block_partition(
+                pair.e, pair.a, pair.core, 3
+            )
+            for variant in ("xyz", "GU", "GL", ""):
+                with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+                    series_blocks(pair, 3, variant)
+
 
 class TestContentLemma:
     def test_examples(self):
@@ -356,9 +377,11 @@ class TestContentLemma:
         assert len(self._failures()) == 1161
 
     def test_wrong_quotient_charge_mutant_fails(self, monkeypatch):
-        real = blocks.e_quotient_charged
+        real = blocks.split_charged
         monkeypatch.setattr(
-            blocks, "e_quotient_charged", lambda p, e, s: real(p, e, s + 1)
+            blocks,
+            "split_charged",
+            lambda cp, e: real(ChargedPartition(cp.partition, cp.charge + 1), e),
         )
         assert len(self._failures()) == 1521
 
@@ -381,7 +404,7 @@ class TestContentLemma:
         """Lowest exponent at which either side of one identity is nonzero:
         count(k) - count(k + step) on the left, [k in beta] - [k in ref] on
         the right, both beta sets being full below their floors."""
-        count = dict(rm.counts)
+        count = dict(rm)
         left = [
             k
             for v in count
@@ -429,12 +452,12 @@ class TestContentLemma:
         # one differing coefficient is seen at the top bead, at the top of
         # an empty tail (floor - 1), at the top value and at -window, and
         # nothing below -window is compared
-        empty = ResidueMultiset(())
+        empty = ()
         assert blocks._counts_match(empty, 1, BetaSet(0), BetaSet(0), 5)
         assert not blocks._counts_match(empty, 1, BetaSet(0, (3,)), BetaSet(0), 5)
         assert not blocks._counts_match(empty, 1, BetaSet(1), BetaSet(0), 5)
         for value, seen in ((4, True), (-5, True), (-6, False)):
-            rm = ResidueMultiset(((value, 1),))
+            rm = ((value, 1),)
             assert blocks._counts_match(rm, 1, BetaSet(0), BetaSet(0), 5) != seen
 
 
@@ -528,12 +551,12 @@ class TestBlockMatchReport:
 
     def test_colliding_images_fail(self, monkeypatch):
         # negative control: two members of one intersection share an image
-        real = blocks._image_multipartition
+        real = blocks.e_quotient_charged
 
         def collide(p, e):
             return real(P((3,)) if p == P((1, 1, 1)) else p, e)
 
-        monkeypatch.setattr(blocks, "_image_multipartition", collide)
+        monkeypatch.setattr(blocks, "e_quotient_charged", collide)
         report = block_match_report(3, 2, 3)
         assert [
             (entry["members"], entry["pass"]) for entry in report["intersections"]
@@ -561,12 +584,17 @@ class TestBlockMatchReport:
     def test_image_outside_every_block_fails(self, monkeypatch):
         # negative control: one member's image is no multipartition of the
         # series, so it lies in no block on either side
-        real = blocks._image_multipartition
+        real = blocks.e_quotient_charged
 
-        def stray(p, e):
-            return (P((9,)),) * e if p == P((2, 1)) else real(p, e)
+        def stray_at(member):
+            def image(p, e):
+                if p == member:
+                    return ChargedMultiPartition((P((9,)),) * e, (0,) * e)
+                return real(p, e)
 
-        monkeypatch.setattr(blocks, "_image_multipartition", stray)
+            return image
+
+        monkeypatch.setattr(blocks, "e_quotient_charged", stray_at(P((2, 1))))
         report = block_match_report(3, 2, 3)
         assert [
             (e["members"], e["blockE_sizes"], e["blockM_sizes"], e["pass"])
@@ -575,10 +603,7 @@ class TestBlockMatchReport:
 
         # still a failure when the other member's image lies in a block
         # whose size is the member count
-        def stray_beside(p, e):
-            return (P((9,)),) * e if p == P((3,)) else real(p, e)
-
-        monkeypatch.setattr(blocks, "_image_multipartition", stray_beside)
+        monkeypatch.setattr(blocks, "e_quotient_charged", stray_at(P((3,))))
         report = block_match_report(3, 2, 3)
         assert [
             (e["members"], e["blockE_sizes"], e["blockM_sizes"], e["pass"])

@@ -181,13 +181,13 @@ class TestCoreQuotient:
         assert e_core(P((2, 1, 1)), 2) == P(())
 
     def test_quotient_examples(self):
-        assert e_quotient_charged(P(()), 2, 0) == ChargedMultiPartition(
+        assert e_quotient_charged(P(()), 2) == ChargedMultiPartition(
             (P(()), P(())), (1, 1)
         )
-        assert e_quotient_charged(P((3,)), 3, 0) == ChargedMultiPartition(
+        assert e_quotient_charged(P((3,)), 3) == ChargedMultiPartition(
             (P(()), P(()), P((1,))), (1, 1, 1)
         )
-        assert e_quotient_charged(P((2, 1)), 3, 0) == ChargedMultiPartition(
+        assert e_quotient_charged(P((2, 1)), 3) == ChargedMultiPartition(
             (P(()), P((1,)), P(())), (1, 1, 1)
         )
 
@@ -207,7 +207,7 @@ class TestCoreQuotient:
             for e in range(1, 7):
                 no_div_hook = all(h % e != 0 for h in hook_lengths(p))
                 quotient_empty = all(
-                    q.size == 0 for q in e_quotient_charged(p, e, 0).components
+                    q.size == 0 for q in e_quotient_charged(p, e).components
                 )
                 assert is_e_core(p, e) == no_div_hook == quotient_empty
                 assert is_e_core(p, e) == (e_core(p, e) == p)
@@ -216,9 +216,19 @@ class TestCoreQuotient:
         for p in all_partitions_up_to(12):
             for e in range(1, 7):
                 for s in (-3, 0, 4):
-                    quotient = e_quotient_charged(p, e, s)
+                    quotient = split_charged(CP(p, e + s), e)
                     total = sum(q.size for q in quotient.components)
                     assert p.size == e_core(p, e).size + e * total
+
+    def test_series_map_contract(self):
+        # e_quotient_charged is the series map: the split at charge
+        # e + len(e-core), whose charges are those of the core itself
+        for p in all_partitions_up_to(10):
+            for e in range(1, 7):
+                core = e_core(p, e)
+                image = e_quotient_charged(p, e)
+                assert image == split_charged(CP(p, e + core.length), e)
+                assert image.charges == e_quotient_charged(core, e).charges
 
     def test_idempotence(self):
         for p in all_partitions_up_to(10):

@@ -1,6 +1,7 @@
 """The library's surface: every public module-level function and class in
 src/abacore is exported or used by the library itself, so code that only the
-tests need lives under tests/.
+tests need lives under tests/, and every private one is used by the library,
+so a helper does not outlive its last caller.
 """
 
 import ast
@@ -15,9 +16,9 @@ SRC = Path(abacore.__file__).parent
 UNUSED_BY_DESIGN = {"WreathGroup"}
 
 
-def unused_public_names(sources, exported):
-    """Public top-level functions and classes that are neither exported nor
-    referenced in code outside their own definition.
+def unreferenced_names(sources):
+    """Top-level functions and classes that are not referenced in code
+    outside their own definition.
 
     sources maps module names to source text.  A reference is an ast Name or
     Attribute; imports and docstrings are not references.
@@ -28,8 +29,7 @@ def unused_public_names(sources, exported):
         for stmt in ast.parse(text).body:
             owner = getattr(stmt, "name", None)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                if not owner.startswith("_"):
-                    defined[owner] = module
+                defined[owner] = module
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     used.add((module, owner, node.id))
@@ -40,14 +40,26 @@ def unused_public_names(sources, exported):
         for module, owner, name in used
         if name in defined and (module, owner) != (defined[name], name)
     }
-    return sorted(set(defined) - set(exported) - referenced)
+    return sorted(set(defined) - referenced)
+
+
+def _library_unreferenced():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    return unreferenced_names(sources)
 
 
 def test_no_test_only_code_in_src():
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    unused = unused_public_names(sources, abacore.__all__)
+    unused = [
+        name
+        for name in _library_unreferenced()
+        if not name.startswith("_") and name not in abacore.__all__
+    ]
     assert sorted(set(unused) - UNUSED_BY_DESIGN) == []
     assert "WreathGroup" in unused  # the exception is still needed
+
+
+def test_no_orphaned_private_helper():
+    assert [name for name in _library_unreferenced() if name.startswith("_")] == []
 
 
 def test_scan_counts_only_code_references():
@@ -65,6 +77,8 @@ def test_scan_counts_only_code_references():
             "    pass\n"
             "class _Private:\n"
             "    pass\n"
+            "def _helper():\n"
+            "    return _helper\n"
         ),
         "b": (
             "from .a import imported\n"
@@ -73,9 +87,14 @@ def test_scan_counts_only_code_references():
             '    """Calls mentioned() and a.called()."""\n'
             "    return a.called()\n"
             "x = caller()\n"
+            "def _used():\n"
+            "    return a._Private\n"
         ),
     }
-    assert unused_public_names(sources, ["exported"]) == [
+    assert unreferenced_names(sources) == [
+        "_helper",
+        "_used",
+        "exported",
         "imported",
         "mentioned",
         "recursive",
