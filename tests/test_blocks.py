@@ -333,7 +333,8 @@ class TestBlockPartition:
     def test_series_blocks_rejects_unknown_variant(self):
         # no spelling of the variant other than "gl" and "gu" falls back
         # to GL blocks, for toral and cuspidal pairs alike
-        for pair in (CuspidalPairGL(4, 2, 2, P(())), CuspidalPairGL(3, 2, 0, P((2, 1)))):
+        toral = CuspidalPairGL(4, 2, 2, P(()))
+        for pair in (toral, CuspidalPairGL(3, 2, 0, P((2, 1)))):
             assert series_blocks(pair, 3, GL) == block_partition(
                 pair.e, pair.a, pair.core, 3
             )
