@@ -70,9 +70,10 @@ def residue_multiset(cmp: ChargedMultiPartition, e: int) -> Counts:
         raise ValueError(f"expected {e} components, got {cmp.level}")
     acc: dict[int, int] = {}
     for j, (p, s) in enumerate(zip(cmp.components, cmp.charges)):
-        for content in p.contents():
-            v = e * (content + s) + j
-            acc[v] = acc.get(v, 0) + 1
+        for row, length in enumerate(p.parts):
+            for content in range(-row, length - row):
+                v = e * (content + s) + j
+                acc[v] = acc.get(v, 0) + 1
     return tuple(sorted(acc.items()))
 
 
@@ -281,8 +282,10 @@ def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bo
     common truth value.
 
     Raises EquivalenceViolation if the two sides disagree; requires e and m
-    coprime.
+    positive and coprime.
     """
+    if e < 1 or m < 1:
+        raise ValueError("levels must be >= 1")
     if gcd(e, m) != 1:
         raise ValueError("levels must be coprime")
     if p.size != r.size:

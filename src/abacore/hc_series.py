@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 from typing import NamedTuple
 
 from .partitions import (
@@ -23,12 +24,11 @@ from .partitions import (
     core_exponents,
     e_core,
     e_quotient_charged,
+    hook_lengths,
     is_e_core,
-    multinomial,
     partitions_of,
     render_multipartition,
     render_partition,
-    syt_count,
 )
 from .polynomials import generic_degree, mod_cyclotomic
 
@@ -63,10 +63,7 @@ class WreathGroup:
     a: int
 
     def order(self) -> int:
-        result = self.e**self.a
-        for k in range(2, self.a + 1):
-            result *= k
-        return result
+        return self.e**self.a * factorial(self.a)
 
 
 class HeckeParam(NamedTuple):
@@ -91,17 +88,17 @@ class HeckeSpecialization:
 
 @lru_cache(maxsize=None)
 def hc_pairs(n: int, e: int) -> tuple[CuspidalPairGL, ...]:
-    """All cuspidal pairs for GL_n at level e, cores sorted lexicographically."""
+    """All cuspidal pairs for GL_n at level e, cores sorted lexicographically.
+
+    The cores are the e-cores of the partitions of n, which are all e-cores
+    of size n - a*e, a >= 0: such a core is the e-core of itself with a*e
+    boxes added to its first row.  Each pair checks its core against the
+    hook criterion.
+    """
     if n < 1 or e < 1:
         raise ValueError("n and e must be >= 1")
-    pairs = []
-    for k in range(n % e, n + 1, e):
-        a = (n - k) // e
-        for core in partitions_of(k):
-            if is_e_core(core, e):
-                pairs.append(CuspidalPairGL(n, e, a, core))
-    pairs.sort(key=lambda pr: pr.core.parts)
-    return tuple(pairs)
+    cores = sorted({e_core(p, e) for p in partitions_of(n)}, key=lambda c: c.parts)
+    return tuple(CuspidalPairGL(n, e, (n - c.size) // e, c) for c in cores)
 
 
 def hc_series_of(p: Partition, e: int) -> tuple[CuspidalPairGL, ChargedMultiPartition]:
@@ -158,14 +155,18 @@ def series_json(n: int, e: int) -> list[dict]:
 
 
 def wreath_dim(mp: MultiPartition) -> int:
-    """Degree of the wreath-product irreducible indexed by mp.
+    """Degree of the wreath-product irreducible indexed by mp: a! over the
+    product of the hook lengths of all components, a being their total size.
 
     >>> wreath_dim((Partition((1,)), Partition((1,))))
     2
     """
-    dim = multinomial(p.size for p in mp)
-    for p in mp:
-        dim *= syt_count(p)
+    dim, rem = divmod(
+        factorial(sum(p.size for p in mp)),
+        prod(h for p in mp for h in hook_lengths(p)),
+    )
+    if rem:
+        raise ArithmeticError("hook formula did not divide evenly")
     return dim
 
 

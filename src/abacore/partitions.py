@@ -52,17 +52,6 @@ class Partition:
     def length(self) -> int:
         return len(self.parts)
 
-    def boxes(self):
-        """Yield (row, column) pairs, 1-based."""
-        for i, p in enumerate(self.parts, start=1):
-            for j in range(1, p + 1):
-                yield (i, j)
-
-    def contents(self):
-        """Yield column - row over all boxes."""
-        for i, j in self.boxes():
-            yield j - i
-
     def conjugate(self) -> "Partition":
         if not self.parts:
             return Partition(())
@@ -403,29 +392,3 @@ def parse_charges(text: str) -> MultiCharge:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"bad charge text {text!r}") from exc
-
-
-def syt_count(p: Partition) -> int:
-    """Number of standard Young tableaux of shape p, by the hook formula."""
-    hooks = hook_lengths(p)
-    num = 1
-    for k in range(2, p.size + 1):
-        num *= k
-    den = 1
-    for h in hooks:
-        den *= h
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError("hook formula did not divide evenly")
-    return q
-
-
-def multinomial(sizes) -> int:
-    """Multinomial coefficient (sum sizes)! / prod sizes!."""
-    total = 0
-    result = 1
-    for k in sizes:
-        for i in range(1, k + 1):
-            total += 1
-            result = result * total // i
-    return result

@@ -39,7 +39,7 @@ from abacore.partitions import (
     partitions_of,
 )
 from abacore.polynomials import ennola_e
-from oracles import residue_key_oracle, rim_hook_core, root_key_oracle
+from oracles import cells, residue_key_oracle, rim_hook_core, root_key_oracle
 
 P = Partition
 
@@ -60,6 +60,21 @@ class TestResidueMultisets:
     def test_level_mismatch(self):
         with pytest.raises(ValueError):
             residue_multiset(ChargedMultiPartition((P(()),), (0,)), 2)
+
+    @pytest.mark.parametrize("e", [1, 2, 3])
+    def test_matches_cell_oracle(self, e):
+        # e*(content + s_c) + c counted over the raw cell set of component c
+        charge_vectors = [(0,) * e, tuple(range(e)), tuple(3 - 2 * c for c in range(e))]
+        for size in range(6):
+            for mp in multipartitions_of(e, size):
+                for charges in charge_vectors:
+                    counts = {}
+                    for c, (p, s) in enumerate(zip(mp, charges)):
+                        for i, j in cells(p.parts):
+                            v = e * (j - i + s) + c
+                            counts[v] = counts.get(v, 0) + 1
+                    cmp = ChargedMultiPartition(mp, charges)
+                    assert residue_multiset(cmp, e) == tuple(sorted(counts.items()))
 
     def test_uniform_charge_shift_preserves_key_equality(self):
         # shifting all charges by c shifts every residue by e*c
@@ -484,6 +499,12 @@ class TestCoreKeyEquivalence:
             check_core_key_equivalence(P((2,)), P((1,)), 2, 3)  # sizes differ
         with pytest.raises(ValueError):
             check_core_key_equivalence(P((3,)), P((2, 1)), 2, 3)  # cores differ
+
+    @pytest.mark.parametrize("e, m", [(1, 0), (1, -1), (0, 1)])
+    def test_rejects_nonpositive_levels(self, e, m):
+        # gcd(e, m) is 1 for each, so only the level check can name the fault
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            check_core_key_equivalence(P((2,)), P((1, 1)), e, m)
 
     def test_sweep_no_violation(self):
         for n in range(1, 9):

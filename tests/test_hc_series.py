@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -25,6 +26,7 @@ from abacore.partitions import (
     partitions_of,
 )
 from abacore.polynomials import singular_check
+from oracles import rim_hook_core, syt_by_recursion
 
 P = Partition
 
@@ -59,6 +61,14 @@ class TestPairs:
         for n, e in ((4, 3), (7, 2), (6, 4)):
             cores = [pr.core.parts for pr in hc_pairs(n, e)]
             assert cores == sorted(cores)
+
+    def test_cores_match_rim_hook_oracle(self):
+        for n in range(1, 13):
+            for e in range(1, 8):
+                pairs = hc_pairs(n, e)
+                cores = {rim_hook_core(p.parts, e) for p in partitions_of(n)}
+                assert [pr.core.parts for pr in pairs] == sorted(cores)
+                assert all(pr.a == (n - pr.core.size) // e for pr in pairs)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -185,6 +195,17 @@ class TestWreath:
         assert wreath_dim((P(()), P((1,)), P(()))) == 1
         assert wreath_dim((P((1,)), P((1,)))) == 2
         assert wreath_dim((P((2,)), P((1,)))) == 3
+
+    def test_dim_matches_multinomial_times_tableau_counts(self):
+        for e in range(1, 5):
+            for a in range(7):
+                for mp in multipartitions_of(e, a):
+                    expected = factorial(a)
+                    for p in mp:
+                        expected //= factorial(p.size)
+                    for p in mp:
+                        expected *= syt_by_recursion(p.parts)
+                    assert wreath_dim(mp) == expected
 
     def test_sum_of_squares_is_group_order(self):
         for e in (1, 2, 3):

@@ -1,10 +1,12 @@
 """The library's surface: every public module-level function and class in
 src/abacore is exported or used by the library itself, so code that only the
 tests need lives under tests/, and every private one is used by the library,
-so a helper does not outlive its last caller.
+so a helper does not outlive its last caller.  Every public method and
+property of a library class is used by the library too.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import abacore
@@ -14,6 +16,7 @@ SRC = Path(abacore.__file__).parent
 # kept for the planned degree-bmm suite, which needs the order e^a * a! of
 # the relative Weyl group of a series
 UNUSED_BY_DESIGN = {"WreathGroup"}
+UNUSED_METHODS_BY_DESIGN = {"WreathGroup.order"}
 
 
 def unreferenced_names(sources):
@@ -43,9 +46,48 @@ def unreferenced_names(sources):
     return sorted(set(defined) - referenced)
 
 
+def unreferenced_methods(sources):
+    """Public methods and properties of top-level classes, as "Class.name",
+    that no ast Attribute references outside their own definition.
+
+    sources maps module names to source text.  An attribute is matched by
+    name alone, whatever object it is taken from.
+    """
+    attrs = Counter()
+    methods = []
+    for text in sources.values():
+        tree = ast.parse(text)
+        attrs.update(
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        )
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods.extend(
+                    (cls.name, item)
+                    for item in cls.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                )
+
+    def own_references(fn):
+        return sum(
+            isinstance(node, ast.Attribute) and node.attr == fn.name
+            for node in ast.walk(fn)
+        )
+
+    return sorted(
+        f"{cls}.{fn.name}"
+        for cls, fn in methods
+        if attrs[fn.name] == own_references(fn)
+    )
+
+
+def _library_sources():
+    return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+
+
 def _library_unreferenced():
-    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    return unreferenced_names(sources)
+    return unreferenced_names(_library_sources())
 
 
 def test_no_test_only_code_in_src():
@@ -60,6 +102,12 @@ def test_no_test_only_code_in_src():
 
 def test_no_orphaned_private_helper():
     assert [name for name in _library_unreferenced() if name.startswith("_")] == []
+
+
+def test_no_orphaned_method():
+    unused = unreferenced_methods(_library_sources())
+    assert sorted(set(unused) - UNUSED_METHODS_BY_DESIGN) == []
+    assert "WreathGroup.order" in unused  # the exception is still needed
 
 
 def test_scan_counts_only_code_references():
@@ -99,3 +147,30 @@ def test_scan_counts_only_code_references():
         "mentioned",
         "recursive",
     ]
+
+
+def test_scan_catches_orphaned_method():
+    sources = {
+        "a": (
+            "class Shape:\n"
+            "    @property\n"
+            "    def area(self):\n"
+            "        return 1\n"
+            "    def scaled(self):\n"
+            "        return self.scaled\n"
+            "    def orphan(self):\n"
+            "        return 0\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+            "    def __len__(self):\n"
+            "        return 0\n"
+        ),
+        "b": (
+            "from a import Shape\n"
+            "def measure(shape):\n"
+            '    """Calls shape.orphan()."""\n'
+            "    orphan = shape.area\n"
+            "    return orphan\n"
+        ),
+    }
+    assert unreferenced_methods(sources) == ["Shape.orphan", "Shape.scaled"]
