@@ -70,7 +70,7 @@ def residue_multiset(cmp: ChargedMultiPartition, e: int) -> Counts:
         raise ValueError(f"expected {e} components, got {cmp.level}")
     acc: dict[int, int] = {}
     for j, (p, s) in enumerate(zip(cmp.components, cmp.charges)):
-        for row, length in enumerate(p.parts):
+        for row, length in enumerate(p):
             for content in range(-row, length - row):
                 v = e * (content + s) + j
                 acc[v] = acc.get(v, 0) + 1
@@ -119,7 +119,7 @@ def _root_counts(
     """Sorted (k, count) pairs of the box values (content*omega + alpha) mod d."""
     acc: dict[int, int] = {}
     for p, alpha in zip(mp, alphas):
-        for row, length in enumerate(p.parts):
+        for row, length in enumerate(p):
             for content in range(-row, length - row):
                 v = (content * omega + alpha) % d
                 acc[v] = acc.get(v, 0) + 1
@@ -157,7 +157,9 @@ def _member_key(p: Partition, e: int, m: int) -> Counts:
 
 
 def _require_blocks(e: int, m: int) -> None:
-    """Reject m < 1; raise OmegaIsOne when m | e, where omega = x^e is 1."""
+    """Reject levels below 1; raise OmegaIsOne when m | e, where x^e is 1."""
+    if e < 1:
+        raise ValueError("e must be >= 1")
     if m < 1:
         raise ValueError("m must be >= 1")
     if e % m == 0:
@@ -188,23 +190,13 @@ def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> b
     return result
 
 
-def _mp_sort_key(mp: MultiPartition) -> tuple:
-    return tuple(p.parts for p in mp)
-
-
-def _canonical_blocks(groups) -> tuple[tuple[MultiPartition, ...], ...]:
-    """Sort members within blocks and blocks by first member."""
-    blocks = [tuple(sorted(members, key=_mp_sort_key)) for members in groups]
-    blocks.sort(key=lambda block: _mp_sort_key(block[0]))
-    return tuple(blocks)
-
-
 def _group_by_counts(mps, values) -> tuple[tuple[MultiPartition, ...], ...]:
-    """Canonical blocks of mps grouped by _root_counts(mp, *values)."""
+    """Blocks of mps grouped by _root_counts(mp, *values), each sorted; the
+    blocks are disjoint, so sorting them orders them by first member."""
     grouped: dict[tuple, list[MultiPartition]] = {}
     for mp in mps:
         grouped.setdefault(_root_counts(mp, *values), []).append(mp)
-    return _canonical_blocks(grouped.values())
+    return tuple(sorted(tuple(sorted(block)) for block in grouped.values()))
 
 
 def block_partition(
@@ -228,6 +220,8 @@ def series_blocks(
     primitive m-th root."""
     if variant not in (GL, GU):
         raise ValueError(f"unknown variant {variant!r}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if variant == GU and pair.a > 0:
         return root_key_partition(pair.e, pair.a, specialization(pair, GU), ennola_e(m))
     return block_partition(pair.e, pair.a, pair.core, m)
@@ -312,7 +306,7 @@ def _side_blocks(
     variant induces the same partition; at at_root = 1 every key collapses,
     so it is the single full block on both variants."""
     if at_root == 1:
-        return _canonical_blocks([multipartitions_of(pair.e, pair.a)]), True
+        return (tuple(sorted(multipartitions_of(pair.e, pair.a))),), True
     blocks = series_blocks(pair, at_root)
     return blocks, pair.a == 0 or series_blocks(pair, at_root, GU) == blocks
 
@@ -333,7 +327,7 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         raise ValueError("levels must be coprime")
 
     groups: dict[tuple[Partition, Partition], list[Partition]] = {}
-    for p in sorted(partitions_of(n), key=lambda q: q.parts):
+    for p in sorted(partitions_of(n)):
         groups.setdefault((e_core(p, e), e_core(p, m)), []).append(p)
     pairs = {(pr.e, pr.core): pr for level in (e, m) for pr in hc_pairs(n, level)}
     sides: dict[tuple[int, Partition], tuple] = {}
@@ -354,9 +348,7 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         return ok and sizes == [len(members)], sizes
 
     intersections = []
-    for (core_e, core_m), members in sorted(
-        groups.items(), key=lambda kv: (kv[0][0].parts, kv[0][1].parts)
-    ):
+    for (core_e, core_m), members in sorted(groups.items()):
         ok_e, sizes_e = side(members, e, core_e, m)
         ok_m, sizes_m = side(members, m, core_m, e)
         intersections.append(

@@ -140,11 +140,11 @@ def _content_prop_cases(max_n):
     ]
     for n in range(1, max_n + 1):
         for e, m in level_pairs:
-            by_core: dict[tuple[int, ...], list[Partition]] = {}
+            by_core: dict[Partition, list[Partition]] = {}
             for p in partitions_of(n):
-                by_core.setdefault(e_core(p, e).parts, []).append(p)
+                by_core.setdefault(e_core(p, e), []).append(p)
             for members in by_core.values():
-                members = sorted(members, key=lambda q: q.parts)
+                members = sorted(members)
                 for i in range(len(members)):
                     for j in range(i + 1, len(members)):
                         case = {
@@ -296,8 +296,6 @@ def _check_bounds(bound: int, *named: tuple[str, int]) -> None:
 
 def _cmd_core(args) -> int:
     p = parse_partition(args.partition)
-    if args.e < 1:
-        raise ValueError("e must be >= 1")
     _check_bounds(INPUT_MAX, ("--e", args.e), ("partition size", p.size))
     pair, image = hc_series_of(p, args.e)
     _emit(
@@ -340,8 +338,6 @@ def _cmd_uglov(args) -> int:
 def _cmd_series(args) -> int:
     _check_bounds(SERIES_MAX_N, ("--n", args.n))
     _check_bounds(LEVEL_MAX, ("--e", args.e))
-    if args.n < 1 or args.e < 1:
-        raise ValueError("n and e must be >= 1")
     _emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
     return 0
 

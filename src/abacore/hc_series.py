@@ -88,7 +88,7 @@ class HeckeSpecialization:
 
 @lru_cache(maxsize=None)
 def hc_pairs(n: int, e: int) -> tuple[CuspidalPairGL, ...]:
-    """All cuspidal pairs for GL_n at level e, cores sorted lexicographically.
+    """All cuspidal pairs for GL_n at level e, in lexicographic order of cores.
 
     The cores are the e-cores of the partitions of n, which are all e-cores
     of size n - a*e, a >= 0: such a core is the e-core of itself with a*e
@@ -97,7 +97,7 @@ def hc_pairs(n: int, e: int) -> tuple[CuspidalPairGL, ...]:
     """
     if n < 1 or e < 1:
         raise ValueError("n and e must be >= 1")
-    cores = sorted({e_core(p, e) for p in partitions_of(n)}, key=lambda c: c.parts)
+    cores = sorted({e_core(p, e) for p in partitions_of(n)})
     return tuple(CuspidalPairGL(n, e, (n - c.size) // e, c) for c in cores)
 
 
@@ -116,13 +116,13 @@ def hc_series_of(p: Partition, e: int) -> tuple[CuspidalPairGL, ChargedMultiPart
 def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:
     """Partition of the partitions of n into series, keyed by cuspidal pair.
 
-    Members are listed in lexicographic order of their part tuples.  Each
+    Members are in sorted order, lexicographic in their parts.  Each
     member is filed under the cached pair of its e-core, so no pair is built
     per partition.
     """
     pairs = hc_pairs(n, e)
     by_core: dict[Partition, list[Partition]] = {pair.core: [] for pair in pairs}
-    for p in sorted(partitions_of(n), key=lambda q: q.parts):
+    for p in sorted(partitions_of(n)):
         by_core[e_core(p, e)].append(p)
     return {pair: tuple(by_core[pair.core]) for pair in pairs}
 
@@ -176,8 +176,6 @@ def degree_sign(p: Partition, e: int) -> int:
     The remainder must be a constant of absolute value equal to the wreath
     degree of p's e-quotient; a mismatch raises DegreeSignError.
     """
-    if e < 1:
-        raise ValueError("e must be >= 1")
     rem = mod_cyclotomic(generic_degree(p), e)
     if not rem.is_constant():
         raise DegreeSignError(f"nonconstant remainder {rem} for {p.parts} at e={e}")

@@ -56,8 +56,6 @@ def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
 
 def qr_em_inv(q: int, r: int, e: int, m: int) -> tuple[int, int]:
     """Inverse of qr_em: apply the (m, e)-swapped map to (q, r)."""
-    if not 0 <= r < m:
-        raise ValueError(f"component {r} out of range for level {m}")
     return qr_em(q, r, m, e)
 
 

@@ -3,8 +3,11 @@
 Conventions used throughout the package:
 
 * A partition is a weakly decreasing tuple of positive integers; the empty
-  partition is allowed.  Boxes are indexed (row, column), both 1-based, and
-  the content of a box is column - row.
+  partition is allowed.  Partition subclasses tuple, so partitions and the
+  multipartitions built from them compare, hash and sort as their part
+  tuples: sorted() gives the lexicographic order (Macdonald, I.1) in which
+  series, their members and blocks are listed.  Boxes are indexed (row,
+  column), both 1-based, and the content of a box is column - row.
 * A beta set encodes a charged partition as the set
   {parts[i] - (i+1) + charge : i >= 0}, which contains every integer below
   some floor.  We store the canonical pair (floor, tail): floor is the
@@ -23,43 +26,49 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A weakly decreasing tuple of positive integers.
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers, ordered as that tuple.
 
     >>> Partition((3, 1, 1)).size
     5
     >>> Partition(()).length
     0
+    >>> sorted([Partition((2,)), Partition((1, 1))])
+    [Partition(parts=(1, 1)), Partition(parts=(2,))]
     """
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        for i, p in enumerate(parts):
+    def __new__(cls, parts=()):
+        self = super().__new__(cls, parts)
+        for i, p in enumerate(self):
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
-            if i + 1 < len(parts) and parts[i + 1] > p:
-                raise ValueError(f"parts must be weakly decreasing: {parts}")
+            if i + 1 < len(self) and self[i + 1] > p:
+                raise ValueError(f"parts must be weakly decreasing: {self.parts}")
+        return self
+
+    @property
+    def parts(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     @property
     def length(self) -> int:
-        return len(self.parts)
+        return len(self)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * (self[0] if self else 0)
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(tuple(cols))
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts})"
 
     def __str__(self) -> str:
         return render_partition(self)
@@ -140,9 +149,9 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
     >>> hook_lengths(Partition((2, 1)))
     (3, 1, 1)
     """
-    conj = p.conjugate().parts
+    conj = p.conjugate()
     hooks = []
-    for i, row in enumerate(p.parts, start=1):
+    for i, row in enumerate(p, start=1):
         for j in range(1, row + 1):
             arm = row - j
             leg = conj[j - 1] - i
@@ -167,7 +176,7 @@ def _abaci(components, charges) -> Abacus:
     """Canonical (floor, tail) pairs of charged partitions: the beads of
     |p, s> are {p[i] - (i+1) + s : i >= 0}."""
     return tuple(
-        (s - len(p.parts), tuple(x - i + s for i, x in enumerate(p.parts, 1)))
+        (s - len(p), tuple(x - i + s for i, x in enumerate(p, 1)))
         for p, s in zip(components, charges)
     )
 
@@ -324,7 +333,7 @@ def core_exponents(core: Partition, e: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of n, in leading-part-descending order."""
+    """All partitions of n, in decreasing lexicographic order."""
     if n < 0:
         raise ValueError("n must be >= 0")
 
@@ -341,7 +350,8 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def multipartitions_of(e: int, a: int) -> tuple[MultiPartition, ...]:
-    """All e-tuples of partitions of total size a, in a fixed order."""
+    """All e-tuples of partitions of total size a, in decreasing
+    lexicographic order of (|p_1|, p_1, ..., |p_e|, p_e)."""
     if e < 1:
         raise ValueError("e must be >= 1")
     if a < 0:
@@ -372,7 +382,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def render_partition(p: Partition) -> str:
-    return ",".join(str(x) for x in p.parts)
+    return ",".join(str(x) for x in p)
 
 
 def parse_multipartition(text: str) -> MultiPartition:

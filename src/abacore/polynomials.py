@@ -227,7 +227,7 @@ def generic_degree(p: Partition) -> IntPolynomial:
     IntPolynomial('x^2 + x')
     """
     n = p.size
-    shift = sum(i * part for i, part in enumerate(p.parts))
+    shift = sum(i * part for i, part in enumerate(p))
     poly = IntPolynomial(*([0] * shift), 1)
     for i in range(1, n + 1):
         poly = poly * x_power_minus_one(i)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -344,6 +345,55 @@ class TestBlockPartition:
             block_partition(4, 1, P((2,)), 2)
         with pytest.raises(OmegaIsOne):
             block_partition(3, 1, P(()), 1)
+
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_rejects_nonpositive_e(self, e):
+        # every m divides e = 0, so the level check must precede the m | e test
+        calls = (
+            lambda: block_partition(e, 1, P(()), 2),
+            lambda: same_block(P((1,)), P((1,)), e, 2, P(())),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="^e must be >= 1$") as exc:
+                call()
+            assert not isinstance(exc.value, OmegaIsOne)
+
+    @pytest.mark.parametrize("variant", [GL, GU])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_series_blocks_rejects_nonpositive_m(self, m, variant):
+        # GU keys are taken at ennola_e(m), whose own check names e
+        toral = CuspidalPairGL(4, 2, 2, P(()))
+        for pair in (toral, CuspidalPairGL(3, 2, 0, P((2, 1)))):
+            with pytest.raises(ValueError, match="^m must be >= 1$") as exc:
+                series_blocks(pair, m, variant)
+            assert not isinstance(exc.value, OmegaIsOne)
+
+    def test_group_by_counts_canonical_order(self):
+        # members sorted, then blocks by first member, both by part tuples,
+        # whatever order the multipartitions come in
+        def key(mp):
+            return tuple(p.parts for p in mp)
+
+        rng = random.Random(14)
+        for e in range(1, 4):
+            charges = e_quotient_charged(P(()), e).charges
+            for a in range(6):
+                mps = list(multipartitions_of(e, a))
+                rng.shuffle(mps)
+                for m in range(1, 6):
+                    if e % m == 0:
+                        continue
+                    grouped = {}
+                    for mp in mps:
+                        k = residue_key_oracle([p.parts for p in mp], charges, e, m)
+                        grouped.setdefault(k, []).append(mp)
+                    expected = sorted(
+                        (sorted(block, key=key) for block in grouped.values()),
+                        key=lambda block: key(block[0]),
+                    )
+                    values = blocks._level_values(P(()), e, m)
+                    result = blocks._group_by_counts(mps, values)
+                    assert result == tuple(tuple(block) for block in expected)
 
     def test_series_blocks_rejects_unknown_variant(self):
         # no spelling of the variant other than "gl" and "gu" falls back

@@ -43,8 +43,8 @@ class TestCore:
         assert "error" in err
 
     def test_bad_level(self, capsys):
-        code, _, _ = run(capsys, "core", "--partition", "2", "--e", "0")
-        assert code == 2
+        code, out, err = run(capsys, "core", "--partition", "2", "--e", "0")
+        assert (code, out, err) == (2, "", "error: e must be >= 1\n")
 
 
 class TestUglov:
@@ -127,6 +127,12 @@ class TestSeriesCommand:
         for entry in doc["series"]:
             assert len(entry["members"]) == len(entry["quotients"])
             assert len(entry["charges"]) == 3
+
+
+    @pytest.mark.parametrize("n, e", [(0, 2), (3, 0)])
+    def test_bad_sizes(self, capsys, n, e):
+        code, out, err = run(capsys, "series", "--n", str(n), "--e", str(e))
+        assert (code, out, err) == (2, "", "error: n and e must be >= 1\n")
 
 
 class TestBlocksCommand:
@@ -485,6 +491,27 @@ class TestOutputBytes:
         ],
     )
     def test_gl_block_key_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of stdout as recorded with blocks sorted through sort-key
+    # helpers rather than as tuples of partitions; many blocks here have
+    # several members
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("blocks", "--n", "16", "--e", "3", "--m", "4"),
+                "467e08f2d93af0bbdef2f49cc0a6db4b86de9b0bfc851dd640346a62dde9660b",
+            ),
+            (
+                ("blocks", "--n", "16", "--e", "2", "--m", "5", "--variant", "gu"),
+                "00c04c79e90621e8c324a7f49d6cf32cf15296353de72c3639efb5fa10018698",
+            ),
+        ],
+    )
+    def test_block_order_digest(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

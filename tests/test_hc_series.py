@@ -222,6 +222,11 @@ class TestDegreeSign:
         assert degree_sign(P((1, 1)), 2) == -1
         assert degree_sign(P((2, 1)), 3) == -1
 
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_rejects_bad_level(self, e):
+        with pytest.raises(ValueError, match="e must be >= 1"):
+            degree_sign(P((1,)), e)
+
     def test_toral_series_always_work(self):
         # whenever the core has at most one box, the remainder is a constant
         # of the predicted size

@@ -75,7 +75,7 @@ class TestQuotientRemainder:
     def test_qr_em_rejects_bad_component(self):
         with pytest.raises(ValueError):
             qr_em(0, 2, 2, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="component 3 out of range for level 3"):
             qr_em_inv(0, 3, 2, 3)
 
     def test_qr_em_inv_examples(self):

@@ -44,10 +44,28 @@ partition_strategy = st.lists(st.integers(1, 8), max_size=8).map(
 
 class TestPartitionBasics:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             P((1, 2))
-        with pytest.raises(ValueError):
+        assert str(exc.value) == "parts must be weakly decreasing: (1, 2)"
+        with pytest.raises(ValueError) as exc:
             P((2, 0))
+        assert str(exc.value) == "parts must be positive, got 0"
+
+    def test_is_its_tuple_of_parts(self):
+        ps = list(all_partitions_up_to(8))
+        for p in ps:
+            assert p == p.parts
+            assert hash(p) == hash(p.parts)
+            assert type(p.parts) is tuple
+        assert sorted(ps) == sorted(ps, key=lambda q: q.parts)
+        assert sorted(ps) != ps  # partitions_of lists each size in reverse
+
+    def test_repr_str_and_slots(self):
+        assert repr(P((1, 1))) == "Partition(parts=(1, 1))"
+        assert repr(P(())) == "Partition(parts=())"
+        assert str(P((3, 1, 1))) == "3,1,1"
+        assert P([2, 1]) == P(parts=(2, 1))
+        assert not hasattr(P(()), "__dict__")
 
     def test_size_and_length(self):
         assert P((3, 1, 1)).size == 5

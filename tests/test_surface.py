@@ -2,7 +2,8 @@
 src/abacore is exported or used by the library itself, so code that only the
 tests need lives under tests/, and every private one is used by the library,
 so a helper does not outlive its last caller.  Every public method and
-property of a library class is used by the library too.
+property of a library class is used by the library too.  No sort in the
+library restates the lexicographic order of Partition with a key on .parts.
 """
 
 import ast
@@ -174,3 +175,51 @@ def test_scan_catches_orphaned_method():
         ),
     }
     assert unreferenced_methods(sources) == ["Shape.orphan", "Shape.scaled"]
+
+
+def parts_sort_keys(sources):
+    """"module:line" of every sorted(...) or .sort(...) call whose key=
+    expression reads the attribute parts.
+
+    Partition compares as its tuple of parts, so such a key restates the
+    order Partition already has.
+    """
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if not (
+                (isinstance(func, ast.Name) and func.id == "sorted")
+                or (isinstance(func, ast.Attribute) and func.attr == "sort")
+            ):
+                continue
+            for kw in node.keywords:
+                if kw.arg == "key" and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "parts"
+                    for sub in ast.walk(kw.value)
+                ):
+                    found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_order_lives_in_partition():
+    assert parts_sort_keys(_library_sources()) == []
+
+
+def test_scan_catches_parts_sort_key():
+    sources = {
+        "a": (
+            "xs = sorted(ps, key=lambda q: q.parts)\n"
+            "ps.sort(key=lambda kv: (kv[0].parts, kv[1]))\n"
+            "ys = sorted(ps, key=len)\n"
+            "zs = sorted(p.parts for p in ps)\n"
+            "ps.sort()\n"
+        ),
+        "b": (
+            "def f(ps):\n"
+            "    return sorted(ps, reverse=True, key=lambda p: p.parts[0])\n"
+        ),
+    }
+    assert parts_sort_keys(sources) == ["a:1", "a:2", "b:2"]
