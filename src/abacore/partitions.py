@@ -201,30 +201,44 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     by residue mod m; to m = 1 it joins e components; in general it is the
     Uglov level-rank map, bead by bead (levelrank.qr_em).
 
+    One call costs O(beads + m*k + lift) besides sorting the output tails:
+    beads is the total tail length, k the number of components whose floor
+    lies above the lowest floor, base, and lift the sum of floor_i - base,
+    which bounds what those raised floors fill in.  Each tail bead x of
+    component i is bucketed once, under residue x % m as e*(x // m) + i.
+    Below its floor, component i sends each bead m*q + rho to e*q + i, for
+    every q below top_i = ceil((floor_i - rho) / m).  top_i is monotone in
+    floor_i, so every component fills up to low = ceil((base - rho) / m),
+    which gives the output floor e*low, and only a raised floor can have
+    top_i > low and fill further.  The images are distinct: component i
+    lands on e*q + i, its tail above its filled range.
+
     >>> regroup(((2, (5,)),), 3)
     ((1, ()), (1, ()), (0, (1,)))
     >>> regroup(((1, ()), (1, ()), (0, (1,))), 1)
     ((2, (5,)),)
+    >>> regroup(((0, ()), (3, ()), (-1, (1,))), 2)
+    ((0, (4, 1)), (-1, (2, 1)))
     """
     e = len(abaci)
-    out = []
-    for rho in range(m):
-        # beads x < floor_i with x = rho mod m land on e*q + i for all q below
-        # ceil((floor_i - rho) / m)
-        tops = [-((rho - floor) // m) for floor, _ in abaci]
-        low = min(tops)
-        # images are distinct (component i lands on e*q + i, its tail above its range)
-        beads = []
-        for i, ((_, tail), top) in enumerate(zip(abaci, tops)):
-            beads.extend(range(e * low + i, e * top + i, e))
-            beads.extend(e * (x // m) + i for x in tail if x % m == rho)
+    base = min(floor for floor, _ in abaci)
+    buckets = [[] for _ in range(m)]
+    for i, (_, tail) in enumerate(abaci):
+        for x in tail:
+            buckets[x % m].append(e * (x // m) + i)
+    raised = [(i, floor) for i, (floor, _) in enumerate(abaci) if floor > base]
+    for rho, beads in enumerate(buckets):
+        low = -((rho - base) // m)
+        for i, floor in raised:
+            if (top := -((rho - floor) // m)) > low:
+                beads.extend(range(e * low + i, e * top + i, e))
         beads.sort(reverse=True)
         floor = e * low
         while beads and beads[-1] == floor:
             beads.pop()
             floor += 1
-        out.append((floor, tuple(beads)))
-    return tuple(out)
+        buckets[rho] = (floor, tuple(beads))
+    return tuple(buckets)
 
 
 def to_beta(cp: ChargedPartition) -> BetaSet:

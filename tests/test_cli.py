@@ -516,6 +516,35 @@ class TestOutputBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout as recorded with regroup rescanning every input tail
+    # for each output residue, before it bucketed the tail beads once; the
+    # uglov lines are the README examples
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("verify", "thm2", "--max-n", "8", "--stream"),
+                "9761216fd4a8b79b2d56d9683e0ef7a5afe3570d48194aeb6b2f78c9caf37ce5",
+            ),
+            (
+                ("verify", "roundtrip", "--trials", "200", "--seed", "7", "--stream"),
+                "3df37c5080a3fa717895737ca2de03bc041f8dc0fc2cd7c903c077561aee57ac",
+            ),
+            (
+                ("uglov", "--mp", ";", "--charges", "1,0", "--e", "2", "--m", "3"),
+                "1198ef758c85ac607c3b316a96b2c2531e6549228be6d1dcc0521a89abcd2ea1",
+            ),
+            (
+                ("uglov", "--mp", ";", "--charges=-1,0", "--e", "2", "--m", "3"),
+                "b6a62253f5e04f877b915a5e52e94f86791840aeaa99698e10a5ee2aa43ba8b3",
+            ),
+        ],
+    )
+    def test_bead_map_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_content_lemma_digest(self, capsys):
         # sha256 of stdout as recorded with the content identities compared
         # as truncated series

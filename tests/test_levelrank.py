@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abacore import levelrank
+from abacore import levelrank, partitions
+from abacore.cli import LEVEL_SWEEP_MAX
 from abacore.levelrank import (
     AffinePerm,
     affine_perm,
@@ -313,6 +314,29 @@ def wide_floor_sweep():
                 ], m
 
 
+def thm2_level_sweep():
+    """(components, m) for the levels verify thm2 reaches beyond the sweeps
+    above: coprime e, m with 6 <= max(e, m) <= LEVEL_SWEEP_MAX.
+
+    Each pair gets four inputs of each shape: equal floors, the same with
+    one floor raised by 1 to 16, and all tails empty with charges spread over
+    -m..m.
+    """
+    for e in range(1, LEVEL_SWEEP_MAX + 1):
+        for m in range(1, LEVEL_SWEEP_MAX + 1):
+            if gcd(e, m) != 1 or max(e, m) < 6:
+                continue
+            for k in range(4):
+                parts = [WIDE_PARTS[(k + 3 * i) % len(WIDE_PARTS)] for i in range(e)]
+                floor = 2 * k - 3
+                yield [(p, floor + len(p)) for p in parts], m
+                yield [
+                    (p, floor + len(p) + (1 + 5 * k) * (i == k % e))
+                    for i, p in enumerate(parts)
+                ], m
+                yield [((), (7 * i + 3 * k) % (2 * m + 1) - m) for i in range(e)], m
+
+
 def as_pairs(cmp):
     return [(p.parts, s) for p, s in zip(cmp.components, cmp.charges)]
 
@@ -363,6 +387,14 @@ class TestBeadMapOracle:
             for comps, m in wide_floor_sweep()
         )
         assert disagreements > 0
+
+    def test_thm2_level_sweep_matches_bead_windows(self):
+        cases = 0
+        for comps, m in thm2_level_sweep():
+            assert as_pairs(uglov(from_pairs(comps), m)) == regroup_on_beads(comps, m)
+            cases += 1
+        # 72 coprime pairs in 1..12 with max(e, m) >= 6, 3 shapes of 4 inputs
+        assert cases == 72 * 12
 
 
 class TestDiagrams:
@@ -530,3 +562,105 @@ class TestPairShiftMutants:
         for (p, e, m), ok in verdicts.items():
             assert ok == (is_e_core(p, e) and is_e_core(p, m))
         assert sum(not ok for ok in verdicts.values()) > 0.8 * len(verdicts)
+
+
+def misfiled_bead_regroup(abaci, m):
+    """Mutant of regroup: the first tail bead of the abacus, in component
+    order, is filed under residue (r + 1) % m instead of r."""
+    e = len(abaci)
+    base = min(floor for floor, _ in abaci)
+    buckets = [[] for _ in range(m)]
+    first = True
+    for i, (_, tail) in enumerate(abaci):
+        for x in tail:
+            buckets[(x % m + first) % m].append(e * (x // m) + i)
+            first = False
+    raised = [(i, floor) for i, (floor, _) in enumerate(abaci) if floor > base]
+    for rho, beads in enumerate(buckets):
+        low = -((rho - base) // m)
+        for i, floor in raised:
+            if (top := -((rho - floor) // m)) > low:
+                beads.extend(range(e * low + i, e * top + i, e))
+        beads.sort(reverse=True)
+        floor = e * low
+        while beads and beads[-1] == floor:
+            beads.pop()
+            floor += 1
+        buckets[rho] = (floor, tuple(beads))
+    return tuple(buckets)
+
+
+def first_floor_regroup(abaci, m):
+    """Mutant of regroup: low is taken from the first component's floor
+    instead of the lowest floor."""
+    e = len(abaci)
+    base = abaci[0][0]
+    buckets = [[] for _ in range(m)]
+    for i, (_, tail) in enumerate(abaci):
+        for x in tail:
+            buckets[x % m].append(e * (x // m) + i)
+    raised = [(i, floor) for i, (floor, _) in enumerate(abaci) if floor > base]
+    for rho, beads in enumerate(buckets):
+        low = -((rho - base) // m)
+        for i, floor in raised:
+            if (top := -((rho - floor) // m)) > low:
+                beads.extend(range(e * low + i, e * top + i, e))
+        beads.sort(reverse=True)
+        floor = e * low
+        while beads and beads[-1] == floor:
+            beads.pop()
+            floor += 1
+        buckets[rho] = (floor, tuple(beads))
+    return tuple(buckets)
+
+
+class TestRegroupMutants:
+    @pytest.fixture(autouse=True)
+    def fresh_cores(self):
+        # e_core is cached and computed with regroup: start from no cached
+        # cores, so the counts below do not depend on the tests run before,
+        # and leave none computed by a mutant behind
+        partitions.e_core.cache_clear()
+        yield
+        partitions.e_core.cache_clear()
+
+    @staticmethod
+    def patch(monkeypatch, mutant):
+        monkeypatch.setattr(partitions, "regroup", mutant)
+        monkeypatch.setattr(levelrank, "regroup", mutant)
+
+    @pytest.mark.parametrize(
+        "mutant, sweep, misses, cases",
+        [
+            (misfiled_bead_regroup, bead_sweep, 1575, 2128),
+            (misfiled_bead_regroup, wide_floor_sweep, 472, 600),
+            (misfiled_bead_regroup, thm2_level_sweep, 506, 864),
+            (first_floor_regroup, bead_sweep, 868, 2128),
+            (first_floor_regroup, wide_floor_sweep, 360, 600),
+            (first_floor_regroup, thm2_level_sweep, 207, 864),
+        ],
+    )
+    def test_fails_bead_windows(self, monkeypatch, mutant, sweep, misses, cases):
+        self.patch(monkeypatch, mutant)
+        outcomes = []
+        for comps, m in sweep():
+            try:
+                image = as_pairs(uglov(from_pairs(comps), m))
+            except ValueError:  # a misfiled bead can leave a non-canonical tail
+                image = None
+            outcomes.append(image == regroup_on_beads(comps, m))
+        assert (outcomes.count(False), len(outcomes)) == (misses, cases)
+
+    @pytest.mark.parametrize(
+        "mutant, failed", [(misfiled_bead_regroup, 87), (first_floor_regroup, 106)]
+    )
+    def test_fails_core_matched_diagram(self, monkeypatch, mutant, failed):
+        self.patch(monkeypatch, mutant)
+        verdicts = [
+            check_core_matched_diagram(p, e, m)
+            for e, m in TestPairShiftMutants.LEVELS
+            for n in range(7)
+            for p in partitions_of(n)
+        ]
+        # 4 level pairs, 30 partitions of size <= 6
+        assert (verdicts.count(False), len(verdicts)) == (failed, 120)
