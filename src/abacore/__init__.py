@@ -6,17 +6,12 @@ verification CLI.
 from .partitions import (
     BetaSet,
     ChargedMultiPartition,
-    ChargedPartition,
     Partition,
     e_core,
     e_quotient_charged,
     from_beta,
     hook_lengths,
     is_e_core,
-    join_beta,
-    join_charged,
-    split_beta,
-    split_charged,
     to_beta,
 )
 from .levelrank import AffinePerm, affine_perm, apply_affine, qr, qr_em, qr_em_inv, uglov
@@ -30,7 +25,6 @@ __all__ = [
     "AffinePerm",
     "BetaSet",
     "ChargedMultiPartition",
-    "ChargedPartition",
     "CuspidalPairGL",
     "IntPolynomial",
     "Partition",
@@ -49,15 +43,11 @@ __all__ = [
     "hc_series_of",
     "hook_lengths",
     "is_e_core",
-    "join_beta",
-    "join_charged",
     "qr",
     "qr_em",
     "qr_em_inv",
     "residue_multiset",
     "same_block",
-    "split_beta",
-    "split_charged",
     "to_beta",
     "uglov",
 ]

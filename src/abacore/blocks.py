@@ -28,10 +28,10 @@ from .hc_series import (
     hc_pairs,
     specialization,
 )
+from .levelrank import uglov
 from .partitions import (
     BetaSet,
     ChargedMultiPartition,
-    ChargedPartition,
     MultiPartition,
     Partition,
     core_exponents,
@@ -39,7 +39,6 @@ from .partitions import (
     e_quotient_charged,
     multipartitions_of,
     partitions_of,
-    split_charged,
     to_beta,
 )
 from .polynomials import ennola_e
@@ -261,12 +260,13 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     -lossless_window(|p|, s, e) up, which covers all nonzero coefficients.
     """
     window = lossless_window(p.size, s, e)
-    beta_p = to_beta(ChargedPartition(p, s))
-    level1 = residue_multiset(ChargedMultiPartition((p,), (s,)), 1)
+    charged = ChargedMultiPartition((p,), (s,))
+    beta_p = to_beta(charged)
+    level1 = residue_multiset(charged, 1)
     if not _counts_match(level1, 1, beta_p, BetaSet(s), window):
         return False
-    quotient = residue_multiset(split_charged(ChargedPartition(p, s), e), e)
-    beta_core = to_beta(ChargedPartition(e_core(p, e), s))
+    quotient = residue_multiset(uglov(charged, e), e)
+    beta_core = to_beta(ChargedMultiPartition((e_core(p, e),), (s,)))
     return _counts_match(quotient, e, beta_p, beta_core, window)
 
 

@@ -5,9 +5,11 @@ two core-quotient routes commute.
 A bead of an e-abacus is a pair (x, i) with x an integer position in
 component i.  The twisted quotient-remainder map qr_em re-reads one such bead
 as a bead of an m-abacus; the Uglov bijection moves every bead this way, with
-partitions.regroup.  The affine permutations are the corrections that relate
-splitting at two different charges; on charged multipartitions they permute
-components and shift charges.
+partitions.regroup.  It is the one public bead map: from level 1 it is the
+abacus split of a charged partition, and to level 1 the join.  The affine
+permutations are the corrections that relate splitting at two different
+charges; on charged multipartitions they permute components and shift
+charges.
 """
 
 from __future__ import annotations
@@ -64,7 +66,14 @@ def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     m-multipartitions, realized on abaci.
 
     Total charge is preserved, and applying the map with (m, e) swapped
-    inverts it.  At e = 1 this is exactly the abacus splitting.
+    inverts it.  From e = 1 it splits a charged partition into its charged
+    m-quotient; to m = 1 it joins the components back into one.
+
+    >>> split = uglov(ChargedMultiPartition((Partition((3,)),), (3,)), 3)
+    >>> split.components, split.charges
+    ((Partition(parts=()), Partition(parts=()), Partition(parts=(1,))), (1, 1, 1))
+    >>> uglov(split, 1)
+    ChargedMultiPartition(components=(Partition(parts=(3,)),), charges=(3,))
     """
     if m < 1:
         raise ValueError("target level must be >= 1")

@@ -8,16 +8,18 @@ Conventions used throughout the package:
   tuples: sorted() gives the lexicographic order (Macdonald, I.1) in which
   series, their members and blocks are listed.  Boxes are indexed (row,
   column), both 1-based, and the content of a box is column - row.
-* A beta set encodes a charged partition as the set
-  {parts[i] - (i+1) + charge : i >= 0}, which contains every integer below
-  some floor.  We store the canonical pair (floor, tail): floor is the
+* A charged partition is a ChargedMultiPartition of level 1.  Its beta set
+  is {parts[i] - (i+1) + charge : i >= 0}, which contains every integer
+  below some floor.  We store the canonical pair (floor, tail): floor is the
   largest t with Z_{<t} contained in the set, and tail lists the finitely
   many beads above the floor in decreasing order.
 * charge(beta) = floor + len(tail), which equals the charge used to build
   the beta set.
 * An e-abacus is an e-tuple of beta sets, components indexed 0..e-1.  The
-  one bead map between abaci of two levels is `regroup`; splitting, joining
-  and the level-rank bijection are all built on it.
+  one bead map between abaci of two levels is `regroup`.  On charged
+  multipartitions it is levelrank.uglov: splitting a charged partition into
+  its charged e-quotient is uglov from level 1 to level e, and joining is
+  uglov back to level 1.
 """
 
 from __future__ import annotations
@@ -79,16 +81,9 @@ MultiCharge = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class ChargedPartition:
-    """A partition together with an integer charge."""
-
-    partition: Partition
-    charge: int
-
-
-@dataclass(frozen=True)
 class ChargedMultiPartition:
-    """An e-tuple of partitions with an e-tuple of integer charges."""
+    """An e-tuple of partitions with an e-tuple of integer charges.  Level 1
+    is a charged partition |p, s>, which levelrank.uglov splits and joins."""
 
     components: MultiPartition
     charges: MultiCharge
@@ -241,59 +236,21 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     return tuple(buckets)
 
 
-def to_beta(cp: ChargedPartition) -> BetaSet:
-    """The beta set {parts[i] - (i+1) + charge : i >= 0} of a charged partition.
+def to_beta(cmp: ChargedMultiPartition) -> BetaSet:
+    """The beta set {parts[i] - (i+1) + charge : i >= 0} of a charged
+    partition, a ChargedMultiPartition of level 1.
 
-    >>> to_beta(ChargedPartition(Partition((2, 1)), 0))
+    >>> to_beta(ChargedMultiPartition((Partition((2, 1)),), (0,)))
     BetaSet(floor=-2, tail=(1, -1))
     """
-    return BetaSet(*_abaci((cp.partition,), (cp.charge,))[0])
+    if cmp.level != 1:
+        raise ValueError(f"to_beta needs level 1, got level {cmp.level}")
+    return BetaSet(*_abaci(cmp.components, cmp.charges)[0])
 
 
-def from_beta(b: BetaSet) -> ChargedPartition:
+def from_beta(b: BetaSet) -> ChargedMultiPartition:
     """Inverse of to_beta; the output charge equals charge(b)."""
-    (p,), (s,) = _charged(((b.floor, b.tail),))
-    return ChargedPartition(p, s)
-
-
-def split_beta(b: BetaSet, e: int) -> tuple[BetaSet, ...]:
-    """Split a beta set into its e residue classes.
-
-    Component i collects q values of beads x = e*q + i; the tuple of
-    component charges sums to charge(b).
-    """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    return tuple(BetaSet(*c) for c in regroup(((b.floor, b.tail),), e))
-
-
-def join_beta(comps) -> BetaSet:
-    """Inverse of split_beta: {e*q + i : q in comps[i]}."""
-    comps = tuple(comps)
-    if not comps:
-        raise ValueError("need at least one component")
-    return BetaSet(*regroup(tuple((c.floor, c.tail) for c in comps), 1)[0])
-
-
-# ---------------------------------------------------------------------------
-# the charged core-quotient bijection
-
-def split_charged(cp: ChargedPartition, e: int) -> ChargedMultiPartition:
-    """Charged partition -> charged e-multipartition through the abacus.
-
-    The total charge of the output equals the input charge.
-    """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    return ChargedMultiPartition(
-        *_charged(regroup(_abaci((cp.partition,), (cp.charge,)), e))
-    )
-
-
-def join_charged(cmp: ChargedMultiPartition) -> ChargedPartition:
-    """Inverse of split_charged."""
-    (p,), (s,) = _charged(regroup(_abaci(cmp.components, cmp.charges), 1))
-    return ChargedPartition(p, s)
+    return ChargedMultiPartition(*_charged(((b.floor, b.tail),)))
 
 
 @lru_cache(maxsize=None)
@@ -322,7 +279,8 @@ def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
     depend on the core alone and give the Hecke exponents (core_exponents)
     and the residue keys of the series.
     """
-    return split_charged(ChargedPartition(p, e + e_core(p, e).length), e)
+    s = e + e_core(p, e).length
+    return ChargedMultiPartition(*_charged(regroup(_abaci((p,), (s,)), e)))
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,6 @@ from abacore.hc_series import (
 from abacore.partitions import (
     BetaSet,
     ChargedMultiPartition,
-    ChargedPartition,
     Partition,
     e_core,
     e_quotient_charged,
@@ -443,12 +442,13 @@ class TestContentLemma:
         assert len(self._failures()) == 1161
 
     def test_wrong_quotient_charge_mutant_fails(self, monkeypatch):
-        real = blocks.split_charged
-        monkeypatch.setattr(
-            blocks,
-            "split_charged",
-            lambda cp, e: real(ChargedPartition(cp.partition, cp.charge + 1), e),
-        )
+        real = blocks.uglov
+
+        def shifted(cmp, e):
+            charges = tuple(c + 1 for c in cmp.charges)
+            return real(ChargedMultiPartition(cmp.components, charges), e)
+
+        monkeypatch.setattr(blocks, "uglov", shifted)
         assert len(self._failures()) == 1521
 
     def test_shifted_level_one_residues_mutant_fails(self, monkeypatch):

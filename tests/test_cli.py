@@ -2,6 +2,7 @@ import hashlib
 import json
 import operator
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import abacore
 from abacore import blocks, cli
 from abacore.cli import main, run_suite
-from abacore.partitions import Partition
+from abacore.partitions import ChargedMultiPartition, Partition
 from abacore.polynomials import generic_degree
 from oracles import PARTITION_COUNTS
 
@@ -18,6 +19,41 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def add_charges(cmp, delta):
+    """cmp with delta added to its leading charges."""
+    head = tuple(c + d for c, d in zip(cmp.charges, delta))
+    return ChargedMultiPartition(cmp.components, head + cmp.charges[len(delta):])
+
+
+# mutants of the names the roundtrip suite calls, each made from the real one
+def _beta_charge_mutant(real):
+    # a nonempty partition read back one charge too high
+    return lambda b: add_charges(real(b), (1,)) if b.tail else real(b)
+
+
+def _split_mutant(real):
+    # a split from level 1 that moves one unit of charge between components
+    def broken(cmp, m):
+        image = real(cmp, m)
+        return add_charges(image, (1, -1)) if cmp.level == 1 and m > 1 else image
+
+    return broken
+
+
+def _charge_mutant(real):
+    # a map between levels above 1 that adds one to the total charge
+    def broken(cmp, m):
+        image = real(cmp, m)
+        return add_charges(image, (1,)) if cmp.level > 1 and m > 1 else image
+
+    return broken
+
+
+def _index_mutant(real):
+    # the inverse index map one step off for negative quotients
+    return lambda q, r, e, m: real(q + (q < 0), r, e, m)
 
 
 class TestCore:
@@ -327,6 +363,42 @@ class TestVerify:
             assert code == 1
             assert json.loads(out)["failures"] == failures
         assert run_suite("content-lemma", max_n=3)[2] == []
+
+    @pytest.mark.parametrize(
+        "name, breaks, labels",
+        [
+            ("from_beta", _beta_charge_mutant, {"beta round trip": 180}),
+            (
+                "uglov",
+                _split_mutant,
+                {"charged split round trip": 176, "level-rank round trip": 80},
+            ),
+            (
+                "uglov",
+                _charge_mutant,
+                {"charge conservation": 113, "level-rank round trip": 113},
+            ),
+            ("qr_em_inv", _index_mutant, {"index bijection": 102}),
+        ],
+        ids=["from_beta", "split", "charge", "index"],
+    )
+    def test_roundtrip_reports_a_planted_failure(
+        self, capsys, monkeypatch, name, breaks, labels
+    ):
+        # negative control: between them the mutants make every problem
+        # label appear, each in a pinned number of the 200 trials at seed 7
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, name, breaks(getattr(cli, name)))
+            _, cases, failures = run_suite("roundtrip", trials=200, seed=7)
+            assert cases == 200
+            found = Counter(label for f in failures for label in f["problems"])
+            assert found == labels
+            code, out, _ = run(
+                capsys, "verify", "roundtrip", "--trials", "200", "--seed", "7"
+            )
+            assert code == 1
+            assert json.loads(out)["failures"] == failures
+        assert run_suite("roundtrip", trials=200, seed=7)[2] == []
 
     def test_roundtrip_deterministic(self, capsys):
         args = ("verify", "roundtrip", "--trials", "200", "--seed", "7")

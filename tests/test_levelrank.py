@@ -20,21 +20,22 @@ from abacore.levelrank import (
 )
 from abacore.partitions import (
     ChargedMultiPartition,
-    ChargedPartition,
     Partition,
     _abaci,
+    from_beta,
     is_e_core,
-    join_beta,
-    join_charged,
     partitions_of,
     regroup,
-    split_beta,
-    split_charged,
     to_beta,
 )
 from oracles import apply_affine_on_beads, regroup_on_beads
 
 P = Partition
+
+
+def charged(p, s):
+    """The charged partition |p, s>: a charged multipartition of level 1."""
+    return ChargedMultiPartition((p,), (s,))
 
 
 def bead(ap, x, i):
@@ -182,15 +183,13 @@ class TestAffinePerm:
                 ap.perm,
                 ap.shifts,
                 [
-                    {x for x in range(low, 20) if x in to_beta(ChargedPartition(p, c))}
+                    {x for x in range(low, 20) if x in to_beta(charged(p, c))}
                     for p, c in zip(comps, charges)
                 ],
             )
             result = apply_affine(ap, cmp0)
             for j in range(e):
-                beta = to_beta(
-                    ChargedPartition(result.components[j], result.charges[j])
-                )
+                beta = to_beta(charged(result.components[j], result.charges[j]))
                 got = {x for x in range(low + 10, 20) if x in beta}
                 assert got == {x for x in expected_sets[j] if x >= low + 10}
 
@@ -212,27 +211,16 @@ class TestUglov:
             (P(()), P(()), P(())), (1, 0, 0)
         )
 
-    def test_level_one_is_abacus_split(self):
-        for p in partitions_of(6):
-            for s in (-2, 0, 3):
-                for m in (1, 2, 3, 5):
-                    lifted = ChargedMultiPartition((p,), (s,))
-                    assert uglov(lifted, m) == split_charged(
-                        ChargedPartition(p, s), m
-                    )
-
     def test_target_level_one_is_abacus_join(self):
         cases = [
-            ((P((2,)), P((1, 1))), (0, -1)),
-            ((P(()), P((3,)), P((1,))), (2, 0, -3)),
+            ((P((2,)), P((1, 1))), (0, -1), (4, 2, 1, 1), -1),
+            ((P(()), P((3,)), P((1,))), (2, 0, -3), (9, 6, 4, 2, 1, 1, 1, 1, 1), -1),
         ]
-        for comps, charges in cases:
+        for comps, charges, parts, s in cases:
+            pairs = [(p.parts, c) for p, c in zip(comps, charges)]
+            assert regroup_on_beads(pairs, 1) == [(parts, s)]
             cmp0 = ChargedMultiPartition(comps, charges)
-            image = uglov(cmp0, 1)
-            joined = join_charged(cmp0)
-            assert image == ChargedMultiPartition(
-                (joined.partition,), (joined.charge,)
-            )
+            assert uglov(cmp0, 1) == charged(P(parts), s)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -262,11 +250,10 @@ class TestUglov:
         e, m = 2, 5
         image = uglov(cmp0, m)
         image_abaci = [
-            to_beta(ChargedPartition(p, c))
-            for p, c in zip(image.components, image.charges)
+            to_beta(charged(p, c)) for p, c in zip(image.components, image.charges)
         ]
         for i, (p, c) in enumerate(zip(cmp0.components, cmp0.charges)):
-            beta = to_beta(ChargedPartition(p, c))
+            beta = to_beta(charged(p, c))
             for x in range(-30, 15):
                 if x in beta:
                     q, r = qr_em(x, i, e, m)
@@ -354,16 +341,11 @@ class TestBeadMapOracle:
             cmp0 = from_pairs(comps)
             assert as_pairs(uglov(cmp0, m)) == expected
             if len(comps) == 1:
-                cp = ChargedPartition(*cmp0.components, *cmp0.charges)
-                assert as_pairs(split_charged(cp, m)) == expected
-                assert split_beta(to_beta(cp), m) == tuple(
-                    to_beta(ChargedPartition(P(parts), s)) for parts, s in expected
-                )
+                # a split of a beta set, through its level-1 charged partition
+                assert as_pairs(uglov(from_beta(to_beta(cmp0)), m)) == expected
             if m == 1:
                 ((parts, s),) = expected
-                assert join_charged(cmp0) == ChargedPartition(P(parts), s)
-                abaci = [to_beta(ChargedPartition(P(q), c)) for q, c in comps]
-                assert join_beta(abaci) == to_beta(ChargedPartition(P(parts), s))
+                assert to_beta(uglov(cmp0, 1)) == to_beta(charged(P(parts), s))
 
     def test_off_by_one_component_is_caught(self):
         disagreements = sum(
@@ -461,10 +443,8 @@ class TestDiagrams:
 def object_routes(p, e, m, s, t, make_perm=affine_perm):
     """The two routes of check_uglov_diagram through the public, validated
     objects: split, affine correction and (on the e-side) the Uglov map."""
-    route_e = uglov(
-        apply_affine(make_perm(e, m, s), split_charged(ChargedPartition(p, s), e)), m
-    )
-    route_m = apply_affine(make_perm(m, e, t), split_charged(ChargedPartition(p, t), m))
+    route_e = uglov(apply_affine(make_perm(e, m, s), uglov(charged(p, s), e)), m)
+    route_m = apply_affine(make_perm(m, e, t), uglov(charged(p, t), m))
     return route_e, route_m
 
 

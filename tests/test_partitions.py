@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from abacore.partitions import (
     BetaSet,
     ChargedMultiPartition,
-    ChargedPartition,
     Partition,
     core_exponents,
     e_core,
@@ -13,8 +12,6 @@ from abacore.partitions import (
     from_beta,
     hook_lengths,
     is_e_core,
-    join_beta,
-    join_charged,
     multipartitions_of,
     parse_charges,
     parse_multipartition,
@@ -22,14 +19,23 @@ from abacore.partitions import (
     partitions_of,
     render_multipartition,
     render_partition,
-    split_beta,
-    split_charged,
     to_beta,
 )
+from abacore.levelrank import uglov
 from oracles import PARTITION_COUNTS, hooks_by_cells, rim_hook_core
 
 P = Partition
-CP = ChargedPartition
+CMP = ChargedMultiPartition
+
+
+def CP(p, s):
+    """The charged partition |p, s>: a charged multipartition of level 1."""
+    return CMP((p,), (s,))
+
+
+def betas(cmp):
+    """The beta set of each component of a charged multipartition."""
+    return tuple(to_beta(CP(p, s)) for p, s in zip(cmp.components, cmp.charges))
 
 
 def all_partitions_up_to(n):
@@ -137,59 +143,72 @@ class TestBetaSets:
 
 
 class TestSplitJoin:
+    # a beta set splits into its e residue classes through uglov from level 1
+    # and joins back through uglov to level 1
     def test_split_beta_examples(self):
-        assert split_beta(BetaSet(0), 2) == (BetaSet(0), BetaSet(0))
-        assert split_beta(BetaSet(2, (5,)), 3) == (
+        assert betas(uglov(from_beta(BetaSet(0)), 2)) == (BetaSet(0), BetaSet(0))
+        assert betas(uglov(from_beta(BetaSet(2, (5,))), 3)) == (
             BetaSet(1),
             BetaSet(1),
             BetaSet(0, (1,)),
         )
-        assert split_beta(BetaSet(-1, (1,)), 2) == (BetaSet(0), BetaSet(-1, (0,)))
+        assert betas(uglov(from_beta(BetaSet(-1, (1,))), 2)) == (
+            BetaSet(0),
+            BetaSet(-1, (0,)),
+        )
 
     def test_join_beta_examples(self):
-        assert join_beta((BetaSet(0), BetaSet(0))) == BetaSet(0)
-        assert join_beta((BetaSet(1), BetaSet(1), BetaSet(0, (1,)))) == BetaSet(2, (5,))
-        assert join_beta((BetaSet(0), BetaSet(-1, (0,)))) == BetaSet(-1, (1,))
+        def join(*comps):
+            level1 = [from_beta(c) for c in comps]
+            parts = tuple(c.components[0] for c in level1)
+            charges = tuple(c.charges[0] for c in level1)
+            return to_beta(uglov(CMP(parts, charges), 1))
+
+        assert join(BetaSet(0), BetaSet(0)) == BetaSet(0)
+        assert join(BetaSet(1), BetaSet(1), BetaSet(0, (1,))) == BetaSet(2, (5,))
+        assert join(BetaSet(0), BetaSet(-1, (0,))) == BetaSet(-1, (1,))
 
     def test_split_rejects_bad_level(self):
         with pytest.raises(ValueError):
-            split_beta(BetaSet(0), 0)
+            uglov(from_beta(BetaSet(0)), 0)
         with pytest.raises(ValueError):
-            join_beta(())
+            CMP((), ())
+
+    def test_to_beta_rejects_higher_level(self):
+        two = CMP((P((1,)), P(())), (0, 0))
+        with pytest.raises(ValueError, match="got level 2"):
+            to_beta(two)
+        assert to_beta(uglov(two, 1)) == BetaSet(-2, (0, -1))
 
     def test_factorization_exhaustive(self):
         for p in all_partitions_up_to(12):
             for s in (-6, -2, 0, 1, 5, 6):
                 beta = to_beta(CP(p, s))
                 for e in range(1, 7):
-                    comps = split_beta(beta, e)
-                    assert join_beta(comps) == beta
-                    assert sum(c.charge for c in comps) == beta.charge
+                    comps = uglov(from_beta(beta), e)
+                    assert to_beta(uglov(comps, 1)) == beta
+                    assert sum(c.charge for c in betas(comps)) == beta.charge
 
 
 class TestChargedSplit:
+    # the charged core-quotient split is uglov from level 1, the join uglov
+    # back to level 1
     def test_examples(self):
         for e in (1, 2, 5):
-            empty = split_charged(CP(P(()), 0), e)
+            empty = uglov(CP(P(()), 0), e)
             assert empty.components == (P(()),) * e
             assert empty.charges == (0,) * e
-        assert split_charged(CP(P((3,)), 3), 3) == ChargedMultiPartition(
-            (P(()), P(()), P((1,))), (1, 1, 1)
-        )
-        assert split_charged(CP(P((2,)), 0), 2) == ChargedMultiPartition(
-            (P(()), P((1,))), (0, 0)
-        )
+        assert uglov(CP(P((3,)), 3), 3) == CMP((P(()), P(()), P((1,))), (1, 1, 1))
+        assert uglov(CP(P((2,)), 0), 2) == CMP((P(()), P((1,))), (0, 0))
 
     def test_join_inverts(self):
-        assert join_charged(
-            ChargedMultiPartition((P(()),) * 3, (0, 0, 0))
-        ) == CP(P(()), 0)
+        assert uglov(CMP((P(()),) * 3, (0, 0, 0)), 1) == CP(P(()), 0)
         for p in all_partitions_up_to(10):
             for s in (-4, 0, 3):
                 for e in (1, 2, 3, 5):
-                    cmp = split_charged(CP(p, s), e)
+                    cmp = uglov(CP(p, s), e)
                     assert cmp.total_charge == s
-                    assert join_charged(cmp) == CP(p, s)
+                    assert uglov(cmp, 1) == CP(p, s)
 
 
 class TestCoreQuotient:
@@ -234,7 +253,7 @@ class TestCoreQuotient:
         for p in all_partitions_up_to(12):
             for e in range(1, 7):
                 for s in (-3, 0, 4):
-                    quotient = split_charged(CP(p, e + s), e)
+                    quotient = uglov(CP(p, e + s), e)
                     total = sum(q.size for q in quotient.components)
                     assert p.size == e_core(p, e).size + e * total
 
@@ -245,7 +264,7 @@ class TestCoreQuotient:
             for e in range(1, 7):
                 core = e_core(p, e)
                 image = e_quotient_charged(p, e)
-                assert image == split_charged(CP(p, e + core.length), e)
+                assert image == uglov(CP(p, e + core.length), e)
                 assert image.charges == e_quotient_charged(core, e).charges
 
     def test_idempotence(self):
@@ -259,15 +278,13 @@ class TestCoreQuotient:
             for e in (2, 3, 5):
                 sizes = None
                 for s in range(-6, 7):
-                    cmp = split_charged(CP(p, s), e)
+                    cmp = uglov(CP(p, s), e)
                     multiset = tuple(sorted(q.size for q in cmp.components))
                     if sizes is None:
                         sizes = multiset
                     assert multiset == sizes
-                    emptied = ChargedMultiPartition(
-                        (P(()),) * e, cmp.charges
-                    )
-                    assert join_charged(emptied).partition == e_core(p, e)
+                    emptied = CMP((P(()),) * e, cmp.charges)
+                    assert uglov(emptied, 1) == CP(e_core(p, e), s)
 
 
 class TestCoreExponents:

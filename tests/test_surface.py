@@ -4,15 +4,21 @@ tests need lives under tests/, and every private one is used by the library,
 so a helper does not outlive its last caller.  Every public method and
 property of a library class is used by the library too.  No sort in the
 library restates the lexicographic order of Partition with a key on .parts.
+Every name the README library table gives for a module exists there.
 """
 
 import ast
+import builtins
+import importlib
+import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import abacore
 
 SRC = Path(abacore.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # kept for the planned degree-bmm suite, which needs the order e^a * a! of
 # the relative Weyl group of a series
@@ -223,3 +229,55 @@ def test_scan_catches_parts_sort_key():
         ),
     }
     assert parts_sort_keys(sources) == ["a:1", "a:2", "b:2"]
+
+
+def library_rows(readme):
+    """(module, names) for each row of the README library table: the row's
+    first cell is a backticked module name, and names lists every backticked
+    identifier of the second.  Backticked text that is not a single
+    identifier, a dotted name say, is not collected."""
+    rows = []
+    for line in readme.splitlines():
+        row = re.match(r"\|\s*`(abacore\.\w+)`\s*\|(.*)\|\s*$", line)
+        if row:
+            rows.append((row[1], re.findall(r"`([A-Za-z_]\w*)`", row[2])))
+    return rows
+
+
+def stale_readme_names(readme, load):
+    """"module: name" for each name of a library-table row that is neither
+    an attribute of the row's module, load(module), nor a builtin."""
+    return [
+        f"{module}: {name}"
+        for module, names in library_rows(readme)
+        for name in names
+        if not hasattr(load(module), name) and not hasattr(builtins, name)
+    ]
+
+
+def test_readme_table_names_exist():
+    readme = README.read_text()
+    assert [module for module, _ in library_rows(readme)] == [
+        f"abacore.{name}"
+        for name in ("partitions", "levelrank", "polynomials", "hc_series", "blocks")
+    ]
+    assert stale_readme_names(readme, importlib.import_module) == []
+
+
+def test_scan_catches_stale_readme_name():
+    readme = (
+        "| module | contents |\n"
+        "| ------ | -------- |\n"
+        "| `abacore.a` | `kept`, `gone`/`ValueError`; `\"3,1\"` text |\n"
+        "| `abacore.b` | `kept` and the dotted `a.gone` |\n"
+        "`abacore.a` outside the table: `missing`\n"
+    )
+    modules = {"abacore.a": SimpleNamespace(kept=1), "abacore.b": SimpleNamespace()}
+    assert library_rows(readme) == [
+        ("abacore.a", ["kept", "gone", "ValueError"]),
+        ("abacore.b", ["kept"]),
+    ]
+    assert stale_readme_names(readme, modules.__getitem__) == [
+        "abacore.a: gone",
+        "abacore.b: kept",
+    ]
