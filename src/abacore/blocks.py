@@ -270,24 +270,22 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     return _counts_match(quotient, e, beta_p, beta_core, window)
 
 
-def check_core_key_equivalence(p: Partition, r: Partition, e: int, m: int) -> bool:
-    """Assert that sharing an m-core and sharing a level-m residue key are
-    equivalent for same-size partitions with the same e-core, and return the
-    common truth value.
+def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Counts]:
+    """p's m-core and the level-m key of its image under the level-e series
+    map: what the core-key equivalence compares between two members."""
+    return e_core(p, m), _member_key(p, e, m)
 
-    Raises EquivalenceViolation if the two sides disagree; requires e and m
-    positive and coprime.
+
+def _core_key_verdict(
+    p: Partition, r: Partition, e: int, m: int, facts_p, facts_r
+) -> bool:
+    """The common truth of "same m-core" and "same level-m key" for two
+    members of one e-core class, given their _member_facts.
+
+    Raises EquivalenceViolation if the two sides disagree.
     """
-    if e < 1 or m < 1:
-        raise ValueError("levels must be >= 1")
-    if gcd(e, m) != 1:
-        raise ValueError("levels must be coprime")
-    if p.size != r.size:
-        raise ValueError("partitions must have the same size")
-    if e_core(r, e) != e_core(p, e):
-        raise ValueError("partitions must have the same e-core")
-    same_core = e_core(p, m) == e_core(r, m)
-    same_key = _member_key(p, e, m) == _member_key(r, e, m)
+    same_core = facts_p[0] == facts_r[0]
+    same_key = facts_p[1] == facts_r[1]
     if same_core != same_key:
         raise EquivalenceViolation(
             f"core comparison {same_core} but key comparison {same_key}"

@@ -25,9 +25,10 @@ from math import gcd
 
 from .blocks import (
     EquivalenceViolation,
+    _core_key_verdict,
+    _member_facts,
     block_match_report,
     check_content_lemma,
-    check_core_key_equivalence,
     lossless_window,
     series_blocks,
 )
@@ -38,12 +39,7 @@ from .hc_series import (
     hc_series_of,
     series_json,
 )
-from .levelrank import (
-    check_core_matched_diagram,
-    qr_em,
-    qr_em_inv,
-    uglov,
-)
+from .levelrank import _core_matched_split, _routes_agree, qr_em, qr_em_inv, uglov
 from .partitions import (
     ChargedMultiPartition,
     Partition,
@@ -67,7 +63,7 @@ VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials")
 SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
 LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 11 s
-VERIFY_MAX_N = 16  # content-prop, the slowest suite at n = 16, takes about 13 s
+VERIFY_MAX_N = 16  # content-lemma, the slowest suite at n = 16, takes about 4 s
 VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 11 s at this bound
 
 
@@ -107,11 +103,18 @@ def _thm1_cases(max_n, e, m):
 
 def _thm2_cases(max_n, e, m):
     pairs = _coprime_pairs(e, m)
+    levels = {level for pair in pairs for level in pair}
     for n in range(1, max_n + 1):
-        for e, m in pairs:
-            for p in partitions_of(n):
-                ok = check_core_matched_diagram(p, e, m)
-                yield 1, {"n": n, "e": e, "m": m, "partition": str(p), "pass": ok}
+        members = partitions_of(n)
+        # verdicts[i][k]: member i at pair k, from its splits at each level
+        verdicts = []
+        for p in members:
+            split = {level: _core_matched_split(p, level) for level in levels}
+            verdicts.append([_routes_agree(e, m, split[e], split[m]) for e, m in pairs])
+        names = [str(p) for p in members]
+        for k, (e, m) in enumerate(pairs):
+            for name, row in zip(names, verdicts):
+                yield 1, {"n": n, "e": e, "m": m, "partition": name, "pass": row[k]}
 
 
 def _content_lemma_cases(max_n):
@@ -127,37 +130,32 @@ def _content_lemma_cases(max_n):
 
 
 def _content_prop_cases(max_n):
-    level_pairs = [
-        (e, m)
-        for e in range(1, 7)
-        for m in range(1, 7)
-        if gcd(e, m) == 1
-    ]
     for n in range(1, max_n + 1):
-        for e, m in level_pairs:
+        for e in range(1, 7):
             by_core: dict[Partition, list[Partition]] = {}
             for p in partitions_of(n):
                 by_core.setdefault(e_core(p, e), []).append(p)
-            for members in by_core.values():
-                members = sorted(members)
-                for i in range(len(members)):
-                    for j in range(i + 1, len(members)):
-                        case = {
-                            "n": n,
-                            "e": e,
-                            "m": m,
-                            "p": str(members[i]),
-                            "r": str(members[j]),
-                        }
-                        try:
-                            case["same"] = check_core_key_equivalence(
-                                members[i], members[j], e, m
-                            )
-                            case["pass"] = True
-                        except EquivalenceViolation as exc:
-                            case["pass"] = False
-                            case["error"] = str(exc)
-                        yield 1, case
+            # the e-core classes with a pair to compare, members named once
+            classes = [
+                [(p, str(p)) for p in sorted(members)]
+                for members in by_core.values()
+                if len(members) > 1
+            ]
+            for m in (m for m in range(1, 7) if gcd(e, m) == 1):
+                for members in classes:
+                    facts = [(p, name, _member_facts(p, e, m)) for p, name in members]
+                    for i, (p, name_p, facts_p) in enumerate(facts):
+                        for r, name_r, facts_r in facts[i + 1:]:
+                            case = {"n": n, "e": e, "m": m, "p": name_p, "r": name_r}
+                            try:
+                                case["same"] = _core_key_verdict(
+                                    p, r, e, m, facts_p, facts_r
+                                )
+                                case["pass"] = True
+                            except EquivalenceViolation as exc:
+                                case["pass"] = False
+                                case["error"] = str(exc)
+                            yield 1, case
 
 
 def _cuspidal_cases(max_n):

@@ -9,7 +9,8 @@ partitions.regroup.  It is the one public bead map: from level 1 it is the
 abacus split of a charged partition, and to level 1 the join.  The affine
 permutations are the corrections that relate splitting at two different
 charges; on charged multipartitions they permute components and shift
-charges.
+charges.  The diagram they make commute is checked on canonical abaci from
+(charge, split) facts, each computed once per partition and level.
 """
 
 from __future__ import annotations
@@ -161,24 +162,24 @@ def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
     return tuple(out)
 
 
-def check_uglov_diagram(p: Partition, e: int, m: int, s: int, t: int) -> bool:
-    """Commutation of the two routes from a partition to an m-multipartition.
+def _core_matched_split(p: Partition, level: int) -> tuple[int, Abacus]:
+    """(s, split): p's abacus at charge s = level + len(level-core), split
+    into level components; e_quotient_charged(p, level) is this split."""
+    s = level + e_core(p, level).length
+    return s, regroup(_abaci((p,), (s,)), level)
 
-    Route one: split at charge s into e components, apply the (e, m, s)
-    affine permutation, then the Uglov bijection to level m.  Route two:
-    split at charge t into m components and apply the (m, e, t) affine
-    permutation.  Both routes stay on canonical abaci, which determine the
+
+def _routes_agree(e: int, m: int, split_e, split_m) -> bool:
+    """Commutation of the two routes from a partition to an m-multipartition,
+    given its (charge, split) at level e and at level m.
+
+    Route one: apply the (e, m, s) affine permutation to the split at charge
+    s into e components, then the Uglov bijection to level m.  Route two:
+    apply the (m, e, t) affine permutation to the split at charge t into m
+    components.  Both routes stay on canonical abaci, which determine the
     charged multipartitions.
     """
-    ape, apm = affine_perm(e, m, s), affine_perm(m, e, t)
-    route_e = regroup(_shift_pairs(ape, regroup(_abaci((p,), (s,)), e)), m)
-    route_m = _shift_pairs(apm, regroup(_abaci((p,), (t,)), m))
+    (s, abaci_e), (t, abaci_m) = split_e, split_m
+    route_e = regroup(_shift_pairs(affine_perm(e, m, s), abaci_e), m)
+    route_m = _shift_pairs(affine_perm(m, e, t), abaci_m)
     return route_e == route_m
-
-
-def check_core_matched_diagram(p: Partition, e: int, m: int) -> bool:
-    """The diagram check at the canonical charges e + len(e-core) and
-    m + len(m-core), the charges used by the series combinatorics."""
-    s = e + e_core(p, e).length
-    t = m + e_core(p, m).length
-    return check_uglov_diagram(p, e, m, s, t)

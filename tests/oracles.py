@@ -2,11 +2,18 @@
 
 These deliberately avoid the library's abacus machinery: cores are computed
 by removing rim hooks from the Young diagram, tableau counts by recursive
-corner removal, and hooks by counting boxes in the raw cell set.
+corner removal, and hooks by counting boxes in the raw cell set.  The
+exception is the per-call checks at the end, which compute one partition's
+or one pair's facts afresh with the library's kernels at every call: they are
+the references for the suites that compute each fact once per member.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+
+from abacore import blocks, levelrank
+from abacore.partitions import _abaci
 
 
 def cells(parts):
@@ -236,3 +243,48 @@ def ennola_substitute(coeffs):
 
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
+
+
+# ---------------------------------------------------------------------------
+# per-call checks on the library's kernels; each looks the kernels up in
+# their modules at call time, so a test that patches one reaches these too
+
+def check_uglov_diagram(p, e, m, s, t):
+    """Commutation of the two routes from a partition to an m-multipartition.
+
+    Route one: split at charge s into e components, apply the (e, m, s)
+    affine permutation, then the Uglov bijection to level m.  Route two:
+    split at charge t into m components and apply the (m, e, t) affine
+    permutation.  Both routes stay on canonical abaci, which determine the
+    charged multipartitions.
+    """
+    split_e = (s, levelrank.regroup(_abaci((p,), (s,)), e))
+    split_m = (t, levelrank.regroup(_abaci((p,), (t,)), m))
+    return levelrank._routes_agree(e, m, split_e, split_m)
+
+
+def check_core_matched_diagram(p, e, m):
+    """The diagram check at the canonical charges e + len(e-core) and
+    m + len(m-core), the charges used by the series combinatorics."""
+    split = levelrank._core_matched_split
+    return levelrank._routes_agree(e, m, split(p, e), split(p, m))
+
+
+def check_core_key_equivalence(p, r, e, m):
+    """Assert that sharing an m-core and sharing a level-m residue key are
+    equivalent for same-size partitions with the same e-core, and return the
+    common truth value.
+
+    Raises EquivalenceViolation if the two sides disagree; requires e and m
+    positive and coprime.
+    """
+    if e < 1 or m < 1:
+        raise ValueError("levels must be >= 1")
+    if gcd(e, m) != 1:
+        raise ValueError("levels must be coprime")
+    if p.size != r.size:
+        raise ValueError("partitions must have the same size")
+    if blocks.e_core(r, e) != blocks.e_core(p, e):
+        raise ValueError("partitions must have the same e-core")
+    facts = blocks._member_facts
+    return blocks._core_key_verdict(p, r, e, m, facts(p, e, m), facts(r, e, m))

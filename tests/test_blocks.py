@@ -11,7 +11,6 @@ from abacore.blocks import (
     block_match_report,
     block_partition,
     check_content_lemma,
-    check_core_key_equivalence,
     lossless_window,
     residue_multiset,
     root_key_partition,
@@ -39,7 +38,13 @@ from abacore.partitions import (
     partitions_of,
 )
 from abacore.polynomials import ennola_e
-from oracles import cells, residue_key_oracle, rim_hook_core, root_key_oracle
+from oracles import (
+    cells,
+    check_core_key_equivalence,
+    residue_key_oracle,
+    rim_hook_core,
+    root_key_oracle,
+)
 
 P = Partition
 

@@ -3,16 +3,22 @@ import json
 import operator
 import os
 from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import abacore
-from abacore import blocks, cli
+from abacore import blocks, cli, levelrank, partitions
+from abacore.blocks import EquivalenceViolation
 from abacore.cli import main, run_suite
-from abacore.partitions import ChargedMultiPartition, Partition
+from abacore.partitions import ChargedMultiPartition, Partition, _abaci, partitions_of
 from abacore.polynomials import generic_degree
-from oracles import PARTITION_COUNTS
+from oracles import (
+    PARTITION_COUNTS,
+    check_core_key_equivalence,
+    check_core_matched_diagram,
+)
 
 
 def run(capsys, *argv):
@@ -25,6 +31,11 @@ def add_charges(cmp, delta):
     """cmp with delta added to its leading charges."""
     head = tuple(c + d for c, d in zip(cmp.charges, delta))
     return ChargedMultiPartition(cmp.components, head + cmp.charges[len(delta):])
+
+
+def _wrong_two_core(p, k):
+    # e_core with (2, 1) given the 2-core (1) instead of itself
+    return Partition((1,)) if (p.parts, k) == ((2, 1), 2) else partitions.e_core(p, k)
 
 
 # mutants of the names the roundtrip suite calls, each made from the real one
@@ -263,15 +274,18 @@ class TestVerify:
 
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
-        # as exactly one failure and a nonzero exit
-        real = cli.check_core_matched_diagram
+        # as exactly one failure and a nonzero exit.  The suite compares
+        # routes from (charge, split) facts; a split at level 2 determines
+        # its partition, so it picks out (2, 1).
+        real = cli._routes_agree
+        target = levelrank._core_matched_split(Partition((2, 1)), 2)
 
-        def broken(p, e, m):
-            if (p.parts, e, m) == ((2, 1), 2, 3):
+        def broken(e, m, split_e, split_m):
+            if (e, m, split_e) == (2, 3, target):
                 return False
-            return real(p, e, m)
+            return real(e, m, split_e, split_m)
 
-        monkeypatch.setattr(cli, "check_core_matched_diagram", broken)
+        monkeypatch.setattr(cli, "_routes_agree", broken)
         _, cases, failures = run_suite("thm2", max_n=3)
         assert cases == 45 * 6  # partitions of 1..3
         assert failures == [
@@ -280,6 +294,30 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "thm2", "--max-n", "3")
         assert code == 1
         assert json.loads(out)["failures"] == failures
+
+    def test_thm2_corrupt_split_fails_the_pairs_of_its_level(self, monkeypatch):
+        # negative control: (2, 1) is given the level-3 split of (3,) at the
+        # same charge.  Both routes are bijections, so every pair with level
+        # 3 fails for (2, 1), and only those: a split is a fact of one
+        # partition at one level, not of a pair, a size or another partition
+        real = cli._core_matched_split
+        wrong = Partition((3,))
+
+        def corrupt(p, level):
+            s, split = real(p, level)
+            if (p, level) == (Partition((2, 1)), 3):
+                split = levelrank.regroup(_abaci((wrong,), (s,)), level)
+            return s, split
+
+        monkeypatch.setattr(cli, "_core_matched_split", corrupt)
+        _, cases, failures = run_suite("thm2", max_n=3)
+        assert cases == 45 * 6
+        level_3_pairs = [pair for pair in cli._coprime_pairs(None, None) if 3 in pair]
+        assert len(level_3_pairs) == 8  # m = 3 with e = 1, 2; e = 3 with 6 m
+        assert failures == [
+            {"n": 3, "e": e, "m": m, "partition": "2,1", "pass": False}
+            for e, m in level_3_pairs
+        ]
 
     @pytest.mark.parametrize(
         "name, first_arg, wrong",
@@ -318,13 +356,8 @@ class TestVerify:
         # so every pair with it at m = 2 shares an m-core but not a key.  As
         # a 2-core it is alone in its e-core class at e = 2, where the wrong
         # value would be read as its e-core.
-        real = blocks.e_core
-
-        def wrong(p, k):
-            return Partition((1,)) if (p.parts, k) == ((2, 1), 2) else real(p, k)
-
         with monkeypatch.context() as patch:
-            patch.setattr(blocks, "e_core", wrong)
+            patch.setattr(blocks, "e_core", _wrong_two_core)
             _, cases, failures = run_suite("content-prop", max_n=4)
             assert cases == 162
             assert [(f["e"], f["m"], f["p"], f["r"]) for f in failures] == [
@@ -343,16 +376,37 @@ class TestVerify:
             assert json.loads(out)["failures"] == failures
         assert run_suite("content-prop", max_n=4)[2] == []
 
+    def test_content_prop_corrupt_key_fails_the_pairs_of_its_member(
+        self, monkeypatch
+    ):
+        # negative control: (2, 2) gets a wrong key at (e, m) = (2, 1) alone.
+        # At m = 1 every member of a class shares its m-core and its key, so
+        # exactly the pairs with (2, 2) in its class at n = 4 must fail: a
+        # key is a fact of one member at one (e, m), not of a pair or a size
+        real = blocks._member_key
+        target = (Partition((2, 2)), 2, 1)
+
+        def wrong(p, e, m):
+            return () if (p, e, m) == target else real(p, e, m)
+
+        monkeypatch.setattr(blocks, "_member_key", wrong)
+        _, cases, failures = run_suite("content-prop", max_n=5)
+        assert cases == 413
+        # the 2-core class of (2, 2) at n = 4: 1,1,1,1  2,1,1  2,2  3,1  4
+        pairs = [("1,1,1,1", "2,2"), ("2,1,1", "2,2"), ("2,2", "3,1"), ("2,2", "4")]
+        assert [(f["n"], f["e"], f["m"], f["p"], f["r"]) for f in failures] == [
+            (4, 2, 1, p, r) for p, r in pairs
+        ]
+        assert all(
+            "core comparison True but key comparison False" in f["error"]
+            for f in failures
+        )
+
     def test_content_lemma_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: (2, 1) is given the 2-core (1) instead of itself,
         # so the second identity fails for it at e = 2 and every charge
-        real = blocks.e_core
-
-        def wrong(p, k):
-            return Partition((1,)) if (p.parts, k) == ((2, 1), 2) else real(p, k)
-
         with monkeypatch.context() as patch:
-            patch.setattr(blocks, "e_core", wrong)
+            patch.setattr(blocks, "e_core", _wrong_two_core)
             _, cases, failures = run_suite("content-lemma", max_n=3)
             assert cases == 7 * 9 * 5  # partitions of 0..3, s = -4..4, e = 1..5
             assert failures == [
@@ -459,6 +513,115 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "content-prop", "--max-n", "6")
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+def _content_prop_oracle_cases(max_n):
+    """The content-prop cases built pair by pair with the per-call oracle,
+    in the suite's order: n, then e, then m, then each e-core class in
+    first-member order, then each pair of its sorted members."""
+    for n in range(1, max_n + 1):
+        for e in range(1, 7):
+            classes = {}
+            for p in partitions_of(n):
+                classes.setdefault(partitions.e_core(p, e), []).append(p)
+            for m in range(1, 7):
+                if gcd(e, m) != 1:
+                    continue
+                for members in classes.values():
+                    members = sorted(members)
+                    for i, p in enumerate(members):
+                        for r in members[i + 1:]:
+                            case = {"n": n, "e": e, "m": m, "p": str(p), "r": str(r)}
+                            try:
+                                case["same"] = check_core_key_equivalence(p, r, e, m)
+                                case["pass"] = True
+                            except EquivalenceViolation as exc:
+                                case["pass"] = False
+                                case["error"] = str(exc)
+                            yield case
+
+
+class TestPerMemberFacts:
+    """The suites compute each per-member fact once per member; every case
+    must equal the one the per-call oracles compute for it alone."""
+
+    @pytest.mark.parametrize("levels", [{}, {"e": 5, "m": 2}, {"e": 3, "m": 4}])
+    def test_thm2_cases_match_the_per_call_oracle(self, monkeypatch, levels):
+        # with one pair given, the suite must split at its two levels alone
+        real = cli._core_matched_split
+        split_at = set()
+
+        def spy(p, level):
+            split_at.add(level)
+            return real(p, level)
+
+        monkeypatch.setattr(cli, "_core_matched_split", spy)
+        cases = []
+        run_suite("thm2", cases.append, max_n=9, **levels)
+        pairs = cli._coprime_pairs(levels.get("e"), levels.get("m"))
+        assert cases == [
+            {
+                "n": n,
+                "e": e,
+                "m": m,
+                "partition": str(p),
+                "pass": check_core_matched_diagram(p, e, m),
+            }
+            for n in range(1, 10)
+            for e, m in pairs
+            for p in partitions_of(n)
+        ]
+        assert split_at == {level for pair in pairs for level in pair}
+
+    @pytest.mark.parametrize("mutant", [None, _wrong_two_core], ids=["real", "mutant"])
+    def test_content_prop_cases_match_the_per_call_oracle(self, monkeypatch, mutant):
+        # the mutant makes the suite and the oracle raise, so the error
+        # text is compared as well as same and pass
+        if mutant is not None:
+            monkeypatch.setattr(blocks, "e_core", mutant)
+        cases = []
+        run_suite("content-prop", cases.append, max_n=8)
+        assert cases == list(_content_prop_oracle_cases(8))
+        errors = sum("error" in case for case in cases)
+        assert errors == (0 if mutant is None else 4)
+
+    def test_thm2_splits_each_partition_once_per_level(self, monkeypatch):
+        # regroup runs once per case (the one multi-component map), once
+        # per (partition, level) split, and twice per e_core miss; cores are
+        # cached, so start from none and leave none made under the spy
+        real = partitions.regroup
+        calls = 0
+
+        def spy(abaci, m):
+            nonlocal calls
+            calls += 1
+            return real(abaci, m)
+
+        partitions.e_core.cache_clear()
+        try:
+            monkeypatch.setattr(partitions, "regroup", spy)
+            monkeypatch.setattr(levelrank, "regroup", spy)
+            _, cases, _ = run_suite("thm2", max_n=8)
+        finally:
+            partitions.e_core.cache_clear()
+        members = sum(PARTITION_COUNTS[1:9])  # 66 partitions, levels 1..12
+        assert cases == 45 * members
+        assert calls == cases + 12 * members + 2 * 12 * members == 5346
+
+    def test_content_prop_keys_each_member_once_per_level_pair(self, monkeypatch):
+        # one _member_key per member of an e-core class with a pair to
+        # compare, at each (e, m); per pair it would be twice the cases
+        real = blocks._member_key
+        calls = 0
+
+        def spy(p, e, m):
+            nonlocal calls
+            calls += 1
+            return real(p, e, m)
+
+        monkeypatch.setattr(blocks, "_member_key", spy)
+        _, cases, _ = run_suite("content-prop", max_n=8)
+        assert (cases, calls) == (5045, 1168)
 
 
 class TestOutputBytes:

@@ -10,8 +10,6 @@ from abacore.levelrank import (
     AffinePerm,
     affine_perm,
     apply_affine,
-    check_core_matched_diagram,
-    check_uglov_diagram,
     qr,
     qr_em,
     qr_em_inv,
@@ -28,7 +26,12 @@ from abacore.partitions import (
     regroup,
     to_beta,
 )
-from oracles import apply_affine_on_beads, regroup_on_beads
+from oracles import (
+    apply_affine_on_beads,
+    check_core_matched_diagram,
+    check_uglov_diagram,
+    regroup_on_beads,
+)
 
 P = Partition
 
