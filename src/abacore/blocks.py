@@ -26,6 +26,7 @@ from .hc_series import (
     HeckeParam,
     HeckeSpecialization,
     hc_pairs,
+    hc_series_of,
     specialization,
 )
 from .levelrank import uglov
@@ -169,19 +170,19 @@ def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> b
     """Whether p and r lie in the same level-m block of their common series.
 
     Both partitions must have e-core equal to core.  Compares the residue
-    keys of their images modulo m; whenever the root-of-unity route
-    applies, its verdict is asserted to agree.  Raises OmegaIsOne when m
-    divides e.
+    keys of their images modulo m; when both lie in the series of one pair
+    with a > 0, the root-of-unity keys are asserted to agree.  Raises
+    OmegaIsOne when m divides e.
     """
     _require_blocks(e, m)
-    if e_core(p, e) != core or e_core(r, e) != core:
+    (pair, image_p), (pair_r, image_r) = hc_series_of(p, e), hc_series_of(r, e)
+    if pair.core != core or pair_r.core != core:
         raise ValueError("both partitions must have the given core")
     result = _member_key(p, e, m) == _member_key(r, e, m)
-    if p.size == r.size and p.size > core.size:
-        pair = CuspidalPairGL(p.size, e, (p.size - core.size) // e, core)
+    if pair == pair_r and pair.a > 0:
         params = specialization(pair, GL)
-        kp = root_residue_key(e_quotient_charged(p, e).components, params, m)
-        kr = root_residue_key(e_quotient_charged(r, e).components, params, m)
+        kp = root_residue_key(image_p.components, params, m)
+        kr = root_residue_key(image_r.components, params, m)
         if (kp == kr) != result:
             raise EquivalenceViolation(
                 f"residue and root keys disagree for {p.parts}, {r.parts}"

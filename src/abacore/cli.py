@@ -39,10 +39,11 @@ from .hc_series import (
     hc_series_of,
     series_json,
 )
-from .levelrank import _core_matched_split, _routes_agree, qr_em, qr_em_inv, uglov
+from .levelrank import _routes_agree, qr_em, qr_em_inv, uglov
 from .partitions import (
     ChargedMultiPartition,
     Partition,
+    _core_matched_split,
     e_core,
     from_beta,
     hook_lengths,
@@ -52,7 +53,6 @@ from .partitions import (
     parse_partition,
     partitions_of,
     render_multipartition,
-    render_partition,
     to_beta,
 )
 from .polynomials import generic_degree, phi_multiplicity, singular_check
@@ -291,7 +291,7 @@ def _cmd_core(args) -> int:
     pair, image = hc_series_of(p, args.e)
     _emit(
         {
-            "core": render_partition(pair.core),
+            "core": str(pair.core),
             "quotient": [render_multipartition(image.components)],
             "charges": list(image.charges),
         }
@@ -346,7 +346,7 @@ def _cmd_blocks(args) -> int:
         blocks = series_blocks(pair, args.m, args.variant)
         series.append(
             {
-                "core": render_partition(pair.core),
+                "core": str(pair.core),
                 "a": pair.a,
                 "blocks": [
                     [render_multipartition(mp) for mp in block] for block in blocks
@@ -373,9 +373,11 @@ def _cmd_verify(args) -> int:
         for flag in VERIFY_FLAGS
         if getattr(args, flag) is not None
     }
-    _check_bounds(VERIFY_MAX_N, ("--max-n", given.get("max_n", 0)))
-    _check_bounds(VERIFY_MAX_TRIALS, ("--trials", given.get("trials", 0)))
-    _check_bounds(LEVEL_MAX, ("--e", given.get("e", 0)), ("--m", given.get("m", 0)))
+    # bound only the flags the suite reads: run_suite refuses the others
+    read = {flag: v for flag, v in given.items() if flag in SUITES[args.suite][1]}
+    _check_bounds(VERIFY_MAX_N, ("--max-n", read.get("max_n", 0)))
+    _check_bounds(VERIFY_MAX_TRIALS, ("--trials", read.get("trials", 0)))
+    _check_bounds(LEVEL_MAX, ("--e", read.get("e", 0)), ("--m", read.get("m", 0)))
     emit = _emit if args.stream else (lambda case: None)
     parameters, cases, failures = run_suite(args.suite, emit, **given)
     _emit(

@@ -28,7 +28,6 @@ from .partitions import (
     is_e_core,
     partitions_of,
     render_multipartition,
-    render_partition,
 )
 from .polynomials import generic_degree, mod_cyclotomic
 
@@ -145,8 +144,8 @@ def series_json(n: int, e: int) -> list[dict]:
                 "n": pair.n,
                 "e": pair.e,
                 "a": pair.a,
-                "core": render_partition(pair.core),
-                "members": [render_partition(p) for p in members],
+                "core": str(pair.core),
+                "members": [str(p) for p in members],
                 "quotients": quotients,
                 "charges": list(e_quotient_charged(pair.core, e).charges),
             }

@@ -8,9 +8,9 @@ as a bead of an m-abacus; the Uglov bijection moves every bead this way, with
 partitions.regroup.  It is the one public bead map: from level 1 it is the
 abacus split of a charged partition, and to level 1 the join.  The affine
 permutations are the corrections that relate splitting at two different
-charges; on charged multipartitions they permute components and shift
-charges.  The diagram they make commute is checked on canonical abaci from
-(charge, split) facts, each computed once per partition and level.
+charges; they permute components and shift charges, on abaci by _shift_pairs.
+The diagram they make commute is checked on canonical abaci from the (charge,
+split) facts of partitions._core_matched_split, once per partition and level.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .partitions import (
     Partition,
     _abaci,
     _charged,
-    e_core,
     regroup,
 )
 
@@ -101,12 +100,15 @@ class AffinePerm:
             raise ValueError("inconsistent affine permutation data")
 
 
-def residue_perm(e: int, m: int, s: int) -> tuple[int, ...]:
-    """The permutation w of range(e) with w((m*b + s) mod e) = b.
+@lru_cache(maxsize=None)
+def affine_perm(e: int, m: int, s: int) -> AffinePerm:
+    """The affine permutation correcting the e-abacus for charge s.
 
-    Defined only for coprime e, m.
+    Sends a bead (a, r_e(m*b + s)) to (a - q_e(m*b + s), b): its perm w has
+    w((m*b + s) mod e) = b, and the shift is indexed by the target component
+    b.  Defined only for coprime e, m.
 
-    >>> residue_perm(3, 2, 0)
+    >>> affine_perm(3, 2, 0).perm
     (0, 2, 1)
     """
     if e < 1 or m < 1:
@@ -116,41 +118,25 @@ def residue_perm(e: int, m: int, s: int) -> tuple[int, ...]:
     w = [0] * e
     for b in range(e):
         w[(m * b + s) % e] = b
-    return tuple(w)
-
-
-@lru_cache(maxsize=None)
-def affine_perm(e: int, m: int, s: int) -> AffinePerm:
-    """The affine permutation correcting the e-abacus for charge s.
-
-    Sends a bead (a, r_e(m*b + s)) to (a - q_e(m*b + s), b); the shift is
-    indexed by the target component b.
-    """
-    w = residue_perm(e, m, s)
     shifts = tuple(-((m * b + s) // e) for b in range(e))
-    return AffinePerm(e, w, shifts)
+    return AffinePerm(e, tuple(w), shifts)
 
 
 def apply_affine(ap: AffinePerm, cmp: ChargedMultiPartition) -> ChargedMultiPartition:
-    """Act on a charged multipartition through its abacus, bead by bead.
-
-    Shifting every bead of a component by d keeps its partition and adds d to
-    its charge, so component i moves to perm[i] and its charge moves by the
-    target's shift.
+    """Act on a charged multipartition through its abacus, bead by bead
+    (_shift_pairs): component i moves to perm[i], keeping its partition, and
+    its charge moves by the target's shift.
     """
     if cmp.level != ap.e:
         raise ValueError(f"expected {ap.e} components, got {cmp.level}")
-    components = [None] * ap.e
-    charges = [0] * ap.e
-    for i, j in enumerate(ap.perm):
-        components[j] = cmp.components[i]
-        charges[j] = cmp.charges[i] + ap.shifts[j]
-    return ChargedMultiPartition(tuple(components), tuple(charges))
+    return ChargedMultiPartition(
+        *_charged(_shift_pairs(ap, _abaci(cmp.components, cmp.charges)))
+    )
 
 
 def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
-    """apply_affine on canonical (floor, tail) pairs: component i moves to
-    perm[i], its floor and every tail bead shifted by shifts[perm[i]].
+    """The affine action on canonical (floor, tail) pairs: component i moves
+    to perm[i], its floor and every tail bead shifted by shifts[perm[i]].
 
     >>> _shift_pairs(affine_perm(2, 3, 3), ((0, ()), (1, (3,))))
     ((0, (2,)), (-3, ()))
@@ -160,13 +146,6 @@ def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
         d = ap.shifts[j]
         out[j] = (floor + d, tuple(x + d for x in tail))
     return tuple(out)
-
-
-def _core_matched_split(p: Partition, level: int) -> tuple[int, Abacus]:
-    """(s, split): p's abacus at charge s = level + len(level-core), split
-    into level components; e_quotient_charged(p, level) is this split."""
-    s = level + e_core(p, level).length
-    return s, regroup(_abaci((p,), (s,)), level)
 
 
 def _routes_agree(e: int, m: int, split_e, split_m) -> bool:

@@ -20,6 +20,8 @@ Conventions used throughout the package:
   multipartitions it is levelrank.uglov: splitting a charged partition into
   its charged e-quotient is uglov from level 1 to level e, and joining is
   uglov back to level 1.
+* The series charge of p at level e is e + len(e-core of p), written once in
+  _core_matched_split; the series map e_quotient_charged is its charged form.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class Partition(tuple):
         return f"Partition(parts={self.parts})"
 
     def __str__(self) -> str:
-        return render_partition(self)
+        return ",".join(str(x) for x in self)
 
 
 MultiPartition = tuple[Partition, ...]
@@ -271,16 +273,23 @@ def e_core(p: Partition, e: int) -> Partition:
     return core
 
 
+def _core_matched_split(p: Partition, level: int) -> tuple[int, Abacus]:
+    """(s, split): p's abacus at the series charge s = level + len(level-core),
+    split into level components."""
+    s = level + e_core(p, level).length
+    return s, regroup(_abaci((p,), (s,)), level)
+
+
 @lru_cache(maxsize=None)
 def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
-    """The series map: p's charged e-quotient at charge e + len(e-core of p).
+    """The series map: p's charged e-quotient at charge e + len(e-core of p),
+    the charged form of _core_matched_split(p, e).
 
     The components are p's image in the series of its e-core; the charges
     depend on the core alone and give the Hecke exponents (core_exponents)
     and the residue keys of the series.
     """
-    s = e + e_core(p, e).length
-    return ChargedMultiPartition(*_charged(regroup(_abaci((p,), (s,)), e)))
+    return ChargedMultiPartition(*_charged(_core_matched_split(p, e)[1]))
 
 
 @lru_cache(maxsize=None)
@@ -339,7 +348,7 @@ def multipartitions_of(e: int, a: int) -> tuple[MultiPartition, ...]:
 
 
 # ---------------------------------------------------------------------------
-# shared text formats ("3,1,1"; multipartitions joined with ";")
+# text formats: str(Partition) is "3,1,1", multipartitions join with ";"
 
 def parse_partition(text: str) -> Partition:
     """Parse "3,1,1"; the empty string denotes the empty partition."""
@@ -353,17 +362,13 @@ def parse_partition(text: str) -> Partition:
     return Partition(parts)
 
 
-def render_partition(p: Partition) -> str:
-    return ",".join(str(x) for x in p)
-
-
 def parse_multipartition(text: str) -> MultiPartition:
     """Parse components joined with ";" (";1" parses as (empty, (1)))."""
     return tuple(parse_partition(tok) for tok in text.split(";"))
 
 
 def render_multipartition(mp: MultiPartition) -> str:
-    return ";".join(render_partition(p) for p in mp)
+    return ";".join(str(p) for p in mp)
 
 
 def parse_charges(text: str) -> MultiCharge:

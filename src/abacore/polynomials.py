@@ -64,22 +64,6 @@ class IntPolynomial:
             value = value * x + c
         return value
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IntPolynomial(
-            *(
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            )
-        )
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(*(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         if self.is_zero() or other.is_zero():
             return IntPolynomial()

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from abacore import blocks, levelrank
+from abacore import blocks, levelrank, partitions
 from abacore.partitions import _abaci
 
 
@@ -266,7 +266,7 @@ def check_uglov_diagram(p, e, m, s, t):
 def check_core_matched_diagram(p, e, m):
     """The diagram check at the canonical charges e + len(e-core) and
     m + len(m-core), the charges used by the series combinatorics."""
-    split = levelrank._core_matched_split
+    split = partitions._core_matched_split
     return levelrank._routes_agree(e, m, split(p, e), split(p, m))
 
 

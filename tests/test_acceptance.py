@@ -113,7 +113,7 @@ def test_criterion_8_sign_twists_and_tableaux():
             problems.append(("involution", e))
         twisted = IntPolynomial(*ennola_substitute(cyclotomic(e).coeffs))
         partner = cyclotomic(ennola_e(e))
-        expected = -partner if e in (1, 2) else partner
+        expected = IntPolynomial(-1) * partner if e in (1, 2) else partner
         if twisted != expected:
             problems.append(("pairing", e))
     for n in range(9):

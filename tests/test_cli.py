@@ -272,13 +272,31 @@ class TestVerify:
         assert out == ""
         assert f"does not take {flag}" in err
 
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [
+            (suite, flag)
+            for suite, (_, reads) in cli.SUITES.items()
+            for flag in cli.VERIFY_FLAGS
+            if flag not in reads
+        ],
+    )
+    def test_refuses_an_unread_flag_before_its_bound(self, capsys, suite, flag):
+        # a value above every bound: the unread flag, not its size, is the error
+        over = max(cli.VERIFY_MAX_N, cli.VERIFY_MAX_TRIALS, cli.LEVEL_MAX) + 1
+        option = "--" + flag.replace("_", "-")
+        code, out, err = run(capsys, "verify", suite, option, str(over))
+        assert code == 2
+        assert out == ""
+        assert f"does not take {option}" in err
+
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
         # as exactly one failure and a nonzero exit.  The suite compares
         # routes from (charge, split) facts; a split at level 2 determines
         # its partition, so it picks out (2, 1).
         real = cli._routes_agree
-        target = levelrank._core_matched_split(Partition((2, 1)), 2)
+        target = partitions._core_matched_split(Partition((2, 1)), 2)
 
         def broken(e, m, split_e, split_m):
             if (e, m, split_e) == (2, 3, target):

@@ -13,7 +13,6 @@ from abacore.levelrank import (
     qr,
     qr_em,
     qr_em_inv,
-    residue_perm,
     uglov,
 )
 from abacore.partitions import (
@@ -114,10 +113,10 @@ class TestQuotientRemainder:
 
 class TestResiduePerm:
     def test_examples(self):
-        assert residue_perm(2, 3, 0) == (0, 1)
-        assert residue_perm(3, 2, 0) == (0, 2, 1)
+        assert affine_perm(2, 3, 0).perm == (0, 1)
+        assert affine_perm(3, 2, 0).perm == (0, 2, 1)
         # maps 1 -> 0, 2 -> 1, 0 -> 2
-        assert residue_perm(3, 1, 1) == (2, 0, 1)
+        assert affine_perm(3, 1, 1).perm == (2, 0, 1)
 
     def test_defining_relation(self):
         for e in range(1, 7):
@@ -125,13 +124,13 @@ class TestResiduePerm:
                 if gcd(e, m) != 1:
                     continue
                 for s in range(-5, 6):
-                    w = residue_perm(e, m, s)
+                    w = affine_perm(e, m, s).perm
                     for b in range(e):
                         assert w[(m * b + s) % e] == b
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
-            residue_perm(4, 2, 0)
+            affine_perm(4, 2, 0)
 
 
 class TestAffinePerm:

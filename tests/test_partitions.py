@@ -6,6 +6,8 @@ from abacore.partitions import (
     BetaSet,
     ChargedMultiPartition,
     Partition,
+    _abaci,
+    _core_matched_split,
     core_exponents,
     e_core,
     e_quotient_charged,
@@ -18,7 +20,6 @@ from abacore.partitions import (
     parse_partition,
     partitions_of,
     render_multipartition,
-    render_partition,
     to_beta,
 )
 from abacore.levelrank import uglov
@@ -258,14 +259,19 @@ class TestCoreQuotient:
                     assert p.size == e_core(p, e).size + e * total
 
     def test_series_map_contract(self):
-        # e_quotient_charged is the series map: the split at charge
-        # e + len(e-core), whose charges are those of the core itself
+        # e_quotient_charged is the series map: uglov from level 1 at charge
+        # e + len(e-core), whose charges are those of the core itself; the
+        # (charge, split) facts the thm2 suite reads are its canonical abaci
         for p in all_partitions_up_to(10):
             for e in range(1, 7):
                 core = e_core(p, e)
                 image = e_quotient_charged(p, e)
                 assert image == uglov(CP(p, e + core.length), e)
                 assert image.charges == e_quotient_charged(core, e).charges
+                assert _core_matched_split(p, e) == (
+                    e + core.length,
+                    _abaci(image.components, image.charges),
+                )
 
     def test_idempotence(self):
         for p in all_partitions_up_to(10):
@@ -310,7 +316,7 @@ class TestCoreExponents:
 class TestTextFormats:
     def test_partition_round_trip(self):
         for text in ("", "3,1,1", "5"):
-            assert render_partition(parse_partition(text)) == text
+            assert str(parse_partition(text)) == text
 
     def test_multipartition_round_trip(self):
         for text in (";1", "", ";;", "2,1;;3"):

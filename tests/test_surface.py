@@ -4,7 +4,8 @@ tests need lives under tests/, and every private one is used by the library,
 so a helper does not outlive its last caller.  Every public method and
 property of a library class is used by the library too.  No sort in the
 library restates the lexicographic order of Partition with a key on .parts.
-Every name the README library table gives for a module exists there.
+Every name the README library table gives for a module exists there.  The
+series charge e + len(e-core) is written once.
 """
 
 import ast
@@ -229,6 +230,37 @@ def test_scan_catches_parts_sort_key():
         ),
     }
     assert parts_sort_keys(sources) == ["a:1", "a:2", "b:2"]
+
+
+def series_charge_sites(sources):
+    """"module:line" of every e_core(...).length: the series charge
+    e + len(e-core) has one home in the library."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Attribute) and node.attr == "length"):
+                continue
+            func = getattr(node.value, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "e_core":
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_series_charge_is_written_once():
+    sites = series_charge_sites(_library_sources())
+    assert [site.split(":")[0] for site in sites] == ["partitions"]
+
+
+def test_scan_catches_series_charge():
+    sources = {
+        "a": (
+            "s = e + e_core(p, e).length\n"
+            "core = e_core(p, e)\n"
+            "n = core.length + e_core(p, e).size\n"
+        ),
+        "b": "def f(p, e):\n    return e + partitions.e_core(p, e).length\n",
+    }
+    assert series_charge_sites(sources) == ["a:1", "b:2"]
 
 
 def library_rows(readme):
