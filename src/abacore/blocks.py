@@ -58,16 +58,15 @@ class EquivalenceViolation(AssertionError):
 Counts = tuple[tuple[int, int], ...]
 
 
-def residue_multiset(cmp: ChargedMultiPartition, e: int) -> Counts:
+def residue_multiset(cmp: ChargedMultiPartition) -> Counts:
     """Box residues e*(content + charge) + component of a charged
-    e-multipartition, as sorted (value, count) pairs.
+    e-multipartition, e = cmp.level, as sorted (value, count) pairs.
 
     >>> mp = ChargedMultiPartition((Partition(()), Partition((1,))), (0, 0))
-    >>> residue_multiset(mp, 2)
+    >>> residue_multiset(mp)
     ((1, 1),)
     """
-    if cmp.level != e:
-        raise ValueError(f"expected {e} components, got {cmp.level}")
+    e = cmp.level
     acc: dict[int, int] = {}
     for j, (p, s) in enumerate(zip(cmp.components, cmp.charges)):
         for row, length in enumerate(p):
@@ -232,7 +231,7 @@ def series_blocks(
 
 def lossless_window(n: int, s: int, e: int) -> int:
     """The window check_content_lemma compares from for size n, charge s and
-    level e: below -window both sides of both identities are 0."""
+    level e: below -window both sides of the identity are 0."""
     return n + abs(s) + e + 5
 
 
@@ -251,24 +250,21 @@ def _counts_match(
 
 
 def check_content_lemma(p: Partition, s: int, e: int) -> bool:
-    """Coefficientwise check of the two content generating identities.
-
-    First: (1 - 1/t) times the level-1 residue series of |p, s> equals the
-    beta-set series minus the series of the trivial abacus at charge s.
-    Second: (1 - t^-e) times the residue series of the charged e-quotient
+    """Coefficientwise check of the content generating identity at level e:
+    (1 - t^-e) times the residue series of the charged e-quotient of |p, s>
     equals the beta-set series of p minus that of its e-core, both at
-    charge s.  Both are compared as integer counts on every exponent from
-    -lossless_window(|p|, s, e) up, which covers all nonzero coefficients.
+    charge s.  At e = 1 the quotient is |p, s> itself and the 1-core is
+    empty, so this is the level-1 identity.  Compared as integer counts on
+    every exponent from -lossless_window(|p|, s, e) up, which covers all
+    nonzero coefficients.  Raises ValueError for e < 1, from e_core, before
+    any bead map runs.
     """
-    window = lossless_window(p.size, s, e)
+    core = e_core(p, e)
     charged = ChargedMultiPartition((p,), (s,))
-    beta_p = to_beta(charged)
-    level1 = residue_multiset(charged, 1)
-    if not _counts_match(level1, 1, beta_p, BetaSet(s), window):
-        return False
-    quotient = residue_multiset(uglov(charged, e), e)
-    beta_core = to_beta(ChargedMultiPartition((e_core(p, e),), (s,)))
-    return _counts_match(quotient, e, beta_p, beta_core, window)
+    quotient = residue_multiset(uglov(charged, e))
+    beta_core = to_beta(ChargedMultiPartition((core,), (s,)))
+    window = lossless_window(p.size, s, e)
+    return _counts_match(quotient, e, to_beta(charged), beta_core, window)
 
 
 def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Counts]:
@@ -328,17 +324,18 @@ def block_match_report(n: int, e: int, m: int) -> dict:
     groups: dict[tuple[Partition, Partition], list[Partition]] = {}
     for p in sorted(partitions_of(n)):
         groups.setdefault((e_core(p, e), e_core(p, m)), []).append(p)
-    pairs = {(pr.e, pr.core): pr for level in (e, m) for pr in hc_pairs(n, level)}
+    # each series core is the core of some partition of n, so every group has its sides
     sides: dict[tuple[int, Partition], tuple] = {}
-
-    def side(members, level, core, at_root):
-        """Whether the members' images are distinct and fill one whole block
-        of their level series at at_root on both variants, and the sizes of
-        the blocks they touch, in block order."""
-        if (level, core) not in sides:
-            blocks, gu_ok = _side_blocks(pairs[level, core], at_root)
+    for level, at_root in ((e, m), (m, e)):
+        for pair in hc_pairs(n, level):
+            blocks, gu_ok = _side_blocks(pair, at_root)
             index = {mp: i for i, block in enumerate(blocks) for mp in block}
-            sides[level, core] = blocks, index, gu_ok
+            sides[level, pair.core] = blocks, index, gu_ok
+
+    def side(members, level, core):
+        """Whether the members' images are distinct and fill one whole block
+        of their level series at the other level's root on both variants, and
+        the sizes of the blocks they touch, in block order."""
         blocks, index, gu_ok = sides[level, core]
         images = {e_quotient_charged(p, level).components for p in members}
         hits = {index.get(mp) for mp in images}
@@ -348,8 +345,8 @@ def block_match_report(n: int, e: int, m: int) -> dict:
 
     intersections = []
     for (core_e, core_m), members in sorted(groups.items()):
-        ok_e, sizes_e = side(members, e, core_e, m)
-        ok_m, sizes_m = side(members, m, core_m, e)
+        ok_e, sizes_e = side(members, e, core_e)
+        ok_m, sizes_m = side(members, m, core_m)
         intersections.append(
             {
                 "coreE": str(core_e),

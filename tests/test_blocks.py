@@ -52,19 +52,25 @@ P = Partition
 class TestResidueMultisets:
     def test_examples(self):
         one = ChargedMultiPartition((P((1,)),), (0,))
-        assert residue_multiset(one, 1) == ((0, 1),)
+        assert residue_multiset(one) == ((0, 1),)
         two = ChargedMultiPartition((P((2,)),), (0,))
-        assert residue_multiset(two, 1) == ((0, 1), (1, 1))
+        assert residue_multiset(two) == ((0, 1), (1, 1))
         mixed = ChargedMultiPartition((P(()), P((1,))), (0, 0))
-        assert residue_multiset(mixed, 2) == ((1, 1),)
+        assert residue_multiset(mixed) == ((1, 1),)
 
     def test_total_mass(self):
         cmp0 = ChargedMultiPartition((P((3, 1)), P((2, 2))), (2, -1))
-        assert sum(c for _, c in residue_multiset(cmp0, 2)) == 8
+        assert sum(c for _, c in residue_multiset(cmp0)) == 8
 
     def test_level_mismatch(self):
-        with pytest.raises(ValueError):
-            residue_multiset(ChargedMultiPartition((P(()),), (0,)), 2)
+        # the level is the component count: no second level can be passed,
+        # so none can disagree with it
+        box = ChargedMultiPartition((P((1,)),), (1,))
+        with pytest.raises(TypeError):
+            residue_multiset(box, 2)
+        assert residue_multiset(box) == ((1, 1),)
+        padded = ChargedMultiPartition((P((1,)), P(())), (1, 0))
+        assert residue_multiset(padded) == ((2, 1),)
 
     @pytest.mark.parametrize("e", [1, 2, 3])
     def test_matches_cell_oracle(self, e):
@@ -79,7 +85,7 @@ class TestResidueMultisets:
                             v = e * (j - i + s) + c
                             counts[v] = counts.get(v, 0) + 1
                     cmp = ChargedMultiPartition(mp, charges)
-                    assert residue_multiset(cmp, e) == tuple(sorted(counts.items()))
+                    assert residue_multiset(cmp) == tuple(sorted(counts.items()))
 
     def test_uniform_charge_shift_preserves_key_equality(self):
         # shifting all charges by c shifts every residue by e*c
@@ -372,6 +378,36 @@ class TestBlockPartition:
                 series_blocks(pair, m, variant)
             assert not isinstance(exc.value, OmegaIsOne)
 
+    @staticmethod
+    def _refusal_disagreements():
+        """(cases, m | e cases, disagreements) over every series with n <= 8
+        and e <= 12 and every m <= 12: a disagreement is a case where GL or
+        GU blocks raise OmegaIsOne other than exactly when m divides e."""
+        def refuses(pair, m, variant):
+            try:
+                series_blocks(pair, m, variant)
+            except OmegaIsOne:
+                return True
+            return False
+
+        cases = dividing = disagreements = 0
+        for n in range(1, 9):
+            for e in range(1, 13):
+                for pair in hc_pairs(n, e):
+                    for m in range(1, 13):
+                        cases += 1
+                        dividing += e % m == 0
+                        disagreements += not (
+                            refuses(pair, m, GL) == refuses(pair, m, GU) == (e % m == 0)
+                        )
+        return cases, dividing, disagreements
+
+    def test_gl_and_gu_refuse_the_same_levels(self, monkeypatch):
+        assert self._refusal_disagreements() == (6372, 1755, 0)
+        # negative control: GU root keys taken at m itself, not ennola_e(m)
+        monkeypatch.setattr(blocks, "ennola_e", lambda m: m)
+        assert self._refusal_disagreements() == (6372, 1755, 94)
+
     def test_group_by_counts_canonical_order(self):
         # members sorted, then blocks by first member, both by part tuples,
         # whatever order the multipartitions come in
@@ -436,9 +472,9 @@ class TestContentLemma:
         assert sum(len(partitions_of(n)) for n in range(8)) * 9 * 5 == 2025
         assert self._failures() == []
 
-    # negative controls: each mutant feeds the second identity a wrong
-    # operand; the failure counts were recorded with the identities compared
-    # as truncated series
+    # negative controls: each mutant feeds the identity a wrong operand; the
+    # failure counts were recorded with the identities compared as truncated
+    # series, the level-1 identity then checked beside every level
     def test_wrong_core_mutant_fails(self, monkeypatch):
         real = blocks.e_core
         monkeypatch.setattr(
@@ -457,18 +493,33 @@ class TestContentLemma:
         assert len(self._failures()) == 1521
 
     def test_shifted_level_one_residues_mutant_fails(self, monkeypatch):
-        # the first identity read at charge s + 1: every case but the empty
-        # partition fails
+        # level-1 residues read at charge s + 1: exactly the e = 1 cases of
+        # the 44 nonempty partitions fail, at each of the 9 charges
         real = blocks.residue_multiset
 
-        def shifted(cmp, e):
-            if e == 1:
+        def shifted(cmp):
+            if cmp.level == 1:
                 charges = tuple(c + 1 for c in cmp.charges)
                 cmp = ChargedMultiPartition(cmp.components, charges)
-            return real(cmp, e)
+            return real(cmp)
 
         monkeypatch.setattr(blocks, "residue_multiset", shifted)
-        assert len(self._failures()) == 2025 - 45
+        failures = self._failures()
+        assert {e for _, _, e in failures} == {1}
+        assert len({parts for parts, _, _ in failures}) == 44
+        assert len(failures) == 44 * 9 == 396
+
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_rejects_nonpositive_level(self, monkeypatch, e):
+        # the partitions layer's message, raised before any bead map runs
+        def bead_map(*args):
+            raise AssertionError("bead map reached")
+
+        monkeypatch.setattr(blocks, "uglov", bead_map)
+        monkeypatch.setattr(blocks, "to_beta", bead_map)
+        for p, s in ((P(()), 0), (P((2, 1)), 3), (P((1,)), -2)):
+            with pytest.raises(ValueError, match="^e must be >= 1$"):
+                check_content_lemma(p, s, e)
 
     @staticmethod
     def _lowest_nonzero(rm, step, beta, ref):
@@ -491,10 +542,10 @@ class TestContentLemma:
         return min(left + right, default=None)
 
     def test_window_is_lossless_and_used(self, monkeypatch):
-        # both identities are compared from exactly -lossless_window, and no
-        # nonzero coefficient of either side lies below that point; a check
-        # cut short of the window would still pass every true case, so the
-        # window it uses is read off its calls
+        # the identity is compared once, from exactly -lossless_window, and
+        # no nonzero coefficient of either side lies below that point; a
+        # check cut short of the window would still pass every true case, so
+        # the window it uses is read off its calls
         seen = []
         real = blocks._counts_match
 
@@ -511,7 +562,7 @@ class TestContentLemma:
                         seen.clear()
                         assert check_content_lemma(p, s, e)
                         window = lossless_window(n, s, e)
-                        assert [call[4] for call in seen] == [window, window]
+                        assert [call[4] for call in seen] == [window]
                         for rm, step, beta, ref, _ in seen:
                             lowest = self._lowest_nonzero(rm, step, beta, ref)
                             if lowest is not None:

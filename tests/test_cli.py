@@ -808,6 +808,16 @@ class TestOutputBytes:
             == "52aa09de272a8cb69e05971260ca474cc9d7dac4430933ce66abc4b7645c9d92"
         )
 
+    def test_content_lemma_level_one_digest(self, capsys):
+        # sha256 of stdout as recorded with the level-1 identity checked
+        # beside the level-e one in every case
+        code, out, _ = run(capsys, "verify", "content-lemma", "--max-n", "9", "--stream")
+        assert code == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "bbd01205dd4033d3e05f5c969b49c30506b2e0cedabbc802138879df4c0f1c6e"
+        )
+
 
 class TestSubprocessDeterminism:
     def test_byte_identical_runs(self):
