@@ -298,12 +298,13 @@ def _side_blocks(
     pair: CuspidalPairGL, at_root: int
 ) -> tuple[tuple[tuple[MultiPartition, ...], ...], bool]:
     """Block partition of a series at a given root, and whether the unitary
-    variant induces the same partition; at at_root = 1 every key collapses,
-    so it is the single full block on both variants."""
-    if at_root == 1:
+    variant induces the same partition.  At at_root = 1 every key collapses,
+    and a series with a = 0 has the empty multipartition as its one member,
+    so either way it is the single full block on both variants."""
+    if at_root == 1 or pair.a == 0:
         return (tuple(sorted(multipartitions_of(pair.e, pair.a))),), True
     blocks = series_blocks(pair, at_root)
-    return blocks, pair.a == 0 or series_blocks(pair, at_root, GU) == blocks
+    return blocks, series_blocks(pair, at_root, GU) == blocks
 
 
 def block_match_report(n: int, e: int, m: int) -> dict:

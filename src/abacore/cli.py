@@ -67,8 +67,12 @@ VERIFY_MAX_N = 16  # content-lemma, the slowest suite at n = 16, takes about 3 s
 VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 11 s at this bound
 
 
+# one encoder for every line: json.dumps with sort_keys builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_ENCODER.encode(obj))
 
 
 def _coprime_pairs(e, m) -> list[tuple[int, int]]:

@@ -201,6 +201,9 @@ def specialization(pair: CuspidalPairGL, variant: str = GL) -> HeckeSpecializati
     The cyclic-generator parameters are x to the core exponents (unitary
     variant: -x in place of x); the symmetric-generator parameters are
     (1, -x^e) (unitary: 1, -(-x)^e).  Pairs with a = 0 have no Hecke data.
+    Replacing x by -x turns the root argument of x^k by k/2, so each
+    unitary argument is the parity of its exponent, 1/2 or 0, and that of
+    -(-x)^e is 1/2 exactly when e is even.
     """
     if pair.a < 1:
         raise ValueError("cuspidal singletons carry no Hecke parameters")
@@ -213,6 +216,6 @@ def specialization(pair: CuspidalPairGL, variant: str = GL) -> HeckeSpecializati
         tau = tuple(HeckeParam(zero, a) for a in exps)
         sigma1 = HeckeParam(_HALF, e)
     else:
-        tau = tuple(HeckeParam((a * _HALF) % 1, a) for a in exps)
-        sigma1 = HeckeParam(((e + 1) * _HALF) % 1, e)
+        tau = tuple(HeckeParam(_HALF if a % 2 else zero, a) for a in exps)
+        sigma1 = HeckeParam(zero if e % 2 else _HALF, e)
     return HeckeSpecialization(tau, (HeckeParam(zero, 0), sigma1))

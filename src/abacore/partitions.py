@@ -75,8 +75,11 @@ class Partition(tuple):
         return f"Partition(parts={self.parts})"
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self)
+        return ",".join(map(str, self))
 
+
+# the empty partition, shared by every empty component _charged emits
+_EMPTY = Partition(())
 
 MultiPartition = tuple[Partition, ...]
 MultiCharge = tuple[int, ...]
@@ -179,12 +182,16 @@ def _abaci(components, charges) -> Abacus:
 
 
 def _charged(abaci: Abacus) -> tuple[MultiPartition, MultiCharge]:
-    """Inverse of _abaci: (components, charges), charge = floor + len(tail)."""
+    """Inverse of _abaci: (components, charges), charge = floor + len(tail).
+    An empty tail gives the shared _EMPTY, which is safe as a Partition is an
+    immutable tuple; every other component is built and validated."""
     components = []
     charges = []
     for floor, tail in abaci:
         s = floor + len(tail)
-        components.append(Partition(tuple(x + i - s for i, x in enumerate(tail, 1))))
+        components.append(
+            Partition(tuple(x + i - s for i, x in enumerate(tail, 1))) if tail else _EMPTY
+        )
         charges.append(s)
     return tuple(components), tuple(charges)
 

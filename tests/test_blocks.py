@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from abacore import blocks
+from abacore import blocks, cli
 from abacore.blocks import (
     EquivalenceViolation,
     OmegaIsOne,
@@ -852,3 +852,100 @@ class TestBlockMatchReport:
             tuple(entry["members"]): entry["pass"]
             for entry in report["intersections"]
         }[("3,1,1",)] is True
+
+
+class TestSingletonSeries:
+    # a series with a = 0 has one member, the empty multipartition, so its
+    # side of the report is one block without keys on either variant
+    def test_singleton_side_is_one_block(self):
+        checked = 0
+        for n in range(1, 11):
+            for e in range(1, 13):
+                for pair in hc_pairs(n, e):
+                    if pair.a:
+                        continue
+                    only = (tuple(multipartitions_of(e, 0)),)
+                    assert len(only[0]) == 1 and not any(only[0][0])
+                    for r in range(2, 13):
+                        if gcd(e, r) != 1:
+                            continue
+                        assert blocks._side_blocks(pair, r) == (only, True)
+                        assert block_partition(e, 0, pair.core, r) == only
+                        assert series_blocks(pair, r, GU) == only
+                        checked += 1
+        assert checked == 5_437
+
+    @staticmethod
+    def _misplaced(core, level):
+        # the series map with the image of one e-core, an a = 0 series of
+        # that level, moved to a nonempty multipartition
+        real = e_quotient_charged
+
+        def image(p, e):
+            if (p, e) == (core, level):
+                return ChargedMultiPartition((P((1,)),) + (P(()),) * (e - 1), (0,) * e)
+            return real(p, e)
+
+        return image
+
+    @pytest.mark.parametrize(
+        "n, e, m, singletons",
+        [(4, 3, 4, 3), (5, 2, 3, 1), (6, 3, 2, 3), (7, 4, 3, 3)],
+    )
+    def test_every_misplaced_core_fails_exactly_its_intersections(
+        self, monkeypatch, n, e, m, singletons
+    ):
+        # each a = 0 series in turn, on both sides, fails its own intersections
+        # and no other; (4, 3, 4) includes the 3-core 2,1,1 sent to (1);;
+        assert block_match_report(n, e, m)["pass"] is True
+        mutants = 0
+        for level, side in ((e, "E"), (m, "M")):
+            for pair in hc_pairs(n, level):
+                if pair.a:
+                    continue
+                monkeypatch.setattr(
+                    blocks, "e_quotient_charged", self._misplaced(pair.core, level)
+                )
+                entries = block_match_report(n, e, m)["intersections"]
+                hit = [entry["core" + side] == str(pair.core) for entry in entries]
+                assert any(hit)
+                assert [entry["pass"] for entry in entries] == [not h for h in hit]
+                assert all(
+                    entry["block" + side + "_sizes"] == []
+                    for entry, h in zip(entries, hit)
+                    if h
+                )
+                mutants += 1
+        assert mutants == singletons
+
+    def test_no_keys_for_singleton_series(self, monkeypatch):
+        # thm1 computes a block partition only for a (pair, root) with a > 0
+        # and root >= 2
+        calls = []
+        reports = []
+        real_partition = blocks.block_partition
+        real_report = cli.block_match_report
+
+        def counted(*args):
+            calls.append(args)
+            return real_partition(*args)
+
+        def recorded(n, e, m):
+            reports.append((n, e, m))
+            return real_report(n, e, m)
+
+        monkeypatch.setattr(blocks, "block_partition", counted)
+        monkeypatch.setattr(cli, "block_match_report", recorded)
+        _, _, failures = run_suite("thm1", max_n=8)
+        assert failures == []
+        sides = [
+            (pair, at_root)
+            for n, e, m in reports
+            for level, at_root in ((e, m), (m, e))
+            for pair in hc_pairs(n, level)
+        ]
+        keyed = [(pair, r) for pair, r in sides if pair.a > 0 and r >= 2]
+        assert len(calls) == len(keyed)
+        assert sorted(calls) == sorted((p.e, p.a, p.core, r) for p, r in keyed)
+        # most sides are singleton series at a root >= 2
+        assert sum(pair.a == 0 and r >= 2 for pair, r in sides) > len(keyed)

@@ -662,6 +662,17 @@ class TestOutputBytes:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout as recorded with a block partition keyed for every
+    # a = 0 series and the unitary parameter arguments computed in Fraction
+    # arithmetic; the default thm1 is the one size that reaches a > 0 series
+    # at levels 11 and 12
+    def test_default_thm1_digest(self, capsys):
+        code, out, _ = run(capsys, "verify", "thm1", "--stream")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "308717137dc7f17b6251f56fb00c4dd5abcef71571044ba3e3ce0dcbec935fe3"
+        )
+
     # sha256 of stdout as recorded with a validated cuspidal pair built for
     # every partition, twice, instead of filing members under the cached pairs
     @pytest.mark.parametrize(

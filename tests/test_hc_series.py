@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -282,6 +282,41 @@ class TestSpecialization:
                     assert t0 == s0
                     assert t1.exponent == s1.exponent
                     assert t1.arg == (s1.arg + Fraction(s1.exponent, 2)) % 1
+
+    def test_arguments_match_the_fraction_formula(self):
+        # each argument is the exact parity of its exponent, as the Fraction
+        # formula (exponent / 2) mod 1 gives it, in lowest terms in [0, 1)
+        half = Fraction(1, 2)
+        pairs = [
+            pair
+            for n in range(1, 15)
+            for e in range(1, 13)
+            for pair in hc_pairs(n, e)
+            if pair.a > 0
+        ]
+        gu_tau_args, gu_sigma_args = set(), set()
+        for pair in pairs:
+            for variant in (GL, GU):
+                sp = specialization(pair, variant)
+                s0, s1 = sp.sigma_params
+                for param in sp.tau_params + sp.sigma_params:
+                    assert type(param.arg) is Fraction
+                    assert 0 <= param.arg < 1
+                    assert gcd(param.arg.numerator, param.arg.denominator) == 1
+                assert s0 == HeckeParam(Fraction(0), 0)
+                assert s1.exponent == pair.e
+                if variant == GL:
+                    assert all(t.arg == 0 for t in sp.tau_params)
+                    assert s1.arg == half
+                    continue
+                for t in sp.tau_params:
+                    assert t.arg == (t.exponent * half) % 1
+                    gu_tau_args.add(t.arg)
+                assert s1.arg == ((pair.e + 1) * half) % 1
+                gu_sigma_args.add(s1.arg)
+        assert len(pairs) == 325
+        # both parities occur on both kinds of argument
+        assert gu_tau_args == gu_sigma_args == {0, half}
 
     def test_rejects_singleton(self):
         with pytest.raises(ValueError):

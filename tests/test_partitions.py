@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abacore.partitions import (
+    _EMPTY,
     BetaSet,
     ChargedMultiPartition,
     Partition,
     _abaci,
+    _charged,
     _core_matched_split,
     core_exponents,
     e_core,
@@ -210,6 +212,54 @@ class TestChargedSplit:
                     cmp = uglov(CP(p, s), e)
                     assert cmp.total_charge == s
                     assert uglov(cmp, 1) == CP(p, s)
+
+
+class TestSharedEmptyComponent:
+    # _charged emits one shared empty partition for every empty tail
+    @staticmethod
+    def _check_empties(mp):
+        for c in mp:
+            if not c:
+                assert c is _EMPTY
+                assert type(c) is P
+                assert c == P(()) and hash(c) == hash(P(()))
+        return sum(not c for c in mp)
+
+    @staticmethod
+    def _check_order(images):
+        # the same order as the images rebuilt from fresh partitions
+        rebuilt = [tuple(P(tuple(c)) for c in mp) for mp in images]
+        assert rebuilt == images
+        assert all(c is not _EMPTY for mp in rebuilt for c in mp if not c)
+        order = sorted(range(len(images)), key=images.__getitem__)
+        assert order == sorted(range(len(rebuilt)), key=rebuilt.__getitem__)
+
+    def test_quotient_components(self):
+        empties = 0
+        for e in range(1, 7):
+            images = [
+                e_quotient_charged(p, e).components for p in all_partitions_up_to(10)
+            ]
+            empties += sum(self._check_empties(mp) for mp in images)
+            self._check_order(images)
+        assert empties == 2_110
+
+    def test_uglov_components(self):
+        empties = 0
+        for p in all_partitions_up_to(8):
+            for s in (-3, 0, 2):
+                for e in (2, 3):
+                    cmp = uglov(CP(p, s), e)
+                    images = [uglov(cmp, m).components for m in range(1, 6)]
+                    empties += sum(self._check_empties(mp) for mp in images)
+                    self._check_order(images)
+        assert empties == 3_810
+
+    def test_nonempty_parts_still_validated(self):
+        # a non-canonical abacus: floor 0 is a bead, giving a part of 0
+        with pytest.raises(ValueError, match="parts must be positive, got 0"):
+            _charged(((0, (0,)),))
+        assert _charged(((0, ()), (-1, (1,)))) == ((_EMPTY, P((2,))), (0, 0))
 
 
 class TestCoreQuotient:
