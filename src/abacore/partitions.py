@@ -143,8 +143,9 @@ class BetaSet:
 # ---------------------------------------------------------------------------
 # hooks and cores by direct Young-diagram combinatorics
 
+@lru_cache(maxsize=None)
 def hook_lengths(p: Partition) -> tuple[int, ...]:
-    """The multiset of hook lengths of p, as a decreasing tuple.
+    """The multiset of hook lengths of p, as a decreasing tuple (memoised).
 
     >>> hook_lengths(Partition((2, 1)))
     (3, 1, 1)

@@ -6,8 +6,15 @@ All coefficients are Python integers; any inexact division raises instead of
 approximating, since an inexact division here always means a transcription
 bug somewhere upstream.  Multiplication and division skip zero coefficients:
 they loop only over the nonzero terms of the right operand or divisor, and
-most divisors here (x^h - 1 and the cyclotomics) have few.  phi_multiplicity
-is memoised; each multiplicity is still found by repeated exact division.
+most divisors here (x^h - 1 and the cyclotomics) have few.
+
+generic_degree cancels each numerator factor x^i - 1 of the q-hook formula
+against an equal hook length before multiplying, so only the factors left
+over are multiplied out and divided.  mod_cyclotomic first folds f modulo
+x^e - 1, which the e-th cyclotomic divides, and divides only the folded
+polynomial of degree below e.  phi_multiplicity is memoised; each
+multiplicity is still found by repeated exact division of the dense
+polynomial, and each step is tested by that fold.
 """
 
 from __future__ import annotations
@@ -169,22 +176,38 @@ def cyclotomic(e: int) -> IntPolynomial:
 @lru_cache(maxsize=None)
 def phi_multiplicity(f: IntPolynomial, e: int) -> int:
     """The largest power of the e-th cyclotomic polynomial dividing f, by
-    repeated exact division."""
+    repeated exact division.
+
+    Each step asks mod_cyclotomic whether the cyclotomic divides what is
+    left, and divides only when it does, so the last, failing step costs a
+    fold rather than a division.
+
+    >>> phi_multiplicity(gl_order(6), 3)
+    2
+    """
+    phi = cyclotomic(e)
     if f.is_zero():
         raise ValueError("multiplicity undefined for the zero polynomial")
-    phi = cyclotomic(e)
     count = 0
-    while True:
-        q, r = divmod(f, phi)
-        if not r.is_zero():
-            return count
-        f = q
+    while mod_cyclotomic(f, e).is_zero():
+        f = f.exact_div(phi)
         count += 1
+    return count
 
 
 def mod_cyclotomic(f: IntPolynomial, e: int) -> IntPolynomial:
-    """Remainder of f modulo the e-th cyclotomic polynomial."""
-    return f % cyclotomic(e)
+    """Remainder of f modulo the e-th cyclotomic polynomial.
+
+    f is first reduced modulo x^e - 1 by summing its coefficients in each
+    residue class of exponents mod e; the e-th cyclotomic divides x^e - 1,
+    so dividing that folded polynomial leaves the same remainder.
+
+    >>> mod_cyclotomic(IntPolynomial(0, 0, 0, 1, 1), 3)
+    IntPolynomial('x + 1')
+    """
+    phi = cyclotomic(e)
+    coeffs = f.coeffs
+    return IntPolynomial(*(sum(coeffs[r::e]) for r in range(e))) % phi
 
 
 @lru_cache(maxsize=None)
@@ -204,20 +227,26 @@ def generic_degree(p: Partition) -> IntPolynomial:
 
     Computed by the q-analogue of the hook length formula:
     x^(sum (i-1) p_i) * prod_{i<=n} (x^i - 1) / prod_boxes (x^h - 1).
+    Each numerator factor x^i - 1 first cancels against one hook of length
+    i; only the factors left over are multiplied, and the hooks left over
+    divided, each division exact-checked.  The power of x is prepended last.
     The full-row partition indexes the trivial character (degree 1) and the
     full-column partition the Steinberg character.
 
     >>> generic_degree(Partition((2, 1)))
     IntPolynomial('x^2 + x')
     """
-    n = p.size
-    shift = sum(i * part for i, part in enumerate(p))
-    poly = IntPolynomial(*([0] * shift), 1)
-    for i in range(1, n + 1):
-        poly = poly * x_power_minus_one(i)
-    for h in hook_lengths(p):
+    hooks = list(hook_lengths(p))
+    poly = IntPolynomial(1)
+    for i in range(1, p.size + 1):
+        if i in hooks:
+            hooks.remove(i)
+        else:
+            poly = poly * x_power_minus_one(i)
+    for h in hooks:
         poly = poly.exact_div(x_power_minus_one(h))
-    return poly
+    shift = sum(i * part for i, part in enumerate(p))
+    return IntPolynomial(*([0] * shift), *poly.coeffs)
 
 
 def singular_check(p: Partition, e: int) -> bool:

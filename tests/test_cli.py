@@ -739,6 +739,29 @@ class TestOutputBytes:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout at the degree suites' scale point, as recorded with
+    # every numerator factor of the q-hook formula multiplied out before any
+    # hook was divided, and remainders taken by dividing the full degree
+    @pytest.mark.parametrize(
+        "argv, exit_code, digest",
+        [
+            (
+                ("verify", "cuspidal", "--max-n", "16", "--stream"),
+                0,
+                "92d682d3f4db01201352154459b8a414c538ec3d4202648c0566f9f5efe21a30",
+            ),
+            (
+                ("verify", "degmod", "--max-n", "16", "--stream"),
+                1,
+                "83a9d4fc73c1d71b35cebb2da0836b653b217a02df689d800551f253c7a705dc",
+            ),
+        ],
+    )
+    def test_degree_scale_point_digest(self, capsys, argv, exit_code, digest):
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of stdout as recorded with level-m keys reduced from
     # ResidueMultiset objects, before they shared the root-key kernel
     @pytest.mark.parametrize(

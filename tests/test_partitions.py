@@ -94,6 +94,14 @@ class TestPartitionBasics:
         for p in all_partitions_up_to(9):
             assert list(hook_lengths(p)) == hooks_by_cells(p.parts)
 
+    def test_hook_lengths_are_memoised_per_partition(self):
+        # an equal partition built afresh hits the same immutable entry
+        first = hook_lengths(P((4, 2, 1)))
+        assert isinstance(first, tuple)
+        hits = hook_lengths.cache_info().hits
+        assert hook_lengths(P((4, 2, 1))) is first
+        assert hook_lengths.cache_info().hits == hits + 1
+
     def test_partition_counts(self):
         for n, expected in enumerate(PARTITION_COUNTS):
             assert len(partitions_of(n)) == expected

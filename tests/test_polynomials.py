@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from abacore import polynomials
 from abacore.partitions import Partition, hook_lengths, partitions_of
 from abacore.polynomials import (
     InexactDivisionError,
@@ -18,6 +19,7 @@ from abacore.polynomials import (
 from abacore.partitions import is_e_core
 from oracles import (
     ennola_substitute,
+    hooks_by_cells,
     naive_product,
     schoolbook_divmod,
     syt_by_recursion,
@@ -157,6 +159,87 @@ class TestMultiplicityAndRemainder:
             for e in range(1, 11):
                 assert phi_multiplicity(gl_order(n), e) == n // e
 
+    @pytest.mark.parametrize("e", [0, -1, -5])
+    @pytest.mark.parametrize("f", [IntPolynomial(), IntPolynomial(1), IntPolynomial(-1, 1, 0, 1)])
+    def test_rejects_bad_level(self, f, e):
+        # the level is checked by cyclotomic(e) before any fold, so a zero
+        # step or an empty range of residues never gets to answer instead
+        with pytest.raises(ValueError, match="e must be >= 1"):
+            mod_cyclotomic(f, e)
+        with pytest.raises(ValueError, match="e must be >= 1"):
+            phi_multiplicity(f, e)
+
+
+def _schoolbook_multiplicity(f, d):
+    """How often d divides f, by repeated schoolbook division (f nonzero)."""
+    count = 0
+    while True:
+        q, r = schoolbook_divmod(f, d)
+        if r:
+            return count
+        f, count = q, count + 1
+
+
+def _fold_mutant(f, e):
+    # folds modulo x^(e+1) - 1, which the e-th cyclotomic divides only at e = 1
+    c = f.coeffs
+    return IntPolynomial(*(sum(c[r :: e + 1]) for r in range(e + 1))) % cyclotomic(e)
+
+
+# every f with coefficients in {-1, 0, 1} of length <= 6, the zero
+# polynomial included (shorter f as tuples with trailing zeros)
+TERNARY = list(product((-1, 0, 1), repeat=6))
+# nonzero f of length <= 4, each also taken times the cyclotomic and its
+# square in the multiplicity check, so that every count up to 2 occurs
+SMALL = [f for n in range(1, 5) for f in product((-1, 0, 1), repeat=n) if any(f)]
+
+
+def _remainder_mismatches():
+    """(f, e), 1 <= e <= 12, where polynomials.mod_cyclotomic differs from
+    the schoolbook remainder."""
+    bad = []
+    for e in range(1, 13):
+        phi = cyclotomic(e).coeffs
+        for f in TERNARY:
+            expected = schoolbook_divmod(f, phi)[1]
+            if polynomials.mod_cyclotomic(IntPolynomial(*f), e).coeffs != expected:
+                bad.append((f, e))
+    return bad
+
+
+def _multiplicity_mismatches():
+    """(g, e), 1 <= e <= 8, where the uncached phi_multiplicity differs from
+    counting schoolbook divisions, or raises instead."""
+    bad = []
+    for e in range(1, 9):
+        phi = cyclotomic(e).coeffs
+        for g in SMALL:
+            for _ in range(3):
+                try:
+                    got = phi_multiplicity.__wrapped__(IntPolynomial(*g), e)
+                except InexactDivisionError:
+                    got = None
+                if got != _schoolbook_multiplicity(g, phi):
+                    bad.append((g, e))
+                g = naive_product(g, phi)
+    return bad
+
+
+class TestRemainderAgainstSchoolbook:
+    def test_mod_cyclotomic(self):
+        assert _remainder_mismatches() == []
+
+    def test_phi_multiplicity(self):
+        assert _multiplicity_mismatches() == []
+
+    def test_fold_through_the_wrong_binomial_is_caught(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "mod_cyclotomic", _fold_mutant)
+        # the cyclotomic divides x^2 - 1 at e = 1, and an f of degree <= 5
+        # folds to itself modulo x^(e+1) - 1 from e = 5 on; the products
+        # in the multiplicity check are long enough to reach every level
+        assert {e for _, e in _remainder_mismatches()} == {2, 3, 4}
+        assert {e for _, e in _multiplicity_mismatches()} == set(range(2, 9))
+
 
 class TestGlOrder:
     def test_examples(self):
@@ -203,6 +286,20 @@ class TestGenericDegree:
         for q in (2, 3):
             for p in partitions_of(5):
                 assert gl_order(5)(q) % generic_degree(p)(q) == 0
+
+    def test_against_uncancelled_formula(self):
+        # x^shift * prod_{i<=n} (x^i - 1) multiplied out in full, then divided
+        # by every hook's x^h - 1 in schoolbook division, each step exact
+        for n in range(11):
+            for p in partitions_of(n):
+                shift = sum(i * part for i, part in enumerate(p))
+                poly = (0,) * shift + (1,)
+                for i in range(1, n + 1):
+                    poly = naive_product(poly, (-1,) + (0,) * (i - 1) + (1,))
+                for h in hooks_by_cells(p.parts):
+                    poly, rem = schoolbook_divmod(poly, (-1,) + (0,) * (h - 1) + (1,))
+                    assert rem == ()
+                assert generic_degree(p).coeffs == poly, p
 
 
 class TestSingularCheck:
