@@ -144,7 +144,7 @@ def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
     out = [None] * ap.e
     for (floor, tail), j in zip(abaci, ap.perm):
         d = ap.shifts[j]
-        out[j] = (floor + d, tuple(x + d for x in tail))
+        out[j] = (floor + d, tuple([x + d for x in tail]) if d else tail)
     return tuple(out)
 
 

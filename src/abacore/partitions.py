@@ -20,8 +20,8 @@ Conventions used throughout the package:
   multipartitions it is levelrank.uglov: splitting a charged partition into
   its charged e-quotient is uglov from level 1 to level e, and joining is
   uglov back to level 1.
-* The series charge of p at level e is e + len(e-core of p), written once in
-  _core_matched_split; the series map e_quotient_charged is its charged form.
+* The series charge of p at level e is e + len(e-core of p), read off one
+  charge-0 split in _core_matched_split; e_quotient_charged is its charged form.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ class Partition(tuple):
 
     >>> Partition((3, 1, 1)).size
     5
-    >>> Partition(()).length
-    0
     >>> sorted([Partition((2,)), Partition((1, 1))])
     [Partition(parts=(1, 1)), Partition(parts=(2,))]
     """
@@ -59,10 +57,6 @@ class Partition(tuple):
     @property
     def size(self) -> int:
         return sum(self)
-
-    @property
-    def length(self) -> int:
-        return len(self)
 
     def conjugate(self) -> "Partition":
         cols = [0] * (self[0] if self else 0)
@@ -265,27 +259,37 @@ def from_beta(b: BetaSet) -> ChargedMultiPartition:
 
 @lru_cache(maxsize=None)
 def e_core(p: Partition, e: int) -> Partition:
-    """The partition left after removing all rim e-hooks from p.
-
-    Computed by emptying the quotient components of the abacus splitting;
-    the result does not depend on the auxiliary charge.
+    """The partition left after removing all rim e-hooks from p: the level-1
+    join of the emptied components of the cached e_quotient_charged(p, e), as
+    a core does not depend on the charge.  Raises ValueError for e < 1.
 
     >>> e_core(Partition((3,)), 3)
     Partition(parts=())
     """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    split = regroup(_abaci((p,), (0,)), e)
-    emptied = tuple((floor + len(tail), ()) for floor, tail in split)
+    emptied = tuple((c, ()) for c in e_quotient_charged(p, e).charges)
     (core,), _ = _charged(regroup(emptied, 1))
     return core
 
 
 def _core_matched_split(p: Partition, level: int) -> tuple[int, Abacus]:
     """(s, split): p's abacus at the series charge s = level + len(level-core),
-    split into level components."""
-    s = level + e_core(p, level).length
-    return s, regroup(_abaci((p,), (s,)), level)
+    split into level components, read off one split of p's charge-0 abacus:
+    emptying its components, of charges c_r, leaves the core at charge 0, whose
+    lowest empty position min(level*c_r + r) is -len(core), and charge s moves
+    component r to (r + s) % level, shifted by (r + s) // level.
+
+    >>> _core_matched_split(Partition((3,)), 3)
+    (3, ((1, ()), (1, ()), (0, (1,))))
+    """
+    if level < 1:
+        raise ValueError("e must be >= 1")
+    split = regroup(_abaci((p,), (0,)), level)
+    s = level - min(level * (f + len(t)) + r for r, (f, t) in enumerate(split))
+    rotated = [None] * level
+    for r, (floor, tail) in enumerate(split):
+        d, j = divmod(r + s, level)
+        rotated[j] = (floor + d, tuple([x + d for x in tail]) if d else tail)
+    return s, tuple(rotated)
 
 
 @lru_cache(maxsize=None)
@@ -294,8 +298,8 @@ def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
     the charged form of _core_matched_split(p, e).
 
     The components are p's image in the series of its e-core; the charges
-    depend on the core alone and give the Hecke exponents (core_exponents)
-    and the residue keys of the series.
+    depend on the core alone and give the core itself (e_core), the Hecke
+    exponents (core_exponents) and the residue keys of the series.
     """
     return ChargedMultiPartition(*_charged(_core_matched_split(p, e)[1]))
 

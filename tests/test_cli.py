@@ -603,28 +603,48 @@ class TestPerMemberFacts:
         errors = sum("error" in case for case in cases)
         assert errors == (0 if mutant is None else 4)
 
-    def test_thm2_splits_each_partition_once_per_level(self, monkeypatch):
-        # regroup runs once per case (the one multi-component map), once
-        # per (partition, level) split, and twice per e_core miss; cores are
-        # cached, so start from none and leave none made under the spy
+    @staticmethod
+    def regroup_calls(monkeypatch, suite, **given):
+        """(cases, regroup calls) of one run of the suite.  e_core and the
+        series quotients it reads are cached and made with regroup, so the
+        run starts from none cached and leaves none made under the spy."""
         real = partitions.regroup
         calls = 0
+        cases = []
 
         def spy(abaci, m):
             nonlocal calls
             calls += 1
             return real(abaci, m)
 
-        partitions.e_core.cache_clear()
+        caches = (partitions.e_core, partitions.e_quotient_charged)
+        for cached in caches:
+            cached.cache_clear()
         try:
             monkeypatch.setattr(partitions, "regroup", spy)
             monkeypatch.setattr(levelrank, "regroup", spy)
-            _, cases, _ = run_suite("thm2", max_n=8)
+            run_suite(suite, cases.append, **given)
         finally:
-            partitions.e_core.cache_clear()
+            for cached in caches:
+                cached.cache_clear()
+        return cases, calls
+
+    def test_thm2_splits_each_partition_once_per_level(self, monkeypatch):
+        # regroup runs once per case (the one multi-component map) and once
+        # per (partition, level) split, which reads the series charge off
+        # the same split: no e_core is made
+        cases, calls = self.regroup_calls(monkeypatch, "thm2", max_n=8)
         members = sum(PARTITION_COUNTS[1:9])  # 66 partitions, levels 1..12
-        assert cases == 45 * members
-        assert calls == cases + 12 * members + 2 * 12 * members == 5346
+        assert len(cases) == 45 * members
+        assert calls == len(cases) + 12 * members == 3762
+
+    def test_degmod_splits_each_constant_remainder_once(self, monkeypatch):
+        # degree_sign reads the series quotient of each (p, e) whose remainder
+        # is constant, one regroup each; a nonconstant one stops before it
+        cases, calls = self.regroup_calls(monkeypatch, "degmod", max_n=8)
+        nonconstant = sum("nonconstant" in case.get("error", "") for case in cases)
+        assert len(cases) == sum(n * PARTITION_COUNTS[n] for n in range(1, 9))
+        assert calls == len(cases) - nonconstant == 371
 
     def test_content_prop_keys_each_member_once_per_level_pair(self, monkeypatch):
         # one _member_key per member of an e-core class with a pair to

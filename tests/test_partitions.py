@@ -21,11 +21,12 @@ from abacore.partitions import (
     parse_multipartition,
     parse_partition,
     partitions_of,
+    regroup,
     render_multipartition,
     to_beta,
 )
 from abacore.levelrank import uglov
-from oracles import PARTITION_COUNTS, hooks_by_cells, rim_hook_core
+from oracles import PARTITION_COUNTS, hooks_by_cells, regroup_on_beads, rim_hook_core
 
 P = Partition
 CMP = ChargedMultiPartition
@@ -78,7 +79,7 @@ class TestPartitionBasics:
 
     def test_size_and_length(self):
         assert P((3, 1, 1)).size == 5
-        assert P((3, 1, 1)).length == 3
+        assert len(P((3, 1, 1))) == 3
         assert P(()).size == 0
 
     def test_conjugate(self):
@@ -324,10 +325,10 @@ class TestCoreQuotient:
             for e in range(1, 7):
                 core = e_core(p, e)
                 image = e_quotient_charged(p, e)
-                assert image == uglov(CP(p, e + core.length), e)
+                assert image == uglov(CP(p, e + len(core)), e)
                 assert image.charges == e_quotient_charged(core, e).charges
                 assert _core_matched_split(p, e) == (
-                    e + core.length,
+                    e + len(core),
                     _abaci(image.components, image.charges),
                 )
 
@@ -349,6 +350,69 @@ class TestCoreQuotient:
                     assert multiset == sizes
                     emptied = CMP((P(()),) * e, cmp.charges)
                     assert uglov(emptied, 1) == CP(e_core(p, e), s)
+
+
+def rotated_off_by_one_split(p, level):
+    """Mutant of _core_matched_split: each component of the charge-0 split
+    lands one component too far."""
+    split = regroup(_abaci((p,), (0,)), level)
+    s = level - min(level * (f + len(t)) + r for r, (f, t) in enumerate(split))
+    rotated = [None] * level
+    for r, (floor, tail) in enumerate(split):
+        d, j = divmod(r + s, level)
+        rotated[(j + 1) % level] = (floor + d, tuple(x + d for x in tail))
+    return s, tuple(rotated)
+
+
+def residue_blind_split(p, level):
+    """Mutant of _core_matched_split: the core length is read as
+    -min(level*c_r), without the residue r of the lowest empty position."""
+    split = regroup(_abaci((p,), (0,)), level)
+    s = level - min(level * (f + len(t)) for f, t in split)
+    rotated = [None] * level
+    for r, (floor, tail) in enumerate(split):
+        d, j = divmod(r + s, level)
+        rotated[j] = (floor + d, tuple(x + d for x in tail))
+    return s, tuple(rotated)
+
+
+class TestCoreMatchedSplit:
+    """_core_matched_split against an oracle that never runs regroup: the
+    series charge from the rim-hook core, the split from explicit beads."""
+
+    @staticmethod
+    def mismatches(split_at):
+        cases = [(p, level) for p in all_partitions_up_to(12) for level in range(1, 13)]
+        missed = []
+        for p, level in cases:
+            s = level + len(rim_hook_core(p.parts, level))
+            expected = regroup_on_beads([(p.parts, s)], level)
+            got_s, split = split_at(p, level)
+            components, charges = _charged(split)
+            if (got_s, list(zip(components, charges))) != (s, expected):
+                missed.append((p, level))
+        return missed, len(cases)
+
+    def test_against_oracle(self):
+        # 272 partitions of size <= 12, levels 1..12
+        assert self.mismatches(_core_matched_split) == ([], 3264)
+
+    @pytest.mark.parametrize(
+        "mutant, missed",
+        [(rotated_off_by_one_split, 2974), (residue_blind_split, 2437)],
+    )
+    def test_mutants_are_caught(self, mutant, missed):
+        # at level 1 there is one component and r = 0, so both mutants are
+        # the real split there; each misses cases at every level from 2 up
+        cases, _ = self.mismatches(mutant)
+        assert len(cases) == missed
+        assert {level for _, level in cases} == set(range(2, 13))
+
+    @pytest.mark.parametrize("level", [0, -1])
+    def test_rejects_nonpositive_level(self, level):
+        for call in (_core_matched_split, e_quotient_charged, e_core):
+            with pytest.raises(ValueError, match="^e must be >= 1$"):
+                call(P((2, 1)), level)
 
 
 class TestCoreExponents:
