@@ -64,7 +64,7 @@ SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
 LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 11 s
 VERIFY_MAX_N = 16  # content-lemma, the slowest suite at n = 16, takes about 3 s
-VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 11 s at this bound
+VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 8 s at this bound
 
 
 # one encoder for every line: json.dumps with sort_keys builds one per call

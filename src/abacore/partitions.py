@@ -200,17 +200,15 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     by residue mod m; to m = 1 it joins e components; in general it is the
     Uglov level-rank map, bead by bead (levelrank.qr_em).
 
-    One call costs O(beads + m*k + lift) besides sorting the output tails:
-    beads is the total tail length, k the number of components whose floor
-    lies above the lowest floor, base, and lift the sum of floor_i - base,
-    which bounds what those raised floors fill in.  Each tail bead x of
-    component i is bucketed once, under residue x % m as e*(x // m) + i.
-    Below its floor, component i sends each bead m*q + rho to e*q + i, for
-    every q below top_i = ceil((floor_i - rho) / m).  top_i is monotone in
-    floor_i, so every component fills up to low = ceil((base - rho) / m),
-    which gives the output floor e*low, and only a raised floor can have
-    top_i > low and fill further.  The images are distinct: component i
-    lands on e*q + i, its tail above its filled range.
+    One call relocates each bead once, in O(beads + lift + m) besides
+    sorting the output tails: beads is the total tail length, base the lowest
+    floor and lift the sum of floor_i - base.  Component i sends each of its
+    beads x >= base, the tail and the lifted range base <= x < floor_i, to
+    residue x % m as e*(x // m) + i.  Below base every component is full, so
+    residue rho also holds every e*q + i with m*q + rho < base: all of Z
+    below e*ceil((base - rho) / m), where its floor starts before climbing
+    over the run of beads just above.  The images are distinct, since
+    (x, i) -> (e*(x // m) + i, x % m) is one to one.
 
     >>> regroup(((2, (5,)),), 3)
     ((1, ()), (1, ()), (0, (1,)))
@@ -222,17 +220,14 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     e = len(abaci)
     base = min(floor for floor, _ in abaci)
     buckets = [[] for _ in range(m)]
-    for i, (_, tail) in enumerate(abaci):
+    for i, (floor, tail) in enumerate(abaci):
         for x in tail:
             buckets[x % m].append(e * (x // m) + i)
-    raised = [(i, floor) for i, (floor, _) in enumerate(abaci) if floor > base]
+        for x in range(base, floor):
+            buckets[x % m].append(e * (x // m) + i)
     for rho, beads in enumerate(buckets):
-        low = -((rho - base) // m)
-        for i, floor in raised:
-            if (top := -((rho - floor) // m)) > low:
-                beads.extend(range(e * low + i, e * top + i, e))
         beads.sort(reverse=True)
-        floor = e * low
+        floor = -e * ((rho - base) // m)
         while beads and beads[-1] == floor:
             beads.pop()
             floor += 1

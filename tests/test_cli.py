@@ -782,6 +782,15 @@ class TestOutputBytes:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout at the level-rank scale point, as recorded with regroup
+    # sweeping every residue over every component with a raised floor
+    def test_thm2_scale_point_digest(self, capsys):
+        code, out, _ = run(capsys, "verify", "thm2", "--max-n", "16", "--stream")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "41135825308f340a39e61def70c934e64e27fef2e050bd3cefc0cad4340c788c"
+        )
+
     # sha256 of stdout as recorded with level-m keys reduced from
     # ResidueMultiset objects, before they shared the root-key kernel
     @pytest.mark.parametrize(

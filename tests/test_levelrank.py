@@ -1,3 +1,4 @@
+from itertools import chain
 from math import gcd
 
 import pytest
@@ -380,6 +381,27 @@ class TestBeadMapOracle:
         # 72 coprime pairs in 1..12 with max(e, m) >= 6, 3 shapes of 4 inputs
         assert cases == 72 * 12
 
+    def test_regroup_inverts_on_wide_floors(self):
+        # regroup(regroup(a, m), e) == a on the canonical abaci of both sweeps,
+        # whose floors lie far apart (lift >> m) or close (lift < m); kinds
+        # records which of those the e = 1 splits, the m = 1 joins and the
+        # other level pairs reach
+        kinds = set()
+        for comps, m in chain(wide_floor_sweep(), thm2_level_sweep()):
+            abaci = _abaci([P(parts) for parts, _ in comps], [s for _, s in comps])
+            e = len(abaci)
+            assert regroup(regroup(abaci, m), e) == abaci
+            base = min(floor for floor, _ in abaci)
+            lift = sum(floor - base for floor, _ in abaci)
+            size = "wide" if lift >= 10 * m else "narrow" if lift < m else "mid"
+            kinds.add((size, "split" if e == 1 else "join" if m == 1 else "e, m"))
+        assert kinds >= {
+            ("narrow", "split"),
+            ("wide", "join"),
+            ("wide", "e, m"),
+            ("narrow", "e, m"),
+        }
+
 
 class TestDiagrams:
     def test_bead_square_windows(self):
@@ -596,6 +618,27 @@ def first_floor_regroup(abaci, m):
     return tuple(buckets)
 
 
+def lowest_lift_regroup(abaci, m):
+    """Mutant of regroup: each raised floor is walked from base + 1, so the
+    lowest lifted bead, base itself, is lost."""
+    e = len(abaci)
+    base = min(floor for floor, _ in abaci)
+    buckets = [[] for _ in range(m)]
+    for i, (floor, tail) in enumerate(abaci):
+        for x in tail:
+            buckets[x % m].append(e * (x // m) + i)
+        for x in range(base + 1, floor):
+            buckets[x % m].append(e * (x // m) + i)
+    for rho, beads in enumerate(buckets):
+        beads.sort(reverse=True)
+        floor = -e * ((rho - base) // m)
+        while beads and beads[-1] == floor:
+            beads.pop()
+            floor += 1
+        buckets[rho] = (floor, tuple(beads))
+    return tuple(buckets)
+
+
 class TestRegroupMutants:
     @pytest.fixture(autouse=True)
     def fresh_cores(self):
@@ -623,6 +666,9 @@ class TestRegroupMutants:
             (first_floor_regroup, bead_sweep, 868, 2128),
             (first_floor_regroup, wide_floor_sweep, 360, 600),
             (first_floor_regroup, thm2_level_sweep, 207, 864),
+            (lowest_lift_regroup, bead_sweep, 1544, 2128),
+            (lowest_lift_regroup, wide_floor_sweep, 480, 600),
+            (lowest_lift_regroup, thm2_level_sweep, 504, 864),
         ],
     )
     def test_fails_bead_windows(self, monkeypatch, mutant, sweep, misses, cases):
@@ -637,7 +683,12 @@ class TestRegroupMutants:
         assert (outcomes.count(False), len(outcomes)) == (misses, cases)
 
     @pytest.mark.parametrize(
-        "mutant, failed", [(misfiled_bead_regroup, 81), (first_floor_regroup, 106)]
+        "mutant, failed",
+        [
+            (misfiled_bead_regroup, 81),
+            (first_floor_regroup, 106),
+            (lowest_lift_regroup, 113),
+        ],
     )
     def test_fails_core_matched_diagram(self, monkeypatch, mutant, failed):
         self.patch(monkeypatch, mutant)
