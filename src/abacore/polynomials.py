@@ -4,23 +4,21 @@ finite general linear groups.
 
 All coefficients are Python integers; any inexact division raises instead of
 approximating, since an inexact division here always means a transcription
-bug somewhere upstream.  Multiplication and division skip zero coefficients:
-they loop only over the nonzero terms of the right operand or divisor, and
-most divisors here (x^h - 1 and the cyclotomics) have few.
+bug somewhere upstream.  Products and long division loop only over the
+nonzero terms of the right operand or divisor.
 
 generic_degree cancels each numerator factor x^i - 1 of the q-hook formula
-against an equal hook length before multiplying, so only the factors left
-over are multiplied out and divided.  mod_cyclotomic first folds f modulo
-x^e - 1, which the e-th cyclotomic divides, and divides only the folded
-polynomial of degree below e.  phi_multiplicity is memoised; each
-multiplicity is still found by repeated exact division of the dense
-polynomial, and each step is tested by that fold.
+against an equal hook length, multiplies out the factors left over and
+divides by the hooks left over with running sums.  mod_cyclotomic folds f
+modulo x^e - 1, which the e-th cyclotomic divides, and long-divides only the
+fold.  phi_multiplicity (memoised) divides nothing: it counts the
+derivatives of f that the cyclotomic divides, each tested by that fold.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .partitions import Partition, hook_lengths
 
@@ -174,40 +172,69 @@ def cyclotomic(e: int) -> IntPolynomial:
 
 
 @lru_cache(maxsize=None)
-def phi_multiplicity(f: IntPolynomial, e: int) -> int:
-    """The largest power of the e-th cyclotomic polynomial dividing f, by
-    repeated exact division.
+def _cofactor(e: int) -> IntPolynomial:
+    """Psi_e = (x^e - 1) / Phi_e."""
+    phi = cyclotomic(e)  # checks e before x_power_minus_one can
+    return x_power_minus_one(e).exact_div(phi)
 
-    Each step asks mod_cyclotomic whether the cyclotomic divides what is
-    left, and divides only when it does, so the last, failing step costs a
-    fold rather than a division.
+
+def _fold(coeffs, e: int) -> list[int]:
+    """coeffs modulo x^e - 1: the sum of each residue class of exponents."""
+    return [sum(coeffs[r::e]) for r in range(e)]
+
+
+def _derivative(coeffs) -> list[int]:
+    return [k * coeffs[k] for k in range(1, len(coeffs))]
+
+
+@lru_cache(maxsize=None)
+def phi_multiplicity(f: IntPolynomial, e: int) -> int:
+    """The largest power k of the e-th cyclotomic polynomial Phi_e dividing f.
+
+    Phi_e is irreducible with simple roots, so k is the number of derivatives
+    f, f', ... that Phi_e divides.  Phi_e divides g iff g folded modulo
+    x^e - 1 = Phi_e * Psi_e, times Psi_e, is 0 modulo x^e - 1.  The (deg f)-th
+    derivative is a nonzero constant, so a test passing them all is wrong.
 
     >>> phi_multiplicity(gl_order(6), 3)
     2
     """
-    phi = cyclotomic(e)
+    psi = [(i, c) for i, c in enumerate(_cofactor(e).coeffs) if c]
     if f.is_zero():
         raise ValueError("multiplicity undefined for the zero polynomial")
-    count = 0
-    while mod_cyclotomic(f, e).is_zero():
-        f = f.exact_div(phi)
-        count += 1
-    return count
+    g = f.coeffs
+    for count in range(len(g)):
+        product = [0] * e
+        for r, a in enumerate(_fold(g, e)):
+            for i, c in psi:
+                product[(r + i) % e] += a * c
+        if any(product):
+            return count
+        g = _derivative(g)
+    raise InexactDivisionError(f"every derivative of {f} tests divisible by Phi_{e}")
 
 
 def mod_cyclotomic(f: IntPolynomial, e: int) -> IntPolynomial:
     """Remainder of f modulo the e-th cyclotomic polynomial.
 
-    f is first reduced modulo x^e - 1 by summing its coefficients in each
-    residue class of exponents mod e; the e-th cyclotomic divides x^e - 1,
+    f is first folded modulo x^e - 1; the e-th cyclotomic divides x^e - 1,
     so dividing that folded polynomial leaves the same remainder.
 
     >>> mod_cyclotomic(IntPolynomial(0, 0, 0, 1, 1), 3)
     IntPolynomial('x + 1')
     """
     phi = cyclotomic(e)
-    coeffs = f.coeffs
-    return IntPolynomial(*(sum(coeffs[r::e]) for r in range(e))) % phi
+    return IntPolynomial(*_fold(f.coeffs, e)) % phi
+
+
+def _divide_binomial(coeffs, h: int) -> list[int]:
+    """coeffs / (x^h - 1) by suffix sums in each class mod h, whose totals must be 0."""
+    if any(_fold(coeffs, h)):
+        raise InexactDivisionError(f"{IntPolynomial(*coeffs)} is not divisible by x^{h} - 1")
+    q = list(coeffs[h:])
+    for k in range(len(q) - h - 1, -1, -1):
+        q[k] += q[k + h]
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -243,10 +270,8 @@ def generic_degree(p: Partition) -> IntPolynomial:
             hooks.remove(i)
         else:
             poly = poly * x_power_minus_one(i)
-    for h in hooks:
-        poly = poly.exact_div(x_power_minus_one(h))
     shift = sum(i * part for i, part in enumerate(p))
-    return IntPolynomial(*([0] * shift), *poly.coeffs)
+    return IntPolynomial(*([0] * shift), *reduce(_divide_binomial, hooks, poly.coeffs))
 
 
 def singular_check(p: Partition, e: int) -> bool:

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -155,8 +156,9 @@ class TestMultiplicityAndRemainder:
             assert mod_cyclotomic(IntPolynomial(1), e) == IntPolynomial(1)
 
     def test_gl_order_multiplicity_is_floor(self):
-        for n in range(1, 11):
-            for e in range(1, 11):
+        # up to the CLI's --max-n bound, where derivative coefficients are largest
+        for n in range(1, 17):
+            for e in range(1, 17):
                 assert phi_multiplicity(gl_order(n), e) == n // e
 
     @pytest.mark.parametrize("e", [0, -1, -5])
@@ -178,12 +180,6 @@ def _schoolbook_multiplicity(f, d):
         if r:
             return count
         f, count = q, count + 1
-
-
-def _fold_mutant(f, e):
-    # folds modulo x^(e+1) - 1, which the e-th cyclotomic divides only at e = 1
-    c = f.coeffs
-    return IntPolynomial(*(sum(c[r :: e + 1]) for r in range(e + 1))) % cyclotomic(e)
 
 
 # every f with coefficients in {-1, 0, 1} of length <= 6, the zero
@@ -225,6 +221,48 @@ def _multiplicity_mismatches():
     return bad
 
 
+# every f with coefficients in {-1, 0, 1} of length <= 7
+TERNARY_7 = [f for n in range(8) for f in product((-1, 0, 1), repeat=n)]
+
+
+def _binomial_mismatches():
+    """(f, h), 1 <= h <= 7, where dividing f by x^h - 1 in
+    polynomials._divide_binomial gives another quotient than schoolbook
+    division when the remainder is 0, or does not raise when it is not."""
+    bad = []
+    for h in range(1, 8):
+        d = (-1,) + (0,) * (h - 1) + (1,)
+        for f in TERNARY_7:
+            q, r = schoolbook_divmod(f, d)
+            try:
+                got = IntPolynomial(*polynomials._divide_binomial(f, h)).coeffs
+            except InexactDivisionError:
+                got = None
+            if got != (None if r else q):
+                bad.append((f, h))
+    return bad
+
+
+# mutants of the pieces of phi_multiplicity and generic_degree, each made
+# from the real one
+def _rotated_cofactor(real):
+    # rotates the coefficients of Psi_e one place; rotating the cyclic
+    # product instead would multiply it by x, a unit modulo x^e - 1
+    def mutant(e):
+        c = real(e).coeffs
+        return IntPolynomial(*c[-1:], *c[:-1])
+
+    return mutant
+
+
+def _unweighted_derivative(real):
+    return lambda c: list(c[1:])
+
+
+def _own_coefficient_quotient(real):
+    return lambda c, h: [q + a for q, a in zip(real(c, h), c)]
+
+
 class TestRemainderAgainstSchoolbook:
     def test_mod_cyclotomic(self):
         assert _remainder_mismatches() == []
@@ -233,12 +271,42 @@ class TestRemainderAgainstSchoolbook:
         assert _multiplicity_mismatches() == []
 
     def test_fold_through_the_wrong_binomial_is_caught(self, monkeypatch):
-        monkeypatch.setattr(polynomials, "mod_cyclotomic", _fold_mutant)
+        # folds modulo x^(e+1) - 1, which the e-th cyclotomic divides only at e = 1
+        real = polynomials._fold
+        monkeypatch.setattr(polynomials, "_fold", lambda c, e: real(c, e + 1))
         # the cyclotomic divides x^2 - 1 at e = 1, and an f of degree <= 5
         # folds to itself modulo x^(e+1) - 1 from e = 5 on; the products
         # in the multiplicity check are long enough to reach every level
         assert {e for _, e in _remainder_mismatches()} == {2, 3, 4}
         assert {e for _, e in _multiplicity_mismatches()} == set(range(2, 9))
+
+    def test_x_power_minus_one_division(self):
+        assert _binomial_mismatches() == []
+
+    @pytest.mark.parametrize(
+        "name, mutant, mismatches, levels",
+        [
+            # the rotation keeps Psi_1 = 1 and only negates Psi_e = x - 1 at prime e
+            ("_cofactor", _rotated_cofactor, _multiplicity_mismatches, {4, 6, 8}),
+            ("_derivative", _unweighted_derivative, _multiplicity_mismatches, set(range(1, 9))),
+            # below length 8 only the zero polynomial is divisible by x^7 - 1
+            ("_divide_binomial", _own_coefficient_quotient, _binomial_mismatches, set(range(1, 7))),
+        ],
+    )
+    def test_mutant_is_caught(self, monkeypatch, name, mutant, mismatches, levels):
+        monkeypatch.setattr(polynomials, name, mutant(getattr(polynomials, name)))
+        assert {level for _, level in mismatches()} == levels
+
+    def test_planted_zero_fold_raises(self, monkeypatch):
+        # the (deg f)-th derivative is a nonzero constant, so a fold that
+        # reads every derivative as divisible is wrong; the loop stops there
+        folds = []
+        monkeypatch.setattr(polynomials, "_fold", lambda c, e: folds.append(c) or [0] * e)
+        f = gl_order(3)
+        message = f"every derivative of {f} tests divisible by Phi_2"
+        with pytest.raises(InexactDivisionError, match=re.escape(message)):
+            phi_multiplicity.__wrapped__(f, 2)
+        assert len(folds) == len(f.coeffs)
 
 
 class TestGlOrder:
