@@ -5,10 +5,12 @@ e*(content + charge) + component over its boxes; blocks at level m compare
 this multiset modulo m.  For parameters involving roots of unity the key is
 evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
 (1/d)Z/Z for d = lcm(2 * at_root, the denominators of the parameter
-arguments).  One kernel computes both keys as sorted (value mod d, count)
-pairs of the box values content*omega + alpha_j mod d: a level-m key takes
-d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and a
-root key takes the evaluated parameters and is returned as reduced fractions.
+arguments).  One kernel computes both keys as dense length-d tuples whose
+entry k counts the boxes with value content*omega + alpha_j = k mod d: a
+level-m key takes d = m, omega = e mod m and alpha_j =
+core_exponents(core, e)[j] mod m, and a root key takes the evaluated
+parameters and is returned as the reduced fractions k/d of its nonzero
+entries with their counts.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts exponent by exponent, and underlies the equivalence between sharing
 an m-core and sharing a key.
@@ -17,6 +19,7 @@ an m-core and sharing a key.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .hc_series import (
@@ -35,6 +38,7 @@ from .partitions import (
     ChargedMultiPartition,
     MultiPartition,
     Partition,
+    _contents,
     core_exponents,
     e_core,
     e_quotient_charged,
@@ -54,8 +58,10 @@ class EquivalenceViolation(AssertionError):
     """The core comparison and the key comparison disagreed."""
 
 
-# sorted (value, count) pairs: a residue multiset, or a block key mod d
+# sorted (value, count) pairs: a residue multiset
 Counts = tuple[tuple[int, int], ...]
+# a block key mod d: entry k counts the boxes of value k mod d
+Key = tuple[int, ...]
 
 
 def residue_multiset(cmp: ChargedMultiPartition) -> Counts:
@@ -69,10 +75,9 @@ def residue_multiset(cmp: ChargedMultiPartition) -> Counts:
     e = cmp.level
     acc: dict[int, int] = {}
     for j, (p, s) in enumerate(zip(cmp.components, cmp.charges)):
-        for row, length in enumerate(p):
-            for content in range(-row, length - row):
-                v = e * (content + s) + j
-                acc[v] = acc.get(v, 0) + 1
+        for content in _contents(p):
+            v = e * (content + s) + j
+            acc[v] = acc.get(v, 0) + 1
     return tuple(sorted(acc.items()))
 
 
@@ -114,15 +119,14 @@ def _level_values(core: Partition, e: int, m: int) -> tuple[int, int, tuple[int,
 
 def _root_counts(
     mp: MultiPartition, d: int, omega: int, alphas: tuple[int, ...]
-) -> Counts:
-    """Sorted (k, count) pairs of the box values (content*omega + alpha) mod d."""
-    acc: dict[int, int] = {}
+) -> Key:
+    """The length-d tuple whose entry k counts the boxes of mp with value
+    (content*omega + alpha) mod d equal to k, alpha the box's component's."""
+    counts = [0] * d
     for p, alpha in zip(mp, alphas):
-        for row, length in enumerate(p):
-            for content in range(-row, length - row):
-                v = (content * omega + alpha) % d
-                acc[v] = acc.get(v, 0) + 1
-    return tuple(sorted(acc.items()))
+        for content in _contents(p):
+            counts[(content * omega + alpha) % d] += 1
+    return tuple(counts)
 
 
 def root_residue_key(
@@ -138,7 +142,8 @@ def root_residue_key(
     when omega evaluates to 1, where the block criterion does not apply.
     """
     d, omega, alphas = _root_values(len(mp), params, at_root)
-    return tuple((Fraction(k, d), c) for k, c in _root_counts(mp, d, omega, alphas))
+    counts = _root_counts(mp, d, omega, alphas)
+    return tuple((Fraction(k, d), c) for k, c in enumerate(counts) if c)
 
 
 def root_key_partition(
@@ -149,7 +154,7 @@ def root_key_partition(
     return _group_by_counts(multipartitions_of(e, a), _root_values(e, params, at_root))
 
 
-def _member_key(p: Partition, e: int, m: int) -> Counts:
+def _member_key(p: Partition, e: int, m: int) -> Key:
     """The level-m residue key of p's image under the series map."""
     image = e_quotient_charged(p, e).components
     return _root_counts(image, *_level_values(e_core(p, e), e, m))
@@ -192,7 +197,7 @@ def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> b
 def _group_by_counts(mps, values) -> tuple[tuple[MultiPartition, ...], ...]:
     """Blocks of mps grouped by _root_counts(mp, *values), each sorted; the
     blocks are disjoint, so sorting them orders them by first member."""
-    grouped: dict[tuple, list[MultiPartition]] = {}
+    grouped: dict[Key, list[MultiPartition]] = {}
     for mp in mps:
         grouped.setdefault(_root_counts(mp, *values), []).append(mp)
     return tuple(sorted(tuple(sorted(block)) for block in grouped.values()))
@@ -267,7 +272,7 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     return _counts_match(quotient, e, to_beta(charged), beta_core, window)
 
 
-def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Counts]:
+def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Key]:
     """p's m-core and the level-m key of its image under the level-e series
     map: what the core-key equivalence compares between two members."""
     return e_core(p, m), _member_key(p, e, m)
@@ -305,6 +310,12 @@ def _side_blocks(
         return (tuple(sorted(multipartitions_of(pair.e, pair.a))),), True
     blocks = series_blocks(pair, at_root)
     return blocks, series_blocks(pair, at_root, GU) == blocks
+
+
+@lru_cache(maxsize=None)
+def _name(p: Partition) -> str:
+    """str(p), rendered once per partition for block_match_report."""
+    return str(p)
 
 
 def block_match_report(n: int, e: int, m: int) -> dict:
@@ -350,9 +361,9 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         ok_m, sizes_m = side(members, m, core_m)
         intersections.append(
             {
-                "coreE": str(core_e),
-                "coreM": str(core_m),
-                "members": [str(p) for p in members],
+                "coreE": _name(core_e),
+                "coreM": _name(core_m),
+                "members": [_name(p) for p in members],
                 "blockE_sizes": sizes_e,
                 "blockM_sizes": sizes_m,
                 "pass": ok_e and ok_m,

@@ -154,6 +154,16 @@ def hook_lengths(p: Partition) -> tuple[int, ...]:
     return tuple(sorted(hooks, reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _contents(p: Partition) -> tuple[int, ...]:
+    """The content column - row of every box of p, row by row (memoised).
+
+    >>> _contents(Partition((3, 1)))
+    (0, 1, 2, -1)
+    """
+    return tuple(c for row, length in enumerate(p) for c in range(-row, length - row))
+
+
 def is_e_core(p: Partition, e: int) -> bool:
     """True iff no hook length of p is divisible by e."""
     if e < 1:
@@ -256,13 +266,20 @@ def from_beta(b: BetaSet) -> ChargedMultiPartition:
 def e_core(p: Partition, e: int) -> Partition:
     """The partition left after removing all rim e-hooks from p: the level-1
     join of the emptied components of the cached e_quotient_charged(p, e), as
-    a core does not depend on the charge.  Raises ValueError for e < 1.
+    a core does not depend on the charge, memoised per charge vector by
+    _join_emptied.  Raises ValueError for e < 1.
 
     >>> e_core(Partition((3,)), 3)
     Partition(parts=())
     """
-    emptied = tuple((c, ()) for c in e_quotient_charged(p, e).charges)
-    (core,), _ = _charged(regroup(emptied, 1))
+    return _join_emptied(e_quotient_charged(p, e).charges)
+
+
+@lru_cache(maxsize=None)
+def _join_emptied(charges: MultiCharge) -> Partition:
+    """The partition of the level-1 join of empty components with these
+    charges; the level is len(charges), so each (core, level) is joined once."""
+    (core,), _ = _charged(regroup(tuple((c, ()) for c in charges), 1))
     return core
 
 

@@ -782,6 +782,21 @@ class TestOutputBytes:
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of stdout at the blocks scale points, as recorded with block keys
+    # kept as sorted (value, count) pairs and every e-core joined per
+    # partition; --max-n 14 is also the benchmark's blocks-sweep reference
+    @pytest.mark.parametrize(
+        "max_n, digest",
+        [
+            ("14", "456004112cbca466909bae159019dec1b5b37e183d63d10b14c7d7780a466c82"),
+            ("16", "a12f6499b161aee4fb8230fd0389def36c1bcc8a4f2421aec987131f3641afb1"),
+        ],
+    )
+    def test_thm1_scale_point_digest(self, capsys, max_n, digest):
+        code, out, _ = run(capsys, "verify", "thm1", "--max-n", max_n, "--stream")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of stdout at the level-rank scale point, as recorded with regroup
     # sweeping every residue over every component with a raised floor
     def test_thm2_scale_point_digest(self, capsys):

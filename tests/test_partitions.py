@@ -9,7 +9,9 @@ from abacore.partitions import (
     Partition,
     _abaci,
     _charged,
+    _contents,
     _core_matched_split,
+    _join_emptied,
     core_exponents,
     e_core,
     e_quotient_charged,
@@ -26,7 +28,13 @@ from abacore.partitions import (
     to_beta,
 )
 from abacore.levelrank import uglov
-from oracles import PARTITION_COUNTS, hooks_by_cells, regroup_on_beads, rim_hook_core
+from oracles import (
+    PARTITION_COUNTS,
+    cells,
+    hooks_by_cells,
+    regroup_on_beads,
+    rim_hook_core,
+)
 
 P = Partition
 CMP = ChargedMultiPartition
@@ -102,6 +110,12 @@ class TestPartitionBasics:
         hits = hook_lengths.cache_info().hits
         assert hook_lengths(P((4, 2, 1))) is first
         assert hook_lengths.cache_info().hits == hits + 1
+
+    def test_contents_against_cells(self):
+        assert _contents(P((3, 1))) == (0, 1, 2, -1)
+        assert _contents(P(())) == ()
+        for p in all_partitions_up_to(9):
+            assert sorted(_contents(p)) == sorted(c - r for r, c in cells(p.parts))
 
     def test_partition_counts(self):
         for n, expected in enumerate(PARTITION_COUNTS):
@@ -295,8 +309,12 @@ class TestCoreQuotient:
         assert is_e_core(P(()), 7)
 
     def test_core_against_rim_hook_oracle(self):
-        for p in all_partitions_up_to(10):
-            for e in range(1, 7):
+        # every level up to 12 at every size up to 12, from cleared caches,
+        # so each core joined once per charge vector is first joined here
+        for cache in (e_core, e_quotient_charged, _join_emptied):
+            cache.cache_clear()
+        for p in all_partitions_up_to(12):
+            for e in range(1, 13):
                 assert e_core(p, e).parts == rim_hook_core(p.parts, e)
 
     def test_core_criterion_three_ways(self):

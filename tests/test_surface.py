@@ -5,12 +5,14 @@ so a helper does not outlive its last caller.  Every public method and
 property of a library class is used by the library too.  No sort in the
 library restates the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
-series charge e + len(e-core) is written once.
+series charge e + len(e-core) is written once.  Every cache hit ratio the
+benchmark's per-layer report reads belongs to a memoised library function.
 """
 
 import ast
 import builtins
 import importlib
+import importlib.util
 import re
 from collections import Counter
 from pathlib import Path
@@ -20,6 +22,7 @@ import abacore
 
 SRC = Path(abacore.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
 # kept for the planned degree-bmm suite, which needs the order e^a * a! of
 # the relative Weyl group of a series
@@ -315,3 +318,51 @@ def test_scan_catches_stale_readme_name():
         "abacore.a: gone",
         "abacore.b: kept",
     ]
+
+
+def unmemoised_hit_ratios(reported, load):
+    """"layer.name" for each name of reported (layer -> name -> stats, the
+    shape of perfbench's REPORTED) that has a hit_ratio stat but is not an
+    lru_cache-wrapped function of load(f"abacore.{layer}"): its ratio would
+    read 0 on every workload."""
+    found = []
+    for layer, names in reported.items():
+        module = load(f"abacore.{layer}")
+        for name, stats in names.items():
+            fn = getattr(module, name, None)
+            memoised = hasattr(fn, "cache_info") and hasattr(fn, "__wrapped__")
+            if "hit_ratio" in stats and not memoised:
+                found.append(f"{layer}.{name}")
+    return found
+
+
+def test_reported_hit_ratios_are_memoised():
+    # perfbench/layers.py is read, not edited: it imports only the stdlib
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PY)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    ratios = [
+        name
+        for names in layers.REPORTED.values()
+        for name, stats in names.items()
+        if "hit_ratio" in stats
+    ]
+    assert "e_core" in ratios and "hc_pairs" in ratios
+    assert unmemoised_hit_ratios(layers.REPORTED, importlib.import_module) == []
+
+
+def test_scan_catches_unmemoised_hit_ratio():
+    def cached(x):
+        return x
+
+    cached.cache_info = lambda: (0, 0)
+    cached.__wrapped__ = cached
+    reported = {
+        "a": {"kept": ("hit_ratio",), "plain": ("calls", "hit_ratio"), "timed": ("calls",)},
+        "b": {"gone": ("hit_ratio",)},
+    }
+    modules = {
+        "abacore.a": SimpleNamespace(kept=cached, plain=len, timed=len),
+        "abacore.b": SimpleNamespace(),
+    }
+    assert unmemoised_hit_ratios(reported, modules.__getitem__) == ["a.plain", "b.gone"]
