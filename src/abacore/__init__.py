@@ -14,7 +14,7 @@ from .partitions import (
     is_e_core,
     to_beta,
 )
-from .levelrank import AffinePerm, affine_perm, apply_affine, qr, qr_em, qr_em_inv, uglov
+from .levelrank import AffinePerm, affine_perm, apply_affine, qr_em, qr_em_inv, uglov
 from .polynomials import IntPolynomial, cyclotomic, generic_degree, gl_order
 from .hc_series import CuspidalPairGL, hc_pairs, hc_partition, hc_series_of
 from .blocks import block_match_report, block_partition, residue_multiset, same_block
@@ -43,7 +43,6 @@ __all__ = [
     "hc_series_of",
     "hook_lengths",
     "is_e_core",
-    "qr",
     "qr_em",
     "qr_em_inv",
     "residue_multiset",

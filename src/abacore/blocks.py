@@ -12,8 +12,8 @@ core_exponents(core, e)[j] mod m, and a root key takes the evaluated
 parameters and is returned as the reduced fractions k/d of its nonzero
 entries with their counts.
 The content lemma ties the residue multisets to beta sets, comparing integer
-counts exponent by exponent, and underlies the equivalence between sharing
-an m-core and sharing a key.
+counts on the identity's support, which covers every exponent, and underlies
+the equivalence between sharing an m-core and sharing a key.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .hc_series import (
 )
 from .levelrank import uglov
 from .partitions import (
-    BetaSet,
     ChargedMultiPartition,
     MultiPartition,
     Partition,
@@ -55,7 +54,7 @@ class OmegaIsOne(ValueError):
 
 
 class EquivalenceViolation(AssertionError):
-    """The core comparison and the key comparison disagreed."""
+    """Two block comparisons that must agree disagreed."""
 
 
 # sorted (value, count) pairs: a residue multiset
@@ -235,23 +234,10 @@ def series_blocks(
 # the content lemma
 
 def lossless_window(n: int, s: int, e: int) -> int:
-    """The window check_content_lemma compares from for size n, charge s and
-    level e: below -window both sides of the identity are 0."""
+    """The window content-lemma reports for size n, charge s and level e:
+    below -window both sides of the identity are 0.  check_content_lemma
+    compares every exponent, so the window is reported, not walked."""
     return n + abs(s) + e + 5
-
-
-def _counts_match(
-    counts: Counts, step: int, beta: BetaSet, ref: BetaSet, window: int
-) -> bool:
-    """Whether count(k) - count(k + step) == [k in beta] - [k in ref] for all
-    k >= -window, count(k) being the multiplicity of k in counts.  Above the
-    top value and beads of the three both sides are 0."""
-    count = dict(counts)
-    tops = [b.tail[0] if b.tail else b.floor - 1 for b in (beta, ref)]
-    return all(
-        count.get(k, 0) - count.get(k + step, 0) == (k in beta) - (k in ref)
-        for k in range(-window, max(tops + list(count)) + 1)
-    )
 
 
 def check_content_lemma(p: Partition, s: int, e: int) -> bool:
@@ -260,40 +246,30 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     equals the beta-set series of p minus that of its e-core, both at
     charge s.  At e = 1 the quotient is |p, s> itself and the 1-core is
     empty, so this is the level-1 identity.  Compared as integer counts on
-    every exponent from -lossless_window(|p|, s, e) up, which covers all
-    nonzero coefficients.  Raises ValueError for e < 1, from e_core, before
+    the identity's support: the left side is nonzero only at the residue
+    values v and at v - e, the right side only at beads at or above the
+    lower of the two floors, below which both beta sets are full; so every
+    exponent is compared.  Raises ValueError for e < 1, from e_core, before
     any bead map runs.
     """
     core = e_core(p, e)
     charged = ChargedMultiPartition((p,), (s,))
-    quotient = residue_multiset(uglov(charged, e))
-    beta_core = to_beta(ChargedMultiPartition((core,), (s,)))
-    window = lossless_window(p.size, s, e)
-    return _counts_match(quotient, e, to_beta(charged), beta_core, window)
+    diff: dict[int, int] = {}
+    for v, c in residue_multiset(uglov(charged, e)):
+        diff[v] = diff.get(v, 0) + c
+        diff[v - e] = diff.get(v - e, 0) - c
+    betas = to_beta(charged), to_beta(ChargedMultiPartition((core,), (s,)))
+    base = min(beta.floor for beta in betas)
+    for sign, beta in zip((-1, 1), betas):
+        for k in (*range(base, beta.floor), *beta.tail):
+            diff[k] = diff.get(k, 0) + sign
+    return not any(diff.values())
 
 
 def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Key]:
     """p's m-core and the level-m key of its image under the level-e series
     map: what the core-key equivalence compares between two members."""
     return e_core(p, m), _member_key(p, e, m)
-
-
-def _core_key_verdict(
-    p: Partition, r: Partition, e: int, m: int, facts_p, facts_r
-) -> bool:
-    """The common truth of "same m-core" and "same level-m key" for two
-    members of one e-core class, given their _member_facts.
-
-    Raises EquivalenceViolation if the two sides disagree.
-    """
-    same_core = facts_p[0] == facts_r[0]
-    same_key = facts_p[1] == facts_r[1]
-    if same_core != same_key:
-        raise EquivalenceViolation(
-            f"core comparison {same_core} but key comparison {same_key}"
-            f" for {p.parts}, {r.parts} at (e, m) = ({e}, {m})"
-        )
-    return same_core
 
 
 # ---------------------------------------------------------------------------

@@ -52,19 +52,6 @@ class CuspidalPairGL:
             raise ValueError(f"{self.core.parts} is not a {self.e}-core")
 
 
-@dataclass(frozen=True)
-class WreathGroup:
-    """The wreath product of a cyclic group of order e with the symmetric
-    group on a letters; its irreducibles are indexed by e-multipartitions
-    of total size a."""
-
-    e: int
-    a: int
-
-    def order(self) -> int:
-        return self.e**self.a * factorial(self.a)
-
-
 class HeckeParam(NamedTuple):
     """One Hecke parameter: a root of unity times a power of x.
 

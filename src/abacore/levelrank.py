@@ -29,21 +29,10 @@ from .partitions import (
 )
 
 
-def qr(x: int, m: int) -> tuple[int, int]:
-    """Floor quotient and remainder: x = m*q + r with 0 <= r < m.
-
-    >>> qr(-1, 3)
-    (-1, 2)
-    """
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return (x // m, x % m)
-
-
 def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
     """Re-read bead (x, y) of an e-abacus as a bead of an m-abacus.
 
-    Returns (e*q_m(x) + y, r_m(x)); satisfies e*x + m*y = m*q' + e*r'.
+    Returns (e*(x // m) + y, x % m); satisfies e*x + m*y = m*q' + e*r'.
 
     >>> qr_em(-1, 1, 2, 3)
     (-1, 2)
@@ -52,8 +41,7 @@ def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
         raise ValueError("levels must be >= 1")
     if not 0 <= y < e:
         raise ValueError(f"component {y} out of range for level {e}")
-    q, r = qr(x, m)
-    return (e * q + y, r)
+    return (e * (x // m) + y, x % m)
 
 
 def qr_em_inv(q: int, r: int, e: int, m: int) -> tuple[int, int]:

@@ -286,5 +286,12 @@ def check_core_key_equivalence(p, r, e, m):
         raise ValueError("partitions must have the same size")
     if blocks.e_core(r, e) != blocks.e_core(p, e):
         raise ValueError("partitions must have the same e-core")
-    facts = blocks._member_facts
-    return blocks._core_key_verdict(p, r, e, m, facts(p, e, m), facts(r, e, m))
+    core_p, key_p = blocks._member_facts(p, e, m)
+    core_r, key_r = blocks._member_facts(r, e, m)
+    same_core, same_key = core_p == core_r, key_p == key_r
+    if same_core != same_key:
+        raise blocks.EquivalenceViolation(
+            f"core comparison {same_core} but key comparison {same_key}"
+            f" for {p.parts}, {r.parts} at (e, m) = ({e}, {m})"
+        )
+    return same_core

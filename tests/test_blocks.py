@@ -36,7 +36,9 @@ from abacore.partitions import (
     e_quotient_charged,
     multipartitions_of,
     partitions_of,
+    to_beta,
 )
+from abacore.levelrank import uglov
 from abacore.polynomials import ennola_e
 from oracles import (
     cells,
@@ -551,46 +553,46 @@ class TestContentLemma:
         ]
         return min(left + right, default=None)
 
-    def test_window_is_lossless_and_used(self, monkeypatch):
-        # the identity is compared once, from exactly -lossless_window, and
-        # no nonzero coefficient of either side lies below that point; a
-        # check cut short of the window would still pass every true case, so
-        # the window it uses is read off its calls
-        seen = []
-        real = blocks._counts_match
-
-        def recording(rm, step, beta, ref, window):
-            seen.append((rm, step, beta, ref, window))
-            return real(rm, step, beta, ref, window)
-
-        monkeypatch.setattr(blocks, "_counts_match", recording)
+    def test_window_is_lossless(self):
+        # no nonzero coefficient of either side of the identity lies below
+        # -lossless_window, the window every content-lemma case reports
         slack = []
         for n in range(9):
             for p in partitions_of(n):
                 for s in range(-4, 5):
                     for e in range(1, 6):
-                        seen.clear()
-                        assert check_content_lemma(p, s, e)
-                        window = lossless_window(n, s, e)
-                        assert [call[4] for call in seen] == [window]
-                        for rm, step, beta, ref, _ in seen:
-                            lowest = self._lowest_nonzero(rm, step, beta, ref)
-                            if lowest is not None:
-                                slack.append(lowest + window)
+                        charged = ChargedMultiPartition((p,), (s,))
+                        core = ChargedMultiPartition((e_core(p, e),), (s,))
+                        rm = residue_multiset(uglov(charged, e))
+                        lowest = self._lowest_nonzero(
+                            rm, e, to_beta(charged), to_beta(core)
+                        )
+                        if lowest is not None:
+                            slack.append(lowest + lossless_window(n, s, e))
         # the formula is lossless with exactly 6 exponents to spare here
         assert min(slack) == 6
 
-    def test_comparison_reaches_both_ends(self):
-        # one differing coefficient is seen at the top bead, at the top of
-        # an empty tail (floor - 1), at the top value and at -window, and
-        # nothing below -window is compared
-        empty = ()
-        assert blocks._counts_match(empty, 1, BetaSet(0), BetaSet(0), 5)
-        assert not blocks._counts_match(empty, 1, BetaSet(0, (3,)), BetaSet(0), 5)
-        assert not blocks._counts_match(empty, 1, BetaSet(1), BetaSet(0), 5)
-        for value, seen in ((4, True), (-5, True), (-6, False)):
-            rm = ((value, 1),)
-            assert blocks._counts_match(rm, 1, BetaSet(0), BetaSet(0), 5) != seen
+    def test_comparison_reaches_both_ends(self, monkeypatch):
+        # one planted difference fails the check far below any window, and
+        # above every value and bead of both sides
+        real_rm, real_beta = blocks.residue_multiset, blocks.to_beta
+        assert check_content_lemma(P((2, 1)), 0, 2)
+        assert check_content_lemma(P((2,)), 0, 2)
+        monkeypatch.setattr(
+            blocks, "residue_multiset", lambda cmp: real_rm(cmp) + ((-1000, 1),)
+        )
+        assert not check_content_lemma(P((2, 1)), 0, 2)
+        monkeypatch.setattr(blocks, "residue_multiset", real_rm)
+
+        def raised(cmp):
+            # a bead at 1000 on the beta set of (2), not on its empty 2-core
+            beta = real_beta(cmp)
+            if not cmp.components[0].parts:
+                return beta
+            return BetaSet(beta.floor, (1000, *beta.tail))
+
+        monkeypatch.setattr(blocks, "to_beta", raised)
+        assert not check_content_lemma(P((2,)), 0, 2)
 
 
 class TestCoreKeyEquivalence:

@@ -806,6 +806,21 @@ class TestOutputBytes:
             "41135825308f340a39e61def70c934e64e27fef2e050bd3cefc0cad4340c788c"
         )
 
+    # sha256 of stdout at the content suites' scale point, as recorded with
+    # the content lemma walked exponent by exponent over a window and the
+    # core/key verdict raised from blocks for the suite to catch
+    @pytest.mark.parametrize(
+        "suite, digest",
+        [
+            ("content-lemma", "6a92c2d16fda4fec9747ae401917ebd39f95f912195e08cb712ab95483967330"),
+            ("content-prop", "991fb6a0102defc7d7568cd255b2ee1aab11f52f25ec6ce7ad14a0119ba4ba8c"),
+        ],
+    )
+    def test_content_scale_point_digest(self, capsys, suite, digest):
+        code, out, _ = run(capsys, "verify", suite, "--max-n", "16", "--stream")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     # sha256 of stdout as recorded with level-m keys reduced from
     # ResidueMultiset objects, before they shared the root-key kernel
     @pytest.mark.parametrize(
@@ -934,7 +949,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     def test_window_flag_is_gone(self, capsys):
-        # content-lemma always compares from -lossless_window per case
+        # content-lemma compares every exponent; its window is only reported
         with pytest.raises(SystemExit) as exc:
             main(["verify", "content-lemma", "--max-n", "2", "--window", "5"])
         assert exc.value.code == 2

@@ -11,7 +11,6 @@ from abacore.levelrank import (
     AffinePerm,
     affine_perm,
     apply_affine,
-    qr,
     qr_em,
     qr_em_inv,
     uglov,
@@ -55,25 +54,26 @@ def check_bead_square(x, e, m, s, t):
     permutation, then re-read via qr_em.  Route two: split x through the
     m-side (charge t) and correct there.  The two must agree.
     """
-    a, b = qr(x + s, e)
+    a, b = divmod(x + s, e)
     via_e = qr_em(*bead(affine_perm(e, m, s), a, b), e, m)
-    c, d = qr(x + t, m)
+    c, d = divmod(x + t, m)
     return via_e == bead(affine_perm(m, e, t), c, d)
 
 
 class TestQuotientRemainder:
     def test_qr_examples(self):
-        assert qr(5, 3) == (1, 2)
-        assert qr(-1, 3) == (-1, 2)
-        assert qr(0, 7) == (0, 0)
+        # from level 1, qr_em is the floor quotient and remainder
+        assert qr_em(5, 0, 1, 3) == (1, 2)
+        assert qr_em(-1, 0, 1, 3) == (-1, 2)
+        assert qr_em(0, 0, 1, 7) == (0, 0)
 
     def test_qr_rejects_bad_modulus(self):
-        with pytest.raises(ValueError):
-            qr(5, 0)
+        with pytest.raises(ValueError, match="levels must be >= 1"):
+            qr_em(5, 0, 1, 0)
 
     def test_qr_em_examples(self):
         for x in range(-9, 10):
-            assert qr_em(x, 0, 1, 4) == qr(x, 4)
+            assert qr_em(x, 0, 1, 4) == divmod(x, 4)
         assert qr_em(1, 0, 2, 3) == (0, 1)
         assert qr_em(-1, 1, 2, 3) == (-1, 2)
 

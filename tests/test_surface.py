@@ -24,11 +24,6 @@ SRC = Path(abacore.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
-# kept for the planned degree-bmm suite, which needs the order e^a * a! of
-# the relative Weyl group of a series
-UNUSED_BY_DESIGN = {"WreathGroup"}
-UNUSED_METHODS_BY_DESIGN = {"WreathGroup.order"}
-
 
 def unreferenced_names(sources):
     """Top-level functions and classes that are not referenced in code
@@ -107,8 +102,7 @@ def test_no_test_only_code_in_src():
         for name in _library_unreferenced()
         if not name.startswith("_") and name not in abacore.__all__
     ]
-    assert sorted(set(unused) - UNUSED_BY_DESIGN) == []
-    assert "WreathGroup" in unused  # the exception is still needed
+    assert unused == []
 
 
 def test_no_orphaned_private_helper():
@@ -116,9 +110,7 @@ def test_no_orphaned_private_helper():
 
 
 def test_no_orphaned_method():
-    unused = unreferenced_methods(_library_sources())
-    assert sorted(set(unused) - UNUSED_METHODS_BY_DESIGN) == []
-    assert "WreathGroup.order" in unused  # the exception is still needed
+    assert unreferenced_methods(_library_sources()) == []
 
 
 def test_scan_counts_only_code_references():
