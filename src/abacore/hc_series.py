@@ -1,7 +1,8 @@
 """Series combinatorics for the general linear and unitary groups: cuspidal
 pairs, the partition of unipotent characters into series by their cores, the
-quotient map onto multipartitions, wreath-product character degrees, signs of
-degree polynomials modulo cyclotomics, and the predicted Hecke parameters.
+quotient map onto multipartitions, signs of degree polynomials modulo
+cyclotomics (checked against the wreath degree of the series image, read off
+the hooks), and the predicted Hecke parameters.
 
 A cuspidal pair for GL_n at level e is encoded by an e-core of size n - a*e;
 the pairs with a = 0 are cuspidal singletons.  The members of a pair's series
@@ -19,7 +20,6 @@ from typing import NamedTuple
 
 from .partitions import (
     ChargedMultiPartition,
-    MultiPartition,
     Partition,
     core_exponents,
     e_core,
@@ -148,34 +148,23 @@ def series_json(n: int, e: int) -> list[dict]:
     return out
 
 
-def wreath_dim(mp: MultiPartition) -> int:
-    """Degree of the wreath-product irreducible indexed by mp: a! over the
-    product of the hook lengths of all components, a being their total size.
-
-    >>> wreath_dim((Partition((1,)), Partition((1,))))
-    2
-    """
-    dim, rem = divmod(
-        factorial(sum(p.size for p in mp)),
-        prod(h for p in mp for h in hook_lengths(p)),
-    )
-    if rem:
-        raise ArithmeticError("hook formula did not divide evenly")
-    return dim
-
-
 def degree_sign(p: Partition, e: int) -> int:
     """Sign of the degree polynomial of p modulo the e-th cyclotomic.
 
     The remainder must be a constant of absolute value equal to the wreath
-    degree of p's e-quotient; a mismatch raises DegreeSignError.
+    degree of p's e-quotient, a! over the product of its hook lengths.  The
+    quotient's hooks are p's hooks divisible by e, each divided by e
+    (James-Kerber 2.7.40), so the degree is read off hook_lengths(p) and the
+    quotient is not built.  A mismatch raises DegreeSignError.
     """
     rem = mod_cyclotomic(generic_degree(p), e)
     if not rem.is_constant():
         raise DegreeSignError(f"nonconstant remainder {rem} for {p.parts} at e={e}")
     c = rem.constant_value()
-    image = e_quotient_charged(p, e)
-    expected = wreath_dim(image.components)
+    hooks = [h // e for h in hook_lengths(p) if h % e == 0]
+    expected, rest = divmod(factorial(len(hooks)), prod(hooks))
+    if rest:
+        raise ArithmeticError("hook formula did not divide evenly")
     if abs(c) != expected:
         raise DegreeSignError(
             f"remainder {c} does not match wreath degree {expected}"

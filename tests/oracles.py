@@ -2,15 +2,16 @@
 
 These deliberately avoid the library's abacus machinery: cores are computed
 by removing rim hooks from the Young diagram, tableau counts by recursive
-corner removal, and hooks by counting boxes in the raw cell set.  The
-exception is the per-call checks at the end, which compute one partition's
-or one pair's facts afresh with the library's kernels at every call: they are
-the references for the suites that compute each fact once per member.
+corner removal, hooks by counting boxes in the raw cell set, and wreath
+degrees from those hooks.  The exception is the per-call checks at the end,
+which compute one partition's or one pair's facts afresh with the library's
+kernels at every call: they are the references for the suites that compute
+each fact once per member.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd, prod
 
 from abacore import blocks, levelrank, partitions
 from abacore.partitions import _abaci
@@ -103,6 +104,19 @@ def syt_by_recursion(parts):
         smaller = parts[:i] + ((row - 1,) if row > 1 else ()) + parts[i + 1 :]
         total += syt_by_recursion(smaller)
     return total
+
+
+def wreath_dim(mp):
+    """Degree of the wreath-product irreducible indexed by the multipartition
+    mp, by the quotient route: a! over the product of the hook lengths of all
+    components, a being their total size, with hooks counted on the cells."""
+    dim, rem = divmod(
+        factorial(sum(p.size for p in mp)),
+        prod(h for p in mp for h in hooks_by_cells(p.parts)),
+    )
+    if rem:
+        raise ArithmeticError("hook formula did not divide evenly")
+    return dim
 
 
 def apply_affine_on_beads(perm, shifts, bead_sets):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import abacore
-from abacore import blocks, cli, levelrank, partitions
+from abacore import blocks, cli, hc_series, levelrank, partitions
 from abacore.blocks import EquivalenceViolation
 from abacore.cli import main, run_suite
 from abacore.partitions import ChargedMultiPartition, Partition, _abaci, partitions_of
@@ -522,6 +522,21 @@ class TestVerify:
         assert ("2,1", 2) in failing
         assert ("4,1", 3) in failing
 
+    def test_degmod_fails_on_wrong_hook_data(self, monkeypatch):
+        # negative control: degree_sign reads the wreath degree off p's
+        # hooks, so one extra hook of length 1 must fail every e = 1 case,
+        # all of which pass unpatched, and leave the e > 1 verdicts alone
+        _, cases, failures = run_suite("degmod", max_n=7)
+        assert (cases, len(failures)) == (240, 85)
+        assert all(f["e"] > 1 for f in failures)
+        real = hc_series.hook_lengths
+        with monkeypatch.context() as patch:
+            patch.setattr(hc_series, "hook_lengths", lambda p: real(p) + (1,))
+            _, cases, mutant = run_suite("degmod", max_n=7)
+        # 85 plus one e = 1 case for each of the 44 partitions of 1..7
+        assert (cases, len(mutant)) == (240, 129)
+        assert [f for f in mutant if f["e"] > 1] == failures
+
     def test_cuspidal_small(self, capsys):
         code, out, _ = run(capsys, "verify", "cuspidal", "--max-n", "6")
         assert code == 0
@@ -605,9 +620,10 @@ class TestPerMemberFacts:
 
     @staticmethod
     def regroup_calls(monkeypatch, suite, **given):
-        """(cases, regroup calls) of one run of the suite.  e_core and the
-        series quotients it reads are cached and made with regroup, so the
-        run starts from none cached and leaves none made under the spy."""
+        """(cases, regroup calls, series quotients cached) of one run of the
+        suite.  e_core and the series quotients it reads are cached and made
+        with regroup, so the run starts from none cached and leaves none made
+        under the spy."""
         real = partitions.regroup
         calls = 0
         cases = []
@@ -624,27 +640,27 @@ class TestPerMemberFacts:
             monkeypatch.setattr(partitions, "regroup", spy)
             monkeypatch.setattr(levelrank, "regroup", spy)
             run_suite(suite, cases.append, **given)
+            filled = partitions.e_quotient_charged.cache_info().currsize
         finally:
             for cached in caches:
                 cached.cache_clear()
-        return cases, calls
+        return cases, calls, filled
 
     def test_thm2_splits_each_partition_once_per_level(self, monkeypatch):
         # regroup runs once per case (the one multi-component map) and once
         # per (partition, level) split, which reads the series charge off
         # the same split: no e_core is made
-        cases, calls = self.regroup_calls(monkeypatch, "thm2", max_n=8)
+        cases, calls, _ = self.regroup_calls(monkeypatch, "thm2", max_n=8)
         members = sum(PARTITION_COUNTS[1:9])  # 66 partitions, levels 1..12
         assert len(cases) == 45 * members
         assert calls == len(cases) + 12 * members == 3762
 
-    def test_degmod_splits_each_constant_remainder_once(self, monkeypatch):
-        # degree_sign reads the series quotient of each (p, e) whose remainder
-        # is constant, one regroup each; a nonconstant one stops before it
-        cases, calls = self.regroup_calls(monkeypatch, "degmod", max_n=8)
-        nonconstant = sum("nonconstant" in case.get("error", "") for case in cases)
+    def test_degmod_makes_no_bead_map(self, monkeypatch):
+        # degree_sign reads the wreath degree off p's hooks: from cold caches
+        # degmod makes no regroup call and caches no series quotient
+        cases, calls, filled = self.regroup_calls(monkeypatch, "degmod", max_n=8)
         assert len(cases) == sum(n * PARTITION_COUNTS[n] for n in range(1, 9))
-        assert calls == len(cases) - nonconstant == 371
+        assert (calls, filled) == (0, 0)
 
     def test_content_prop_keys_each_member_once_per_level_pair(self, monkeypatch):
         # one _member_key per member of an e-core class with a pair to
@@ -751,6 +767,13 @@ class TestOutputBytes:
                 ("verify", "degmod", "--max-n", "7", "--stream"),
                 1,
                 "cba3ecd78eabd61b8c4e8922923fcb8f64d10257e1938b7b0c6fbe2e31810a93",
+            ),
+            # degmod's size in the degree-sweep benchmark, recorded with the
+            # wreath degree read off the series quotient
+            (
+                ("verify", "degmod", "--max-n", "12", "--stream"),
+                1,
+                "fcfecd833d4511ba73ffac9a969b15aaf6461ffca8d4c3de7f4434dfd253bd7b",
             ),
         ],
     )

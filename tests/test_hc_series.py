@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -15,17 +15,18 @@ from abacore.hc_series import (
     hc_series_of,
     series_json,
     specialization,
-    wreath_dim,
 )
 from abacore.partitions import (
     Partition,
     e_core,
+    e_quotient_charged,
+    hook_lengths,
     is_e_core,
     multipartitions_of,
     partitions_of,
 )
 from abacore.polynomials import singular_check
-from oracles import rim_hook_core, syt_by_recursion
+from oracles import rim_hook_core, syt_by_recursion, wreath_dim
 
 P = Partition
 
@@ -213,6 +214,26 @@ class TestWreath:
                     wreath_dim(mp) ** 2 for mp in multipartitions_of(e, a)
                 )
                 assert total == e**a * factorial(a)
+
+    def test_quotient_hooks_are_the_e_divisible_hooks(self):
+        # the identity degree_sign rests on (James-Kerber 2.7.40): the hooks
+        # of p's e-quotient are p's hooks divisible by e, each divided by e,
+        # so they give the quotient's size and wreath degree.  Control: the
+        # hooks divisible by e + 1 must miss the degree
+        def hook_route(p, d):
+            hooks = [h // d for h in hook_lengths(p) if h % d == 0]
+            return len(hooks), factorial(len(hooks)) // prod(hooks)
+
+        cases = mismatches = control = 0
+        for n in range(1, 13):
+            for p in partitions_of(n):
+                for e in range(1, n + 1):
+                    image = e_quotient_charged(p, e).components
+                    size, dim = sum(q.size for q in image), wreath_dim(image)
+                    cases += 1
+                    mismatches += hook_route(p, e) != (size, dim)
+                    control += hook_route(p, e + 1)[1] != dim
+        assert (cases, mismatches, control) == (2646, 0, 785)
 
 
 class TestDegreeSign:
