@@ -14,7 +14,7 @@ from .partitions import (
     is_e_core,
     to_beta,
 )
-from .levelrank import AffinePerm, affine_perm, apply_affine, qr_em, qr_em_inv, uglov
+from .levelrank import AffinePerm, affine_perm, apply_affine, qr_em, uglov
 from .polynomials import IntPolynomial, cyclotomic, generic_degree, gl_order
 from .hc_series import CuspidalPairGL, hc_pairs, hc_partition, hc_series_of
 from .blocks import block_match_report, block_partition, residue_multiset, same_block
@@ -44,7 +44,6 @@ __all__ = [
     "hook_lengths",
     "is_e_core",
     "qr_em",
-    "qr_em_inv",
     "residue_multiset",
     "same_block",
     "to_beta",

@@ -158,9 +158,9 @@ def degree_sign(p: Partition, e: int) -> int:
     quotient is not built.  A mismatch raises DegreeSignError.
     """
     rem = mod_cyclotomic(generic_degree(p), e)
-    if not rem.is_constant():
+    if rem.degree > 0:
         raise DegreeSignError(f"nonconstant remainder {rem} for {p.parts} at e={e}")
-    c = rem.constant_value()
+    c = rem(0)
     hooks = [h // e for h in hook_lengths(p) if h % e == 0]
     expected, rest = divmod(factorial(len(hooks)), prod(hooks))
     if rest:

@@ -32,7 +32,8 @@ from .partitions import (
 def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
     """Re-read bead (x, y) of an e-abacus as a bead of an m-abacus.
 
-    Returns (e*(x // m) + y, x % m); satisfies e*x + m*y = m*q' + e*r'.
+    Returns (q', r') = (e*(x // m) + y, x % m), with e*x + m*y = m*q' + e*r';
+    qr_em(q', r', m, e) maps it back to (x, y).
 
     >>> qr_em(-1, 1, 2, 3)
     (-1, 2)
@@ -42,11 +43,6 @@ def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
     if not 0 <= y < e:
         raise ValueError(f"component {y} out of range for level {e}")
     return (e * (x // m) + y, x % m)
-
-
-def qr_em_inv(q: int, r: int, e: int, m: int) -> tuple[int, int]:
-    """Inverse of qr_em: apply the (m, e)-swapped map to (q, r)."""
-    return qr_em(q, r, m, e)
 
 
 def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:

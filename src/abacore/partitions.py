@@ -374,16 +374,20 @@ def multipartitions_of(e: int, a: int) -> tuple[MultiPartition, ...]:
 # ---------------------------------------------------------------------------
 # text formats: str(Partition) is "3,1,1", multipartitions join with ";"
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of text; `what` names it in the error."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad {what} text {text!r}") from exc
+
+
 def parse_partition(text: str) -> Partition:
     """Parse "3,1,1"; the empty string denotes the empty partition."""
     text = text.strip()
     if not text:
         return Partition(())
-    try:
-        parts = tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad partition text {text!r}") from exc
-    return Partition(parts)
+    return Partition(_parse_ints(text, "partition"))
 
 
 def parse_multipartition(text: str) -> MultiPartition:
@@ -399,7 +403,4 @@ def parse_charges(text: str) -> MultiCharge:
     text = text.strip()
     if not text:
         raise ValueError("empty charge list")
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad charge text {text!r}") from exc
+    return _parse_ints(text, "charge")

@@ -55,14 +55,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.coeffs[0] if self.coeffs else 0
-
     def __call__(self, x: int) -> int:
         value = 0
         for c in reversed(self.coeffs):
@@ -70,8 +62,6 @@ class IntPolynomial:
         return value
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial()
         a = self.coeffs
         n = len(a)
         out = [0] * (n + len(other.coeffs) - 1)

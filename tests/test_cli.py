@@ -63,7 +63,8 @@ def _charge_mutant(real):
 
 
 def _index_mutant(real):
-    # the inverse index map one step off for negative quotients
+    # the index map one step off for a negative first argument; the suite's
+    # forward map and its inverse (the levels swapped) both call it
     return lambda q, r, e, m: real(q + (q < 0), r, e, m)
 
 
@@ -450,7 +451,7 @@ class TestVerify:
                 _charge_mutant,
                 {"charge conservation": 113, "level-rank round trip": 113},
             ),
-            ("qr_em_inv", _index_mutant, {"index bijection": 102}),
+            ("qr_em", _index_mutant, {"index bijection": 102}),
         ],
         ids=["from_beta", "split", "charge", "index"],
     )
@@ -977,6 +978,25 @@ class TestUsageErrors:
             main(["verify", "content-lemma", "--max-n", "2", "--window", "5"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("core", "--partition", "1,,2", "--e", "2"), "bad partition text '1,,2'"),
+            (("core", "--partition", "2,x", "--e", "2"), "bad partition text '2,x'"),
+            (
+                ("uglov", "--mp", "1", "--charges", "x", "--e", "1", "--m", "2"),
+                "bad charge text 'x'",
+            ),
+            (
+                ("uglov", "--mp", "1", "--charges=", "--e", "1", "--m", "2"),
+                "empty charge list",
+            ),
+        ],
+        ids=["empty-part", "non-integer-part", "non-integer-charge", "no-charges"],
+    )
+    def test_parse_errors(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -12,7 +12,6 @@ from abacore.levelrank import (
     affine_perm,
     apply_affine,
     qr_em,
-    qr_em_inv,
     uglov,
 )
 from abacore.partitions import (
@@ -81,11 +80,12 @@ class TestQuotientRemainder:
         with pytest.raises(ValueError):
             qr_em(0, 2, 2, 3)
         with pytest.raises(ValueError, match="component 3 out of range for level 3"):
-            qr_em_inv(0, 3, 2, 3)
+            qr_em(0, 3, 3, 2)
 
-    def test_qr_em_inv_examples(self):
-        assert qr_em_inv(0, 1, 2, 3) == (1, 0)
-        assert qr_em_inv(-1, 2, 2, 3) == (-1, 1)
+    def test_qr_em_swapped_levels_examples(self):
+        # qr_em with the levels swapped inverts it
+        assert qr_em(0, 1, 3, 2) == (1, 0)
+        assert qr_em(-1, 2, 3, 2) == (-1, 1)
 
     def test_index_bijection_window(self):
         for e in range(1, 9):
@@ -95,7 +95,7 @@ class TestQuotientRemainder:
                         q, r = qr_em(x, y, e, m)
                         assert 0 <= r < m
                         assert e * x + m * y == m * q + e * r
-                        assert qr_em_inv(q, r, e, m) == (x, y)
+                        assert qr_em(q, r, m, e) == (x, y)
 
     def test_coprime_converse(self):
         # if e*a + m*b = m*c + e*d then (c, d) is the image of (a, b)
@@ -522,6 +522,30 @@ class TestRouteAgreement:
                         failed += not verdict
                         total += 1
         assert 0 < failed < total
+
+
+class TestSeriesChargeIndependence:
+    def test_corrected_split_does_not_depend_on_the_charge(self):
+        # route one of thm2 corrects the split at charge s by the (e, m, s)
+        # affine permutation.  The result is the one at s = 0, so thm2's
+        # verdicts cannot see a wrong series charge; the charge is pinned by
+        # test_partitions' TestCoreMatchedSplit and test_cli's series digests
+        pairs = [(e, m) for e in range(1, 9) for m in range(1, 9) if gcd(e, m) == 1]
+        assert len(pairs) == 43
+        cases = moved = 0
+        for p in chain.from_iterable(partitions_of(n) for n in range(7)):
+            for e, m in pairs:
+                at_zero = regroup(_abaci((p,), (0,)), e)
+                expected = levelrank._shift_pairs(affine_perm(e, m, 0), at_zero)
+                for s in range(-6, 7):
+                    split = regroup(_abaci((p,), (s,)), e)
+                    assert levelrank._shift_pairs(affine_perm(e, m, s), split) == expected
+                    # control: the permutation of the next charge moves it
+                    wrong = levelrank._shift_pairs(affine_perm(e, m, s + 1), split)
+                    moved += wrong != expected
+                    cases += 1
+        # 30 partitions of size <= 6, 43 pairs, 13 charges
+        assert cases == moved == 30 * 43 * 13
 
 
 def floor_only_shift(ap, abaci):

@@ -7,6 +7,8 @@ library restates the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once.  Every cache hit ratio the
 benchmark's per-layer report reads belongs to a memoised library function.
+No library function is an alias that only passes its own parameters on to
+another library function.
 """
 
 import ast
@@ -310,6 +312,79 @@ def test_scan_catches_stale_readme_name():
         "abacore.a: gone",
         "abacore.b: kept",
     ]
+
+
+def forwarding_aliases(sources):
+    """"module.name" of every function whose body, docstring aside, is one
+    return of a call to a top-level library function that passes exactly the
+    function's own parameters, in any order: an alias that repeats a call
+    its caller can make.
+
+    sources maps module names to source text; the callee is matched by name,
+    bare or as an attribute.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    library = {
+        stmt.name
+        for tree in trees.values()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    found = []
+    for module, tree in trees.items():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            passed = [*call.args, *(kw.value for kw in call.keywords)]
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            if callee in library and all(isinstance(a, ast.Name) for a in passed):
+                if sorted(a.id for a in passed) == sorted(arg.arg for arg in params):
+                    found.append(f"{module}.{fn.name}")
+    return found
+
+
+def test_no_forwarding_alias():
+    assert forwarding_aliases(_library_sources()) == []
+
+
+def test_scan_catches_forwarding_alias():
+    sources = {
+        "a": (
+            "def qr(x, e, m):\n"
+            "    return divmod(x, m)\n"
+            "def qr_inv(q, r, e, m):\n"
+            '    """Inverse of qr."""\n'
+            "    return qr(q, r, m, e)\n"
+            "def keyed(x, m):\n"
+            "    return qr(x, m=m)\n"
+            "def extra(x, m):\n"
+            "    return qr(x, 1, m)\n"
+            "def dropped(x, e, m):\n"
+            "    return qr(x, m)\n"
+            "def checked(x, m):\n"
+            "    assert m\n"
+            "    return qr(x, m)\n"
+            "def documented(x, m):\n"
+            '    """Only a docstring."""\n'
+        ),
+        "b": (
+            "import a\n"
+            "def swapped(m, x):\n"
+            "    return a.qr(x, m)\n"
+            "def builtin(x, m):\n"
+            "    return divmod(x, m)\n"
+            "def composed(x, m):\n"
+            "    return a.qr(abs(x), m)\n"
+        ),
+    }
+    assert forwarding_aliases(sources) == ["a.qr_inv", "a.keyed", "b.swapped"]
 
 
 def unmemoised_hit_ratios(reported, load):
