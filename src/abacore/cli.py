@@ -41,7 +41,7 @@ from .levelrank import _routes_agree, qr_em, uglov
 from .partitions import (
     ChargedMultiPartition,
     Partition,
-    _core_matched_split,
+    _abaci,
     e_core,
     from_beta,
     hook_lengths,
@@ -50,6 +50,7 @@ from .partitions import (
     parse_multipartition,
     parse_partition,
     partitions_of,
+    regroup,
     render_multipartition,
     to_beta,
 )
@@ -108,10 +109,11 @@ def _thm2_cases(max_n, e, m):
     levels = {level for pair in pairs for level in pair}
     for n in range(1, max_n + 1):
         members = partitions_of(n)
-        # verdicts[i][k]: member i at pair k, from its splits at each level
+        # verdicts[i][k]: member i at pair k, from its charge-0 split at each level
         verdicts = []
         for p in members:
-            split = {level: _core_matched_split(p, level) for level in levels}
+            abacus = _abaci((p,), (0,))
+            split = {level: (0, regroup(abacus, level)) for level in levels}
             verdicts.append([_routes_agree(e, m, split[e], split[m]) for e, m in pairs])
         names = [str(p) for p in members]
         for k, (e, m) in enumerate(pairs):

@@ -9,8 +9,9 @@ partitions.regroup.  It is the one public bead map: from level 1 it is the
 abacus split of a charged partition, and to level 1 the join.  The affine
 permutations are the corrections that relate splitting at two different
 charges; they permute components and shift charges, on abaci by _shift_pairs.
-The diagram they make commute is checked on canonical abaci from the (charge,
-split) facts of partitions._core_matched_split, once per partition and level.
+The diagram they make commute is checked on canonical abaci from (charge,
+split) facts; verify thm2 splits each partition once per level at charge 0,
+as the corrected split is the same at every charge.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
     ((0, (2,)), (-3, ()))
     """
     out = [None] * ap.e
+    shifts = ap.shifts
     for (floor, tail), j in zip(abaci, ap.perm):
-        d = ap.shifts[j]
-        out[j] = (floor + d, tuple([x + d for x in tail]) if d else tail)
+        d = shifts[j]
+        out[j] = (floor + d, tuple([x + d for x in tail]) if d and tail else tail)
     return tuple(out)
 
 

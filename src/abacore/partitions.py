@@ -20,8 +20,8 @@ Conventions used throughout the package:
   multipartitions it is levelrank.uglov: splitting a charged partition into
   its charged e-quotient is uglov from level 1 to level e, and joining is
   uglov back to level 1.
-* The series charge of p at level e is e + len(e-core of p), read off one
-  charge-0 split in _core_matched_split; e_quotient_charged is its charged form.
+* The series charge of p at level e is e + len(e-core of p); e_quotient_charged
+  reads it off one charge-0 split and rotates that split's charged components.
 """
 
 from __future__ import annotations
@@ -283,37 +283,32 @@ def _join_emptied(charges: MultiCharge) -> Partition:
     return core
 
 
-def _core_matched_split(p: Partition, level: int) -> tuple[int, Abacus]:
-    """(s, split): p's abacus at the series charge s = level + len(level-core),
-    split into level components, read off one split of p's charge-0 abacus:
-    emptying its components, of charges c_r, leaves the core at charge 0, whose
-    lowest empty position min(level*c_r + r) is -len(core), and charge s moves
-    component r to (r + s) % level, shifted by (r + s) // level.
-
-    >>> _core_matched_split(Partition((3,)), 3)
-    (3, ((1, ()), (1, ()), (0, (1,))))
-    """
-    if level < 1:
-        raise ValueError("e must be >= 1")
-    split = regroup(_abaci((p,), (0,)), level)
-    s = level - min(level * (f + len(t)) + r for r, (f, t) in enumerate(split))
-    rotated = [None] * level
-    for r, (floor, tail) in enumerate(split):
-        d, j = divmod(r + s, level)
-        rotated[j] = (floor + d, tuple([x + d for x in tail]) if d else tail)
-    return s, tuple(rotated)
-
-
 @lru_cache(maxsize=None)
 def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
-    """The series map: p's charged e-quotient at charge e + len(e-core of p),
-    the charged form of _core_matched_split(p, e).
+    """The series map: p's charged e-quotient at the series charge
+    s = e + len(e-core of p), read off one split of p's charge-0 abacus.
 
-    The components are p's image in the series of its e-core; the charges
-    depend on the core alone and give the core itself (e_core), the Hecke
-    exponents (core_exponents) and the residue keys of the series.
+    Emptying its components, of charges c_r, leaves the core at charge 0,
+    whose lowest empty position min(e*c_r + r) is -len(core); charge s moves
+    component r to (r + s) % e, its charge raised by (r + s) // e, and
+    rebuilds no tail.  The components are p's image in the series of its
+    e-core; the charges depend on the core alone and give the core itself
+    (e_core), the Hecke exponents (core_exponents) and the residue keys.
+    At charge 0, (3) splits into (1) and () of charges 1 and -1; s = 3:
+
+    >>> image = e_quotient_charged(Partition((3,)), 2)
+    >>> image.components, image.charges
+    ((Partition(parts=()), Partition(parts=(1,))), (1, 2))
     """
-    return ChargedMultiPartition(*_charged(_core_matched_split(p, e)[1]))
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    components, charges = _charged(regroup(_abaci((p,), (0,)), e))
+    s = e - min(e * c + r for r, c in enumerate(charges))
+    rotated = [None] * e
+    for r, (q, c) in enumerate(zip(components, charges)):
+        c, j = divmod(e * c + r + s, e)
+        rotated[j] = (q, c)
+    return ChargedMultiPartition(*map(tuple, zip(*rotated)))
 
 
 @lru_cache(maxsize=None)

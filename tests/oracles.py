@@ -279,9 +279,15 @@ def check_uglov_diagram(p, e, m, s, t):
 
 def check_core_matched_diagram(p, e, m):
     """The diagram check at the canonical charges e + len(e-core) and
-    m + len(m-core), the charges used by the series combinatorics."""
-    split = partitions._core_matched_split
-    return levelrank._routes_agree(e, m, split(p, e), split(p, m))
+    m + len(m-core), the charges used by the series combinatorics: each
+    split is the abacus of the series image e_quotient_charged, at its
+    total charge."""
+
+    def split(level):
+        image = partitions.e_quotient_charged(p, level)
+        return image.total_charge, _abaci(image.components, image.charges)
+
+    return levelrank._routes_agree(e, m, split(e), split(m))
 
 
 def check_core_key_equivalence(p, r, e, m):

@@ -294,10 +294,10 @@ class TestVerify:
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
         # as exactly one failure and a nonzero exit.  The suite compares
-        # routes from (charge, split) facts; a split at level 2 determines
-        # its partition, so it picks out (2, 1).
+        # routes from charge-0 (charge, split) facts; a split at level 2
+        # determines its partition, so it picks out (2, 1).
         real = cli._routes_agree
-        target = partitions._core_matched_split(Partition((2, 1)), 2)
+        target = (0, partitions.regroup(_abaci((Partition((2, 1)),), (0,)), 2))
 
         def broken(e, m, split_e, split_m):
             if (e, m, split_e) == (2, 3, target):
@@ -315,20 +315,18 @@ class TestVerify:
         assert json.loads(out)["failures"] == failures
 
     def test_thm2_corrupt_split_fails_the_pairs_of_its_level(self, monkeypatch):
-        # negative control: (2, 1) is given the level-3 split of (3,) at the
-        # same charge.  Both routes are bijections, so every pair with level
-        # 3 fails for (2, 1), and only those: a split is a fact of one
+        # negative control: (2, 1) is given the level-3 charge-0 split of
+        # (3,).  Both routes are bijections, so every pair with level 3
+        # fails for (2, 1), and only those: a split is a fact of one
         # partition at one level, not of a pair, a size or another partition
-        real = cli._core_matched_split
-        wrong = Partition((3,))
+        real = cli.regroup
+        target = _abaci((Partition((2, 1)),), (0,))
+        wrong = _abaci((Partition((3,)),), (0,))
 
-        def corrupt(p, level):
-            s, split = real(p, level)
-            if (p, level) == (Partition((2, 1)), 3):
-                split = levelrank.regroup(_abaci((wrong,), (s,)), level)
-            return s, split
+        def corrupt(abaci, level):
+            return real(wrong if (abaci, level) == (target, 3) else abaci, level)
 
-        monkeypatch.setattr(cli, "_core_matched_split", corrupt)
+        monkeypatch.setattr(cli, "regroup", corrupt)
         _, cases, failures = run_suite("thm2", max_n=3)
         assert cases == 45 * 6
         level_3_pairs = [pair for pair in cli._coprime_pairs(None, None) if 3 in pair]
@@ -337,6 +335,27 @@ class TestVerify:
             {"n": 3, "e": e, "m": m, "partition": "2,1", "pass": False}
             for e, m in level_3_pairs
         ]
+
+    def test_thm2_fails_with_splits_labelled_charge_1(self, capsys, monkeypatch):
+        # negative control for the charge-0 route: the suite's e-side split,
+        # made at charge 0, is labelled charge 1, so _routes_agree corrects
+        # it by affine_perm(e, m, 1) and every case of every pair fails;
+        # unpatched, every case passes
+        real = cli._routes_agree
+
+        def mislabelled(e, m, split_e, split_m):
+            assert split_e[0] == split_m[0] == 0
+            return real(e, m, (1, split_e[1]), split_m)
+
+        monkeypatch.setattr(cli, "_routes_agree", mislabelled)
+        _, cases, failures = run_suite("thm2", max_n=4)
+        assert (cases, len(failures)) == (45 * 11, 495)  # partitions of 1..4
+        code, _, _ = run(capsys, "verify", "thm2", "--max-n", "4")
+        assert code == 1
+        monkeypatch.undo()
+        assert run_suite("thm2", max_n=4)[1:] == (495, [])
+        code, _, _ = run(capsys, "verify", "thm2", "--max-n", "4")
+        assert code == 0
 
     @pytest.mark.parametrize(
         "name, first_arg, wrong",
@@ -581,15 +600,16 @@ class TestPerMemberFacts:
 
     @pytest.mark.parametrize("levels", [{}, {"e": 5, "m": 2}, {"e": 3, "m": 4}])
     def test_thm2_cases_match_the_per_call_oracle(self, monkeypatch, levels):
-        # with one pair given, the suite must split at its two levels alone
-        real = cli._core_matched_split
+        # with one pair given, the suite must split at its two levels alone;
+        # the oracle splits at the series charges, the suite at charge 0
+        real = cli.regroup
         split_at = set()
 
-        def spy(p, level):
+        def spy(abaci, level):
             split_at.add(level)
-            return real(p, level)
+            return real(abaci, level)
 
-        monkeypatch.setattr(cli, "_core_matched_split", spy)
+        monkeypatch.setattr(cli, "regroup", spy)
         cases = []
         run_suite("thm2", cases.append, max_n=9, **levels)
         pairs = cli._coprime_pairs(levels.get("e"), levels.get("m"))
@@ -638,8 +658,8 @@ class TestPerMemberFacts:
         for cached in caches:
             cached.cache_clear()
         try:
-            monkeypatch.setattr(partitions, "regroup", spy)
-            monkeypatch.setattr(levelrank, "regroup", spy)
+            for module in (partitions, levelrank, cli):
+                monkeypatch.setattr(module, "regroup", spy)
             run_suite(suite, cases.append, **given)
             filled = partitions.e_quotient_charged.cache_info().currsize
         finally:
@@ -649,8 +669,8 @@ class TestPerMemberFacts:
 
     def test_thm2_splits_each_partition_once_per_level(self, monkeypatch):
         # regroup runs once per case (the one multi-component map) and once
-        # per (partition, level) split, which reads the series charge off
-        # the same split: no e_core is made
+        # per (partition, level) split at charge 0: no series charge and no
+        # e_core is made
         cases, calls, _ = self.regroup_calls(monkeypatch, "thm2", max_n=8)
         members = sum(PARTITION_COUNTS[1:9])  # 66 partitions, levels 1..12
         assert len(cases) == 45 * members

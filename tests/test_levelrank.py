@@ -709,18 +709,20 @@ class TestRegroupMutants:
     @pytest.mark.parametrize(
         "mutant, failed",
         [
-            (misfiled_bead_regroup, 81),
+            (misfiled_bead_regroup, 90),
             (first_floor_regroup, 106),
             (lowest_lift_regroup, 113),
         ],
     )
     def test_fails_core_matched_diagram(self, monkeypatch, mutant, failed):
         self.patch(monkeypatch, mutant)
-        verdicts = [
-            check_core_matched_diagram(p, e, m)
-            for e, m in TestPairShiftMutants.LEVELS
-            for n in range(7)
-            for p in partitions_of(n)
-        ]
+        verdicts = []
+        for e, m in TestPairShiftMutants.LEVELS:
+            for n in range(7):
+                for p in partitions_of(n):
+                    try:
+                        verdicts.append(check_core_matched_diagram(p, e, m))
+                    except ValueError:  # the series map rejects a misfiled tail
+                        verdicts.append(False)
         # 4 level pairs, 30 partitions of size <= 6
         assert (verdicts.count(False), len(verdicts)) == (failed, 120)

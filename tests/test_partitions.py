@@ -10,7 +10,6 @@ from abacore.partitions import (
     _abaci,
     _charged,
     _contents,
-    _core_matched_split,
     _join_emptied,
     core_exponents,
     e_core,
@@ -337,18 +336,14 @@ class TestCoreQuotient:
 
     def test_series_map_contract(self):
         # e_quotient_charged is the series map: uglov from level 1 at charge
-        # e + len(e-core), whose charges are those of the core itself; the
-        # (charge, split) facts the thm2 suite reads are its canonical abaci
+        # e + len(e-core), whose charges are those of the core itself
         for p in all_partitions_up_to(10):
             for e in range(1, 7):
                 core = e_core(p, e)
                 image = e_quotient_charged(p, e)
                 assert image == uglov(CP(p, e + len(core)), e)
                 assert image.charges == e_quotient_charged(core, e).charges
-                assert _core_matched_split(p, e) == (
-                    e + len(core),
-                    _abaci(image.components, image.charges),
-                )
+                assert image.total_charge == e + len(core)
 
     def test_idempotence(self):
         for p in all_partitions_up_to(10):
@@ -371,49 +366,49 @@ class TestCoreQuotient:
 
 
 def rotated_off_by_one_split(p, level):
-    """Mutant of _core_matched_split: each component of the charge-0 split
-    lands one component too far."""
-    split = regroup(_abaci((p,), (0,)), level)
-    s = level - min(level * (f + len(t)) + r for r, (f, t) in enumerate(split))
+    """Mutant of e_quotient_charged: each charged component of the charge-0
+    split lands one component too far."""
+    components, charges = _charged(regroup(_abaci((p,), (0,)), level))
+    s = level - min(level * c + r for r, c in enumerate(charges))
     rotated = [None] * level
-    for r, (floor, tail) in enumerate(split):
-        d, j = divmod(r + s, level)
-        rotated[(j + 1) % level] = (floor + d, tuple(x + d for x in tail))
-    return s, tuple(rotated)
+    for r, (q, c) in enumerate(zip(components, charges)):
+        c, j = divmod(level * c + r + s, level)
+        rotated[(j + 1) % level] = (q, c)
+    return CMP(*map(tuple, zip(*rotated)))
 
 
 def residue_blind_split(p, level):
-    """Mutant of _core_matched_split: the core length is read as
+    """Mutant of e_quotient_charged: the core length is read as
     -min(level*c_r), without the residue r of the lowest empty position."""
-    split = regroup(_abaci((p,), (0,)), level)
-    s = level - min(level * (f + len(t)) for f, t in split)
+    components, charges = _charged(regroup(_abaci((p,), (0,)), level))
+    s = level - min(level * c for c in charges)
     rotated = [None] * level
-    for r, (floor, tail) in enumerate(split):
-        d, j = divmod(r + s, level)
-        rotated[j] = (floor + d, tuple(x + d for x in tail))
-    return s, tuple(rotated)
+    for r, (q, c) in enumerate(zip(components, charges)):
+        c, j = divmod(level * c + r + s, level)
+        rotated[j] = (q, c)
+    return CMP(*map(tuple, zip(*rotated)))
 
 
 class TestCoreMatchedSplit:
-    """_core_matched_split against an oracle that never runs regroup: the
+    """e_quotient_charged against an oracle that never runs regroup: the
     series charge from the rim-hook core, the split from explicit beads."""
 
     @staticmethod
-    def mismatches(split_at):
+    def mismatches(series_map):
         cases = [(p, level) for p in all_partitions_up_to(12) for level in range(1, 13)]
         missed = []
         for p, level in cases:
             s = level + len(rim_hook_core(p.parts, level))
             expected = regroup_on_beads([(p.parts, s)], level)
-            got_s, split = split_at(p, level)
-            components, charges = _charged(split)
-            if (got_s, list(zip(components, charges))) != (s, expected):
+            image = series_map(p, level)
+            got = list(zip(image.components, image.charges))
+            if (image.total_charge, got) != (s, expected):
                 missed.append((p, level))
         return missed, len(cases)
 
     def test_against_oracle(self):
         # 272 partitions of size <= 12, levels 1..12
-        assert self.mismatches(_core_matched_split) == ([], 3264)
+        assert self.mismatches(e_quotient_charged) == ([], 3264)
 
     @pytest.mark.parametrize(
         "mutant, missed",
@@ -428,7 +423,7 @@ class TestCoreMatchedSplit:
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_rejects_nonpositive_level(self, level):
-        for call in (_core_matched_split, e_quotient_charged, e_core):
+        for call in (e_quotient_charged, e_core):
             with pytest.raises(ValueError, match="^e must be >= 1$"):
                 call(P((2, 1)), level)
 

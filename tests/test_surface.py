@@ -231,8 +231,8 @@ def test_scan_catches_parts_sort_key():
 
 def series_charge_sites(sources):
     """"module:line" of every len(e_core(...)): the series charge
-    e + len(e-core) has one home in the library, _core_matched_split, which
-    reads the core length off its own split and makes no core."""
+    e + len(e-core) has one home in the library, e_quotient_charged, which
+    reads the core length off its own charge-0 split and makes no core."""
     found = []
     for module, text in sources.items():
         for node in ast.walk(ast.parse(text)):
@@ -246,7 +246,7 @@ def series_charge_sites(sources):
 
 def test_series_charge_is_written_once():
     # every module, partitions included, takes the charge from
-    # _core_matched_split (or its charged form) instead of an e-core length
+    # e_quotient_charged instead of an e-core length
     assert series_charge_sites(_library_sources()) == []
 
 
