@@ -5,12 +5,12 @@ e*(content + charge) + component over its boxes; blocks at level m compare
 this multiset modulo m.  For parameters involving roots of unity the key is
 evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
 (1/d)Z/Z for d = lcm(2 * at_root, the denominators of the parameter
-arguments).  One kernel computes both keys as dense length-d tuples whose
-entry k counts the boxes with value content*omega + alpha_j = k mod d: a
-level-m key takes d = m, omega = e mod m and alpha_j =
-core_exponents(core, e)[j] mod m, and a root key takes the evaluated
-parameters and is returned as the reduced fractions k/d of its nonzero
-entries with their counts.
+arguments).  Both keys are dense length-d tuples whose entry k counts the
+boxes with value content*omega + alpha_j = k mod d: a level-m key takes
+d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and
+a root key takes the evaluated parameters and is returned as the reduced
+fractions k/d of its nonzero entries with their counts; the series report
+counts a series' GL and GU keys in one box loop.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts on the identity's support, which covers every exponent, and underlies
 the equivalence between sharing an m-core and sharing a key.
@@ -150,7 +150,7 @@ def root_key_partition(
 ) -> tuple[tuple[MultiPartition, ...], ...]:
     """Partition of all e-multipartitions of size a by their root-of-unity
     block keys under the given parameters."""
-    return _group_by_counts(multipartitions_of(e, a), _root_values(e, params, at_root))
+    return _group_by_counts(e, a, _root_values(e, params, at_root))
 
 
 def _member_key(p: Partition, e: int, m: int) -> Key:
@@ -193,13 +193,19 @@ def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> b
     return result
 
 
-def _group_by_counts(mps, values) -> tuple[tuple[MultiPartition, ...], ...]:
-    """Blocks of mps grouped by _root_counts(mp, *values), each sorted; the
-    blocks are disjoint, so sorting them orders them by first member."""
+@lru_cache(maxsize=None)
+def _sorted_mps(e: int, a: int) -> tuple[MultiPartition, ...]:
+    """multipartitions_of(e, a) in increasing order (memoised)."""
+    return tuple(sorted(multipartitions_of(e, a)))
+
+
+def _group_by_counts(e: int, a: int, values) -> tuple[tuple[MultiPartition, ...], ...]:
+    """The e-multipartitions of size a grouped by _root_counts(mp, *values),
+    walked in sorted order: members sorted, blocks in order of first member."""
     grouped: dict[Key, list[MultiPartition]] = {}
-    for mp in mps:
+    for mp in _sorted_mps(e, a):
         grouped.setdefault(_root_counts(mp, *values), []).append(mp)
-    return tuple(sorted(tuple(sorted(block)) for block in grouped.values()))
+    return tuple(map(tuple, grouped.values()))
 
 
 def block_partition(
@@ -212,7 +218,7 @@ def block_partition(
     specializes to 1.
     """
     _require_blocks(e, m)
-    return _group_by_counts(multipartitions_of(e, a), _level_values(core, e, m))
+    return _group_by_counts(e, a, _level_values(core, e, m))
 
 
 def series_blocks(
@@ -275,17 +281,34 @@ def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Key]:
 # ---------------------------------------------------------------------------
 # the series-versus-blocks report
 
-def _side_blocks(
-    pair: CuspidalPairGL, at_root: int
-) -> tuple[tuple[tuple[MultiPartition, ...], ...], bool]:
-    """Block partition of a series at a given root, and whether the unitary
-    variant induces the same partition.  At at_root = 1 every key collapses,
-    and a series with a = 0 has the empty multipartition as its one member,
-    so either way it is the single full block on both variants."""
+def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, bool]:
+    """Block sizes of the series of pair at a root, in block order, each
+    multipartition's block number, and whether GU induces the same blocks.
+    One pass over the sorted multipartitions counts the GL and GU keys (at
+    at_root and at ennola_e(at_root)) in one box loop and numbers blocks by
+    first member, as series_blocks orders them; so the two number lists
+    agree exactly when the partitions do, and nothing is sorted.  At
+    at_root = 1 every key collapses, and a series with a = 0 has one member,
+    the empty multipartition: either way it is one block on both variants."""
+    mps = _sorted_mps(pair.e, pair.a)
     if at_root == 1 or pair.a == 0:
-        return (tuple(sorted(multipartitions_of(pair.e, pair.a))),), True
-    blocks = series_blocks(pair, at_root)
-    return blocks, series_blocks(pair, at_root, GU) == blocks
+        return [len(mps)], dict.fromkeys(mps, 0), True
+    d, omega, alphas = _level_values(pair.core, pair.e, at_root)
+    params_u = specialization(pair, GU)
+    du, omega_u, alphas_u = _root_values(pair.e, params_u, ennola_e(at_root))
+    gl_ids, gu_ids, numbers, gu_numbers = {}, {}, {}, []
+    for mp in mps:
+        gl, gu = [0] * d, [0] * du
+        for p, alpha, alpha_u in zip(mp, alphas, alphas_u):
+            for content in _contents(p):
+                gl[(content * omega + alpha) % d] += 1
+                gu[(content * omega_u + alpha_u) % du] += 1
+        numbers[mp] = gl_ids.setdefault(tuple(gl), len(gl_ids))
+        gu_numbers.append(gu_ids.setdefault(tuple(gu), len(gu_ids)))
+    sizes = [0] * len(gl_ids)
+    for i in numbers.values():
+        sizes[i] += 1
+    return sizes, numbers, list(numbers.values()) == gu_numbers
 
 
 @lru_cache(maxsize=None)
@@ -313,23 +336,22 @@ def block_match_report(n: int, e: int, m: int) -> dict:
     for p in sorted(partitions_of(n)):
         groups.setdefault((e_core(p, e), e_core(p, m)), []).append(p)
     # each series core is the core of some partition of n, so every group has its sides
-    sides: dict[tuple[int, Partition], tuple] = {}
-    for level, at_root in ((e, m), (m, e)):
-        for pair in hc_pairs(n, level):
-            blocks, gu_ok = _side_blocks(pair, at_root)
-            index = {mp: i for i, block in enumerate(blocks) for mp in block}
-            sides[level, pair.core] = blocks, index, gu_ok
+    sides = {
+        (level, pair.core): _side_blocks(pair, at_root)
+        for level, at_root in ((e, m), (m, e))
+        for pair in hc_pairs(n, level)
+    }
 
     def side(members, level, core):
         """Whether the members' images are distinct and fill one whole block
         of their level series at the other level's root on both variants, and
         the sizes of the blocks they touch, in block order."""
-        blocks, index, gu_ok = sides[level, core]
+        sizes, numbers, gu_ok = sides[level, core]
         images = {e_quotient_charged(p, level).components for p in members}
-        hits = {index.get(mp) for mp in images}
-        sizes = [len(blocks[i]) for i in sorted(hits - {None})]
+        hits = {numbers.get(mp) for mp in images}
+        touched = [sizes[i] for i in sorted(hits - {None})]
         ok = gu_ok and None not in hits and len(images) == len(members)
-        return ok and sizes == [len(members)], sizes
+        return ok and touched == [len(members)], touched
 
     intersections = []
     for (core_e, core_m), members in sorted(groups.items()):

@@ -84,6 +84,8 @@ def _coprime_pairs(e, m) -> list[tuple[int, int]]:
             raise ValueError("levels must be >= 1")
         if gcd(e, m) != 1:
             raise ValueError(f"levels {e}, {m} must be coprime")
+        if e == m:
+            raise ValueError("levels 1, 1 compare a level with itself; give e != m")
         return [(e, m)]
     return [
         (e, m)

@@ -281,13 +281,18 @@ def check_core_matched_diagram(p, e, m):
     """The diagram check at the canonical charges e + len(e-core) and
     m + len(m-core), the charges used by the series combinatorics: each
     split is the abacus of the series image e_quotient_charged, at its
-    total charge."""
+    total charge.  A split that the series map rejects as non-canonical,
+    as a broken regroup can leave, fails the check."""
 
     def split(level):
         image = partitions.e_quotient_charged(p, level)
         return image.total_charge, _abaci(image.components, image.charges)
 
-    return levelrank._routes_agree(e, m, split(e), split(m))
+    try:
+        e_split, m_split = split(e), split(m)
+    except ValueError:
+        return False
+    return levelrank._routes_agree(e, m, e_split, m_split)
 
 
 def check_core_key_equivalence(p, r, e, m):

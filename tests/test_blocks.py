@@ -422,7 +422,7 @@ class TestBlockPartition:
 
     def test_group_by_counts_canonical_order(self):
         # members sorted, then blocks by first member, both by part tuples,
-        # whatever order the multipartitions come in
+        # from the sorted view, whatever order the oracle groups them in
         def key(mp):
             return tuple(p.parts for p in mp)
 
@@ -444,7 +444,7 @@ class TestBlockPartition:
                         key=lambda block: key(block[0]),
                     )
                     values = blocks._level_values(P(()), e, m)
-                    result = blocks._group_by_counts(mps, values)
+                    result = blocks._group_by_counts(e, a, values)
                     assert result == tuple(tuple(block) for block in expected)
 
     def test_series_blocks_rejects_unknown_variant(self):
@@ -641,6 +641,35 @@ class TestCoreKeyEquivalence:
                                 )
 
 
+def _blocks_of(sizes, numbers):
+    """The blocks that _side_blocks' sizes and numbers describe, in order."""
+    found = [[] for _ in sizes]
+    for mp, i in numbers.items():
+        found[i].append(mp)
+    return tuple(map(tuple, found))
+
+
+def _numbered(found):
+    """The sizes and numbers of the blocks found, as _side_blocks gives them."""
+    return [len(block) for block in found], {
+        mp: i for i, block in enumerate(found) for mp in block
+    }
+
+
+def _collapse_gu_values(monkeypatch, pairs):
+    """Patch the GU key data of the series of pairs to d = 1, where every
+    multipartition has one key, so their GU blocks merge into one."""
+    real = blocks._root_values
+    targets = [specialization(pair, GU) for pair in pairs]
+
+    def collapsed(level, params, at_root):
+        if params in targets:
+            return 1, 0, (0,) * level
+        return real(level, params, at_root)
+
+    monkeypatch.setattr(blocks, "_root_values", collapsed)
+
+
 class TestBlockMatchReport:
     def test_small_reports_pass(self):
         report = block_match_report(3, 2, 3)
@@ -711,8 +740,8 @@ class TestBlockMatchReport:
         real_sides = blocks._side_blocks
 
         def singletons(pair, at_root):
-            found, gu_ok = real_sides(pair, at_root)
-            return tuple((mp,) for block in found for mp in block), gu_ok
+            _, numbers, gu_ok = real_sides(pair, at_root)
+            return [1] * len(numbers), {mp: i for i, mp in enumerate(numbers)}, gu_ok
 
         monkeypatch.setattr(blocks, "_side_blocks", singletons)
         report = block_match_report(3, 2, 3)
@@ -779,11 +808,11 @@ class TestBlockMatchReport:
         real = blocks._side_blocks
 
         def reshaped(pair, at_root):
-            found, gu_ok = real(pair, at_root)
+            sizes, numbers, gu_ok = real(pair, at_root)
             if (pair.e, pair.core) == (2, P((1,))):
-                assert [len(block) for block in found] == [2, 2, 1]
-                found = reshape(found)
-            return found, gu_ok
+                assert sizes == [2, 2, 1]
+                sizes, numbers = _numbered(reshape(_blocks_of(sizes, numbers)))
+            return sizes, numbers, gu_ok
 
         monkeypatch.setattr(blocks, "_side_blocks", reshaped)
         report = block_match_report(5, 2, 3)
@@ -797,16 +826,9 @@ class TestBlockMatchReport:
     def test_gu_partition_mismatch_fails(self, monkeypatch):
         # negative control: the GU keys of the e-side series of core (1)
         # merge its GL blocks into one
-        real = blocks.root_key_partition
-
-        def merged(e, a, params, at_root):
-            found = real(e, a, params, at_root)
-            if (e, a) == (2, 2):
-                assert len(found) > 1
-                return (tuple(mp for block in found for mp in block),)
-            return found
-
-        monkeypatch.setattr(blocks, "root_key_partition", merged)
+        pair = CuspidalPairGL(5, 2, 2, P((1,)))
+        assert len(series_blocks(pair, 3)) > 1
+        _collapse_gu_values(monkeypatch, [pair])
         report = block_match_report(5, 2, 3)
         assert report["pass"] is False
         assert [entry["pass"] for entry in report["intersections"]] == [
@@ -836,10 +858,11 @@ class TestBlockMatchReport:
         real = blocks._side_blocks
 
         def merged(pair, at_root):
-            found, gu_ok = real(pair, at_root)
-            if pair.e == 3 and len(found) > 1:
-                found = (found[0] + found[1],) + found[2:]
-            return found, gu_ok
+            sizes, numbers, gu_ok = real(pair, at_root)
+            if pair.e == 3 and len(sizes) > 1:
+                found = _blocks_of(sizes, numbers)
+                sizes, numbers = _numbered((found[0] + found[1],) + found[2:])
+            return sizes, numbers, gu_ok
 
         monkeypatch.setattr(blocks, "_side_blocks", merged)
         report = block_match_report(5, 2, 3)
@@ -848,22 +871,73 @@ class TestBlockMatchReport:
 
     def test_m_side_gu_partition_mismatch_fails(self, monkeypatch):
         # the GU keys of the level-3 series with a = 1 merge its GL blocks
-        real = blocks.root_key_partition
-
-        def merged(e, a, params, at_root):
-            found = real(e, a, params, at_root)
-            if (e, a) == (3, 1):
-                assert len(found) > 1
-                return (tuple(mp for block in found for mp in block),)
-            return found
-
-        monkeypatch.setattr(blocks, "root_key_partition", merged)
+        pairs = [pair for pair in hc_pairs(5, 3) if pair.a == 1]
+        assert all(len(series_blocks(pair, 2)) > 1 for pair in pairs)
+        _collapse_gu_values(monkeypatch, pairs)
         report = block_match_report(5, 2, 3)
         assert self._failing_m_side(report).keys() == self.M_SIDE_FAILING.keys()
         assert {
             tuple(entry["members"]): entry["pass"]
             for entry in report["intersections"]
         }[("3,1,1",)] is True
+
+
+class TestSideBlocks:
+    # the one-pass numbering that thm1 reads, against the public groupings
+    @staticmethod
+    def _thm1_sides(monkeypatch, max_n):
+        # every (pair, root) side that verify thm1 builds, in all 45 pairs
+        # and both directions
+        built = {}
+        real = blocks._side_blocks
+
+        def recorded(pair, at_root):
+            built[pair, at_root] = None
+            return real(pair, at_root)
+
+        monkeypatch.setattr(blocks, "_side_blocks", recorded)
+        run_suite("thm1", max_n=max_n)
+        monkeypatch.setattr(blocks, "_side_blocks", real)
+        return list(built)
+
+    @staticmethod
+    def _disagreements(sides):
+        # (sides, sides whose GU blocks differ, disagreements with the
+        # public groupings); level-1 blocks are undefined, and thm1 takes
+        # the whole series as one block there
+        differ = wrong = 0
+        for pair, r in sides:
+            sizes, numbers, gu_ok = blocks._side_blocks(pair, r)
+            if r == 1:
+                found = gu = (tuple(sorted(multipartitions_of(pair.e, pair.a))),)
+            else:
+                found, gu = series_blocks(pair, r), series_blocks(pair, r, GU)
+            position = {mp: i for i, block in enumerate(found) for mp in block}
+            wrong += (
+                sizes != [len(block) for block in found]
+                or numbers != position
+                or gu_ok != (gu == found)
+            )
+            differ += gu != found
+        return len(sides), differ, wrong
+
+    def test_matches_the_public_groupings(self, monkeypatch):
+        # 7,071 sides, 668 of them keyed (a > 0 at a root >= 2)
+        sides = self._thm1_sides(monkeypatch, 10)
+        assert self._disagreements(sides) == (7_071, 0, 0)
+
+    def test_gu_verdict_follows_shifted_gu_keys(self, monkeypatch):
+        # negative control: a GU key with its first component's value moved
+        # by one changes the GU blocks of some sides, and gu_ok must follow
+        sides = self._thm1_sides(monkeypatch, 10)
+        real = blocks._root_values
+
+        def shifted(level, params, at_root):
+            d, omega, alphas = real(level, params, at_root)
+            return d, omega, ((alphas[0] + 1) % d,) + alphas[1:]
+
+        monkeypatch.setattr(blocks, "_root_values", shifted)
+        assert self._disagreements(sides) == (7_071, 303, 0)
 
 
 class TestSingletonSeries:
@@ -881,7 +955,8 @@ class TestSingletonSeries:
                     for r in range(2, 13):
                         if gcd(e, r) != 1:
                             continue
-                        assert blocks._side_blocks(pair, r) == (only, True)
+                        one = ([1], {only[0][0]: 0}, True)
+                        assert blocks._side_blocks(pair, r) == one
                         assert block_partition(e, 0, pair.core, r) == only
                         assert series_blocks(pair, r, GU) == only
                         checked += 1
@@ -931,22 +1006,22 @@ class TestSingletonSeries:
         assert mutants == singletons
 
     def test_no_keys_for_singleton_series(self, monkeypatch):
-        # thm1 computes a block partition only for a (pair, root) with a > 0
-        # and root >= 2
+        # thm1 computes block keys only for a (pair, root) with a > 0 and
+        # root >= 2, and the level-m key data once for each
         calls = []
         reports = []
-        real_partition = blocks.block_partition
+        real_values = blocks._level_values
         real_report = cli.block_match_report
 
         def counted(*args):
             calls.append(args)
-            return real_partition(*args)
+            return real_values(*args)
 
         def recorded(n, e, m):
             reports.append((n, e, m))
             return real_report(n, e, m)
 
-        monkeypatch.setattr(blocks, "block_partition", counted)
+        monkeypatch.setattr(blocks, "_level_values", counted)
         monkeypatch.setattr(cli, "block_match_report", recorded)
         _, _, failures = run_suite("thm1", max_n=8)
         assert failures == []
@@ -958,6 +1033,6 @@ class TestSingletonSeries:
         ]
         keyed = [(pair, r) for pair, r in sides if pair.a > 0 and r >= 2]
         assert len(calls) == len(keyed)
-        assert sorted(calls) == sorted((p.e, p.a, p.core, r) for p, r in keyed)
+        assert sorted(calls) == sorted((p.core, p.e, r) for p, r in keyed)
         # most sides are singleton series at a root >= 2
         assert sum(pair.a == 0 and r >= 2 for pair, r in sides) > len(keyed)

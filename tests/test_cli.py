@@ -244,6 +244,17 @@ class TestVerify:
         assert code == 2
         assert "coprime" in err
 
+    @pytest.mark.parametrize("suite", ["thm1", "thm2"])
+    def test_rejects_equal_levels(self, capsys, suite):
+        # (1, 1) is coprime but compares level 1 with itself, which would
+        # pass whatever the code does
+        code, out, err = run(
+            capsys, "verify", suite, "--max-n", "4", "--e", "1", "--m", "1", "--stream"
+        )
+        assert code == 2
+        assert out == ""
+        assert "compare a level with itself" in err
+
     @pytest.mark.parametrize(
         "argv",
         [
