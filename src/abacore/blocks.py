@@ -9,8 +9,8 @@ arguments).  Both keys are dense length-d tuples whose entry k counts the
 boxes with value content*omega + alpha_j = k mod d: a level-m key takes
 d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and
 a root key takes the evaluated parameters and is returned as the reduced
-fractions k/d of its nonzero entries with their counts; the series report
-counts a series' GL and GU keys in one box loop.
+fractions k/d of its nonzero entries with their counts; every grouping
+into blocks reads one side table, which counts GL and GU keys in one loop.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts on the identity's support, which covers every exponent, and underlies
 the equivalence between sharing an m-core and sharing a key.
@@ -145,14 +145,6 @@ def root_residue_key(
     return tuple((Fraction(k, d), c) for k, c in enumerate(counts) if c)
 
 
-def root_key_partition(
-    e: int, a: int, params: HeckeSpecialization, at_root: int
-) -> tuple[tuple[MultiPartition, ...], ...]:
-    """Partition of all e-multipartitions of size a by their root-of-unity
-    block keys under the given parameters."""
-    return _group_by_counts(e, a, _root_values(e, params, at_root))
-
-
 def _member_key(p: Partition, e: int, m: int) -> Key:
     """The level-m residue key of p's image under the series map."""
     image = e_quotient_charged(p, e).components
@@ -199,26 +191,16 @@ def _sorted_mps(e: int, a: int) -> tuple[MultiPartition, ...]:
     return tuple(sorted(multipartitions_of(e, a)))
 
 
-def _group_by_counts(e: int, a: int, values) -> tuple[tuple[MultiPartition, ...], ...]:
-    """The e-multipartitions of size a grouped by _root_counts(mp, *values),
-    walked in sorted order: members sorted, blocks in order of first member."""
-    grouped: dict[Key, list[MultiPartition]] = {}
-    for mp in _sorted_mps(e, a):
-        grouped.setdefault(_root_counts(mp, *values), []).append(mp)
-    return tuple(map(tuple, grouped.values()))
-
-
 def block_partition(
     e: int, a: int, core: Partition, m: int
 ) -> tuple[tuple[MultiPartition, ...], ...]:
-    """Partition of all e-multipartitions of size a into level-m blocks.
-
-    Keys are residue multisets modulo m with the charge vector of the given
-    core.  Raises OmegaIsOne when m divides e, where the underlying ratio
-    specializes to 1.
+    """Partition of all e-multipartitions of size a into level-m blocks: the
+    GL blocks of the series of core, which must be an e-core (ValueError
+    otherwise).  Raises OmegaIsOne when m divides e, where the underlying
+    ratio specializes to 1.
     """
     _require_blocks(e, m)
-    return _group_by_counts(e, a, _level_values(core, e, m))
+    return series_blocks(CuspidalPairGL(core.size + a * e, e, a, core), m)
 
 
 def series_blocks(
@@ -226,14 +208,21 @@ def series_blocks(
 ) -> tuple[tuple[MultiPartition, ...], ...]:
     """Level-m blocks of a series: GL residue keys, or for GU with a > 0 the
     root keys at ennola_e(m), where the sign-twisted parameters hit a
-    primitive m-th root."""
+    primitive m-th root, grouped from the side table at m.  Each variant
+    first refuses where its ratio is 1: the table takes m = 1 as one block."""
     if variant not in (GL, GU):
         raise ValueError(f"unknown variant {variant!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
     if variant == GU and pair.a > 0:
-        return root_key_partition(pair.e, pair.a, specialization(pair, GU), ennola_e(m))
-    return block_partition(pair.e, pair.a, pair.core, m)
+        _root_values(pair.e, specialization(pair, GU), ennola_e(m))
+    else:
+        _require_blocks(pair.e, m)
+    _, numbers, gu_numbers = _side_blocks(pair, m)
+    grouped: dict[int, list[MultiPartition]] = {}
+    for mp, i in zip(numbers, gu_numbers if variant == GU else numbers.values()):
+        grouped.setdefault(i, []).append(mp)
+    return tuple(map(tuple, grouped.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -281,18 +270,18 @@ def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Key]:
 # ---------------------------------------------------------------------------
 # the series-versus-blocks report
 
-def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, bool]:
-    """Block sizes of the series of pair at a root, in block order, each
-    multipartition's block number, and whether GU induces the same blocks.
-    One pass over the sorted multipartitions counts the GL and GU keys (at
-    at_root and at ennola_e(at_root)) in one box loop and numbers blocks by
-    first member, as series_blocks orders them; so the two number lists
-    agree exactly when the partitions do, and nothing is sorted.  At
-    at_root = 1 every key collapses, and a series with a = 0 has one member,
-    the empty multipartition: either way it is one block on both variants."""
+def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, list[int]]:
+    """The side table of the series of pair at a root: GL block sizes in
+    block order, each multipartition's GL block number, and the GU numbers
+    in the same sorted order.  One pass over the sorted multipartitions
+    counts the GL and GU keys (at at_root and ennola_e(at_root)) in one box
+    loop and numbers blocks by first member; so the two number lists agree
+    exactly when the partitions do, and nothing is sorted.  At at_root = 1
+    every key collapses, and a series with a = 0 has one member, the empty
+    multipartition: either way it is one block on both variants."""
     mps = _sorted_mps(pair.e, pair.a)
     if at_root == 1 or pair.a == 0:
-        return [len(mps)], dict.fromkeys(mps, 0), True
+        return [len(mps)], dict.fromkeys(mps, 0), [0] * len(mps)
     d, omega, alphas = _level_values(pair.core, pair.e, at_root)
     params_u = specialization(pair, GU)
     du, omega_u, alphas_u = _root_values(pair.e, params_u, ennola_e(at_root))
@@ -308,7 +297,7 @@ def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, b
     sizes = [0] * len(gl_ids)
     for i in numbers.values():
         sizes[i] += 1
-    return sizes, numbers, list(numbers.values()) == gu_numbers
+    return sizes, numbers, gu_numbers
 
 
 @lru_cache(maxsize=None)
@@ -336,11 +325,11 @@ def block_match_report(n: int, e: int, m: int) -> dict:
     for p in sorted(partitions_of(n)):
         groups.setdefault((e_core(p, e), e_core(p, m)), []).append(p)
     # each series core is the core of some partition of n, so every group has its sides
-    sides = {
-        (level, pair.core): _side_blocks(pair, at_root)
-        for level, at_root in ((e, m), (m, e))
-        for pair in hc_pairs(n, level)
-    }
+    sides = {}
+    for level, at_root in ((e, m), (m, e)):
+        for pair in hc_pairs(n, level):
+            sizes, numbers, gu_numbers = _side_blocks(pair, at_root)
+            sides[level, pair.core] = sizes, numbers, list(numbers.values()) == gu_numbers
 
     def side(members, level, core):
         """Whether the members' images are distinct and fill one whole block

@@ -13,7 +13,6 @@ from abacore.blocks import (
     check_content_lemma,
     lossless_window,
     residue_multiset,
-    root_key_partition,
     root_residue_key,
     same_block,
     series_blocks,
@@ -217,11 +216,7 @@ class TestRootKeys:
         for n, e, m in ((4, 2, 3), (5, 2, 5), (4, 3, 2), (6, 3, 4)):
             for pair in (pr for pr in hc_pairs(n, e) if pr.a >= 1):
                 gl_blocks = block_partition(pair.e, pair.a, pair.core, m)
-                params = specialization(pair, GU)
-                gu_blocks = root_key_partition(
-                    pair.e, pair.a, params, ennola_e(m)
-                )
-                assert gu_blocks == gl_blocks
+                assert series_blocks(pair, m, GU) == gl_blocks
 
 
 def _compare_with_oracle(mp, params, at_root):
@@ -368,6 +363,14 @@ class TestBlockPartition:
         with pytest.raises(OmegaIsOne):
             block_partition(3, 1, P(()), 1)
 
+    @pytest.mark.parametrize("a", [1, 0])
+    def test_rejects_a_core_that_is_no_e_core(self, a):
+        # (2) is no 2-core: it heads no series, even one whose only member,
+        # at a = 0, needs no key
+        with pytest.raises(ValueError, match=r"^\(2,\) is not a 2-core$") as exc:
+            block_partition(2, a, P((2,)), 3)
+        assert not isinstance(exc.value, OmegaIsOne)
+
     @pytest.mark.parametrize("e", [0, -1])
     def test_rejects_nonpositive_e(self, e):
         # every m divides e = 0, so the level check must precede the m | e test
@@ -420,9 +423,9 @@ class TestBlockPartition:
         monkeypatch.setattr(blocks, "ennola_e", lambda m: m)
         assert self._refusal_disagreements() == (6372, 1755, 94)
 
-    def test_group_by_counts_canonical_order(self):
+    def test_canonical_order(self):
         # members sorted, then blocks by first member, both by part tuples,
-        # from the sorted view, whatever order the oracle groups them in
+        # whatever order the oracle groups them in
         def key(mp):
             return tuple(p.parts for p in mp)
 
@@ -443,8 +446,7 @@ class TestBlockPartition:
                         (sorted(block, key=key) for block in grouped.values()),
                         key=lambda block: key(block[0]),
                     )
-                    values = blocks._level_values(P(()), e, m)
-                    result = blocks._group_by_counts(e, a, values)
+                    result = block_partition(e, a, P(()), m)
                     assert result == tuple(tuple(block) for block in expected)
 
     def test_series_blocks_rejects_unknown_variant(self):
@@ -650,10 +652,10 @@ def _blocks_of(sizes, numbers):
 
 
 def _numbered(found):
-    """The sizes and numbers of the blocks found, as _side_blocks gives them."""
-    return [len(block) for block in found], {
-        mp: i for i, block in enumerate(found) for mp in block
-    }
+    """The side table of the blocks found, GL and GU alike, as _side_blocks
+    gives it: the sizes, each member's number and the numbers in that order."""
+    numbers = {mp: i for i, block in enumerate(found) for mp in block}
+    return [len(block) for block in found], numbers, list(numbers.values())
 
 
 def _collapse_gu_values(monkeypatch, pairs):
@@ -740,8 +742,8 @@ class TestBlockMatchReport:
         real_sides = blocks._side_blocks
 
         def singletons(pair, at_root):
-            _, numbers, gu_ok = real_sides(pair, at_root)
-            return [1] * len(numbers), {mp: i for i, mp in enumerate(numbers)}, gu_ok
+            _, numbers, _ = real_sides(pair, at_root)
+            return _numbered(tuple((mp,) for mp in numbers))
 
         monkeypatch.setattr(blocks, "_side_blocks", singletons)
         report = block_match_report(3, 2, 3)
@@ -808,11 +810,11 @@ class TestBlockMatchReport:
         real = blocks._side_blocks
 
         def reshaped(pair, at_root):
-            sizes, numbers, gu_ok = real(pair, at_root)
+            sizes, numbers, gu_numbers = real(pair, at_root)
             if (pair.e, pair.core) == (2, P((1,))):
                 assert sizes == [2, 2, 1]
-                sizes, numbers = _numbered(reshape(_blocks_of(sizes, numbers)))
-            return sizes, numbers, gu_ok
+                return _numbered(reshape(_blocks_of(sizes, numbers)))
+            return sizes, numbers, gu_numbers
 
         monkeypatch.setattr(blocks, "_side_blocks", reshaped)
         report = block_match_report(5, 2, 3)
@@ -858,11 +860,11 @@ class TestBlockMatchReport:
         real = blocks._side_blocks
 
         def merged(pair, at_root):
-            sizes, numbers, gu_ok = real(pair, at_root)
+            sizes, numbers, gu_numbers = real(pair, at_root)
             if pair.e == 3 and len(sizes) > 1:
                 found = _blocks_of(sizes, numbers)
-                sizes, numbers = _numbered((found[0] + found[1],) + found[2:])
-            return sizes, numbers, gu_ok
+                return _numbered((found[0] + found[1],) + found[2:])
+            return sizes, numbers, gu_numbers
 
         monkeypatch.setattr(blocks, "_side_blocks", merged)
         report = block_match_report(5, 2, 3)
@@ -883,7 +885,8 @@ class TestBlockMatchReport:
 
 
 class TestSideBlocks:
-    # the one-pass numbering that thm1 reads, against the public groupings
+    # the one-pass side table that every block grouping reads, against
+    # groupings built from the oracles' keys
     @staticmethod
     def _thm1_sides(monkeypatch, max_n):
         # every (pair, root) side that verify thm1 builds, in all 45 pairs
@@ -901,34 +904,52 @@ class TestSideBlocks:
         return list(built)
 
     @staticmethod
-    def _disagreements(sides):
-        # (sides, sides whose GU blocks differ, disagreements with the
-        # public groupings); level-1 blocks are undefined, and thm1 takes
-        # the whole series as one block there
+    def _oracle_numbers(pair, r):
+        # each sorted multipartition's GL and GU block number, blocks
+        # numbered by first member, from residue_key_oracle at level r and
+        # root_key_oracle at ennola_e(r); level-1 blocks are undefined, and
+        # thm1 takes the whole series as one block there, as it must a
+        # series with a = 0, whose one member has no Hecke parameters
+        mps = sorted(multipartitions_of(pair.e, pair.a))
+        if r == 1 or pair.a == 0:
+            return mps, [0] * len(mps), [0] * len(mps)
+        charges = e_quotient_charged(pair.core, pair.e).charges
+        params = specialization(pair, GU)
+        tau = [tuple(t) for t in params.tau_params]
+        sigma = [tuple(s) for s in params.sigma_params]
+
+        def numbered(key):
+            ids = {}
+            return [ids.setdefault(key([p.parts for p in mp]), len(ids)) for mp in mps]
+
+        gl = numbered(lambda parts: residue_key_oracle(parts, charges, pair.e, r))
+        gu = numbered(lambda parts: root_key_oracle(parts, tau, sigma, ennola_e(r)))
+        return mps, gl, gu
+
+    @classmethod
+    def _disagreements(cls, sides):
+        # (sides, sides whose oracle GU blocks differ from the GL ones,
+        # sides whose table disagrees with the oracle numbers)
         differ = wrong = 0
         for pair, r in sides:
-            sizes, numbers, gu_ok = blocks._side_blocks(pair, r)
-            if r == 1:
-                found = gu = (tuple(sorted(multipartitions_of(pair.e, pair.a))),)
-            else:
-                found, gu = series_blocks(pair, r), series_blocks(pair, r, GU)
-            position = {mp: i for i, block in enumerate(found) for mp in block}
+            mps, gl, gu = cls._oracle_numbers(pair, r)
+            sizes, numbers, gu_numbers = blocks._side_blocks(pair, r)
             wrong += (
-                sizes != [len(block) for block in found]
-                or numbers != position
-                or gu_ok != (gu == found)
+                sizes != [gl.count(i) for i in range(max(gl) + 1)]
+                or list(numbers.items()) != list(zip(mps, gl))
+                or gu_numbers != gu
             )
-            differ += gu != found
+            differ += gu != gl
         return len(sides), differ, wrong
 
-    def test_matches_the_public_groupings(self, monkeypatch):
+    def test_matches_the_oracle_groupings(self, monkeypatch):
         # 7,071 sides, 668 of them keyed (a > 0 at a root >= 2)
         sides = self._thm1_sides(monkeypatch, 10)
         assert self._disagreements(sides) == (7_071, 0, 0)
 
     def test_gu_verdict_follows_shifted_gu_keys(self, monkeypatch):
         # negative control: a GU key with its first component's value moved
-        # by one changes the GU blocks of some sides, and gu_ok must follow
+        # by one changes the GU blocks of some sides, which the oracle sees
         sides = self._thm1_sides(monkeypatch, 10)
         real = blocks._root_values
 
@@ -937,7 +958,7 @@ class TestSideBlocks:
             return d, omega, ((alphas[0] + 1) % d,) + alphas[1:]
 
         monkeypatch.setattr(blocks, "_root_values", shifted)
-        assert self._disagreements(sides) == (7_071, 303, 0)
+        assert self._disagreements(sides) == (7_071, 0, 303)
 
 
 class TestSingletonSeries:
@@ -955,7 +976,7 @@ class TestSingletonSeries:
                     for r in range(2, 13):
                         if gcd(e, r) != 1:
                             continue
-                        one = ([1], {only[0][0]: 0}, True)
+                        one = ([1], {only[0][0]: 0}, [0])
                         assert blocks._side_blocks(pair, r) == one
                         assert block_partition(e, 0, pair.core, r) == only
                         assert series_blocks(pair, r, GU) == only

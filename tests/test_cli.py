@@ -212,6 +212,13 @@ class TestBlocksCommand:
         )
         assert (code, out) == (2, "")
         assert "symmetric ratio is 1 at a 6-th root" in err
+        # at m = 1 GU refuses through its own root keys at ennola_e(1) = 2,
+        # not through a one-block series table
+        code, out, err = run(
+            capsys, "blocks", "--n", "2", "--e", "2", "--m", "1", "--variant", "gu"
+        )
+        assert (code, out) == (2, "")
+        assert "symmetric ratio is 1 at a 2-th root" in err
 
     def test_unknown_core(self, capsys):
         code, _, _ = run(

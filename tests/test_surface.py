@@ -5,10 +5,11 @@ so a helper does not outlive its last caller.  Every public method and
 property of a library class is used by the library too.  No sort in the
 library restates the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
-series charge e + len(e-core) is written once.  Every cache hit ratio the
-benchmark's per-layer report reads belongs to a memoised library function.
-No library function is an alias that only passes its own parameters on to
-another library function.
+series charge e + len(e-core) is written once, and one function, the side
+table, groups a series' multipartitions into blocks.  Every cache hit ratio
+the benchmark's per-layer report reads belongs to a memoised library
+function.  No library function is an alias that only passes its own
+parameters on to another library function.
 """
 
 import ast
@@ -260,6 +261,43 @@ def test_scan_catches_series_charge():
         "b": "def f(p, e):\n    return e + len(partitions.e_core(p, e))\n",
     }
     assert series_charge_sites(sources) == ["a:1", "b:2"]
+
+
+def sorted_mps_callers(sources):
+    """"module.function" of each top-level function or class that calls
+    _sorted_mps, by name or attribute ("module.<module>" for a call outside
+    them): a series' multipartitions are numbered into blocks in one place,
+    the side table, so a second grouping beside it would call them too."""
+    found = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == "_sorted_mps":
+                    found.add(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_one_block_grouping():
+    assert sorted_mps_callers(_library_sources()) == ["blocks._side_blocks"]
+
+
+def test_scan_catches_second_grouping():
+    sources = {
+        "a": (
+            "def table(e, a):\n"
+            "    return len(_sorted_mps(e, a)) + len(_sorted_mps(a, e))\n"
+            # a bare reference is not a call
+            "def mention():\n"
+            "    return _sorted_mps\n"
+            "class Grouping:\n"
+            "    def blocks(self):\n"
+            "        return [mp for mp in blocks._sorted_mps(2, 1)]\n"
+        ),
+        "b": "ALL = _sorted_mps(1, 2)\n",
+    }
+    assert sorted_mps_callers(sources) == ["a.Grouping", "a.table", "b.<module>"]
 
 
 def library_rows(readme):
