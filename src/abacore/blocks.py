@@ -8,9 +8,10 @@ evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
 arguments).  Both keys are dense length-d tuples whose entry k counts the
 boxes with value content*omega + alpha_j = k mod d: a level-m key takes
 d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and
-a root key takes the evaluated parameters and is returned as the reduced
-fractions k/d of its nonzero entries with their counts; every grouping
-into blocks reads one side table, which counts GL and GU keys in one loop.
+a root key takes the evaluated parameters.  Root keys are evaluated for GU
+only: the GL parameters at a primitive m-th root give the level-m values
+doubled, so the GL root key is the level key.  Every grouping into blocks
+reads one side table, which counts GL and GU keys in one loop.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts on the identity's support, which covers every exponent, and underlies
 the equivalence between sharing an m-core and sharing a key.
@@ -18,7 +19,6 @@ the equivalence between sharing an m-core and sharing a key.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -29,7 +29,6 @@ from .hc_series import (
     HeckeParam,
     HeckeSpecialization,
     hc_pairs,
-    hc_series_of,
     specialization,
 )
 from .levelrank import uglov
@@ -51,10 +50,6 @@ from .polynomials import ennola_e
 class OmegaIsOne(ValueError):
     """The symmetric-generator ratio specialized to 1, where the block
     criterion does not apply."""
-
-
-class EquivalenceViolation(AssertionError):
-    """Two block comparisons that must agree disagreed."""
 
 
 # sorted (value, count) pairs: a residue multiset
@@ -81,18 +76,14 @@ def residue_multiset(cmp: ChargedMultiPartition) -> Counts:
 
 
 def _root_values(
-    level: int, params: HeckeSpecialization, at_root: int
+    params: HeckeSpecialization, at_root: int
 ) -> tuple[int, int, tuple[int, ...]]:
     """(d, omega, alphas): the parameters evaluated at a primitive at_root-th
-    root as integers mod d, the value k standing for k/d in Q/Z.
-
-    Raises like root_residue_key for a bad root, a component count other
-    than level, and a symmetric ratio of 1.
-    """
-    if at_root < 1:
-        raise ValueError("at_root must be >= 1")
-    if level != len(params.tau_params):
-        raise ValueError("component count does not match parameter count")
+    root as integers mod d, the value k standing for k/d in Q/Z, for d the
+    lcm of 2 * at_root and the argument denominators.  omega is the negated
+    second symmetric parameter (the first is 1, as specialization gives it);
+    raises OmegaIsOne when omega is 0, where the block criterion does not
+    apply."""
     d = 2 * at_root
     for param in params.tau_params + params.sigma_params:
         d = lcm(d, param.arg.denominator)
@@ -101,10 +92,7 @@ def _root_values(
         turns = param.arg.numerator * (d // param.arg.denominator)
         return (turns + param.exponent * (d // at_root)) % d
 
-    s0, s1 = params.sigma_params
-    if value(s0) != 0:
-        raise ValueError("first symmetric parameter must evaluate to 1")
-    omega = (value(s1) + d // 2) % d
+    omega = (value(params.sigma_params[1]) + d // 2) % d
     if omega == 0:
         raise OmegaIsOne(f"symmetric ratio is 1 at a {at_root}-th root")
     return d, omega, tuple(value(t) for t in params.tau_params)
@@ -128,23 +116,6 @@ def _root_counts(
     return tuple(counts)
 
 
-def root_residue_key(
-    mp: MultiPartition, params: HeckeSpecialization, at_root: int
-) -> tuple[tuple[Fraction, int], ...]:
-    """Evaluate the block key of mp at x = a primitive at_root-th root.
-
-    Each box contributes omega^content times the component's parameter,
-    recorded additively in Q/Z; omega is the negated second symmetric
-    parameter.  The values are computed as integers mod d, with d the lcm of
-    2 * at_root and the denominators of the parameter arguments, and returned
-    as sorted (reduced fraction in [0, 1), count) pairs.  Raises OmegaIsOne
-    when omega evaluates to 1, where the block criterion does not apply.
-    """
-    d, omega, alphas = _root_values(len(mp), params, at_root)
-    counts = _root_counts(mp, d, omega, alphas)
-    return tuple((Fraction(k, d), c) for k, c in enumerate(counts) if c)
-
-
 def _member_key(p: Partition, e: int, m: int) -> Key:
     """The level-m residue key of p's image under the series map."""
     image = e_quotient_charged(p, e).components
@@ -164,25 +135,14 @@ def _require_blocks(e: int, m: int) -> None:
 def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> bool:
     """Whether p and r lie in the same level-m block of their common series.
 
-    Both partitions must have e-core equal to core.  Compares the residue
-    keys of their images modulo m; when both lie in the series of one pair
-    with a > 0, the root-of-unity keys are asserted to agree.  Raises
-    OmegaIsOne when m divides e.
+    Both partitions must have e-core equal to core (ValueError otherwise).
+    Compares the residue keys of their images modulo m.  Raises OmegaIsOne
+    when m divides e, before the cores are checked.
     """
     _require_blocks(e, m)
-    (pair, image_p), (pair_r, image_r) = hc_series_of(p, e), hc_series_of(r, e)
-    if pair.core != core or pair_r.core != core:
+    if e_core(p, e) != core or e_core(r, e) != core:
         raise ValueError("both partitions must have the given core")
-    result = _member_key(p, e, m) == _member_key(r, e, m)
-    if pair == pair_r and pair.a > 0:
-        params = specialization(pair, GL)
-        kp = root_residue_key(image_p.components, params, m)
-        kr = root_residue_key(image_r.components, params, m)
-        if (kp == kr) != result:
-            raise EquivalenceViolation(
-                f"residue and root keys disagree for {p.parts}, {r.parts}"
-            )
-    return result
+    return _member_key(p, e, m) == _member_key(r, e, m)
 
 
 @lru_cache(maxsize=None)
@@ -215,7 +175,7 @@ def series_blocks(
     if m < 1:
         raise ValueError("m must be >= 1")
     if variant == GU and pair.a > 0:
-        _root_values(pair.e, specialization(pair, GU), ennola_e(m))
+        _root_values(specialization(pair, GU), ennola_e(m))
     else:
         _require_blocks(pair.e, m)
     _, numbers, gu_numbers = _side_blocks(pair, m)
@@ -284,7 +244,7 @@ def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, l
         return [len(mps)], dict.fromkeys(mps, 0), [0] * len(mps)
     d, omega, alphas = _level_values(pair.core, pair.e, at_root)
     params_u = specialization(pair, GU)
-    du, omega_u, alphas_u = _root_values(pair.e, params_u, ennola_e(at_root))
+    du, omega_u, alphas_u = _root_values(params_u, ennola_e(at_root))
     gl_ids, gu_ids, numbers, gu_numbers = {}, {}, {}, []
     for mp in mps:
         gl, gu = [0] * d, [0] * du

@@ -78,21 +78,12 @@ def hc_pairs(n: int, e: int) -> tuple[CuspidalPairGL, ...]:
 
     The cores are the e-cores of the partitions of n, which are all e-cores
     of size n - a*e, a >= 0: such a core is the e-core of itself with a*e
-    boxes added to its first row.  As e_core made each core, the pairs skip
-    the checks of CuspidalPairGL.__post_init__.
+    boxes added to its first row.
     """
     if n < 1 or e < 1:
         raise ValueError("n and e must be >= 1")
     cores = sorted({e_core(p, e) for p in partitions_of(n)})
-    return tuple(_pair_of_core(n, e, c) for c in cores)
-
-
-def _pair_of_core(n: int, e: int, core: Partition) -> CuspidalPairGL:
-    """The pair (n, e, (n - |core|) // e, core) of an e-core of size n - a*e,
-    built without __post_init__: only for a core that e_core returned."""
-    pair = object.__new__(CuspidalPairGL)
-    pair.__dict__.update(n=n, e=e, a=(n - core.size) // e, core=core)
-    return pair
+    return tuple(CuspidalPairGL(n, e, (n - c.size) // e, c) for c in cores)
 
 
 def hc_series_of(p: Partition, e: int) -> tuple[CuspidalPairGL, ChargedMultiPartition]:

@@ -17,6 +17,10 @@ from abacore import blocks, levelrank, partitions
 from abacore.partitions import _abaci
 
 
+class EquivalenceViolation(AssertionError):
+    """Two block comparisons that must agree disagreed."""
+
+
 def cells(parts):
     return {(i, j) for i, row in enumerate(parts, start=1) for j in range(1, row + 1)}
 
@@ -315,7 +319,7 @@ def check_core_key_equivalence(p, r, e, m):
     core_r, key_r = blocks._member_facts(r, e, m)
     same_core, same_key = core_p == core_r, key_p == key_r
     if same_core != same_key:
-        raise blocks.EquivalenceViolation(
+        raise EquivalenceViolation(
             f"core comparison {same_core} but key comparison {same_key}"
             f" for {p.parts}, {r.parts} at (e, m) = ({e}, {m})"
         )

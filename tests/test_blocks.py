@@ -6,14 +6,12 @@ import pytest
 
 from abacore import blocks, cli
 from abacore.blocks import (
-    EquivalenceViolation,
     OmegaIsOne,
     block_match_report,
     block_partition,
     check_content_lemma,
     lossless_window,
     residue_multiset,
-    root_residue_key,
     same_block,
     series_blocks,
 )
@@ -179,36 +177,80 @@ class TestResidueKeyOracle:
         assert wrong > 0
 
 
+def _root_key(mp, params, at_root):
+    """The root key of mp at a primitive at_root-th root, its nonzero
+    entries read as (reduced fraction in [0, 1), count) pairs, as
+    root_key_oracle gives it."""
+    d, omega, alphas = blocks._root_values(params, at_root)
+    counts = blocks._root_counts(mp, d, omega, alphas)
+    return tuple((Fraction(k, d), c) for k, c in enumerate(counts) if c)
+
+
+def _gl_root_disagreements(shift=0):
+    """Compare the GL parameters of every series with n, e <= 12 and a >= 1,
+    evaluated at every m <= 12, with the level-m key data doubled; shift
+    raises the first tau exponent.  Returns (keyed cases, cases refused
+    exactly where m | e, disagreements)."""
+    keyed = refused = wrong = 0
+    for n in range(1, 13):
+        for e in range(1, 13):
+            for pair in (pr for pr in hc_pairs(n, e) if pr.a >= 1):
+                params = specialization(pair, GL)
+                first, *rest = params.tau_params
+                tau = (HeckeParam(first.arg, first.exponent + shift), *rest)
+                params = HeckeSpecialization(tau, params.sigma_params)
+                for m in range(1, 13):
+                    if e % m == 0:
+                        with pytest.raises(OmegaIsOne):
+                            blocks._root_values(params, m)
+                        refused += 1
+                        continue
+                    d, omega, alphas = blocks._level_values(pair.core, e, m)
+                    doubled = 2 * d, 2 * omega, tuple(2 * a for a in alphas)
+                    keyed += 1
+                    wrong += blocks._root_values(params, m) != doubled
+    return keyed, refused, wrong
+
+
 class TestRootKeys:
     def test_gl_key_matches_integer_residues(self):
         pair = CuspidalPairGL(2, 2, 1, P(()))
         params = specialization(pair, GL)
         for mp in multipartitions_of(2, 1):
-            key = root_residue_key(mp, params, 3)
+            key = _root_key(mp, params, 3)
             assert all(v.denominator in (1, 3) for v, _ in key)
 
     def test_equal_and_distinct_keys(self):
         pair = CuspidalPairGL(2, 1, 2, P(()))
         params = specialization(pair, GL)
-        k2a = root_residue_key((P((2,)),), params, 2)
-        k2b = root_residue_key((P((1, 1)),), params, 2)
+        k2a = _root_key((P((2,)),), params, 2)
+        k2b = _root_key((P((1, 1)),), params, 2)
         assert k2a == k2b
-        k3a = root_residue_key((P((2,)),), params, 3)
-        k3b = root_residue_key((P((1, 1)),), params, 3)
+        k3a = _root_key((P((2,)),), params, 3)
+        k3b = _root_key((P((1, 1)),), params, 3)
         assert k3a != k3b
 
     def test_empty_multipartition(self):
         pair = CuspidalPairGL(2, 2, 1, P(()))
         params = specialization(pair, GL)
-        assert root_residue_key((P(()), P(())), params, 3) == ()
+        assert _root_key((P(()), P(())), params, 3) == ()
 
     def test_omega_one_raises(self):
         pair = CuspidalPairGL(2, 2, 1, P(()))
         params = specialization(pair, GL)
         with pytest.raises(OmegaIsOne):
-            root_residue_key((P((1,)), P(())), params, 2)
+            _root_key((P((1,)), P(())), params, 2)
         with pytest.raises(OmegaIsOne):
-            root_residue_key((P((1,)), P(())), params, 1)
+            _root_key((P((1,)), P(())), params, 1)
+
+    def test_gl_root_values_are_level_values_doubled(self):
+        # x^(a_j) and -x^e at a primitive m-th root are the level-m values
+        # doubled in (1/2m)Z/Z, and refuse exactly where m | e: so the GL
+        # root key groups as the level key, on 1,749 (series, m) cases
+        assert _gl_root_disagreements() == (1_749, 483, 0)
+        # negative control: x^(a_0 + 1) moves the first value by 2 mod 2m,
+        # so every keyed case must disagree
+        assert _gl_root_disagreements(shift=1) == (1_749, 483, 1_749)
 
     def test_gu_key_at_paired_root_groups_like_gl(self):
         # the sign-twisted parameters evaluated at the paired cyclotomic
@@ -220,7 +262,7 @@ class TestRootKeys:
 
 
 def _compare_with_oracle(mp, params, at_root):
-    """Assert that root_residue_key agrees with the Fraction oracle; returns
+    """Assert that the root key agrees with the Fraction oracle; returns
     True when the symmetric ratio is 1, where both must refuse."""
     expected = root_key_oracle(
         [p.parts for p in mp],
@@ -230,9 +272,9 @@ def _compare_with_oracle(mp, params, at_root):
     )
     if expected is None:
         with pytest.raises(OmegaIsOne):
-            root_residue_key(mp, params, at_root)
+            _root_key(mp, params, at_root)
         return True
-    assert root_residue_key(mp, params, at_root) == expected, (mp, at_root)
+    assert _root_key(mp, params, at_root) == expected, (mp, at_root)
     return False
 
 
@@ -267,7 +309,7 @@ class TestRootKeyOracle:
             for mp in multipartitions_of(3, a):
                 for at_root in range(2, 8):
                     assert _compare_with_oracle(mp, params, at_root) == (at_root == 6)
-        key = root_residue_key((P((1,)), P(()), P(())), params, 4)
+        key = _root_key((P((1,)), P(()), P(())), params, 4)
         assert key == ((Fraction(7, 12), 1),)  # 1/3 + 1/4
 
     def test_first_symmetric_parameter_must_be_one(self):
@@ -277,8 +319,6 @@ class TestRootKeyOracle:
         )
         with pytest.raises(ValueError, match="first symmetric"):
             root_key_oracle([(1,)], [(Fraction(0), 0)], params.sigma_params, 2)
-        with pytest.raises(ValueError, match="first symmetric"):
-            root_residue_key((P((1,)),), params, 2)
 
 
 class TestSameBlock:
@@ -288,16 +328,12 @@ class TestSameBlock:
         assert not same_block(P((3,)), P((2, 1)), 3, 2, empty)
         assert same_block(P((2, 1)), P((2, 1)), 3, 2, empty)
 
-    def test_disagreeing_root_keys_raise(self, monkeypatch):
-        # negative control: constant root keys claim one block where the
-        # residue keys see two
-        monkeypatch.setattr(blocks, "root_residue_key", lambda mp, params, at_root: ())
-        with pytest.raises(EquivalenceViolation, match="residue and root keys disagree"):
-            same_block(P((3,)), P((2, 1)), 3, 2, P(()))
-
     def test_core_mismatch_rejected(self):
         with pytest.raises(ValueError):
             same_block(P((2, 1)), P((3,)), 2, 3, P(()))
+        # only the second partition's 2-core, (2, 1), differs from core
+        with pytest.raises(ValueError, match="given core"):
+            same_block(P((2,)), P((2, 1)), 2, 3, P(()))
 
     def test_omega_one_hard_error(self):
         # m dividing e (m = 1 included) specializes the symmetric ratio to
@@ -664,10 +700,10 @@ def _collapse_gu_values(monkeypatch, pairs):
     real = blocks._root_values
     targets = [specialization(pair, GU) for pair in pairs]
 
-    def collapsed(level, params, at_root):
+    def collapsed(params, at_root):
         if params in targets:
-            return 1, 0, (0,) * level
-        return real(level, params, at_root)
+            return 1, 0, (0,) * len(params.tau_params)
+        return real(params, at_root)
 
     monkeypatch.setattr(blocks, "_root_values", collapsed)
 
@@ -953,8 +989,8 @@ class TestSideBlocks:
         sides = self._thm1_sides(monkeypatch, 10)
         real = blocks._root_values
 
-        def shifted(level, params, at_root):
-            d, omega, alphas = real(level, params, at_root)
+        def shifted(params, at_root):
+            d, omega, alphas = real(params, at_root)
             return d, omega, ((alphas[0] + 1) % d,) + alphas[1:]
 
         monkeypatch.setattr(blocks, "_root_values", shifted)

@@ -10,12 +10,12 @@ import pytest
 
 import abacore
 from abacore import blocks, cli, hc_series, levelrank, partitions
-from abacore.blocks import EquivalenceViolation
 from abacore.cli import main, run_suite
 from abacore.partitions import ChargedMultiPartition, Partition, _abaci, partitions_of
 from abacore.polynomials import generic_degree
 from oracles import (
     PARTITION_COUNTS,
+    EquivalenceViolation,
     check_core_key_equivalence,
     check_core_matched_diagram,
 )
