@@ -10,8 +10,9 @@ boxes with value content*omega + alpha_j = k mod d: a level-m key takes
 d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and
 a root key takes the evaluated parameters.  Root keys are evaluated for GU
 only: the GL parameters at a primitive m-th root give the level-m values
-doubled, so the GL root key is the level key.  Every grouping into blocks
-reads one side table, which counts GL and GU keys in one loop.
+doubled, so the GL root key is the level key; the GU parameters at a
+primitive ennola_e(m)-th root give them relabelled one to one (Ennola
+duality).  Every grouping reads one side table, which counts GL keys only.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts on the identity's support, which covers every exponent, and underlies
 the equivalence between sharing an m-core and sharing a key.
@@ -19,6 +20,7 @@ the equivalence between sharing an m-core and sharing a key.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -168,8 +170,9 @@ def series_blocks(
 ) -> tuple[tuple[MultiPartition, ...], ...]:
     """Level-m blocks of a series: GL residue keys, or for GU with a > 0 the
     root keys at ennola_e(m), where the sign-twisted parameters hit a
-    primitive m-th root, grouped from the side table at m.  Each variant
-    first refuses where its ratio is 1: the table takes m = 1 as one block."""
+    primitive m-th root, grouped alike from the side table's GL numbers at m
+    (ArithmeticError if GU disagrees).  Each variant first refuses where its
+    ratio is 1: the table takes m = 1 as one block."""
     if variant not in (GL, GU):
         raise ValueError(f"unknown variant {variant!r}")
     if m < 1:
@@ -178,9 +181,11 @@ def series_blocks(
         _root_values(specialization(pair, GU), ennola_e(m))
     else:
         _require_blocks(pair.e, m)
-    _, numbers, gu_numbers = _side_blocks(pair, m)
+    _, numbers, gu_ok = _side_blocks(pair, m)
+    if variant == GU and not gu_ok:
+        raise ArithmeticError(f"GU keys at {ennola_e(m)} do not group as GL keys at {m}")
     grouped: dict[int, list[MultiPartition]] = {}
-    for mp, i in zip(numbers, gu_numbers if variant == GU else numbers.values()):
+    for mp, i in numbers.items():
         grouped.setdefault(i, []).append(mp)
     return tuple(map(tuple, grouped.values()))
 
@@ -230,34 +235,30 @@ def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Key]:
 # ---------------------------------------------------------------------------
 # the series-versus-blocks report
 
-def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, list[int]]:
+def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, bool]:
     """The side table of the series of pair at a root: GL block sizes in
-    block order, each multipartition's GL block number, and the GU numbers
-    in the same sorted order.  One pass over the sorted multipartitions
-    counts the GL and GU keys (at at_root and ennola_e(at_root)) in one box
-    loop and numbers blocks by first member; so the two number lists agree
-    exactly when the partitions do, and nothing is sorted.  At at_root = 1
-    every key collapses, and a series with a = 0 has one member, the empty
-    multipartition: either way it is one block on both variants."""
+    block order, each multipartition's GL block number (blocks numbered by
+    first member, nothing sorted) and whether GU agrees: whether the GU value
+    at ennola_e(at_root) of each box the series can hold, in any component at
+    content -a < c < a, is a one-to-one function of its GL value, so that GU
+    keys group as GL keys.  At at_root = 1 every key collapses, and a series
+    with a = 0 has one member: either way it is one block on both variants."""
     mps = _sorted_mps(pair.e, pair.a)
     if at_root == 1 or pair.a == 0:
-        return [len(mps)], dict.fromkeys(mps, 0), [0] * len(mps)
+        return [len(mps)], dict.fromkeys(mps, 0), True
     d, omega, alphas = _level_values(pair.core, pair.e, at_root)
-    params_u = specialization(pair, GU)
-    du, omega_u, alphas_u = _root_values(params_u, ennola_e(at_root))
-    gl_ids, gu_ids, numbers, gu_numbers = {}, {}, {}, []
+    du, omega_u, alphas_u = _root_values(specialization(pair, GU), ennola_e(at_root))
+    ids, numbers = {}, {}
     for mp in mps:
-        gl, gu = [0] * d, [0] * du
-        for p, alpha, alpha_u in zip(mp, alphas, alphas_u):
-            for content in _contents(p):
-                gl[(content * omega + alpha) % d] += 1
-                gu[(content * omega_u + alpha_u) % du] += 1
-        numbers[mp] = gl_ids.setdefault(tuple(gl), len(gl_ids))
-        gu_numbers.append(gu_ids.setdefault(tuple(gu), len(gu_ids)))
-    sizes = [0] * len(gl_ids)
-    for i in numbers.values():
-        sizes[i] += 1
-    return sizes, numbers, gu_numbers
+        numbers[mp] = ids.setdefault(_root_counts(mp, d, omega, alphas), len(ids))
+    sizes = list(Counter(numbers.values()).values())
+    graph = {
+        ((c * omega + alpha) % d, (c * omega_u + alpha_u) % du)
+        for alpha, alpha_u in zip(alphas, alphas_u)
+        for c in range(1 - pair.a, pair.a)
+    }
+    gl_values, gu_values = map(set, zip(*graph))
+    return sizes, numbers, len(graph) == len(gl_values) == len(gu_values)
 
 
 @lru_cache(maxsize=None)
@@ -288,8 +289,7 @@ def block_match_report(n: int, e: int, m: int) -> dict:
     sides = {}
     for level, at_root in ((e, m), (m, e)):
         for pair in hc_pairs(n, level):
-            sizes, numbers, gu_numbers = _side_blocks(pair, at_root)
-            sides[level, pair.core] = sizes, numbers, list(numbers.values()) == gu_numbers
+            sides[level, pair.core] = _side_blocks(pair, at_root)
 
     def side(members, level, core):
         """Whether the members' images are distinct and fill one whole block

@@ -186,29 +186,45 @@ def _root_key(mp, params, at_root):
     return tuple((Fraction(k, d), c) for k, c in enumerate(counts) if c)
 
 
-def _gl_root_disagreements(shift=0):
-    """Compare the GL parameters of every series with n, e <= 12 and a >= 1,
-    evaluated at every m <= 12, with the level-m key data doubled; shift
-    raises the first tau exponent.  Returns (keyed cases, cases refused
-    exactly where m | e, disagreements)."""
+def _relabelling(variant, m):
+    """(R, f): the root R at which the variant's parameters give level-m
+    blocks, m for GL and ennola_e(m) for GU, and the factor f that takes a
+    level-m value v to its value f * v mod 2R at a primitive R-th root."""
+    root = m if variant == GL else ennola_e(m)
+    return root, 2 if variant == GL else root + 2
+
+
+def _root_disagreements(variant, shift=0):
+    """Compare the variant's parameters of every series with n, e <= 12 and
+    a >= 1, evaluated at the root R of every m <= 12, with the level-m key
+    data relabelled by v -> f * v mod 2R; shift raises the first tau exponent,
+    and for GU turns its argument with the exponent's parity.  Returns (keyed
+    cases, cases refused exactly where m | e, disagreements)."""
     keyed = refused = wrong = 0
     for n in range(1, 13):
         for e in range(1, 13):
             for pair in (pr for pr in hc_pairs(n, e) if pr.a >= 1):
-                params = specialization(pair, GL)
+                params = specialization(pair, variant)
                 first, *rest = params.tau_params
-                tau = (HeckeParam(first.arg, first.exponent + shift), *rest)
+                exponent = first.exponent + shift
+                arg = first.arg if variant == GL else Fraction(exponent % 2, 2)
+                tau = (HeckeParam(arg, exponent), *rest)
                 params = HeckeSpecialization(tau, params.sigma_params)
                 for m in range(1, 13):
+                    root, f = _relabelling(variant, m)
                     if e % m == 0:
                         with pytest.raises(OmegaIsOne):
-                            blocks._root_values(params, m)
+                            blocks._root_values(params, root)
                         refused += 1
                         continue
-                    d, omega, alphas = blocks._level_values(pair.core, e, m)
-                    doubled = 2 * d, 2 * omega, tuple(2 * a for a in alphas)
+                    _, omega, alphas = blocks._level_values(pair.core, e, m)
+                    relabelled = (
+                        2 * root,
+                        f * omega % (2 * root),
+                        tuple(f * a % (2 * root) for a in alphas),
+                    )
                     keyed += 1
-                    wrong += blocks._root_values(params, m) != doubled
+                    wrong += blocks._root_values(params, root) != relabelled
     return keyed, refused, wrong
 
 
@@ -247,10 +263,27 @@ class TestRootKeys:
         # x^(a_j) and -x^e at a primitive m-th root are the level-m values
         # doubled in (1/2m)Z/Z, and refuse exactly where m | e: so the GL
         # root key groups as the level key, on 1,749 (series, m) cases
-        assert _gl_root_disagreements() == (1_749, 483, 0)
+        assert _root_disagreements(GL) == (1_749, 483, 0)
         # negative control: x^(a_0 + 1) moves the first value by 2 mod 2m,
         # so every keyed case must disagree
-        assert _gl_root_disagreements(shift=1) == (1_749, 483, 1_749)
+        assert _root_disagreements(GL, shift=1) == (1_749, 483, 1_749)
+
+    def test_gu_root_values_are_level_values_relabelled(self):
+        # Ennola duality: the GU parameters at a primitive R-th root, R =
+        # ennola_e(m), are the level-m values v taken to (R + 2) * v in
+        # (1/2R)Z/Z, and refuse exactly where m | e, on the same 1,749 cases
+        assert _root_disagreements(GU) == (1_749, 483, 0)
+        # negative control: (-x)^(a_0 + 1) moves the first value by R + 2
+        # mod 2R, the image of 1, so every keyed case must disagree
+        assert _root_disagreements(GU, shift=1) == (1_749, 483, 1_749)
+
+    def test_gu_relabelling_is_one_to_one(self):
+        # v -> (R + 2) * v mod 2R is well defined on Z/m and one to one, so
+        # GU keys group exactly as GL keys, at every level the CLI accepts
+        for m in range(1, 2 * cli.LEVEL_MAX + 1):
+            root, f = _relabelling(GU, m)
+            assert f * m % (2 * root) == 0
+            assert len({f * v % (2 * root) for v in range(m)}) == m
 
     def test_gu_key_at_paired_root_groups_like_gl(self):
         # the sign-twisted parameters evaluated at the paired cyclotomic
@@ -259,6 +292,18 @@ class TestRootKeys:
             for pair in (pr for pr in hc_pairs(n, e) if pr.a >= 1):
                 gl_blocks = block_partition(pair.e, pair.a, pair.core, m)
                 assert series_blocks(pair, m, GU) == gl_blocks
+
+    def test_gu_blocks_raise_where_gu_keys_do_not_group_like_gl(self, monkeypatch):
+        # negative control: GU key data collapsed to one value would merge
+        # every GU block, so series_blocks must raise instead of giving GL
+        # blocks under the GU label, while GL still gives its blocks
+        pair = CuspidalPairGL(5, 2, 2, P((1,)))
+        gl_blocks = series_blocks(pair, 3, GL)
+        assert len(gl_blocks) > 1
+        _collapse_gu_values(monkeypatch, [pair])
+        with pytest.raises(ArithmeticError, match="^GU keys at 6 do not group"):
+            series_blocks(pair, 3, GU)
+        assert series_blocks(pair, 3, GL) == gl_blocks
 
 
 def _compare_with_oracle(mp, params, at_root):
@@ -431,33 +476,40 @@ class TestBlockPartition:
 
     @staticmethod
     def _refusal_disagreements():
-        """(cases, m | e cases, disagreements) over every series with n <= 8
-        and e <= 12 and every m <= 12: a disagreement is a case where GL or
-        GU blocks raise OmegaIsOne other than exactly when m divides e."""
+        """(cases, m | e cases, disagreements, GU ArithmeticErrors) over every
+        series with n <= 8 and e <= 12 and every m <= 12: a disagreement is a
+        case where GL or GU blocks raise OmegaIsOne other than exactly when m
+        divides e, or where GU keys do not group as GL keys (ArithmeticError),
+        which no refusal agrees with."""
         def refuses(pair, m, variant):
             try:
                 series_blocks(pair, m, variant)
             except OmegaIsOne:
                 return True
+            except ArithmeticError:
+                return None
             return False
 
-        cases = dividing = disagreements = 0
+        cases = dividing = disagreements = errors = 0
         for n in range(1, 9):
             for e in range(1, 13):
                 for pair in hc_pairs(n, e):
                     for m in range(1, 13):
                         cases += 1
                         dividing += e % m == 0
+                        gu = refuses(pair, m, GU)
+                        errors += gu is None
                         disagreements += not (
-                            refuses(pair, m, GL) == refuses(pair, m, GU) == (e % m == 0)
+                            refuses(pair, m, GL) == gu == (e % m == 0)
                         )
-        return cases, dividing, disagreements
+        return cases, dividing, disagreements, errors
 
     def test_gl_and_gu_refuse_the_same_levels(self, monkeypatch):
-        assert self._refusal_disagreements() == (6372, 1755, 0)
-        # negative control: GU root keys taken at m itself, not ennola_e(m)
+        assert self._refusal_disagreements() == (6372, 1755, 0, 0)
+        # negative control: GU root keys taken at m itself, not ennola_e(m),
+        # refuse at other levels or do not group as GL keys
         monkeypatch.setattr(blocks, "ennola_e", lambda m: m)
-        assert self._refusal_disagreements() == (6372, 1755, 94)
+        assert self._refusal_disagreements() == (6372, 1755, 264, 174)
 
     def test_canonical_order(self):
         # members sorted, then blocks by first member, both by part tuples,
@@ -689,9 +741,9 @@ def _blocks_of(sizes, numbers):
 
 def _numbered(found):
     """The side table of the blocks found, GL and GU alike, as _side_blocks
-    gives it: the sizes, each member's number and the numbers in that order."""
+    gives it: the sizes, each member's number and the GU verdict True."""
     numbers = {mp: i for i, block in enumerate(found) for mp in block}
-    return [len(block) for block in found], numbers, list(numbers.values())
+    return [len(block) for block in found], numbers, True
 
 
 def _collapse_gu_values(monkeypatch, pairs):
@@ -846,11 +898,11 @@ class TestBlockMatchReport:
         real = blocks._side_blocks
 
         def reshaped(pair, at_root):
-            sizes, numbers, gu_numbers = real(pair, at_root)
+            sizes, numbers, gu_ok = real(pair, at_root)
             if (pair.e, pair.core) == (2, P((1,))):
                 assert sizes == [2, 2, 1]
                 return _numbered(reshape(_blocks_of(sizes, numbers)))
-            return sizes, numbers, gu_numbers
+            return sizes, numbers, gu_ok
 
         monkeypatch.setattr(blocks, "_side_blocks", reshaped)
         report = block_match_report(5, 2, 3)
@@ -896,11 +948,11 @@ class TestBlockMatchReport:
         real = blocks._side_blocks
 
         def merged(pair, at_root):
-            sizes, numbers, gu_numbers = real(pair, at_root)
+            sizes, numbers, gu_ok = real(pair, at_root)
             if pair.e == 3 and len(sizes) > 1:
                 found = _blocks_of(sizes, numbers)
                 return _numbered((found[0] + found[1],) + found[2:])
-            return sizes, numbers, gu_numbers
+            return sizes, numbers, gu_ok
 
         monkeypatch.setattr(blocks, "_side_blocks", merged)
         report = block_match_report(5, 2, 3)
@@ -940,10 +992,11 @@ class TestSideBlocks:
         return list(built)
 
     @staticmethod
-    def _oracle_numbers(pair, r):
+    def _oracle_numbers(pair, r, shift=0):
         # each sorted multipartition's GL and GU block number, blocks
         # numbered by first member, from residue_key_oracle at level r and
-        # root_key_oracle at ennola_e(r); level-1 blocks are undefined, and
+        # root_key_oracle at ennola_e(r), the first GU value moved by shift
+        # in (1/2 ennola_e(r))Z/Z; level-1 blocks are undefined, and
         # thm1 takes the whole series as one block there, as it must a
         # series with a = 0, whose one member has no Hecke parameters
         mps = sorted(multipartitions_of(pair.e, pair.a))
@@ -952,6 +1005,7 @@ class TestSideBlocks:
         charges = e_quotient_charged(pair.core, pair.e).charges
         params = specialization(pair, GU)
         tau = [tuple(t) for t in params.tau_params]
+        tau[0] = (tau[0][0] + Fraction(shift, 2 * ennola_e(r)), tau[0][1])
         sigma = [tuple(s) for s in params.sigma_params]
 
         def numbered(key):
@@ -965,15 +1019,16 @@ class TestSideBlocks:
     @classmethod
     def _disagreements(cls, sides):
         # (sides, sides whose oracle GU blocks differ from the GL ones,
-        # sides whose table disagrees with the oracle numbers)
+        # sides whose table disagrees with the oracle: its GL numbers, or a
+        # GU verdict other than whether the oracle's GU and GL blocks agree)
         differ = wrong = 0
         for pair, r in sides:
             mps, gl, gu = cls._oracle_numbers(pair, r)
-            sizes, numbers, gu_numbers = blocks._side_blocks(pair, r)
+            sizes, numbers, gu_ok = blocks._side_blocks(pair, r)
             wrong += (
                 sizes != [gl.count(i) for i in range(max(gl) + 1)]
                 or list(numbers.items()) != list(zip(mps, gl))
-                or gu_numbers != gu
+                or gu_ok != (gu == gl)
             )
             differ += gu != gl
         return len(sides), differ, wrong
@@ -985,8 +1040,16 @@ class TestSideBlocks:
 
     def test_gu_verdict_follows_shifted_gu_keys(self, monkeypatch):
         # negative control: a GU key with its first component's value moved
-        # by one changes the GU blocks of some sides, which the oracle sees
+        # by one changes the GU blocks of 303 sides, as the oracle moved
+        # alike sees; the table, which checks the relabelling of every box
+        # the series can hold, not only the keys it has, rejects those and
+        # 34 more
         sides = self._thm1_sides(monkeypatch, 10)
+        moved = set()
+        for side in sides:
+            _, gl, gu = self._oracle_numbers(*side, shift=1)
+            if gu != gl:
+                moved.add(side)
         real = blocks._root_values
 
         def shifted(params, at_root):
@@ -994,7 +1057,10 @@ class TestSideBlocks:
             return d, omega, ((alphas[0] + 1) % d,) + alphas[1:]
 
         monkeypatch.setattr(blocks, "_root_values", shifted)
-        assert self._disagreements(sides) == (7_071, 0, 303)
+        rejected = {side for side in sides if not blocks._side_blocks(*side)[2]}
+        assert (len(moved), len(rejected)) == (303, 337)
+        assert moved <= rejected
+        assert self._disagreements(sides) == (7_071, 0, 337)
 
 
 class TestSingletonSeries:
@@ -1012,7 +1078,7 @@ class TestSingletonSeries:
                     for r in range(2, 13):
                         if gcd(e, r) != 1:
                             continue
-                        one = ([1], {only[0][0]: 0}, [0])
+                        one = ([1], {only[0][0]: 0}, True)
                         assert blocks._side_blocks(pair, r) == one
                         assert block_partition(e, 0, pair.core, r) == only
                         assert series_blocks(pair, r, GU) == only

@@ -285,6 +285,21 @@ class TestSpecialization:
             HeckeParam(Fraction(1, 2), 1),
         )
 
+    def test_coxeter_case(self):
+        # empty core, a = 1, n = e: the parameters are x^e, ..., x^(2e - 1)
+        # and (1, -x^e); scaled by x^-e, the tau parameters are 1, x, ...,
+        # x^(e - 1), the Frobenius eigenvalues on the cohomology of the
+        # Coxeter variety (Lusztig, Invent. Math. 1976)
+        for e in range(1, 13):
+            sp = specialization(CuspidalPairGL(e, e, 1, P(())), GL)
+            assert sp.tau_params == tuple(
+                HeckeParam(Fraction(0), k) for k in range(e, 2 * e)
+            )
+            assert sp.sigma_params == (
+                HeckeParam(Fraction(0), 0),
+                HeckeParam(Fraction(1, 2), e),
+            )
+
     def test_gu_is_sign_twist_of_gl(self):
         # replacing x by -x adds exponent/2 to every argument
         for n in range(1, 9):

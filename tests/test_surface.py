@@ -6,7 +6,8 @@ property of a library class is used by the library too.  No sort in the
 library restates the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once, and one function, the side
-table, groups a series' multipartitions into blocks.  Every cache hit ratio
+table, groups a series' multipartitions into blocks, which only one key kernel
+counts box by box.  Every cache hit ratio
 the benchmark's per-layer report reads belongs to a memoised library
 function.  No library function is an alias that only passes its own
 parameters on to another library function.
@@ -298,6 +299,57 @@ def test_scan_catches_second_grouping():
         "b": "ALL = _sorted_mps(1, 2)\n",
     }
     assert sorted_mps_callers(sources) == ["a.Grouping", "a.table", "b.<module>"]
+
+
+def contents_loops(sources):
+    """"module.function" of each top-level function or class with a loop or
+    comprehension whose iterable calls _contents, by name or attribute
+    ("module.<module>" for a loop outside them): the boxes of a
+    multipartition are walked once per key, in the kernel that counts it, so
+    a second key loop beside it would walk them too."""
+    found = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if not isinstance(node, (ast.For, ast.comprehension)):
+                    continue
+                for sub in ast.walk(node.iter):
+                    func = sub.func if isinstance(sub, ast.Call) else None
+                    if getattr(func, "id", getattr(func, "attr", None)) == "_contents":
+                        found.add(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_one_box_loop_per_key():
+    # blocks.py counts every key, GL and GU alike, through _root_counts;
+    # residue_multiset is the integer multiset the content lemma reads
+    blocks_source = {"blocks": (SRC / "blocks.py").read_text()}
+    assert contents_loops(blocks_source) == [
+        "blocks._root_counts",
+        "blocks.residue_multiset",
+    ]
+
+
+def test_scan_catches_second_key_loop():
+    sources = {
+        "a": (
+            "def kernel(mp):\n"
+            "    return [c for p in mp for c in _contents(p)]\n"
+            "def fused(mp, alphas):\n"
+            "    for p, alpha in zip(mp, alphas):\n"
+            "        for c, k in zip(partitions._contents(p), range(9)):\n"
+            "            pass\n"
+            # a call that is not looped over is not a key loop
+            "def size(p):\n"
+            "    return len(_contents(p))\n"
+            "class Table:\n"
+            "    def keys(self, p):\n"
+            "        return {c % 2 for c in sorted(_contents(p))}\n"
+        ),
+        "b": "ALL = [c for c in _contents(P)]\nfor c in _contents(Q):\n    pass\n",
+    }
+    assert contents_loops(sources) == ["a.Table", "a.fused", "a.kernel", "b.<module>"]
 
 
 def library_rows(readme):
