@@ -9,16 +9,18 @@ Subcommands:
     verify    batch verification suites; exit 0 iff all checks pass
 
 Every command prints a single JSON document (one object per line with
---stream); identical invocations produce byte-identical output.
+--stream, written in blocks of lines with the bytes of one print per line);
+identical invocations produce byte-identical output.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
-input error.
+input error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from math import gcd
@@ -64,14 +66,32 @@ INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
 LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 11 s
 VERIFY_MAX_N = 16  # content-lemma, the slowest suite at n = 16, takes about 2 s
 VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 8 s at this bound
+BLOCK_LINES = 512  # stdout lines per write
 
 
-# one encoder for every line: json.dumps with sort_keys builds one per call
+# one C encoder for all lines, made as JSONEncoder(sort_keys=True).iterencode makes it
 _ENCODER = json.JSONEncoder(sort_keys=True)
+_iterencode = _ENCODER.iterencode  # where the C accelerator is missing
+if json.encoder.c_make_encoder is not None:
+    _iterencode = json.encoder.c_make_encoder(
+        {}, _ENCODER.default, json.encoder.encode_basestring_ascii, None,
+        _ENCODER.key_separator, _ENCODER.item_separator, True, False, True,
+    )
 
 
-def _emit(obj: dict) -> None:
-    print(_ENCODER.encode(obj))
+class _Lines(list):
+    """stdout's one writer: JSON lines, written and flushed BLOCK_LINES at a
+    time and the rest at flush(), to whatever sys.stdout is at that moment."""
+
+    def emit(self, obj: dict) -> None:
+        self.append("".join(_iterencode(obj, 0)) + "\n")
+        if len(self) == BLOCK_LINES:
+            self.flush()
+
+    def flush(self) -> None:
+        sys.stdout.write("".join(self))
+        sys.stdout.flush()
+        self.clear()
 
 
 def _coprime_pairs(e, m) -> list[tuple[int, int]]:
@@ -288,11 +308,11 @@ def _check_bounds(bound: int, *named: tuple[str, int]) -> None:
             raise ValueError(f"{name} {value} is too large; at most {bound} is supported")
 
 
-def _cmd_core(args) -> int:
+def _cmd_core(args, emit) -> int:
     p = parse_partition(args.partition)
     _check_bounds(INPUT_MAX, ("--e", args.e), ("partition size", p.size))
     pair, image = hc_series_of(p, args.e)
-    _emit(
+    emit(
         {
             "core": str(pair.core),
             "quotient": [render_multipartition(image.components)],
@@ -302,7 +322,7 @@ def _cmd_core(args) -> int:
     return 0
 
 
-def _cmd_uglov(args) -> int:
+def _cmd_uglov(args, emit) -> int:
     mp = parse_multipartition(args.mp)
     charges = parse_charges(args.charges)
     if args.e < 1 or args.m < 1:
@@ -320,7 +340,7 @@ def _cmd_uglov(args) -> int:
             f" and {len(charges)} charges"
         )
     image = uglov(ChargedMultiPartition(mp, charges), args.m)
-    _emit(
+    emit(
         {
             "mp": render_multipartition(image.components),
             "charges": list(image.charges),
@@ -329,14 +349,14 @@ def _cmd_uglov(args) -> int:
     return 0
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args, emit) -> int:
     _check_bounds(SERIES_MAX_N, ("--n", args.n))
     _check_bounds(LEVEL_MAX, ("--e", args.e))
-    _emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
+    emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
     return 0
 
 
-def _cmd_blocks(args) -> int:
+def _cmd_blocks(args, emit) -> int:
     _check_bounds(SERIES_MAX_N, ("--n", args.n))
     _check_bounds(LEVEL_MAX, ("--e", args.e), ("--m", args.m))
     if args.n < 1 or args.e < 1 or args.m < 1:
@@ -358,7 +378,7 @@ def _cmd_blocks(args) -> int:
         )
     if wanted is not None and not series:
         raise ValueError(f"no series with core {args.core!r}")
-    _emit(
+    emit(
         {
             "n": args.n,
             "e": args.e,
@@ -370,7 +390,7 @@ def _cmd_blocks(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, emit) -> int:
     given = {
         flag: getattr(args, flag)
         for flag in VERIFY_FLAGS
@@ -381,9 +401,9 @@ def _cmd_verify(args) -> int:
     _check_bounds(VERIFY_MAX_N, ("--max-n", read.get("max_n", 0)))
     _check_bounds(VERIFY_MAX_TRIALS, ("--trials", read.get("trials", 0)))
     _check_bounds(LEVEL_MAX, ("--e", read.get("e", 0)), ("--m", read.get("m", 0)))
-    emit = _emit if args.stream else (lambda case: None)
-    parameters, cases, failures = run_suite(args.suite, emit, **given)
-    _emit(
+    emit_case = emit if args.stream else (lambda case: None)
+    parameters, cases, failures = run_suite(args.suite, emit_case, **given)
+    emit(
         {
             "command": f"verify {args.suite}",
             "parameters": parameters,
@@ -449,13 +469,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    lines = _Lines()
     try:
-        return args.func(args)
+        try:
+            return args.func(args, lines.emit)
+        finally:
+            lines.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # reader gone: stdout to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE; 1 would read as a failed check
 
 
 if __name__ == "__main__":

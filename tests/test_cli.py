@@ -2,9 +2,12 @@ import hashlib
 import json
 import operator
 import os
+import subprocess
+import sys
 from collections import Counter
 from math import gcd
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -974,29 +977,136 @@ class TestOutputBytes:
         )
 
 
+def _child_command(*argv):
+    """`python -m abacore argv` and an environment in which the child imports
+    the same abacore as this process, installed or not."""
+    src = Path(abacore.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return [sys.executable, "-m", "abacore", *argv], env
+
+
 class TestSubprocessDeterminism:
     def test_byte_identical_runs(self):
-        import subprocess
-        import sys
-
-        cmd = [
-            sys.executable,
-            "-m",
-            "abacore",
-            "verify",
-            "cuspidal",
-            "--max-n",
-            "4",
-        ]
-        # the child imports the same abacore as this process, installed or not
-        src = Path(abacore.__file__).resolve().parent.parent
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        cmd, env = _child_command("verify", "cuspidal", "--max-n", "4")
         first = subprocess.run(cmd, capture_output=True, env=env)
         second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
         assert b"\r" not in first.stdout
+
+    def test_unbuffered_stdout_writes_the_same_bytes(self):
+        # PYTHONUNBUFFERED makes stdout write through: each write is a syscall
+        cmd, env = _child_command("verify", "thm2", "--max-n", "8", "--stream")
+        env.pop("PYTHONUNBUFFERED", None)
+        buffered = subprocess.run(cmd, capture_output=True, env=env)
+        unbuffered = subprocess.run(
+            cmd, capture_output=True, env={**env, "PYTHONUNBUFFERED": "1"}
+        )
+        assert buffered.returncode == unbuffered.returncode == 0
+        assert buffered.stderr == unbuffered.stderr == b""
+        assert buffered.stdout == unbuffered.stdout
+        # every pair of levels for every partition of 1..8, then the summary
+        assert buffered.stdout.count(b"\n") == 45 * 66 + 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    @pytest.mark.parametrize(
+        "argv, read",
+        [
+            # `| head -1`: far more than a pipe holds, so the child is writing
+            (("thm2", "--max-n", "10"), 1),
+            # `| true`: a few lines, which meet the closed pipe at the flush
+            (("roundtrip", "--trials", "3"), 0),
+        ],
+    )
+    def test_closed_stdout_exits_141_quietly(self, argv, read, unbuffered):
+        cmd, env = _child_command("verify", *argv, "--stream")
+        env["PYTHONUNBUFFERED"] = unbuffered
+        child = subprocess.Popen(
+            cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        lines = [json.loads(child.stdout.readline()) for _ in range(read)]
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert lines == [
+            {"e": 1, "m": 2, "n": 1, "partition": "1", "pass": True}
+        ][:read]
+        assert child.returncode == 141
+        assert err == b""
+
+
+class TestStreamWriter:
+    """Every stdout line of a command goes through one writer, which joins
+    the lines of a block into one write and flushes on every exit path."""
+
+    SMALL = {
+        "thm1": {"max_n": 4},
+        "thm2": {"max_n": 5},
+        "content-lemma": {"max_n": 3},
+        "content-prop": {"max_n": 5},
+        "cuspidal": {"max_n": 4},
+        "degmod": {"max_n": 5},
+        "roundtrip": {"trials": 20},
+    }
+
+    @pytest.mark.parametrize("suite", SMALL)
+    def test_reused_encoder_is_json_dumps(self, capsys, monkeypatch, suite):
+        cases = []
+        run_suite(suite, cases.append, **self.SMALL[suite])
+        # each object the writer encodes, recorded as it goes by
+        seen = []
+        real = cli._iterencode
+        monkeypatch.setattr(
+            cli, "_iterencode", lambda obj, level: seen.append(obj) or real(obj, level)
+        )
+        argv = [f"--{k.replace('_', '-')}={v}" for k, v in self.SMALL[suite].items()]
+        code, out, _ = run(capsys, "verify", suite, *argv, "--stream")
+        assert code == (1 if suite == "degmod" else 0)
+        assert seen[:-1] == cases
+        assert seen[-1]["command"] == f"verify {suite}"
+        expected = [json.dumps(obj, sort_keys=True) for obj in seen]
+        assert out.splitlines() == expected
+        # the pure-Python encoder used where the C accelerator is missing
+        assert ["".join(cli._ENCODER.iterencode(obj, 0)) for obj in seen] == expected
+
+    def test_each_block_is_one_write(self, monkeypatch):
+        writes = []
+        stdout = SimpleNamespace(write=writes.append, flush=lambda: None)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["verify", "thm2", "--max-n", "5", "--stream"]) == 0
+        # 18 partitions of 1..5 at 45 pairs of levels, and the summary
+        assert [chunk.count("\n") for chunk in writes] == [cli.BLOCK_LINES, 299]
+        assert all(chunk.endswith("\n") for chunk in writes)
+
+    @pytest.mark.parametrize("block_lines", [1, 2, 5, 6, 7])
+    def test_block_size_does_not_change_the_bytes(
+        self, capsys, monkeypatch, block_lines
+    ):
+        # roundtrip --trials 5 prints 6 lines: blocks that divide them or not
+        argv = ("verify", "roundtrip", "--trials", "5", "--stream")
+        _, expected, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "BLOCK_LINES", block_lines)
+        assert run(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError])
+    def test_lines_before_an_error_reach_stdout(self, capsys, monkeypatch, error):
+        def three_then_fail(trials, seed):
+            for trial in range(3):
+                yield 1, {"trial": trial, "pass": True}
+            raise error("planted")
+
+        suite = (three_then_fail, {"trials": 9, "seed": 0})
+        monkeypatch.setitem(cli.SUITES, "roundtrip", suite)
+        if error is ValueError:
+            code, out, err = run(capsys, "verify", "roundtrip", "--stream")
+            assert (code, err) == (2, "error: planted\n")
+        else:
+            with pytest.raises(RuntimeError, match="planted"):
+                main(["verify", "roundtrip", "--stream"])
+            out = capsys.readouterr().out
+        assert out.splitlines() == [
+            json.dumps({"pass": True, "trial": trial}) for trial in range(3)
+        ]
 
 
 class TestUsageErrors:

@@ -7,9 +7,9 @@ library restates the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once, and one function, the side
 table, groups a series' multipartitions into blocks, which only one key kernel
-counts box by box.  Every cache hit ratio
-the benchmark's per-layer report reads belongs to a memoised library
-function.  No library function is an alias that only passes its own
+counts box by box.  cli.py writes stdout through one writer.  Every cache
+hit ratio the benchmark's per-layer report reads belongs to a memoised
+library function.  No library function is an alias that only passes its own
 parameters on to another library function.
 """
 
@@ -350,6 +350,73 @@ def test_scan_catches_second_key_loop():
         "b": "ALL = [c for c in _contents(P)]\nfor c in _contents(Q):\n    pass\n",
     }
     assert contents_loops(sources) == ["a.Table", "a.fused", "a.kernel", "b.<module>"]
+
+
+def _dotted(node):
+    """"a.b.c" for a Name or a chain of Attributes on one, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def stdout_writes(text):
+    """"owner: callee" for each call in one module's source that can write
+    to stdout: a print without file=sys.stderr, write or writelines on
+    sys.stdout, or any call given sys.stdout as an argument.  owner is the
+    top-level function or class ("<module>" for a call outside them)."""
+    found = []
+    for stmt in ast.parse(text).body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = _dotted(node.func)
+            given = [*node.args, *(k.value for k in node.keywords)]
+            to_stderr = [
+                _dotted(k.value) for k in node.keywords if k.arg == "file"
+            ] == ["sys.stderr"]
+            if (
+                (callee == "print" and not to_stderr)
+                or callee in ("sys.stdout.write", "sys.stdout.writelines")
+                or "sys.stdout" in map(_dotted, given)
+            ):
+                found.append(f"{owner}: {callee}")
+    return sorted(found)
+
+
+def test_cli_writes_stdout_through_one_writer():
+    text = (SRC / "cli.py").read_text()
+    assert stdout_writes(text) == ["_Lines: sys.stdout.write"]
+    # the one print left is the error line on stderr
+    prints = [
+        node
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call) and _dotted(node.func) == "print"
+    ]
+    assert len(prints) == 1
+
+
+def test_scan_catches_a_second_stdout_writer():
+    text = (
+        "def f(x):\n    print(x)\n"
+        "def g(x):\n    print(x, file=sys.stdout)\n"
+        "def h(x):\n    print(x, file=sys.stderr)\n"
+        "class W:\n"
+        "    def w(self, lines):\n"
+        "        sys.stdout.writelines(lines)\n"
+        "        return sys.stdout.fileno()\n"
+        "json.dump({}, sys.stdout)\n"
+        "sys.stderr.write('x')\n"
+    )
+    assert stdout_writes(text) == [
+        "<module>: json.dump",
+        "W: sys.stdout.writelines",
+        "f: print",
+        "g: print",
+    ]
 
 
 def library_rows(readme):
