@@ -12,7 +12,7 @@ sends a member to its charged e-quotient taken at charge e + len(core).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -36,20 +36,17 @@ class DegreeSignError(ArithmeticError):
     """The degree polynomial did not reduce to the expected constant."""
 
 
-@dataclass(frozen=True)
-class CuspidalPairGL:
+class CuspidalPairGL(namedtuple("CuspidalPairGL", "n e a core")):
     """A level-e cuspidal pair for GL_n: an e-core of size n - a*e."""
 
-    n: int
-    e: int
-    a: int
-    core: Partition
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a < 0 or self.core.size + self.a * self.e != self.n:
+    def __new__(cls, n: int, e: int, a: int, core: Partition):
+        if a < 0 or core.size + a * e != n:
             raise ValueError("sizes of core and torus part do not add up")
-        if not is_e_core(self.core, self.e):
-            raise ValueError(f"{self.core.parts} is not a {self.e}-core")
+        if not is_e_core(core, e):
+            raise ValueError(f"{core.parts} is not a {e}-core")
+        return tuple.__new__(cls, (n, e, a, core))
 
 
 class HeckeParam(NamedTuple):
@@ -63,8 +60,7 @@ class HeckeParam(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class HeckeSpecialization:
+class HeckeSpecialization(NamedTuple):
     """Parameter data of a specialized Ariki-Koike algebra: one parameter
     per cyclic-generator eigenvalue and two for the symmetric generators."""
 

@@ -16,7 +16,7 @@ as the corrected split is the same at every charge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -67,8 +67,7 @@ def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     )
 
 
-@dataclass(frozen=True)
-class AffinePerm:
+class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
     """An affine permutation of beads (x, i): component i is sent to
     perm[i], and a bead landing in component j is shifted by shifts[j].
 
@@ -76,13 +75,12 @@ class AffinePerm:
     component.
     """
 
-    e: int
-    perm: tuple[int, ...]
-    shifts: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(self.e)) or len(self.shifts) != self.e:
+    def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
+        if sorted(perm) != list(range(e)) or len(shifts) != e:
             raise ValueError("inconsistent affine permutation data")
+        return tuple.__new__(cls, (e, perm, shifts))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,9 @@ Conventions used throughout the package:
   partition is allowed.  Partition subclasses tuple, so partitions and the
   multipartitions built from them compare, hash and sort as their part
   tuples: sorted() gives the lexicographic order (Macdonald, I.1) in which
-  series, their members and blocks are listed.  Boxes are indexed (row,
+  series, their members and blocks are listed.  Every value type but
+  IntPolynomial is an immutable tuple, checked when built, read by field
+  name and equal to the plain tuple of its fields.  Boxes are indexed (row,
   column), both 1-based, and the content of a box is column - row.
 * A charged partition is a ChargedMultiPartition of level 1.  Its beta set
   is {parts[i] - (i+1) + charge : i >= 0}, which contains every integer
@@ -26,7 +28,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -79,19 +81,18 @@ MultiPartition = tuple[Partition, ...]
 MultiCharge = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ChargedMultiPartition:
+class ChargedMultiPartition(namedtuple("ChargedMultiPartition", "components charges")):
     """An e-tuple of partitions with an e-tuple of integer charges.  Level 1
     is a charged partition |p, s>, which levelrank.uglov splits and joins."""
 
-    components: MultiPartition
-    charges: MultiCharge
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) != len(self.charges):
+    def __new__(cls, components: MultiPartition, charges: MultiCharge):
+        if len(components) != len(charges):
             raise ValueError("component and charge counts differ")
-        if not self.components:
+        if not components:
             raise ValueError("need at least one component")
+        return tuple.__new__(cls, (components, charges))
 
     @property
     def level(self) -> int:
@@ -102,8 +103,7 @@ class ChargedMultiPartition:
         return sum(self.charges)
 
 
-@dataclass(frozen=True)
-class BetaSet:
+class BetaSet(namedtuple("BetaSet", "floor tail")):
     """The set Z_{<floor} union tail, with tail decreasing and above floor.
 
     Canonical form: floor is the largest t such that every integer below t
@@ -116,8 +116,12 @@ class BetaSet:
     0
     """
 
-    floor: int
-    tail: tuple[int, ...] = ()
+    __slots__ = ()
+
+    def __new__(cls, floor: int, tail: tuple[int, ...] = ()):
+        self = tuple.__new__(cls, (floor, tail))
+        self.__post_init__()  # its own method: perfbench's per-layer trace counts it
+        return self
 
     def __post_init__(self):
         for i, x in enumerate(self.tail):

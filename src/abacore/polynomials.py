@@ -17,7 +17,6 @@ derivatives of f that the cyclotomic divides, each tested by that fold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .partitions import Partition, hook_lengths
@@ -27,11 +26,10 @@ class InexactDivisionError(ArithmeticError):
     """A polynomial division that should have been exact was not."""
 
 
-@dataclass(frozen=True, init=False)
 class IntPolynomial:
     """A polynomial over the integers, as a dense coefficient tuple with the
     constant term first.  Trailing zeros are trimmed, so the zero polynomial
-    has an empty tuple.
+    has an empty tuple.  Not a tuple itself, so + does not concatenate.
 
     >>> IntPolynomial(-1, 0, 1)
     IntPolynomial('x^2 - 1')
@@ -39,13 +37,27 @@ class IntPolynomial:
     IntPolynomial('0')
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, *coeffs: int):
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: IntPolynomial is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if type(other) is IntPolynomial else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __reduce__(self):
+        return IntPolynomial, self.coeffs
 
     @property
     def degree(self) -> int:

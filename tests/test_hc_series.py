@@ -160,13 +160,13 @@ class TestSeriesMap:
         # (each validation reruns is_e_core on a core e_core just produced)
         hc_pairs(n, e)
         built = []
-        real = CuspidalPairGL.__post_init__
+        real = CuspidalPairGL.__new__
 
-        def counting(self):
-            built.append(self.core)
-            real(self)
+        def counting(cls, n, e, a, core):
+            built.append(core)
+            return real(cls, n, e, a, core)
 
-        monkeypatch.setattr(CuspidalPairGL, "__post_init__", counting)
+        monkeypatch.setattr(CuspidalPairGL, "__new__", counting)
         series = series_json(n, e)
         assert built == []
         assert sum(len(entry["members"]) for entry in series) == len(partitions_of(n))

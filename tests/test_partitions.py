@@ -1,3 +1,8 @@
+import copy
+import pickle
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +31,9 @@ from abacore.partitions import (
     render_multipartition,
     to_beta,
 )
-from abacore.levelrank import uglov
+from abacore.hc_series import CuspidalPairGL, HeckeParam, HeckeSpecialization
+from abacore.levelrank import AffinePerm, uglov
+from abacore.polynomials import IntPolynomial
 from oracles import (
     PARTITION_COUNTS,
     cells,
@@ -165,6 +172,107 @@ class TestBetaSets:
     @given(partition_strategy, st.integers(-20, 20))
     def test_round_trip_hypothesis(self, p, s):
         assert from_beta(to_beta(CP(p, s))) == CP(p, s)
+
+
+# type name -> (a constructor call, the fields it sets, the repr it prints)
+VALUE_TYPES = {
+    "ChargedMultiPartition": (
+        lambda: CMP((P((2, 1)), P(())), (0, 1)),
+        {"components": (P((2, 1)), P(())), "charges": (0, 1)},
+        "ChargedMultiPartition(components=(Partition(parts=(2, 1)), "
+        "Partition(parts=())), charges=(0, 1))",
+    ),
+    "BetaSet": (
+        lambda: BetaSet(-2, (1, -1)),
+        {"floor": -2, "tail": (1, -1)},
+        "BetaSet(floor=-2, tail=(1, -1))",
+    ),
+    "AffinePerm": (
+        lambda: AffinePerm(3, (0, 2, 1), (0, -1, -1)),
+        {"e": 3, "perm": (0, 2, 1), "shifts": (0, -1, -1)},
+        "AffinePerm(e=3, perm=(0, 2, 1), shifts=(0, -1, -1))",
+    ),
+    "CuspidalPairGL": (
+        lambda: CuspidalPairGL(3, 2, 1, P((1,))),
+        {"n": 3, "e": 2, "a": 1, "core": P((1,))},
+        "CuspidalPairGL(n=3, e=2, a=1, core=Partition(parts=(1,)))",
+    ),
+    "HeckeSpecialization": (
+        lambda: HeckeSpecialization(
+            (HeckeParam(Fraction(1, 2), 1),),
+            (HeckeParam(Fraction(0), 0), HeckeParam(Fraction(0), 2)),
+        ),
+        {
+            "tau_params": (HeckeParam(Fraction(1, 2), 1),),
+            "sigma_params": (HeckeParam(Fraction(0), 0), HeckeParam(Fraction(0), 2)),
+        },
+        "HeckeSpecialization(tau_params=(HeckeParam(arg=Fraction(1, 2), "
+        "exponent=1),), sigma_params=(HeckeParam(arg=Fraction(0, 1), exponent=0), "
+        "HeckeParam(arg=Fraction(0, 1), exponent=2)))",
+    ),
+    "IntPolynomial": (
+        lambda: IntPolynomial(-1, 0, 1, 0),
+        {"coeffs": (-1, 0, 1)},
+        "IntPolynomial('x^2 - 1')",
+    ),
+}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+    def test_value_type_contract(self, name):
+        make, fields, text = VALUE_TYPES[name]
+        value = make()
+        assert type(value).__name__ == name
+        assert repr(value) == text
+        assert {field: getattr(value, field) for field in fields} == fields
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, fields[field])
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+        with pytest.raises(AttributeError):
+            value.unknown_field = 0
+        twin = make()
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value) and copied == value
+            assert repr(copied) == text
+
+    @pytest.mark.parametrize("name", sorted(set(VALUE_TYPES) - {"IntPolynomial"}))
+    def test_value_type_equals_its_field_tuple(self, name):
+        make, fields, _ = VALUE_TYPES[name]
+        assert make() == tuple(fields.values())
+
+    def test_polynomials_do_not_add(self):
+        with pytest.raises(TypeError):
+            IntPolynomial(1) + IntPolynomial(1)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            # an input that fails two checks pins which check runs first
+            (lambda: CMP((), (0,)), "component and charge counts differ"),
+            (lambda: CMP((P(()),), (0, 1)), "component and charge counts differ"),
+            (lambda: CMP((), ()), "need at least one component"),
+            (lambda: BetaSet(0, (0, 1)), "tail entries must exceed the floor"),
+            (lambda: BetaSet(0, (2, 3)), "tail must be strictly decreasing"),
+            (lambda: AffinePerm(2, (0, 0), (0, 0)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(2, (1, 0), (0,)), "inconsistent affine permutation data"),
+            (
+                lambda: CuspidalPairGL(3, 2, 0, P((2,))),
+                "sizes of core and torus part do not add up",
+            ),
+            (
+                lambda: CuspidalPairGL(1, 2, -1, P((3,))),
+                "sizes of core and torus part do not add up",
+            ),
+            (lambda: CuspidalPairGL(4, 2, 1, P((2,))), re.escape("(2,) is not a 2-core")),
+        ],
+    )
+    def test_constructor_messages(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 class TestSplitJoin:

@@ -10,14 +10,19 @@ table, groups a series' multipartitions into blocks, which only one key kernel
 counts box by box.  cli.py writes stdout through one writer.  Every cache
 hit ratio the benchmark's per-layer report reads belongs to a memoised
 library function.  No library function is an alias that only passes its own
-parameters on to another library function.
+parameters on to another library function.  No library module imports
+dataclasses, inspect, ast, dis or tokenize, and importing the CLI loads none
+of them: every abacore process would pay for them at start-up.
 """
 
 import ast
 import builtins
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -590,3 +595,62 @@ def test_scan_catches_unmemoised_hit_ratio():
         "abacore.b": SimpleNamespace(),
     }
     assert unmemoised_hit_ratios(reported, modules.__getitem__) == ["a.plain", "b.gone"]
+
+
+# stdlib modules that cost start-up time in every process that imports them
+STARTUP_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def heavy_imports(sources):
+    """"module:line" of each import statement, at any depth, that reads a
+    STARTUP_HEAVY module or a submodule of one.  Relative imports name
+    modules of the package, not of the stdlib, and are not collected."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] in STARTUP_HEAVY for name in names):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_library_imports_nothing_heavy():
+    assert heavy_imports(_library_sources()) == []
+
+
+def test_scan_catches_a_heavy_import():
+    sources = {
+        "a": "from dataclasses import dataclass\nimport json, inspect\nimport astral\n",
+        "b": (
+            "from . import dis\n"
+            "from .ast import parse\n"
+            "def f():\n"
+            "    import tokenize.x as t\n"
+            "    return t\n"
+        ),
+    }
+    assert heavy_imports(sources) == ["a:1", "a:2", "b:4"]
+
+
+def test_cli_import_loads_nothing_heavy():
+    # modules a bare interpreter already loaded (through site, say) are not
+    # the library's doing; only what the import adds counts
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import abacore.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert child.returncode == 0, child.stderr
+    added = set(child.stdout.split())
+    assert "abacore.cli" in added
+    assert sorted(added & set(STARTUP_HEAVY)) == []
