@@ -6,7 +6,7 @@ Subcommands:
     uglov     apply the level-rank bijection to a charged multipartition
     series    print the partition of GL_n characters into series
     blocks    print the block partition of every series of GL_n at a level
-    verify    batch verification suites; exit 0 iff all checks pass
+    verify    batch verification suites (suites.py); exit 0 iff all checks pass
 
 Every command prints a single JSON document (one object per line with
 --stream, written in blocks of lines with the bytes of one print per line);
@@ -21,51 +21,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from math import gcd
 
-from .blocks import (
-    _member_facts,
-    block_match_report,
-    check_content_lemma,
-    lossless_window,
-    series_blocks,
-)
-from .hc_series import (
-    DegreeSignError,
-    degree_sign,
-    hc_pairs,
-    hc_series_of,
-    series_json,
-)
-from .levelrank import _routes_agree, qr_em, uglov
+from .blocks import series_blocks
+from .hc_series import hc_pairs, hc_series_of, series_json
+from .levelrank import uglov
 from .partitions import (
     ChargedMultiPartition,
-    Partition,
-    _abaci,
-    e_core,
-    from_beta,
-    hook_lengths,
-    is_e_core,
     parse_charges,
     parse_multipartition,
     parse_partition,
-    partitions_of,
-    regroup,
     render_multipartition,
-    to_beta,
 )
-from .polynomials import generic_degree, phi_multiplicity, singular_check
+from .suites import LEVEL_MAX, SUITES, _check_bounds, run_suite
 
-DEFAULT_SEED = 123456789
-LEVEL_SWEEP_MAX = 12
 VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials")
 SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
-LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 11 s
-VERIFY_MAX_N = 16  # content-lemma, the slowest suite at n = 16, takes about 2 s
-VERIFY_MAX_TRIALS = 100_000  # roundtrip takes about 8 s at this bound
 BLOCK_LINES = 512  # stdout lines per write
 
 
@@ -94,219 +66,8 @@ class _Lines(list):
         self.clear()
 
 
-def _coprime_pairs(e, m) -> list[tuple[int, int]]:
-    """The (e, m) pairs to sweep: a single pair if given, else all coprime
-    pairs with 1 <= e < m <= 12."""
-    if (e is None) != (m is None):
-        raise ValueError("give both --e and --m, or neither")
-    if e is not None:
-        if e < 1 or m < 1:
-            raise ValueError("levels must be >= 1")
-        if gcd(e, m) != 1:
-            raise ValueError(f"levels {e}, {m} must be coprime")
-        if e == m:
-            raise ValueError("levels 1, 1 compare a level with itself; give e != m")
-        return [(e, m)]
-    return [
-        (e, m)
-        for m in range(2, LEVEL_SWEEP_MAX + 1)
-        for e in range(1, m)
-        if gcd(e, m) == 1
-    ]
-
-
-# ---------------------------------------------------------------------------
-# verify suites; each generator yields (cases checked, case) with case["pass"]
-
-def _thm1_cases(max_n, e, m):
-    pairs = _coprime_pairs(e, m)
-    for n in range(1, max_n + 1):
-        for e, m in pairs:
-            for entry in block_match_report(n, e, m)["intersections"]:
-                yield len(entry["members"]), {"n": n, "e": e, "m": m, **entry}
-
-
-def _thm2_cases(max_n, e, m):
-    pairs = _coprime_pairs(e, m)
-    levels = {level for pair in pairs for level in pair}
-    for n in range(1, max_n + 1):
-        members = partitions_of(n)
-        # verdicts[i][k]: member i at pair k, from its charge-0 split at each level
-        verdicts = []
-        for p in members:
-            abacus = _abaci((p,), (0,))
-            split = {level: (0, regroup(abacus, level)) for level in levels}
-            verdicts.append([_routes_agree(e, m, split[e], split[m]) for e, m in pairs])
-        names = [str(p) for p in members]
-        for k, (e, m) in enumerate(pairs):
-            for name, row in zip(names, verdicts):
-                yield 1, {"n": n, "e": e, "m": m, "partition": name, "pass": row[k]}
-
-
-def _content_lemma_cases(max_n):
-    for n in range(max_n + 1):
-        for p in partitions_of(n):
-            for s in range(-4, 5):
-                for e in range(1, 6):
-                    w = lossless_window(n, s, e)
-                    ok = check_content_lemma(p, s, e)
-                    yield 1, {
-                        "partition": str(p), "s": s, "e": e, "window": w, "pass": ok
-                    }
-
-
-def _content_prop_cases(max_n):
-    for n in range(1, max_n + 1):
-        for e in range(1, 7):
-            by_core: dict[Partition, list[Partition]] = {}
-            for p in partitions_of(n):
-                by_core.setdefault(e_core(p, e), []).append(p)
-            # the e-core classes with a pair to compare, members named once
-            classes = [
-                [(p, str(p)) for p in sorted(members)]
-                for members in by_core.values()
-                if len(members) > 1
-            ]
-            for m in (m for m in range(1, 7) if gcd(e, m) == 1):
-                for members in classes:
-                    facts = [(p, name, _member_facts(p, e, m)) for p, name in members]
-                    for i, (p, name_p, (core_p, key_p)) in enumerate(facts):
-                        for r, name_r, (core_r, key_r) in facts[i + 1:]:
-                            case = {"n": n, "e": e, "m": m, "p": name_p, "r": name_r}
-                            same_core, same_key = core_p == core_r, key_p == key_r
-                            case["pass"] = same_core == same_key
-                            if case["pass"]:
-                                case["same"] = same_core
-                            else:
-                                case["error"] = (
-                                    f"core comparison {same_core} but key comparison"
-                                    f" {same_key} for {p.parts}, {r.parts}"
-                                    f" at (e, m) = ({e}, {m})"
-                                )
-                            yield 1, case
-
-
-def _cuspidal_cases(max_n):
-    for n in range(max_n + 1):
-        for p in partitions_of(n):
-            hooks = hook_lengths(p)
-            for e in range(1, 11):
-                ok = singular_check(p, e) == is_e_core(p, e)
-                expected = n // e - sum(1 for h in hooks if h % e == 0)
-                ok = ok and phi_multiplicity(generic_degree(p), e) == expected
-                yield 1, {"partition": str(p), "e": e, "pass": ok}
-
-
-def _degmod_cases(max_n):
-    for n in range(1, max_n + 1):
-        for p in partitions_of(n):
-            for e in range(1, n + 1):
-                case = {"partition": str(p), "e": e}
-                try:
-                    case["sign"] = degree_sign(p, e)
-                    case["pass"] = True
-                except DegreeSignError as exc:
-                    case["pass"] = False
-                    case["error"] = str(exc)
-                yield 1, case
-
-
-def _roundtrip_cases(seed, trials):
-    rng = random.Random(seed)
-    for trial in range(trials):
-        problems = []
-
-        p = rng.choice(partitions_of(rng.randint(0, 10)))
-        s = rng.randint(-5, 5)
-        cp = ChargedMultiPartition((p,), (s,))
-        beta = to_beta(cp)
-        if from_beta(beta) != cp or beta.charge != s:
-            problems.append("beta round trip")
-
-        e = rng.randint(1, 6)
-        cmp_e = uglov(cp, e)
-        if uglov(cmp_e, 1) != cp or cmp_e.total_charge != s:
-            problems.append("charged split round trip")
-
-        level = rng.randint(1, 4)
-        remaining = 10
-        comps, charges = [], []
-        for _ in range(level):
-            size = rng.randint(0, remaining)
-            remaining -= size
-            comps.append(rng.choice(partitions_of(size)))
-            charges.append(rng.randint(-5, 5))
-        cmp0 = ChargedMultiPartition(tuple(comps), tuple(charges))
-        m = rng.randint(1, 6)
-        image = uglov(cmp0, m)
-        if image.total_charge != cmp0.total_charge:
-            problems.append("charge conservation")
-        if uglov(image, level) != cmp0:
-            problems.append("level-rank round trip")
-
-        x = rng.randint(-50, 50)
-        e2 = rng.randint(1, 8)
-        m2 = rng.randint(1, 8)
-        y = rng.randint(0, e2 - 1)
-        q, r = qr_em(x, y, e2, m2)
-        if qr_em(q, r, m2, e2) != (x, y) or e2 * x + m2 * y != m2 * q + e2 * r:
-            problems.append("index bijection")
-
-        case = {"trial": trial, "pass": not problems}
-        if problems:
-            case["problems"] = problems
-        yield 1, case
-
-
-# suite name -> (case generator, {flag the suite reads: default})
-SUITES = {
-    "thm1": (_thm1_cases, {"max_n": 12, "e": None, "m": None}),
-    "thm2": (_thm2_cases, {"max_n": 12, "e": None, "m": None}),
-    "content-lemma": (_content_lemma_cases, {"max_n": 10}),
-    "content-prop": (_content_prop_cases, {"max_n": 10}),
-    "cuspidal": (_cuspidal_cases, {"max_n": 10}),
-    "degmod": (_degmod_cases, {"max_n": 10}),
-    "roundtrip": (_roundtrip_cases, {"seed": DEFAULT_SEED, "trials": 10000}),
-}
-
-
-def run_suite(suite: str, emit=lambda case: None, **given):
-    """Run one verify suite with the flags `given` (the rest at their
-    defaults), passing each case to `emit`.  Returns (parameters,
-    cases_checked, failures); raises ValueError for a flag the suite does
-    not read and for a run that checks nothing."""
-    cases_of, defaults = SUITES[suite]
-    for flag in given:
-        if flag not in defaults:
-            raise ValueError(
-                f"verify {suite} does not take --{flag.replace('_', '-')}"
-            )
-    values = {**defaults, **given}
-    cases = 0
-    failures = []
-    for checked, case in cases_of(**values):
-        cases += checked
-        emit(case)
-        if not case["pass"]:
-            failures.append(case)
-    if cases == 0:
-        raise ValueError(
-            f"no cases to check for verify {suite} with these parameters"
-        )
-    parameters = {"suite": suite}
-    parameters.update((k, v) for k, v in values.items() if v is not None)
-    return parameters, cases, failures
-
-
 # ---------------------------------------------------------------------------
 # commands
-
-def _check_bounds(bound: int, *named: tuple[str, int]) -> None:
-    """Refuse any (name, value) pair with value above bound."""
-    for name, value in named:
-        if value > bound:
-            raise ValueError(f"{name} {value} is too large; at most {bound} is supported")
-
 
 def _cmd_core(args, emit) -> int:
     p = parse_partition(args.partition)
@@ -391,16 +152,7 @@ def _cmd_blocks(args, emit) -> int:
 
 
 def _cmd_verify(args, emit) -> int:
-    given = {
-        flag: getattr(args, flag)
-        for flag in VERIFY_FLAGS
-        if getattr(args, flag) is not None
-    }
-    # bound only the flags the suite reads: run_suite refuses the others
-    read = {flag: v for flag, v in given.items() if flag in SUITES[args.suite][1]}
-    _check_bounds(VERIFY_MAX_N, ("--max-n", read.get("max_n", 0)))
-    _check_bounds(VERIFY_MAX_TRIALS, ("--trials", read.get("trials", 0)))
-    _check_bounds(LEVEL_MAX, ("--e", read.get("e", 0)), ("--m", read.get("m", 0)))
+    given = {f: getattr(args, f) for f in VERIFY_FLAGS if getattr(args, f) is not None}
     emit_case = emit if args.stream else (lambda case: None)
     parameters, cases, failures = run_suite(args.suite, emit_case, **given)
     emit(
@@ -459,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-n", dest="max_n", type=int)
     p_ver.add_argument("--e", type=int)
     p_ver.add_argument("--m", type=int)
-    p_ver.add_argument("--seed", type=int, help=f"default {DEFAULT_SEED}")
+    p_ver.add_argument("--seed", type=int, help=f"default {SUITES['roundtrip'][1]['seed'][0]}")
     p_ver.add_argument("--trials", type=int)
     p_ver.add_argument(
         "--stream", action="store_true", help="one JSON line per case, summary last"

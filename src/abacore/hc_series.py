@@ -40,6 +40,7 @@ class CuspidalPairGL(namedtuple("CuspidalPairGL", "n e a core")):
     """A level-e cuspidal pair for GL_n: an e-core of size n - a*e."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, n: int, e: int, a: int, core: Partition):
         if a < 0 or core.size + a * e != n:

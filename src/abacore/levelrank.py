@@ -76,6 +76,7 @@ class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
         if sorted(perm) != list(range(e)) or len(shifts) != e:

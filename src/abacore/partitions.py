@@ -86,6 +86,7 @@ class ChargedMultiPartition(namedtuple("ChargedMultiPartition", "components char
     is a charged partition |p, s>, which levelrank.uglov splits and joins."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, components: MultiPartition, charges: MultiCharge):
         if len(components) != len(charges):
@@ -117,6 +118,7 @@ class BetaSet(namedtuple("BetaSet", "floor tail")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, floor: int, tail: tuple[int, ...] = ()):
         self = tuple.__new__(cls, (floor, tail))

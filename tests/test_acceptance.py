@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  All checks are exact; no tolerances anywhere.
 """
 
-from abacore.cli import run_suite
+from abacore.suites import run_suite
 from abacore.partitions import partitions_of
 from abacore.polynomials import IntPolynomial, cyclotomic, ennola_e, generic_degree
 from oracles import PARTITION_COUNTS, ennola_substitute, syt_by_recursion

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from abacore import blocks, cli
+from abacore import blocks, suites
 from abacore.blocks import (
     OmegaIsOne,
     block_match_report,
@@ -15,7 +15,6 @@ from abacore.blocks import (
     same_block,
     series_blocks,
 )
-from abacore.cli import run_suite
 from abacore.hc_series import (
     GL,
     GU,
@@ -37,6 +36,7 @@ from abacore.partitions import (
 )
 from abacore.levelrank import uglov
 from abacore.polynomials import ennola_e
+from abacore.suites import run_suite
 from oracles import (
     cells,
     check_core_key_equivalence,
@@ -280,7 +280,7 @@ class TestRootKeys:
     def test_gu_relabelling_is_one_to_one(self):
         # v -> (R + 2) * v mod 2R is well defined on Z/m and one to one, so
         # GU keys group exactly as GL keys, at every level the CLI accepts
-        for m in range(1, 2 * cli.LEVEL_MAX + 1):
+        for m in range(1, 2 * suites.LEVEL_MAX + 1):
             root, f = _relabelling(GU, m)
             assert f * m % (2 * root) == 0
             assert len({f * v % (2 * root) for v in range(m)}) == m
@@ -1134,7 +1134,7 @@ class TestSingletonSeries:
         calls = []
         reports = []
         real_values = blocks._level_values
-        real_report = cli.block_match_report
+        real_report = suites.block_match_report
 
         def counted(*args):
             calls.append(args)
@@ -1145,7 +1145,7 @@ class TestSingletonSeries:
             return real_report(n, e, m)
 
         monkeypatch.setattr(blocks, "_level_values", counted)
-        monkeypatch.setattr(cli, "block_match_report", recorded)
+        monkeypatch.setattr(suites, "block_match_report", recorded)
         _, _, failures = run_suite("thm1", max_n=8)
         assert failures == []
         sides = [

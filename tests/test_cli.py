@@ -12,10 +12,11 @@ from types import SimpleNamespace
 import pytest
 
 import abacore
-from abacore import blocks, cli, hc_series, levelrank, partitions
-from abacore.cli import main, run_suite
+from abacore import blocks, cli, hc_series, levelrank, partitions, suites
+from abacore.cli import main
 from abacore.partitions import ChargedMultiPartition, Partition, _abaci, partitions_of
 from abacore.polynomials import generic_degree
+from abacore.suites import run_suite
 from oracles import (
     PARTITION_COUNTS,
     EquivalenceViolation,
@@ -298,26 +299,40 @@ class TestVerify:
         "suite, flag",
         [
             (suite, flag)
-            for suite, (_, reads) in cli.SUITES.items()
+            for suite, (_, reads) in suites.SUITES.items()
             for flag in cli.VERIFY_FLAGS
             if flag not in reads
         ],
     )
     def test_refuses_an_unread_flag_before_its_bound(self, capsys, suite, flag):
         # a value above every bound: the unread flag, not its size, is the error
-        over = max(cli.VERIFY_MAX_N, cli.VERIFY_MAX_TRIALS, cli.LEVEL_MAX) + 1
+        bounds = [
+            bound
+            for _, reads in suites.SUITES.values()
+            for _, bound in reads.values()
+            if bound is not None
+        ]
+        over = max(bounds) + 1
         option = "--" + flag.replace("_", "-")
         code, out, err = run(capsys, "verify", suite, option, str(over))
         assert code == 2
         assert out == ""
         assert f"does not take {option}" in err
 
+    def test_an_unread_flag_is_refused_before_a_bound_is_applied(self, capsys):
+        # one pass over the given flags, in the parser's order: --max-n,
+        # which roundtrip does not read, comes before --trials
+        argv = ("verify", "roundtrip", "--max-n", "5", "--trials", "999999")
+        assert run(capsys, *argv) == (
+            2, "", "error: verify roundtrip does not take --max-n\n"
+        )
+
     def test_thm2_reports_a_planted_failure(self, capsys, monkeypatch):
         # negative control: one broken (partition, e, m) case must surface
         # as exactly one failure and a nonzero exit.  The suite compares
         # routes from charge-0 (charge, split) facts; a split at level 2
         # determines its partition, so it picks out (2, 1).
-        real = cli._routes_agree
+        real = suites._routes_agree
         target = (0, partitions.regroup(_abaci((Partition((2, 1)),), (0,)), 2))
 
         def broken(e, m, split_e, split_m):
@@ -325,7 +340,7 @@ class TestVerify:
                 return False
             return real(e, m, split_e, split_m)
 
-        monkeypatch.setattr(cli, "_routes_agree", broken)
+        monkeypatch.setattr(suites, "_routes_agree", broken)
         _, cases, failures = run_suite("thm2", max_n=3)
         assert cases == 45 * 6  # partitions of 1..3
         assert failures == [
@@ -340,17 +355,17 @@ class TestVerify:
         # (3,).  Both routes are bijections, so every pair with level 3
         # fails for (2, 1), and only those: a split is a fact of one
         # partition at one level, not of a pair, a size or another partition
-        real = cli.regroup
+        real = suites.regroup
         target = _abaci((Partition((2, 1)),), (0,))
         wrong = _abaci((Partition((3,)),), (0,))
 
         def corrupt(abaci, level):
             return real(wrong if (abaci, level) == (target, 3) else abaci, level)
 
-        monkeypatch.setattr(cli, "regroup", corrupt)
+        monkeypatch.setattr(suites, "regroup", corrupt)
         _, cases, failures = run_suite("thm2", max_n=3)
         assert cases == 45 * 6
-        level_3_pairs = [pair for pair in cli._coprime_pairs(None, None) if 3 in pair]
+        level_3_pairs = [pair for pair in suites._coprime_pairs(None, None) if 3 in pair]
         assert len(level_3_pairs) == 8  # m = 3 with e = 1, 2; e = 3 with 6 m
         assert failures == [
             {"n": 3, "e": e, "m": m, "partition": "2,1", "pass": False}
@@ -362,13 +377,13 @@ class TestVerify:
         # made at charge 0, is labelled charge 1, so _routes_agree corrects
         # it by affine_perm(e, m, 1) and every case of every pair fails;
         # unpatched, every case passes
-        real = cli._routes_agree
+        real = suites._routes_agree
 
         def mislabelled(e, m, split_e, split_m):
             assert split_e[0] == split_m[0] == 0
             return real(e, m, (1, split_e[1]), split_m)
 
-        monkeypatch.setattr(cli, "_routes_agree", mislabelled)
+        monkeypatch.setattr(suites, "_routes_agree", mislabelled)
         _, cases, failures = run_suite("thm2", max_n=4)
         assert (cases, len(failures)) == (45 * 11, 495)  # partitions of 1..4
         code, _, _ = run(capsys, "verify", "thm2", "--max-n", "4")
@@ -392,7 +407,7 @@ class TestVerify:
         # negative control: one (partition, e) gone wrong must surface as
         # exactly one failure.  The patch sits on the name the suite calls,
         # above the multiplicity cache, so no stale entry outlives it.
-        real = getattr(cli, name)
+        real = getattr(suites, name)
         target = (first_arg(Partition((2, 1))), 3)
 
         def broken(x, e):
@@ -400,14 +415,14 @@ class TestVerify:
             return wrong(value) if (x, e) == target else value
 
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, broken)
+            patch.setattr(suites, name, broken)
             _, cases, failures = run_suite("cuspidal", max_n=4)
             assert cases == 12 * 10  # partitions of 0..4, e = 1..10
             assert failures == [{"partition": "2,1", "e": 3, "pass": False}]
             code, out, _ = run(capsys, "verify", "cuspidal", "--max-n", "4")
             assert code == 1
             assert json.loads(out)["failures"] == failures
-        assert getattr(cli, name) is real
+        assert getattr(suites, name) is real
         assert run_suite("cuspidal", max_n=4)[2] == []
 
     def test_content_prop_reports_a_planted_failure(self, capsys, monkeypatch):
@@ -501,7 +516,7 @@ class TestVerify:
         # negative control: between them the mutants make every problem
         # label appear, each in a pinned number of the 200 trials at seed 7
         with monkeypatch.context() as patch:
-            patch.setattr(cli, name, breaks(getattr(cli, name)))
+            patch.setattr(suites, name, breaks(getattr(suites, name)))
             _, cases, failures = run_suite("roundtrip", trials=200, seed=7)
             assert cases == 200
             found = Counter(label for f in failures for label in f["problems"])
@@ -623,17 +638,17 @@ class TestPerMemberFacts:
     def test_thm2_cases_match_the_per_call_oracle(self, monkeypatch, levels):
         # with one pair given, the suite must split at its two levels alone;
         # the oracle splits at the series charges, the suite at charge 0
-        real = cli.regroup
+        real = suites.regroup
         split_at = set()
 
         def spy(abaci, level):
             split_at.add(level)
             return real(abaci, level)
 
-        monkeypatch.setattr(cli, "regroup", spy)
+        monkeypatch.setattr(suites, "regroup", spy)
         cases = []
         run_suite("thm2", cases.append, max_n=9, **levels)
-        pairs = cli._coprime_pairs(levels.get("e"), levels.get("m"))
+        pairs = suites._coprime_pairs(levels.get("e"), levels.get("m"))
         assert cases == [
             {
                 "n": n,
@@ -679,7 +694,7 @@ class TestPerMemberFacts:
         for cached in caches:
             cached.cache_clear()
         try:
-            for module in (partitions, levelrank, cli):
+            for module in (partitions, levelrank, suites):
                 monkeypatch.setattr(module, "regroup", spy)
             run_suite(suite, cases.append, **given)
             filled = partitions.e_quotient_charged.cache_info().currsize
@@ -1095,8 +1110,8 @@ class TestStreamWriter:
                 yield 1, {"trial": trial, "pass": True}
             raise error("planted")
 
-        suite = (three_then_fail, {"trials": 9, "seed": 0})
-        monkeypatch.setitem(cli.SUITES, "roundtrip", suite)
+        suite = (three_then_fail, {"trials": (9, None), "seed": (0, None)})
+        monkeypatch.setitem(suites.SUITES, "roundtrip", suite)
         if error is ValueError:
             code, out, err = run(capsys, "verify", "roundtrip", "--stream")
             assert (code, err) == (2, "error: planted\n")
@@ -1177,6 +1192,33 @@ class TestUsageErrors:
         # series and blocks bound --n and the levels alike at 40
         bound = {"series": 40, "blocks": 40, "--max-n": 16, "--trials": 100000, "--e": 40}
         assert f"at most {bound.get(flag, 1000)}" in err
+
+    @pytest.mark.parametrize(
+        "suite, flag, bound",
+        [
+            (suite, flag, bound)
+            for suite, (_, reads) in suites.SUITES.items()
+            for flag, (_, bound) in reads.items()
+            if bound is not None
+        ],
+    )
+    def test_every_row_bound(self, capsys, suite, flag, bound):
+        assert bound == {"max_n": 16, "e": 40, "m": 40, "trials": 100_000}[flag]
+        option = "--" + flag.replace("_", "-")
+        code, out, err = run(capsys, "verify", suite, option, str(bound + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} {bound + 1} is too large; at most {bound} is supported\n"
+
+        # at the bound the suite starts: stop it at its first case
+        class Started(Exception):
+            pass
+
+        def stop(case):
+            raise Started
+
+        given = {"e": 39, "m": 39} if flag in ("e", "m") else {}
+        with pytest.raises(Started):
+            run_suite(suite, stop, **{**given, flag: bound})
 
     def test_size_guard_admits_the_bound(self, capsys):
         code, out, _ = run(capsys, "core", "--partition", "1000", "--e", "1000")

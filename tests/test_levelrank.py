@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abacore import levelrank, partitions
-from abacore.cli import LEVEL_SWEEP_MAX
+from abacore.suites import LEVEL_SWEEP_MAX
 from abacore.levelrank import (
     AffinePerm,
     affine_perm,

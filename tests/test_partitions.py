@@ -274,6 +274,40 @@ class TestValueTypes:
         with pytest.raises(ValueError, match=message):
             make()
 
+    # each checked named tuple: a valid value, fields whose replacement its
+    # constructor refuses, and the constructor's message
+    CHECKED = {
+        "BetaSet": (
+            lambda: BetaSet(0, ()), {"tail": (0,)}, "tail entries must exceed the floor"
+        ),
+        "AffinePerm": (
+            lambda: AffinePerm(2, (0, 1), (0, 0)),
+            {"perm": (0, 0)},
+            "inconsistent affine permutation data",
+        ),
+        "ChargedMultiPartition": (
+            lambda: CMP((P(()), P((1,))), (0, 0)),
+            {"components": (), "charges": ()},
+            "need at least one component",
+        ),
+        "CuspidalPairGL": (
+            lambda: CuspidalPairGL(5, 2, 2, P((1,))),
+            {"a": 0, "core": P((5,))},
+            re.escape("(5,) is not a 2-core"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CHECKED))
+    def test_make_and_replace_check_like_the_constructor(self, name):
+        make, bad, message = self.CHECKED[name]
+        value = make()
+        for same in (value._replace(), type(value)._make(value)):
+            assert type(same) is type(value) and same == value
+        with pytest.raises(ValueError, match=message):
+            value._replace(**bad)
+        with pytest.raises(ValueError, match=message):
+            type(value)._make({**value._asdict(), **bad}.values())
+
 
 class TestSplitJoin:
     # a beta set splits into its e residue classes through uglov from level 1

@@ -7,7 +7,7 @@ library restates the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once, and one function, the side
 table, groups a series' multipartitions into blocks, which only one key kernel
-counts box by box.  cli.py writes stdout through one writer.  Every cache
+counts box by box.  Only cli.py's one writer writes stdout.  Every cache
 hit ratio the benchmark's per-layer report reads belongs to a memoised
 library function.  No library function is an alias that only passes its own
 parameters on to another library function.  No library module imports
@@ -393,15 +393,20 @@ def stdout_writes(text):
 
 
 def test_cli_writes_stdout_through_one_writer():
-    text = (SRC / "cli.py").read_text()
-    assert stdout_writes(text) == ["_Lines: sys.stdout.write"]
-    # the one print left is the error line on stderr
+    sources = _library_sources()
+    assert [
+        f"{module}.{write}"
+        for module, text in sources.items()
+        for write in stdout_writes(text)
+    ] == ["cli._Lines: sys.stdout.write"]
+    # the one print left is cli's error line on stderr
     prints = [
-        node
+        module
+        for module, text in sources.items()
         for node in ast.walk(ast.parse(text))
         if isinstance(node, ast.Call) and _dotted(node.func) == "print"
     ]
-    assert len(prints) == 1
+    assert prints == ["cli"]
 
 
 def test_scan_catches_a_second_stdout_writer():
@@ -452,7 +457,9 @@ def test_readme_table_names_exist():
     readme = README.read_text()
     assert [module for module, _ in library_rows(readme)] == [
         f"abacore.{name}"
-        for name in ("partitions", "levelrank", "polynomials", "hc_series", "blocks")
+        for name in (
+            "partitions", "levelrank", "polynomials", "hc_series", "blocks", "suites"
+        )
     ]
     assert stale_readme_names(readme, importlib.import_module) == []
 
