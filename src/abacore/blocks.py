@@ -33,18 +33,19 @@ from .hc_series import (
     hc_pairs,
     specialization,
 )
-from .levelrank import uglov
 from .partitions import (
     ChargedMultiPartition,
     MultiPartition,
     Partition,
+    _abaci,
+    _charged,
     _contents,
     core_exponents,
     e_core,
     e_quotient_charged,
     multipartitions_of,
     partitions_of,
-    to_beta,
+    regroup,
 )
 from .polynomials import ennola_e
 
@@ -147,12 +148,6 @@ def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> b
     return _member_key(p, e, m) == _member_key(r, e, m)
 
 
-@lru_cache(maxsize=None)
-def _sorted_mps(e: int, a: int) -> tuple[MultiPartition, ...]:
-    """multipartitions_of(e, a) in increasing order (memoised)."""
-    return tuple(sorted(multipartitions_of(e, a)))
-
-
 def block_partition(
     e: int, a: int, core: Partition, m: int
 ) -> tuple[tuple[MultiPartition, ...], ...]:
@@ -161,7 +156,6 @@ def block_partition(
     otherwise).  Raises OmegaIsOne when m divides e, where the underlying
     ratio specializes to 1.
     """
-    _require_blocks(e, m)
     return series_blocks(CuspidalPairGL(core.size + a * e, e, a, core), m)
 
 
@@ -204,24 +198,24 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     """Coefficientwise check of the content generating identity at level e:
     (1 - t^-e) times the residue series of the charged e-quotient of |p, s>
     equals the beta-set series of p minus that of its e-core, both at
-    charge s.  At e = 1 the quotient is |p, s> itself and the 1-core is
-    empty, so this is the level-1 identity.  Compared as integer counts on
-    the identity's support: the left side is nonzero only at the residue
-    values v and at v - e, the right side only at beads at or above the
-    lower of the two floors, below which both beta sets are full; so every
-    exponent is compared.  Raises ValueError for e < 1, from e_core, before
-    any bead map runs.
+    charge s.  Both beta sets come from one _abaci call, and the quotient
+    is the first of them regrouped at level e.  At e = 1 the quotient is
+    |p, s> itself and the 1-core is empty, so this is the level-1 identity.
+    Compared as integer counts on the identity's support: the left side is
+    nonzero only at the residue values v and at v - e, the right side only
+    at beads at or above the lower of the two floors, below which both beta
+    sets are full; so every exponent is compared.  Raises ValueError for
+    e < 1, from e_core, before any bead map runs.
     """
-    core = e_core(p, e)
-    charged = ChargedMultiPartition((p,), (s,))
+    abaci = _abaci((p, e_core(p, e)), (s, s))
+    quotient = ChargedMultiPartition(*_charged(regroup(abaci[:1], e)))
     diff: dict[int, int] = {}
-    for v, c in residue_multiset(uglov(charged, e)):
+    for v, c in residue_multiset(quotient):
         diff[v] = diff.get(v, 0) + c
         diff[v - e] = diff.get(v - e, 0) - c
-    betas = to_beta(charged), to_beta(ChargedMultiPartition((core,), (s,)))
-    base = min(beta.floor for beta in betas)
-    for sign, beta in zip((-1, 1), betas):
-        for k in (*range(base, beta.floor), *beta.tail):
+    base = min(floor for floor, _ in abaci)
+    for sign, (floor, tail) in zip((-1, 1), abaci):
+        for k in (*range(base, floor), *tail):
             diff[k] = diff.get(k, 0) + sign
     return not any(diff.values())
 
@@ -243,7 +237,7 @@ def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, b
     content -a < c < a, is a one-to-one function of its GL value, so that GU
     keys group as GL keys.  At at_root = 1 every key collapses, and a series
     with a = 0 has one member: either way it is one block on both variants."""
-    mps = _sorted_mps(pair.e, pair.a)
+    mps = multipartitions_of(pair.e, pair.a)
     if at_root == 1 or pair.a == 0:
         return [len(mps)], dict.fromkeys(mps, 0), True
     d, omega, alphas = _level_values(pair.core, pair.e, at_root)

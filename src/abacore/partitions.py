@@ -3,13 +3,14 @@
 Conventions used throughout the package:
 
 * A partition is a weakly decreasing tuple of positive integers; the empty
-  partition is allowed.  Partition subclasses tuple, so partitions and the
-  multipartitions built from them compare, hash and sort as their part
-  tuples: sorted() gives the lexicographic order (Macdonald, I.1) in which
-  series, their members and blocks are listed.  Every value type but
-  IntPolynomial is an immutable tuple, checked when built, read by field
-  name and equal to the plain tuple of its fields.  Boxes are indexed (row,
-  column), both 1-based, and the content of a box is column - row.
+  partition is allowed.  Parts and charges have type int: bool is refused.
+  Partition subclasses tuple, so partitions and the multipartitions built
+  from them compare, hash and sort as their part tuples: sorted() gives the
+  lexicographic order (Macdonald, I.1) in which series, their members and
+  blocks are listed.  Every value type but IntPolynomial is an immutable
+  tuple, checked when built, read by field name and equal to the plain tuple
+  of its fields.  Boxes are indexed (row, column), both 1-based, and the
+  content of a box is column - row.
 * A charged partition is a ChargedMultiPartition of level 1.  Its beta set
   is {parts[i] - (i+1) + charge : i >= 0}, which contains every integer
   below some floor.  We store the canonical pair (floor, tail): floor is the
@@ -46,9 +47,11 @@ class Partition(tuple):
     def __new__(cls, parts=()):
         self = super().__new__(cls, parts)
         for i, p in enumerate(self):
+            if type(p) is not int:
+                raise ValueError(f"parts must be integers, got {p!r}")
             if p < 1:
                 raise ValueError(f"parts must be positive, got {p}")
-            if i + 1 < len(self) and self[i + 1] > p:
+            if i and self[i - 1] < p:
                 raise ValueError(f"parts must be weakly decreasing: {self.parts}")
         return self
 
@@ -93,6 +96,11 @@ class ChargedMultiPartition(namedtuple("ChargedMultiPartition", "components char
             raise ValueError("component and charge counts differ")
         if not components:
             raise ValueError("need at least one component")
+        for q, c in zip(components, charges):
+            if not isinstance(q, Partition):
+                raise ValueError(f"components must be Partitions, got {q!r}")
+            if type(c) is not int:
+                raise ValueError(f"charges must be integers, got {c!r}")
         return tuple.__new__(cls, (components, charges))
 
     @property
@@ -356,20 +364,19 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 @lru_cache(maxsize=None)
 def multipartitions_of(e: int, a: int) -> tuple[MultiPartition, ...]:
-    """All e-tuples of partitions of total size a, in decreasing
-    lexicographic order of (|p_1|, p_1, ..., |p_e|, p_e)."""
+    """All e-tuples of partitions of total size a, in increasing lexicographic
+    order of their part tuples: the sorted() order blocks list members in."""
     if e < 1:
         raise ValueError("e must be >= 1")
     if a < 0:
         raise ValueError("a must be >= 0")
     if e == 1:
-        return tuple((p,) for p in partitions_of(a))
-    out = []
-    for head in range(a, -1, -1):
-        for p in partitions_of(head):
-            for rest in multipartitions_of(e - 1, a - head):
-                out.append((p,) + rest)
-    return tuple(out)
+        return tuple((p,) for p in sorted(partitions_of(a)))
+    return tuple(
+        (p,) + rest
+        for p in sorted(q for k in range(a + 1) for q in partitions_of(k))
+        for rest in multipartitions_of(e - 1, a - p.size)
+    )
 
 
 # ---------------------------------------------------------------------------

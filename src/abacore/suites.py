@@ -26,13 +26,11 @@ from .blocks import (
     check_content_lemma,
     lossless_window,
 )
-from .hc_series import DegreeSignError, degree_sign
+from .hc_series import DegreeSignError, degree_sign, hc_partition
 from .levelrank import _routes_agree, qr_em, uglov
 from .partitions import (
     ChargedMultiPartition,
-    Partition,
     _abaci,
-    e_core,
     from_beta,
     hook_lengths,
     is_e_core,
@@ -114,17 +112,12 @@ def _content_lemma_cases(max_n):
 
 
 def _content_prop_cases(max_n):
+    """Member pairs of each e-series of hc_partition(n, e), at each coprime m:
+    series listed by largest member, largest first, members named once."""
     for n in range(1, max_n + 1):
         for e in range(1, 7):
-            by_core: dict[Partition, list[Partition]] = {}
-            for p in partitions_of(n):
-                by_core.setdefault(e_core(p, e), []).append(p)
-            # the e-core classes with a pair to compare, members named once
-            classes = [
-                [(p, str(p)) for p in sorted(members)]
-                for members in by_core.values()
-                if len(members) > 1
-            ]
+            series = sorted(hc_partition(n, e).values(), key=max, reverse=True)
+            classes = [[(p, str(p)) for p in ms] for ms in series if len(ms) > 1]
             for m in (m for m in range(1, 7) if gcd(e, m) == 1):
                 for members in classes:
                     facts = [(p, name, _member_facts(p, e, m)) for p, name in members]

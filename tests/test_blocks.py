@@ -25,7 +25,6 @@ from abacore.hc_series import (
     specialization,
 )
 from abacore.partitions import (
-    BetaSet,
     ChargedMultiPartition,
     Partition,
     e_core,
@@ -585,13 +584,14 @@ class TestContentLemma:
         assert len(self._failures()) == 1161
 
     def test_wrong_quotient_charge_mutant_fails(self, monkeypatch):
-        real = blocks.uglov
+        # the quotient split off |p, s + 1>: every bead of the abacus that
+        # is regrouped to level e moves up by one
+        real = blocks.regroup
 
-        def shifted(cmp, e):
-            charges = tuple(c + 1 for c in cmp.charges)
-            return real(ChargedMultiPartition(cmp.components, charges), e)
+        def shifted(abaci, e):
+            return real(tuple((f + 1, tuple(x + 1 for x in t)) for f, t in abaci), e)
 
-        monkeypatch.setattr(blocks, "uglov", shifted)
+        monkeypatch.setattr(blocks, "regroup", shifted)
         assert len(self._failures()) == 1521
 
     def test_shifted_level_one_residues_mutant_fails(self, monkeypatch):
@@ -617,8 +617,8 @@ class TestContentLemma:
         def bead_map(*args):
             raise AssertionError("bead map reached")
 
-        monkeypatch.setattr(blocks, "uglov", bead_map)
-        monkeypatch.setattr(blocks, "to_beta", bead_map)
+        monkeypatch.setattr(blocks, "regroup", bead_map)
+        monkeypatch.setattr(blocks, "_abaci", bead_map)
         for p, s in ((P(()), 0), (P((2, 1)), 3), (P((1,)), -2)):
             with pytest.raises(ValueError, match="^e must be >= 1$"):
                 check_content_lemma(p, s, e)
@@ -665,7 +665,8 @@ class TestContentLemma:
     def test_comparison_reaches_both_ends(self, monkeypatch):
         # one planted difference fails the check far below any window, and
         # above every value and bead of both sides
-        real_rm, real_beta = blocks.residue_multiset, blocks.to_beta
+        real_rm = blocks.residue_multiset
+        real_abaci, real_regroup = blocks._abaci, blocks.regroup
         assert check_content_lemma(P((2, 1)), 0, 2)
         assert check_content_lemma(P((2,)), 0, 2)
         monkeypatch.setattr(
@@ -674,14 +675,17 @@ class TestContentLemma:
         assert not check_content_lemma(P((2, 1)), 0, 2)
         monkeypatch.setattr(blocks, "residue_multiset", real_rm)
 
-        def raised(cmp):
+        def planted(components, charges):
             # a bead at 1000 on the beta set of (2), not on its empty 2-core
-            beta = real_beta(cmp)
-            if not cmp.components[0].parts:
-                return beta
-            return BetaSet(beta.floor, (1000, *beta.tail))
+            (floor, tail), core = real_abaci(components, charges)
+            return (floor, (1000, *tail)), core
 
-        monkeypatch.setattr(blocks, "to_beta", raised)
+        def stripped(abaci, e):
+            # the quotient is split off the beta set of (2) without that bead
+            return real_regroup(tuple((f, t[1:]) for f, t in abaci), e)
+
+        monkeypatch.setattr(blocks, "_abaci", planted)
+        monkeypatch.setattr(blocks, "regroup", stripped)
         assert not check_content_lemma(P((2,)), 0, 2)
 
 
@@ -793,6 +797,12 @@ class TestBlockMatchReport:
             block_match_report(3, 2, 2)
         with pytest.raises(ValueError):
             block_match_report(5, 4, 6)
+
+    @pytest.mark.parametrize("n, e, m", [(0, 1, 2), (3, 0, 1), (3, 1, 0), (-1, 2, 3)])
+    def test_rejects_nonpositive_arguments(self, n, e, m):
+        with pytest.raises(ValueError) as exc:
+            block_match_report(n, e, m)
+        assert str(exc.value) == "n, e, m must be >= 1"
 
     def test_level_one_side(self):
         # level 1 on either side collapses that side to a single block

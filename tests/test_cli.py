@@ -1162,6 +1162,22 @@ class TestUsageErrors:
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify", "thm1", "--e", "3"), "give both --e and --m, or neither"),
+            (("verify", "thm2", "--e", "0", "--m", "1"), "levels must be >= 1"),
+            (
+                ("uglov", "--mp", ";", "--charges=0,0", "--e", "0", "--m", "1"),
+                "levels must be >= 1",
+            ),
+            (("blocks", "--n", "0", "--e", "1", "--m", "1"), "n, e, m must be >= 1"),
+        ],
+        ids=["thm1-one-level", "thm2-level-0", "uglov-level-0", "blocks-n-0"],
+    )
+    def test_refusals(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("series", "--n", "41", "--e", "2"),

@@ -141,6 +141,13 @@ class TestAffinePerm:
         for s in range(-4, 5):
             assert affine_perm(1, 5, s) == AffinePerm(1, (0,), (-s,))
 
+    @pytest.mark.parametrize("e, m", [(0, 1), (1, 0), (-1, 2)])
+    def test_rejects_nonpositive_levels(self, e, m):
+        # gcd(e, m) is 1 for each, so only the level check can name the fault
+        with pytest.raises(ValueError) as exc:
+            affine_perm(e, m, 0)
+        assert str(exc.value) == "levels must be >= 1"
+
     def test_bead_action_definition(self):
         for e, m in ((2, 3), (3, 4), (5, 2)):
             for s in (-3, 0, 2):

@@ -2,6 +2,7 @@ import copy
 import pickle
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,49 @@ class TestPartitionBasics:
             P((2, 0))
         assert str(exc.value) == "parts must be positive, got 0"
 
+    @pytest.mark.parametrize(
+        "parts, bad",
+        [
+            ((2.5, 1), "2.5"),
+            (("3", "1"), "'3'"),
+            ((True,), "True"),
+            ((3, 1.0), "1.0"),
+            # a later part is typed before it is compared with the one above
+            ((3, "1"), "'1'"),
+            ((3, 1, 2.5), "2.5"),
+            ((Fraction(2), 1), "Fraction(2, 1)"),
+            # the type is checked before the sign
+            ((0.5,), "0.5"),
+            ((False,), "False"),
+        ],
+    )
+    def test_parts_must_be_integers(self, parts, bad):
+        # bool is refused with every other non-int: a part counts boxes
+        with pytest.raises(ValueError) as exc:
+            P(parts)
+        assert str(exc.value) == f"parts must be integers, got {bad}"
+
+    def test_integer_parts_fail_their_first_check(self):
+        # the sign of each part is checked before its order against the
+        # part above, as when each part was compared with the one below
+        def first_fault(parts):
+            for i, p in enumerate(parts):
+                if p < 1:
+                    return f"parts must be positive, got {p}"
+                if i + 1 < len(parts) and parts[i + 1] > p:
+                    return f"parts must be weakly decreasing: {parts}"
+            return None
+
+        for parts in product(range(-1, 4), repeat=4):
+            for k in range(5):
+                expected = first_fault(parts[:k])
+                if expected is None:
+                    assert P(parts[:k]).parts == parts[:k]
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    P(parts[:k])
+                assert str(exc.value) == expected
+
     def test_is_its_tuple_of_parts(self):
         ps = list(all_partitions_up_to(8))
         for p in ps:
@@ -126,6 +170,32 @@ class TestPartitionBasics:
     def test_partition_counts(self):
         for n, expected in enumerate(PARTITION_COUNTS):
             assert len(partitions_of(n)) == expected
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: is_e_core(P((2, 1)), 0), "e must be >= 1"),
+            (lambda: partitions_of(-1), "n must be >= 0"),
+            (lambda: multipartitions_of(0, 1), "e must be >= 1"),
+            (lambda: multipartitions_of(1, -1), "a must be >= 0"),
+        ],
+        ids=["is_e_core", "partitions_of", "multipartitions_of-e", "multipartitions_of-a"],
+    )
+    def test_refusals(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_multipartitions_are_listed_in_sorted_order(self):
+        # the order blocks list their members in, so no caller sorts them
+        for e in range(1, 5):
+            for a in range(7):
+                mps = multipartitions_of(e, a)
+                assert list(mps) == sorted(set(mps))
+        assert [tuple(q.parts for q in mp) for mp in multipartitions_of(2, 1)] == [
+            ((), (1,)),
+            ((1,), ()),
+        ]
 
     def test_multipartition_counts(self):
         assert len(multipartitions_of(1, 4)) == 5
@@ -273,6 +343,31 @@ class TestValueTypes:
     def test_constructor_messages(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    @pytest.mark.parametrize(
+        "components, charges, message",
+        [
+            (((1, 3),), (0,), "components must be Partitions, got (1, 3)"),
+            ((P((1,)), ()), (0, 0), "components must be Partitions, got ()"),
+            ((P(()),), (0.5,), "charges must be integers, got 0.5"),
+            ((P(()), P((1,))), (0, "1"), "charges must be integers, got '1'"),
+            ((P(()),), (True,), "charges must be integers, got True"),
+        ],
+    )
+    def test_charged_field_types(self, components, charges, message):
+        with pytest.raises(ValueError) as exc:
+            CMP(components, charges)
+        assert str(exc.value) == message
+
+    def test_uglov_input_is_checked_at_the_boundary(self):
+        # an unsorted tuple component and a float charge were read as they
+        # stood: the first split into ((1,), (1,)), the second failed in regroup
+        with pytest.raises(ValueError, match="^components must be Partitions"):
+            uglov(CMP(((1, 3),), (0,)), 2)
+        with pytest.raises(ValueError, match="^charges must be integers, got 1.5$"):
+            uglov(CMP((P((2,)),), (1.5,)), 2)
+        with pytest.raises(ValueError, match="^charges must be integers"):
+            CMP((P((1,)),), (0,))._replace(charges=(0.0,))
 
     # each checked named tuple: a valid value, fields whose replacement its
     # constructor refuses, and the constructor's message

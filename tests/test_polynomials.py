@@ -377,6 +377,12 @@ class TestSingularCheck:
         for e in (1, 2, 9):
             assert singular_check(P(()), e)
 
+    @pytest.mark.parametrize("e", [0, -2])
+    def test_rejects_nonpositive_level(self, e):
+        with pytest.raises(ValueError) as exc:
+            singular_check(P((2, 1)), e)
+        assert str(exc.value) == "e must be >= 1"
+
     def test_matches_core_criterion(self):
         for n in range(9):
             for p in partitions_of(n):
@@ -404,6 +410,12 @@ class TestEnnola:
         assert ennola_e(3) == 6
         assert ennola_e(4) == 4
         assert ennola_e(6) == 3
+
+    @pytest.mark.parametrize("e", [0, -3])
+    def test_index_rejects_nonpositive_level(self, e):
+        with pytest.raises(ValueError) as exc:
+            ennola_e(e)
+        assert str(exc.value) == "e must be >= 1"
 
     def test_involution(self):
         for e in range(1, 25):

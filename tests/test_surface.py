@@ -12,7 +12,9 @@ hit ratio the benchmark's per-layer report reads belongs to a memoised
 library function.  No library function is an alias that only passes its own
 parameters on to another library function.  No library module imports
 dataclasses, inspect, ast, dis or tokenize, and importing the CLI loads none
-of them: every abacore process would pay for them at start-up.
+of them: every abacore process would pay for them at start-up.  The modules
+import one another only along a pinned graph, in which blocks reads abaci
+from partitions without the level-rank layer.
 """
 
 import ast
@@ -269,41 +271,47 @@ def test_scan_catches_series_charge():
     assert series_charge_sites(sources) == ["a:1", "b:2"]
 
 
-def sorted_mps_callers(sources):
+def multipartitions_callers(sources):
     """"module.function" of each top-level function or class that calls
-    _sorted_mps, by name or attribute ("module.<module>" for a call outside
-    them): a series' multipartitions are numbered into blocks in one place,
-    the side table, so a second grouping beside it would call them too."""
+    multipartitions_of, by name or attribute ("module.<module>" for a call
+    outside them): a series' multipartitions are numbered into blocks in one
+    place, the side table, so a second grouping beside it would call them
+    too."""
     found = set()
     for module, text in sources.items():
         for stmt in ast.parse(text).body:
             owner = getattr(stmt, "name", "<module>")
             for node in ast.walk(stmt):
                 func = node.func if isinstance(node, ast.Call) else None
-                if getattr(func, "id", getattr(func, "attr", None)) == "_sorted_mps":
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name == "multipartitions_of":
                     found.add(f"{module}.{owner}")
     return sorted(found)
 
 
 def test_one_block_grouping():
-    assert sorted_mps_callers(_library_sources()) == ["blocks._side_blocks"]
+    # besides the side table, only the enumeration's own recursion lists them
+    assert multipartitions_callers(_library_sources()) == [
+        "blocks._side_blocks",
+        "partitions.multipartitions_of",
+    ]
 
 
 def test_scan_catches_second_grouping():
     sources = {
         "a": (
             "def table(e, a):\n"
-            "    return len(_sorted_mps(e, a)) + len(_sorted_mps(a, e))\n"
+            "    return len(multipartitions_of(e, a)) + len(multipartitions_of(a, e))\n"
             # a bare reference is not a call
             "def mention():\n"
-            "    return _sorted_mps\n"
+            "    return multipartitions_of\n"
             "class Grouping:\n"
             "    def blocks(self):\n"
-            "        return [mp for mp in blocks._sorted_mps(2, 1)]\n"
+            "        return [mp for mp in partitions.multipartitions_of(2, 1)]\n"
         ),
-        "b": "ALL = _sorted_mps(1, 2)\n",
+        "b": "ALL = multipartitions_of(1, 2)\n",
     }
-    assert sorted_mps_callers(sources) == ["a.Grouping", "a.table", "b.<module>"]
+    assert multipartitions_callers(sources) == ["a.Grouping", "a.table", "b.<module>"]
 
 
 def contents_loops(sources):
@@ -661,3 +669,74 @@ def test_cli_import_loads_nothing_heavy():
     added = set(child.stdout.split())
     assert "abacore.cli" in added
     assert sorted(added & set(STARTUP_HEAVY)) == []
+
+
+# module -> the abacore modules it imports: the layers from partitions up to
+# the suites and the CLI.  blocks reads abaci from partitions, not through
+# the level-rank layer, and nothing below the suites imports them.
+IMPORT_GRAPH = {
+    "__init__": ["blocks", "hc_series", "levelrank", "partitions", "polynomials"],
+    "__main__": ["cli"],
+    "blocks": ["hc_series", "partitions", "polynomials"],
+    "cli": ["blocks", "hc_series", "levelrank", "partitions", "suites"],
+    "hc_series": ["partitions", "polynomials"],
+    "levelrank": ["partitions"],
+    "partitions": [],
+    "polynomials": ["partitions"],
+    "suites": ["blocks", "hc_series", "levelrank", "partitions", "polynomials"],
+}
+
+
+def module_imports(sources):
+    """Each module's sorted list of the abacore modules it imports anywhere
+    in its source, relatively ("from .levelrank import uglov", "from . import
+    cli") or by the package name ("import abacore.cli", "from abacore import
+    blocks")."""
+    graph = {}
+    for module, text in sources.items():
+        found = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name.split(".") for alias in node.names]
+                found.update(d[1] for d in dotted if d[0] == "abacore" and len(d) > 1)
+            elif isinstance(node, ast.ImportFrom):
+                path = node.module.split(".") if node.module else []
+                if node.level == 0:
+                    if path[:1] != ["abacore"]:
+                        continue
+                    path = path[1:]
+                if path:
+                    found.add(path[0])
+                else:
+                    found.update(alias.name for alias in node.names)
+        graph[module] = sorted(found)
+    return graph
+
+
+def test_import_graph():
+    assert module_imports(_library_sources()) == IMPORT_GRAPH
+
+
+def test_scan_catches_a_new_import():
+    blocks = (SRC / "blocks.py").read_text()
+    planted = {"blocks": blocks + "from .levelrank import uglov\n"}
+    assert module_imports(planted)["blocks"] == [
+        "hc_series", "levelrank", "partitions", "polynomials"
+    ]
+    sources = {
+        "a": (
+            "import json, abacore.cli\n"
+            "from abacore import blocks, suites\n"
+            "from abacore.hc_series import hc_pairs\n"
+            "from collections import Counter\n"
+            "def f():\n"
+            "    from . import levelrank\n"
+            "    from .partitions.sub import x\n"
+        ),
+        # the package itself is no module of it
+        "b": "import abacore\nimport abacorex.cli\n",
+    }
+    assert module_imports(sources) == {
+        "a": ["blocks", "cli", "hc_series", "levelrank", "partitions", "suites"],
+        "b": [],
+    }
