@@ -208,7 +208,7 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     e < 1, from e_core, before any bead map runs.
     """
     abaci = _abaci((p, e_core(p, e)), (s, s))
-    quotient = ChargedMultiPartition(*_charged(regroup(abaci[:1], e)))
+    quotient = _charged(regroup(abaci[:1], e))
     diff: dict[int, int] = {}
     for v, c in residue_multiset(quotient):
         diff[v] = diff.get(v, 0) + c

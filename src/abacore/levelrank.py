@@ -62,26 +62,24 @@ def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     """
     if m < 1:
         raise ValueError("target level must be >= 1")
-    return ChargedMultiPartition(
-        *_charged(regroup(_abaci(cmp.components, cmp.charges), m))
-    )
+    return _charged(regroup(_abaci(cmp.components, cmp.charges), m))
 
 
 class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
     """An affine permutation of beads (x, i): component i is sent to
     perm[i], and a bead landing in component j is shifted by shifts[j].
 
-    perm must be a bijection of range(e); shifts is indexed by the target
-    component.
+    perm must be a bijection of range(e); shifts, e integers, is indexed by
+    the target component.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
-        if sorted(perm) != list(range(e)) or len(shifts) != e:
+        if sorted(perm) != list(range(e)) or list(map(type, shifts)) != [int] * e:
             raise ValueError("inconsistent affine permutation data")
-        return tuple.__new__(cls, (e, perm, shifts))
+        return tuple.__new__(cls, (e, tuple(perm), tuple(shifts)))
 
 
 @lru_cache(maxsize=None)
@@ -113,9 +111,7 @@ def apply_affine(ap: AffinePerm, cmp: ChargedMultiPartition) -> ChargedMultiPart
     """
     if cmp.level != ap.e:
         raise ValueError(f"expected {ap.e} components, got {cmp.level}")
-    return ChargedMultiPartition(
-        *_charged(_shift_pairs(ap, _abaci(cmp.components, cmp.charges)))
-    )
+    return _charged(_shift_pairs(ap, _abaci(cmp.components, cmp.charges)))
 
 
 def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:

@@ -8,9 +8,10 @@ Conventions used throughout the package:
   from them compare, hash and sort as their part tuples: sorted() gives the
   lexicographic order (Macdonald, I.1) in which series, their members and
   blocks are listed.  Every value type but IntPolynomial is an immutable
-  tuple, checked when built, read by field name and equal to the plain tuple
-  of its fields.  Boxes are indexed (row, column), both 1-based, and the
-  content of a box is column - row.
+  tuple, checked by its public constructor (_charged builds the bead maps'
+  outputs from fields it makes), read by field name and equal to the plain
+  tuple of its fields.  Boxes are indexed (row, column), both 1-based, and
+  the content of a box is column - row.
 * A charged partition is a ChargedMultiPartition of level 1.  Its beta set
   is {parts[i] - (i+1) + charge : i >= 0}, which contains every integer
   below some floor.  We store the canonical pair (floor, tail): floor is the
@@ -101,7 +102,7 @@ class ChargedMultiPartition(namedtuple("ChargedMultiPartition", "components char
                 raise ValueError(f"components must be Partitions, got {q!r}")
             if type(c) is not int:
                 raise ValueError(f"charges must be integers, got {c!r}")
-        return tuple.__new__(cls, (components, charges))
+        return tuple.__new__(cls, (tuple(components), tuple(charges)))
 
     @property
     def level(self) -> int:
@@ -129,11 +130,14 @@ class BetaSet(namedtuple("BetaSet", "floor tail")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, floor: int, tail: tuple[int, ...] = ()):
-        self = tuple.__new__(cls, (floor, tail))
+        self = tuple.__new__(cls, (floor, tuple(tail)))
         self.__post_init__()  # its own method: perfbench's per-layer trace counts it
         return self
 
     def __post_init__(self):
+        for x in (self.floor, *self.tail):
+            if type(x) is not int:
+                raise ValueError(f"floor and tail entries must be integers, got {x!r}")
         for i, x in enumerate(self.tail):
             if x <= self.floor:
                 raise ValueError("tail entries must exceed the floor")
@@ -200,10 +204,10 @@ def _abaci(components, charges) -> Abacus:
     )
 
 
-def _charged(abaci: Abacus) -> tuple[MultiPartition, MultiCharge]:
-    """Inverse of _abaci: (components, charges), charge = floor + len(tail).
-    An empty tail gives the shared _EMPTY, which is safe as a Partition is an
-    immutable tuple; every other component is built and validated."""
+def _charged(abaci: Abacus) -> ChargedMultiPartition:
+    """Inverse of _abaci, charge = floor + len(tail); an empty tail gives the
+    shared immutable _EMPTY, every other component is validated by Partition.
+    The fields are made here, so the named tuple is built without re-checks."""
     components = []
     charges = []
     for floor, tail in abaci:
@@ -212,7 +216,7 @@ def _charged(abaci: Abacus) -> tuple[MultiPartition, MultiCharge]:
             Partition(tuple(x + i - s for i, x in enumerate(tail, 1))) if tail else _EMPTY
         )
         charges.append(s)
-    return tuple(components), tuple(charges)
+    return tuple.__new__(ChargedMultiPartition, (tuple(components), tuple(charges)))
 
 
 def regroup(abaci: Abacus, m: int) -> Abacus:
@@ -273,7 +277,7 @@ def to_beta(cmp: ChargedMultiPartition) -> BetaSet:
 
 def from_beta(b: BetaSet) -> ChargedMultiPartition:
     """Inverse of to_beta; the output charge equals charge(b)."""
-    return ChargedMultiPartition(*_charged(((b.floor, b.tail),)))
+    return _charged(((b.floor, b.tail),))
 
 
 @lru_cache(maxsize=None)
@@ -293,8 +297,7 @@ def e_core(p: Partition, e: int) -> Partition:
 def _join_emptied(charges: MultiCharge) -> Partition:
     """The partition of the level-1 join of empty components with these
     charges; the level is len(charges), so each (core, level) is joined once."""
-    (core,), _ = _charged(regroup(tuple((c, ()) for c in charges), 1))
-    return core
+    return _charged(regroup(tuple((c, ()) for c in charges), 1)).components[0]
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@ import pickle
 import re
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from abacore.partitions import (
     to_beta,
 )
 from abacore.hc_series import CuspidalPairGL, HeckeParam, HeckeSpecialization
-from abacore.levelrank import AffinePerm, uglov
+from abacore.levelrank import AffinePerm, _shift_pairs, affine_perm, apply_affine, uglov
 from abacore.polynomials import IntPolynomial
 from oracles import (
     PARTITION_COUNTS,
@@ -327,8 +328,15 @@ class TestValueTypes:
             (lambda: CMP((), ()), "need at least one component"),
             (lambda: BetaSet(0, (0, 1)), "tail entries must exceed the floor"),
             (lambda: BetaSet(0, (2, 3)), "tail must be strictly decreasing"),
+            (lambda: BetaSet(0.5, ()), "floor and tail entries must be integers, got 0.5"),
+            (lambda: BetaSet(True, ()), "floor and tail entries must be integers, got True"),
+            (lambda: BetaSet(0, (True,)), "floor and tail entries must be integers, got True"),
+            (lambda: BetaSet(0, (-1.0,)), re.escape("entries must be integers, got -1.0")),
+            (lambda: BetaSet(0, (2, "1")), "entries must be integers, got '1'"),
             (lambda: AffinePerm(2, (0, 0), (0, 0)), "inconsistent affine permutation data"),
             (lambda: AffinePerm(2, (1, 0), (0,)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(1, (0,), (0.5,)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(2, (1, 0), (0, True)), "inconsistent affine permutation data"),
             (
                 lambda: CuspidalPairGL(3, 2, 0, P((2,))),
                 "sizes of core and torus part do not add up",
@@ -368,6 +376,50 @@ class TestValueTypes:
             uglov(CMP((P((2,)),), (1.5,)), 2)
         with pytest.raises(ValueError, match="^charges must be integers"):
             CMP((P((1,)),), (0,))._replace(charges=(0.0,))
+
+    def test_from_beta_input_is_checked_at_the_boundary(self):
+        # from_beta hands its beta set to _charged, which does not check the
+        # value it builds: a float floor would come back as a float charge
+        message = "^floor and tail entries must be integers, got 0.5$"
+        with pytest.raises(ValueError, match=message):
+            from_beta(BetaSet(0.5, ()))
+        with pytest.raises(ValueError, match=message):
+            from_beta(BetaSet(-2, (1, -1))._replace(tail=(0.5,)))
+        # a plain pair is no BetaSet and is not read as one
+        with pytest.raises(AttributeError):
+            from_beta((0.5, ()))
+        image = from_beta(BetaSet(-2, [1, -1]))
+        assert type(image) is CMP and image == CP(P((2, 1)), 0)
+        assert type(image.charges[0]) is int
+
+    def test_apply_affine_input_is_checked_at_the_boundary(self):
+        # the shifts reach _charged too: a float shift of an empty component
+        # came back as a float charge once the output was no longer checked
+        empty = CMP((P(()),), (0,))
+        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
+            apply_affine(AffinePerm(1, (0,), (0.5,)), empty)
+        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
+            AffinePerm(1, (0,), (0,))._replace(shifts=(True,))
+        image = apply_affine(AffinePerm(1, (0,), (2,)), empty)
+        assert image == CP(P(()), 2) and type(image.charges[0]) is int
+
+    # a value built from lists, and the same value built from tuples
+    FROM_LISTS = [
+        (lambda: CMP([P((1,)), P(())], [0, 2]), lambda: CMP((P((1,)), P(())), (0, 2))),
+        (lambda: BetaSet(0, [1]), lambda: BetaSet(0, (1,))),
+        (lambda: AffinePerm(2, [1, 0], [0, -1]), lambda: AffinePerm(2, (1, 0), (0, -1))),
+        (lambda: CMP._make([[P(())], [1]]), lambda: CMP((P(()),), (1,))),
+        (lambda: CMP((P(()),), (0,))._replace(charges=[1]), lambda: CMP((P(()),), (1,))),
+        (lambda: BetaSet(0)._replace(tail=[2, 1]), lambda: BetaSet(0, (2, 1))),
+        (lambda: AffinePerm._make([1, [0], [3]]), lambda: AffinePerm(1, (0,), (3,))),
+    ]
+
+    @pytest.mark.parametrize("make, twin", FROM_LISTS)
+    def test_sequence_fields_are_stored_as_tuples(self, make, twin):
+        value, expected = make(), twin()
+        assert type(value) is type(expected)
+        assert value == expected and hash(value) == hash(expected)
+        assert value == tuple(expected) and not any(type(f) is list for f in value)
 
     # each checked named tuple: a valid value, fields whose replacement its
     # constructor refuses, and the constructor's message
@@ -519,6 +571,62 @@ class TestSharedEmptyComponent:
         with pytest.raises(ValueError, match="parts must be positive, got 0"):
             _charged(((0, (0,)),))
         assert _charged(((0, ()), (-1, (1,)))) == ((_EMPTY, P((2,))), (0, 0))
+
+
+def charged_listed(abaci):
+    """Mutant of _charged: the value holds the lists it was built from."""
+    value = _charged(abaci)
+    return tuple.__new__(CMP, (list(value.components), list(value.charges)))
+
+
+def charged_float_charges(abaci):
+    """Mutant of _charged: each charge is a float of the right value."""
+    value = _charged(abaci)
+    return tuple.__new__(CMP, (value.components, tuple(c + 0.0 for c in value.charges)))
+
+
+class TestUncheckedBuild:
+    """_charged builds its ChargedMultiPartition without the constructor's
+    checks; on every abacus a bead map makes, the value must be the one the
+    checked constructor builds from the same fields."""
+
+    @staticmethod
+    def abaci():
+        # each charged partition of size <= 8 split at levels 1..6, and each
+        # split moved by the affine permutations of its level and charge
+        for p in all_partitions_up_to(8):
+            for s in range(-3, 4):
+                for e in range(1, 7):
+                    split = regroup(_abaci((p,), (s,)), e)
+                    yield split
+                    for m in range(1, 7):
+                        if gcd(e, m) == 1:
+                            yield _shift_pairs(affine_perm(e, m, s), split)
+
+    @classmethod
+    def disagreements(cls, charged):
+        cases = list(cls.abaci())
+        missed = 0
+        for ab in cases:
+            value = charged(ab)
+            try:
+                checked = CMP(*value)
+                agrees = type(value) is CMP and value == checked
+                agrees = agrees and hash(value) == hash(checked)
+            except (TypeError, ValueError):
+                agrees = False
+            with pytest.raises(ValueError, match="^charges must be integers"):
+                value._replace(charges=(0.5,) * len(ab))
+            missed += not agrees
+        return missed, len(cases)
+
+    def test_agrees_with_the_checked_constructor(self):
+        # 67 partitions x 7 charges x (6 levels + 23 coprime level pairs)
+        assert self.disagreements(_charged) == (0, 13_601)
+
+    @pytest.mark.parametrize("mutant", [charged_listed, charged_float_charges])
+    def test_mutants_are_caught(self, mutant):
+        assert self.disagreements(mutant) == (13_601, 13_601)
 
 
 class TestCoreQuotient:

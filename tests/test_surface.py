@@ -14,7 +14,9 @@ parameters on to another library function.  No library module imports
 dataclasses, inspect, ast, dis or tokenize, and importing the CLI loads none
 of them: every abacore process would pay for them at start-up.  The modules
 import one another only along a pinned graph, in which blocks reads abaci
-from partitions without the level-rank layer.
+from partitions without the level-rank layer.  Every value type is built
+through its checked constructor but in one place, partitions._charged, which
+makes the bead maps' outputs from fields it builds itself.
 """
 
 import ast
@@ -740,3 +742,53 @@ def test_scan_catches_a_new_import():
         "a": ["blocks", "cli", "hc_series", "levelrank", "partitions", "suites"],
         "b": [],
     }
+
+
+def unchecked_builds(sources):
+    """"module.owner" for each call tuple.__new__(X, ...) or
+    super().__new__(X, ...) whose first argument is not the name cls: a value
+    built around its own class's checked __new__.  owner is the top-level
+    function or class ("<module>" for a call outside them)."""
+    found = []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                builds = _dotted(func) == "tuple.__new__" or (
+                    isinstance(func, ast.Attribute)
+                    and func.attr == "__new__"
+                    and isinstance(func.value, ast.Call)
+                    and _dotted(func.value.func) == "super"
+                )
+                first = node.args[0] if node.args else None
+                if builds and getattr(first, "id", None) != "cls":
+                    found.append(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_one_unchecked_builder():
+    assert unchecked_builds(_library_sources()) == ["partitions._charged"]
+
+
+def test_scan_catches_a_second_unchecked_builder():
+    sources = {
+        "a": (
+            "class Checked(tuple):\n"
+            "    def __new__(cls, xs):\n"
+            "        return tuple.__new__(cls, xs)\n"
+            "class Sub(Checked):\n"
+            "    def __new__(cls, xs):\n"
+            "        return super().__new__(cls, xs)\n"
+            "    def raw(self, xs):\n"
+            "        return super().__new__(Sub, xs)\n"
+            "def build(xs):\n"
+            "    return tuple.__new__(Checked, xs)\n"
+            "def checked(xs):\n"
+            "    return Checked.__new__(Checked, xs)\n"
+        ),
+        "b": "V = tuple.__new__(*ARGS)\nW = object.__new__(V)\n",
+    }
+    assert unchecked_builds(sources) == ["a.Sub", "a.build", "b.<module>"]
