@@ -187,13 +187,6 @@ def series_blocks(
 # ---------------------------------------------------------------------------
 # the content lemma
 
-def lossless_window(n: int, s: int, e: int) -> int:
-    """The window content-lemma reports for size n, charge s and level e:
-    below -window both sides of the identity are 0.  check_content_lemma
-    compares every exponent, so the window is reported, not walked."""
-    return n + abs(s) + e + 5
-
-
 def check_content_lemma(p: Partition, s: int, e: int) -> bool:
     """Coefficientwise check of the content generating identity at level e:
     (1 - t^-e) times the residue series of the charged e-quotient of |p, s>
@@ -218,12 +211,6 @@ def check_content_lemma(p: Partition, s: int, e: int) -> bool:
         for k in (*range(base, floor), *tail):
             diff[k] = diff.get(k, 0) + sign
     return not any(diff.values())
-
-
-def _member_facts(p: Partition, e: int, m: int) -> tuple[Partition, Key]:
-    """p's m-core and the level-m key of its image under the level-e series
-    map: what the core-key equivalence compares between two members."""
-    return e_core(p, m), _member_key(p, e, m)
 
 
 # ---------------------------------------------------------------------------

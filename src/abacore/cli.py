@@ -24,10 +24,11 @@ import os
 import sys
 
 from .blocks import series_blocks
-from .hc_series import hc_pairs, hc_series_of, series_json
+from .hc_series import hc_pairs, hc_partition, hc_series_of
 from .levelrank import uglov
 from .partitions import (
     ChargedMultiPartition,
+    e_quotient_charged,
     parse_charges,
     parse_multipartition,
     parse_partition,
@@ -113,7 +114,21 @@ def _cmd_uglov(args, emit) -> int:
 def _cmd_series(args, emit) -> int:
     _check_bounds(SERIES_MAX_N, ("--n", args.n))
     _check_bounds(LEVEL_MAX, ("--e", args.e))
-    emit({"n": args.n, "e": args.e, "series": series_json(args.n, args.e)})
+    series = []
+    for pair, members in hc_partition(args.n, args.e).items():
+        quotients = [e_quotient_charged(p, args.e).components for p in members]
+        series.append(
+            {
+                "n": pair.n,
+                "e": pair.e,
+                "a": pair.a,
+                "core": str(pair.core),
+                "members": [str(p) for p in members],
+                "quotients": [render_multipartition(q) for q in quotients],
+                "charges": list(e_quotient_charged(pair.core, args.e).charges),
+            }
+        )
+    emit({"n": args.n, "e": args.e, "series": series})
     return 0
 
 

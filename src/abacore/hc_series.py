@@ -27,7 +27,6 @@ from .partitions import (
     hook_lengths,
     is_e_core,
     partitions_of,
-    render_multipartition,
 )
 from .polynomials import generic_degree, mod_cyclotomic
 
@@ -107,33 +106,6 @@ def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:
     for p in sorted(partitions_of(n)):
         by_core[e_core(p, e)].append(p)
     return {pair: tuple(by_core[pair.core]) for pair in pairs}
-
-
-def series_json(n: int, e: int) -> list[dict]:
-    """Series data as JSON-ready objects, one per cuspidal pair.
-
-    Fields: n, e, a, core, members, quotients, charges.  Quotients are
-    listed in member order; the charge vector is shared by the series.
-    Entries follow the lexicographic core order of hc_pairs.
-    """
-    out = []
-    for pair, members in hc_partition(n, e).items():
-        quotients = [
-            render_multipartition(e_quotient_charged(p, e).components)
-            for p in members
-        ]
-        out.append(
-            {
-                "n": pair.n,
-                "e": pair.e,
-                "a": pair.a,
-                "core": str(pair.core),
-                "members": [str(p) for p in members],
-                "quotients": quotients,
-                "charges": list(e_quotient_charged(pair.core, e).charges),
-            }
-        )
-    return out
 
 
 def degree_sign(p: Partition, e: int) -> int:

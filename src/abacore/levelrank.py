@@ -39,6 +39,8 @@ def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
     >>> qr_em(-1, 1, 2, 3)
     (-1, 2)
     """
+    if type(e) is not int or type(m) is not int:
+        raise ValueError(f"levels must be integers, got {e!r}, {m!r}")
     if e < 1 or m < 1:
         raise ValueError("levels must be >= 1")
     if not 0 <= y < e:
@@ -60,6 +62,8 @@ def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     >>> uglov(split, 1)
     ChargedMultiPartition(components=(Partition(parts=(3,)),), charges=(3,))
     """
+    if type(m) is not int:
+        raise ValueError(f"target level must be an integer, got {m!r}")
     if m < 1:
         raise ValueError("target level must be >= 1")
     return _charged(regroup(_abaci(cmp.components, cmp.charges), m))
@@ -69,15 +73,16 @@ class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
     """An affine permutation of beads (x, i): component i is sent to
     perm[i], and a bead landing in component j is shifted by shifts[j].
 
-    perm must be a bijection of range(e); shifts, e integers, is indexed by
-    the target component.
+    perm, e integers, must be a bijection of range(e); shifts, e integers, is
+    indexed by the target component.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
-        if sorted(perm) != list(range(e)) or list(map(type, shifts)) != [int] * e:
+        types = list(map(type, (*perm, *shifts)))
+        if types != [int] * (2 * e) or sorted(perm) != list(range(e)):
             raise ValueError("inconsistent affine permutation data")
         return tuple.__new__(cls, (e, tuple(perm), tuple(shifts)))
 

@@ -8,10 +8,11 @@ Conventions used throughout the package:
   from them compare, hash and sort as their part tuples: sorted() gives the
   lexicographic order (Macdonald, I.1) in which series, their members and
   blocks are listed.  Every value type but IntPolynomial is an immutable
-  tuple, checked by its public constructor (_charged builds the bead maps'
-  outputs from fields it makes), read by field name and equal to the plain
-  tuple of its fields.  Boxes are indexed (row, column), both 1-based, and
-  the content of a box is column - row.
+  tuple, read by field name and equal to the plain tuple of its fields, and
+  checked by its public constructor (_charged builds the bead maps' outputs
+  from fields it makes) but for HeckeParam and HeckeSpecialization, the
+  unchecked records that specialization builds.  Boxes are indexed (row,
+  column), both 1-based, and the content of a box is column - row.
 * A charged partition is a ChargedMultiPartition of level 1.  Its beta set
   is {parts[i] - (i+1) + charge : i >= 0}, which contains every integer
   below some floor.  We store the canonical pair (floor, tail): floor is the

@@ -20,17 +20,13 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .blocks import (
-    _member_facts,
-    block_match_report,
-    check_content_lemma,
-    lossless_window,
-)
+from .blocks import _member_key, block_match_report, check_content_lemma
 from .hc_series import DegreeSignError, degree_sign, hc_partition
 from .levelrank import _routes_agree, qr_em, uglov
 from .partitions import (
     ChargedMultiPartition,
     _abaci,
+    e_core,
     from_beta,
     hook_lengths,
     is_e_core,
@@ -104,7 +100,9 @@ def _content_lemma_cases(max_n):
         for p in partitions_of(n):
             for s in range(-4, 5):
                 for e in range(1, 6):
-                    w = lossless_window(n, s, e)
+                    # below -window both sides of the identity are 0; the check
+                    # compares every exponent, so the window is reported, not walked
+                    w = n + abs(s) + e + 5
                     ok = check_content_lemma(p, s, e)
                     yield 1, {
                         "partition": str(p), "s": s, "e": e, "window": w, "pass": ok
@@ -120,9 +118,11 @@ def _content_prop_cases(max_n):
             classes = [[(p, str(p)) for p in ms] for ms in series if len(ms) > 1]
             for m in (m for m in range(1, 7) if gcd(e, m) == 1):
                 for members in classes:
-                    facts = [(p, name, _member_facts(p, e, m)) for p, name in members]
-                    for i, (p, name_p, (core_p, key_p)) in enumerate(facts):
-                        for r, name_r, (core_r, key_r) in facts[i + 1:]:
+                    facts = [
+                        (p, name, e_core(p, m), _member_key(p, e, m)) for p, name in members
+                    ]
+                    for i, (p, name_p, core_p, key_p) in enumerate(facts):
+                        for r, name_r, core_r, key_r in facts[i + 1:]:
                             case = {"n": n, "e": e, "m": m, "p": name_p, "r": name_r}
                             same_core, same_key = core_p == core_r, key_p == key_r
                             case["pass"] = same_core == same_key

@@ -315,9 +315,8 @@ def check_core_key_equivalence(p, r, e, m):
         raise ValueError("partitions must have the same size")
     if blocks.e_core(r, e) != blocks.e_core(p, e):
         raise ValueError("partitions must have the same e-core")
-    core_p, key_p = blocks._member_facts(p, e, m)
-    core_r, key_r = blocks._member_facts(r, e, m)
-    same_core, same_key = core_p == core_r, key_p == key_r
+    same_core = blocks.e_core(p, m) == blocks.e_core(r, m)
+    same_key = blocks._member_key(p, e, m) == blocks._member_key(r, e, m)
     if same_core != same_key:
         raise EquivalenceViolation(
             f"core comparison {same_core} but key comparison {same_key}"

@@ -10,7 +10,6 @@ from abacore.blocks import (
     block_match_report,
     block_partition,
     check_content_lemma,
-    lossless_window,
     residue_multiset,
     same_block,
     series_blocks,
@@ -555,7 +554,6 @@ class TestContentLemma:
         assert check_content_lemma(P((2,)), 0, 2)
         assert check_content_lemma(P(()), 3, 4)
         assert check_content_lemma(P((2,)), -3, 2)
-        assert lossless_window(2, -3, 2) == 12
 
     @staticmethod
     def _failures():
@@ -645,20 +643,20 @@ class TestContentLemma:
 
     def test_window_is_lossless(self):
         # no nonzero coefficient of either side of the identity lies below
-        # -lossless_window, the window every content-lemma case reports
+        # -window, for the window each content-lemma case reports
+        cases = []
+        run_suite("content-lemma", cases.append, max_n=8)
+        assert len(cases) == 67 * 9 * 5  # partitions of 0..8, s = -4..4, e = 1..5
+        named = {str(p): p for n in range(9) for p in partitions_of(n)}
         slack = []
-        for n in range(9):
-            for p in partitions_of(n):
-                for s in range(-4, 5):
-                    for e in range(1, 6):
-                        charged = ChargedMultiPartition((p,), (s,))
-                        core = ChargedMultiPartition((e_core(p, e),), (s,))
-                        rm = residue_multiset(uglov(charged, e))
-                        lowest = self._lowest_nonzero(
-                            rm, e, to_beta(charged), to_beta(core)
-                        )
-                        if lowest is not None:
-                            slack.append(lowest + lossless_window(n, s, e))
+        for case in cases:
+            p, s, e = named[case["partition"]], case["s"], case["e"]
+            charged = ChargedMultiPartition((p,), (s,))
+            core = ChargedMultiPartition((e_core(p, e),), (s,))
+            rm = residue_multiset(uglov(charged, e))
+            lowest = self._lowest_nonzero(rm, e, to_beta(charged), to_beta(core))
+            if lowest is not None:
+                slack.append(lowest + case["window"])
         # the formula is lossless with exactly 6 exponents to spare here
         assert min(slack) == 6
 

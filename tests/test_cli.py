@@ -431,7 +431,7 @@ class TestVerify:
         # a 2-core it is alone in its e-core class at e = 2, where the wrong
         # value would be read as its e-core.
         with monkeypatch.context() as patch:
-            patch.setattr(blocks, "e_core", _wrong_two_core)
+            patch.setattr(suites, "e_core", _wrong_two_core)
             _, cases, failures = run_suite("content-prop", max_n=4)
             assert cases == 162
             assert [(f["e"], f["m"], f["p"], f["r"]) for f in failures] == [
@@ -457,13 +457,13 @@ class TestVerify:
         # At m = 1 every member of a class shares its m-core and its key, so
         # exactly the pairs with (2, 2) in its class at n = 4 must fail: a
         # key is a fact of one member at one (e, m), not of a pair or a size
-        real = blocks._member_key
+        real = suites._member_key
         target = (Partition((2, 2)), 2, 1)
 
         def wrong(p, e, m):
             return () if (p, e, m) == target else real(p, e, m)
 
-        monkeypatch.setattr(blocks, "_member_key", wrong)
+        monkeypatch.setattr(suites, "_member_key", wrong)
         _, cases, failures = run_suite("content-prop", max_n=5)
         assert cases == 413
         # the 2-core class of (2, 2) at n = 4: 1,1,1,1  2,1,1  2,2  3,1  4
@@ -668,7 +668,8 @@ class TestPerMemberFacts:
         # the mutant makes the suite and the oracle raise, so the error
         # text is compared as well as same and pass
         if mutant is not None:
-            monkeypatch.setattr(blocks, "e_core", mutant)
+            for module in (blocks, suites):
+                monkeypatch.setattr(module, "e_core", mutant)
         cases = []
         run_suite("content-prop", cases.append, max_n=8)
         assert cases == list(_content_prop_oracle_cases(8))
@@ -722,7 +723,7 @@ class TestPerMemberFacts:
     def test_content_prop_keys_each_member_once_per_level_pair(self, monkeypatch):
         # one _member_key per member of an e-core class with a pair to
         # compare, at each (e, m); per pair it would be twice the cases
-        real = blocks._member_key
+        real = suites._member_key
         calls = 0
 
         def spy(p, e, m):
@@ -730,7 +731,7 @@ class TestPerMemberFacts:
             calls += 1
             return real(p, e, m)
 
-        monkeypatch.setattr(blocks, "_member_key", spy)
+        monkeypatch.setattr(suites, "_member_key", spy)
         _, cases, _ = run_suite("content-prop", max_n=8)
         assert (cases, calls) == (5045, 1168)
 

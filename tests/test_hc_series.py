@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 from math import factorial, gcd, prod
 
 import pytest
 
+from abacore.cli import main
 from abacore.hc_series import (
     GL,
     GU,
@@ -13,7 +15,6 @@ from abacore.hc_series import (
     hc_pairs,
     hc_partition,
     hc_series_of,
-    series_json,
     specialization,
 )
 from abacore.partitions import (
@@ -155,8 +156,8 @@ class TestSeriesMap:
                     )
 
     @pytest.mark.parametrize("n, e", [(3, 2), (9, 3), (12, 5)])
-    def test_series_builds_no_pair_per_partition(self, monkeypatch, n, e):
-        # once hc_pairs is warm, listing the series validates no new pair
+    def test_series_builds_no_pair_per_partition(self, capsys, monkeypatch, n, e):
+        # once hc_pairs is warm, the series command validates no new pair
         # (each validation reruns is_e_core on a core e_core just produced)
         hc_pairs(n, e)
         built = []
@@ -167,7 +168,8 @@ class TestSeriesMap:
             return real(cls, n, e, a, core)
 
         monkeypatch.setattr(CuspidalPairGL, "__new__", counting)
-        series = series_json(n, e)
+        assert main(["series", "--n", str(n), "--e", str(e)]) == 0
+        series = json.loads(capsys.readouterr().out)["series"]
         assert built == []
         assert sum(len(entry["members"]) for entry in series) == len(partitions_of(n))
         hc_series_of(P((1,) * n), e)

@@ -82,6 +82,19 @@ class TestQuotientRemainder:
         with pytest.raises(ValueError, match="component 3 out of range for level 3"):
             qr_em(0, 3, 3, 2)
 
+    @pytest.mark.parametrize(
+        "e, m, shown",
+        [(True, 3, "True, 3"), (2.0, 3, "2.0, 3"), (2, True, "2, True"), (2, 3.0, "2, 3.0")],
+    )
+    def test_qr_em_refuses_levels_that_are_not_int(self, e, m, shown):
+        # a float level gave a float bead, (2.0, 0) for e = 2.0, and True was
+        # read as level 1; integer levels keep their own messages
+        with pytest.raises(ValueError) as exc:
+            qr_em(3, 0, e, m)
+        assert str(exc.value) == f"levels must be integers, got {shown}"
+        assert qr_em(3, 0, 2, 3) == (2, 0)
+        assert type(qr_em(3, 0, 2, 3)[0]) is int
+
     def test_qr_em_swapped_levels_examples(self):
         # qr_em with the levels swapped inverts it
         assert qr_em(0, 1, 3, 2) == (1, 0)
@@ -214,6 +227,25 @@ class TestUglov:
             cmp0 = ChargedMultiPartition((P(()),) * e, (0,) * e)
             image = uglov(cmp0, m)
             assert image == ChargedMultiPartition((P(()),) * m, (0,) * m)
+
+    @pytest.mark.parametrize("m", [True, 2.0, "2"])
+    def test_refuses_a_level_that_is_not_int(self, monkeypatch, m):
+        # True was read as level 1 and 2.0 failed in range with a bare
+        # TypeError; both are refused before any bead moves
+        def bead_map(*args):
+            raise AssertionError("bead map reached")
+
+        cmp0 = charged(P((2,)), 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(levelrank, "_abaci", bead_map)
+            patch.setattr(levelrank, "regroup", bead_map)
+            with pytest.raises(ValueError) as exc:
+                uglov(cmp0, m)
+            assert str(exc.value) == f"target level must be an integer, got {m!r}"
+            with pytest.raises(ValueError, match="^target level must be >= 1$"):
+                uglov(cmp0, 0)
+        assert uglov(cmp0, 2) == ChargedMultiPartition((P(()), P((1,))), (0, 0))
+        assert uglov(cmp0, 1) == cmp0
 
     def test_example_2_to_3(self):
         cmp0 = ChargedMultiPartition((P(()), P(())), (1, 0))

@@ -337,6 +337,9 @@ class TestValueTypes:
             (lambda: AffinePerm(2, (1, 0), (0,)), "inconsistent affine permutation data"),
             (lambda: AffinePerm(1, (0,), (0.5,)), "inconsistent affine permutation data"),
             (lambda: AffinePerm(2, (1, 0), (0, True)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(2, (1.0, 0), (0, 0)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(2, (0, True), (0, 0)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(2, (1, "0"), (0, 0)), "inconsistent affine permutation data"),
             (
                 lambda: CuspidalPairGL(3, 2, 0, P((2,))),
                 "sizes of core and torus part do not add up",
@@ -400,6 +403,11 @@ class TestValueTypes:
             apply_affine(AffinePerm(1, (0,), (0.5,)), empty)
         with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
             AffinePerm(1, (0,), (0,))._replace(shifts=(True,))
+        # a float perm entry failed in _shift_pairs with a bare TypeError
+        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
+            apply_affine(AffinePerm(2, (1.0, 0), (0, 0)), CMP((P(()), P((1,))), (0, 0)))
+        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
+            AffinePerm(2, (1, 0), (0, 0))._replace(perm=(1.0, 0))
         image = apply_affine(AffinePerm(1, (0,), (2,)), empty)
         assert image == CP(P(()), 2) and type(image.charges[0]) is int
 

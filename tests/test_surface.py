@@ -16,7 +16,11 @@ of them: every abacore process would pay for them at start-up.  The modules
 import one another only along a pinned graph, in which blocks reads abaci
 from partitions without the level-rank layer.  Every value type is built
 through its checked constructor but in one place, partitions._charged, which
-makes the bead maps' outputs from fields it builds itself.
+makes the bead maps' outputs from fields it builds itself.  Output is shaped
+where it is printed: only cli.py and suites.py build dict literals with string
+keys, apart from the public report blocks.block_match_report.  The README
+verify table and its bounds sentence state each SUITES row's flags, defaults
+and bounds.
 """
 
 import ast
@@ -32,6 +36,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import abacore
+from abacore.suites import SUITES
 
 SRC = Path(abacore.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -792,3 +797,152 @@ def test_scan_catches_a_second_unchecked_builder():
         "b": "V = tuple.__new__(*ARGS)\nW = object.__new__(V)\n",
     }
     assert unchecked_builds(sources) == ["a.Sub", "a.build", "b.<module>"]
+
+
+def string_keyed_dicts(sources):
+    """"module.owner" for each top-level function or class ("<module>" for
+    code outside them) that builds a dict literal with a string-constant
+    key: a JSON object shaped for output."""
+    found = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Dict) and any(
+                    isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    for key in node.keys
+                ):
+                    found.add(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_output_is_shaped_in_the_front_ends():
+    # the library computes and the command and the suites print; thm1's
+    # report is public, and the tests pin its dict shape
+    found = string_keyed_dicts(_library_sources())
+    assert [name for name in found if not name.startswith(("cli.", "suites."))] == [
+        "blocks.block_match_report"
+    ]
+    assert "cli._cmd_series" in found
+
+
+def test_scan_catches_a_string_keyed_dict():
+    sources = {
+        "a": (
+            "def shaped(p):\n"
+            "    return [{'core': str(p)}]\n"
+            # non-string keys, comprehensions and dict() calls shape no output
+            "def counts(xs):\n"
+            "    return {1: 2, None: 3}, {x: 0 for x in xs}, dict(n=1), {}\n"
+            "class Report:\n"
+            "    def data(self, rest):\n"
+            "        return {**rest, 'pass': True}\n"
+        ),
+        "b": "TABLE = {'thm1': 1}\n",
+    }
+    assert string_keyed_dicts(sources) == ["a.Report", "a.shaped", "b.<module>"]
+
+
+def _row_flags(cell):
+    """{flag: default text} of one README verify-table flags cell, such as
+    "`--max-n 12`, `--e`/`--m` unset"; flags spelled as run_suite's keywords."""
+    flags = {}
+    for item in cell.split(","):
+        unset = item.strip().endswith(" unset")
+        for name, value in re.findall(r"`--([\w-]+)(?: ([^`]+))?`", item):
+            flags[name.replace("-", "_")] = "unset" if unset and not value else value
+    return flags
+
+
+def suite_table_mismatches(readme, suites):
+    """What the README verify table and its bounds sentence get wrong about
+    suites, a SUITES-like {suite: (generator, {flag: (default, bound)})}:
+    a suite without exactly one row, a row of no suite, a row whose flags or
+    defaults differ from the suite's ("unset" for None), and a bound the
+    sentence states that no suite has, or one it leaves out."""
+    rows = {}
+    for line in readme.splitlines():
+        row = re.match(r"\|\s*`([a-z][\w-]*)`\s*\|[^|]*\|(.*)\|\s*$", line)
+        if row:
+            rows.setdefault(row[1], []).append(_row_flags(row[2]))
+    problems = [f"{suite}: not a suite" for suite in rows if suite not in suites]
+    for suite, (_, flags) in suites.items():
+        expected = {
+            flag: "unset" if default is None else str(default)
+            for flag, (default, _) in flags.items()
+        }
+        found = rows.get(suite, [])
+        if len(found) != 1:
+            problems.append(f"{suite}: {len(found)} rows")
+        elif found[0] != expected:
+            problems.append(f"{suite}: {found[0]} in the README, {expected} declared")
+    text = " ".join(readme.split())
+    sentence = re.search(
+        r"Each suite's bounds are declared in its `SUITES` row: (.*?) exit 2[^;]*;"
+        r" (.*?) is unbounded",
+        text,
+    )
+    if sentence is None:
+        return problems + ["no bounds sentence"]
+    stated = {
+        (name.replace("-", "_"), int(bound.replace(",", "")))
+        for names, bound in re.findall(r"((?:`--[\w-]+`/?)+) above ([\d,]+)", sentence[1])
+        for name in re.findall(r"`--([\w-]+)`", names)
+    }
+    stated |= {
+        (name.replace("-", "_"), None)
+        for name in re.findall(r"`--([\w-]+)`", sentence[2])
+    }
+    declared = {
+        (flag, bound) for _, flags in suites.values() for flag, (_, bound) in flags.items()
+    }
+    if stated != declared:
+        problems.append(
+            f"bounds: stated {sorted(stated - declared, key=str)},"
+            f" declared {sorted(declared - stated, key=str)}"
+        )
+    return problems
+
+
+def test_readme_suite_table_matches_suites():
+    assert suite_table_mismatches(README.read_text(), SUITES) == []
+
+
+def test_scan_catches_a_stale_suite_row():
+    suites = {
+        "one": (None, {"max_n": (10, 16)}),
+        "two-b": (None, {"seed": (7, None), "e": (None, 40), "m": (None, 40)}),
+    }
+    readme = (
+        "| suite | checks | flags and defaults |\n"
+        "| ----- | ------ | ------------------ |\n"
+        "| `one`   | one check      | `--max-n 10` |\n"
+        "| `two-b` | a check, and b | `--seed 7`, `--e`/`--m` unset |\n"
+        "\n"
+        "Each suite's bounds are declared in its `SUITES` row: `--max-n` above 16\n"
+        "and `--e`/`--m` above 40 exit 2 with empty stdout; `--seed` is unbounded.\n"
+    )
+    assert suite_table_mismatches(readme, suites) == []
+    row_one = "| `one`   | one check      | `--max-n 10` |\n"
+    edits = {
+        "`--max-n 10`": "`--max-n 12`",  # a wrong default
+        row_one: "",  # a missing suite
+        "\n\n": "\n| `three` | c | `--max-n 10` |\n\n",  # a row of no suite
+        "`--seed 7`, `--e`/`--m` unset": "`--seed 7`, `--e` unset",  # a missing flag
+        "above 16": "above 15",  # a wrong bound
+    }
+    found = [suite_table_mismatches(readme.replace(*edit), suites) for edit in edits.items()]
+    assert found == [
+        ["one: {'max_n': '12'} in the README, {'max_n': '10'} declared"],
+        ["one: 0 rows"],
+        ["three: not a suite"],
+        [
+            "two-b: {'seed': '7', 'e': 'unset'} in the README,"
+            " {'seed': '7', 'e': 'unset', 'm': 'unset'} declared"
+        ],
+        ["bounds: stated [('max_n', 15)], declared [('max_n', 16)]"],
+    ]
+    assert suite_table_mismatches(readme + row_one, suites) == ["one: 2 rows"]
+    assert suite_table_mismatches(readme.replace("Each", "No"), suites) == [
+        "no bounds sentence"
+    ]
