@@ -114,8 +114,9 @@ def _root_counts(
     (content*omega + alpha) mod d equal to k, alpha the box's component's."""
     counts = [0] * d
     for p, alpha in zip(mp, alphas):
-        for content in _contents(p):
-            counts[(content * omega + alpha) % d] += 1
+        if p:  # most components are empty: skip their _contents lookup
+            for content in _contents(p):
+                counts[(content * omega + alpha) % d] += 1
     return tuple(counts)
 
 
@@ -224,9 +225,9 @@ def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, b
     content -a < c < a, is a one-to-one function of its GL value, so that GU
     keys group as GL keys.  At at_root = 1 every key collapses, and a series
     with a = 0 has one member: either way it is one block on both variants."""
-    mps = multipartitions_of(pair.e, pair.a)
     if at_root == 1 or pair.a == 0:
-        return [len(mps)], dict.fromkeys(mps, 0), True
+        return _one_block(pair.e, pair.a)
+    mps = multipartitions_of(pair.e, pair.a)
     d, omega, alphas = _level_values(pair.core, pair.e, at_root)
     du, omega_u, alphas_u = _root_values(specialization(pair, GU), ennola_e(at_root))
     ids, numbers = {}, {}
@@ -240,6 +241,13 @@ def _side_blocks(pair: CuspidalPairGL, at_root: int) -> tuple[list[int], dict, b
     }
     gl_values, gu_values = map(set, zip(*graph))
     return sizes, numbers, len(graph) == len(gl_values) == len(gu_values)
+
+
+@lru_cache(maxsize=None)
+def _one_block(e: int, a: int) -> tuple[list[int], dict, bool]:
+    """One-block side table of the level-e series of rank a; shared, never mutated."""
+    mps = multipartitions_of(e, a)
+    return [len(mps)], dict.fromkeys(mps, 0), True
 
 
 @lru_cache(maxsize=None)
@@ -264,7 +272,7 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         raise ValueError("levels must be coprime")
 
     groups: dict[tuple[Partition, Partition], list[Partition]] = {}
-    for p in sorted(partitions_of(n)):
+    for p in reversed(partitions_of(n)):
         groups.setdefault((e_core(p, e), e_core(p, m)), []).append(p)
     # each series core is the core of some partition of n, so every group has its sides
     sides = {}

@@ -103,7 +103,7 @@ def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:
     """
     pairs = hc_pairs(n, e)
     by_core: dict[Partition, list[Partition]] = {pair.core: [] for pair in pairs}
-    for p in sorted(partitions_of(n)):
+    for p in reversed(partitions_of(n)):
         by_core[e_core(p, e)].append(p)
     return {pair: tuple(by_core[pair.core]) for pair in pairs}
 
@@ -139,8 +139,9 @@ GU = "gu"
 _HALF = Fraction(1, 2)
 
 
+@lru_cache(maxsize=None)
 def specialization(pair: CuspidalPairGL, variant: str = GL) -> HeckeSpecialization:
-    """Predicted Hecke parameters of a cuspidal pair.
+    """Predicted Hecke parameters of a cuspidal pair (memoised).
 
     The cyclic-generator parameters are x to the core exponents (unitary
     variant: -x in place of x); the symmetric-generator parameters are

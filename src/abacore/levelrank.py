@@ -39,6 +39,8 @@ def qr_em(x: int, y: int, e: int, m: int) -> tuple[int, int]:
     >>> qr_em(-1, 1, 2, 3)
     (-1, 2)
     """
+    if type(x) is not int or type(y) is not int:
+        raise ValueError(f"bead entries must be integers, got {x!r}, {y!r}")
     if type(e) is not int or type(m) is not int:
         raise ValueError(f"levels must be integers, got {e!r}, {m!r}")
     if e < 1 or m < 1:
@@ -81,8 +83,8 @@ class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
     _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
 
     def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
-        types = list(map(type, (*perm, *shifts)))
-        if types != [int] * (2 * e) or sorted(perm) != list(range(e)):
+        types = list(map(type, (e, *perm, *shifts)))
+        if types != [int] * (2 * len(perm) + 1) or sorted(perm) != list(range(e)):
             raise ValueError("inconsistent affine permutation data")
         return tuple.__new__(cls, (e, tuple(perm), tuple(shifts)))
 

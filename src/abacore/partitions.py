@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import add, sub
 
 
 class Partition(tuple):
@@ -200,7 +201,7 @@ def _abaci(components, charges) -> Abacus:
     """Canonical (floor, tail) pairs of charged partitions: the beads of
     |p, s> are {p[i] - (i+1) + s : i >= 0}."""
     return tuple(
-        (s - len(p), tuple(x - i + s for i, x in enumerate(p, 1)))
+        (s - len(p), tuple(map(sub, p, range(1 - s, len(p) + 1 - s))))
         for p, s in zip(components, charges)
     )
 
@@ -213,9 +214,8 @@ def _charged(abaci: Abacus) -> ChargedMultiPartition:
     charges = []
     for floor, tail in abaci:
         s = floor + len(tail)
-        components.append(
-            Partition(tuple(x + i - s for i, x in enumerate(tail, 1))) if tail else _EMPTY
-        )
+        components.append(Partition(tuple(map(add, tail, range(1 - s, 1 - floor))))
+                          if tail else _EMPTY)
         charges.append(s)
     return tuple.__new__(ChargedMultiPartition, (tuple(components), tuple(charges)))
 
@@ -307,11 +307,12 @@ def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
     s = e + len(e-core of p), read off one split of p's charge-0 abacus.
 
     Emptying its components, of charges c_r, leaves the core at charge 0,
-    whose lowest empty position min(e*c_r + r) is -len(core); charge s moves
-    component r to (r + s) % e, its charge raised by (r + s) // e, and
-    rebuilds no tail.  The components are p's image in the series of its
-    e-core; the charges depend on the core alone and give the core itself
-    (e_core), the Hecke exponents (core_exponents) and the residue keys.
+    whose lowest empty position min(e*c_r + r) is -len(core).  With (q, k) =
+    divmod(s, e), charge s moves the last k components to the front, raised
+    by q + 1, and the rest after them, raised by q, rebuilding no tail.  The
+    components are p's image in the series of its e-core; the charges depend
+    on the core alone and give the core itself (e_core), the Hecke exponents
+    (core_exponents) and the residue keys.
     At charge 0, (3) splits into (1) and () of charges 1 and -1; s = 3:
 
     >>> image = e_quotient_charged(Partition((3,)), 2)
@@ -321,12 +322,12 @@ def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
     if e < 1:
         raise ValueError("e must be >= 1")
     components, charges = _charged(regroup(_abaci((p,), (0,)), e))
-    s = e - min(e * c + r for r, c in enumerate(charges))
-    rotated = [None] * e
-    for r, (q, c) in enumerate(zip(components, charges)):
-        c, j = divmod(e * c + r + s, e)
-        rotated[j] = (q, c)
-    return ChargedMultiPartition(*map(tuple, zip(*rotated)))
+    q, k = divmod(e - min(e * c + r for r, c in enumerate(charges)), e)
+    cut = e - k
+    return ChargedMultiPartition(
+        components[cut:] + components[:cut],
+        tuple([c + q + 1 for c in charges[cut:]] + [c + q for c in charges[:cut]]),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +376,7 @@ def multipartitions_of(e: int, a: int) -> tuple[MultiPartition, ...]:
     if a < 0:
         raise ValueError("a must be >= 0")
     if e == 1:
-        return tuple((p,) for p in sorted(partitions_of(a)))
+        return tuple((p,) for p in reversed(partitions_of(a)))
     return tuple(
         (p,) + rest
         for p in sorted(q for k in range(a + 1) for q in partitions_of(k))

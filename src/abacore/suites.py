@@ -212,7 +212,7 @@ def _roundtrip_cases(seed, trials):
 # suite name -> (case generator, {flag the suite reads: (default, bound)});
 # beside each row: CPU time of `verify <suite> --stream` at its bounds, 2-vCPU VM
 SUITES = {
-    "thm1": (_thm1_cases, {"max_n": (12, 16),  # 0.56 s
+    "thm1": (_thm1_cases, {"max_n": (12, 16),  # 0.53 s
                            "e": (None, LEVEL_MAX), "m": (None, LEVEL_MAX)}),
     "thm2": (_thm2_cases, {"max_n": (12, 16),  # 0.45 s
                            "e": (None, LEVEL_MAX), "m": (None, LEVEL_MAX)}),

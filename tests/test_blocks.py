@@ -1070,6 +1070,34 @@ class TestSideBlocks:
         assert moved <= rejected
         assert self._disagreements(sides) == (7_071, 0, 337)
 
+    def test_one_block_tables_are_shared_and_never_mutated(self):
+        # at root 1, or for a = 0, the table depends on (e, a) alone and is
+        # built once for every series of that level and rank, so a reader
+        # that wrote to it would change every later side of the same (e, a)
+        pairs = [pair for n in range(1, 11) for e in range(1, 13) for pair in hc_pairs(n, e)]
+
+        def stale():
+            # the pairs whose one-block table is not a fresh build, in order
+            found = []
+            for pair in pairs:
+                mps = multipartitions_of(pair.e, pair.a)
+                fresh = ([len(mps)], dict.fromkeys(mps, 0), True)
+                table = blocks._side_blocks(pair, 1)
+                if table != fresh or list(table[1]) != list(fresh[1]):
+                    found.append(pair)
+            return found
+
+        assert len(pairs) == 976 and stale() == []
+        singles = [pair for pair in pairs if pair.a == 0]
+        assert all(blocks._side_blocks(p, 1) is blocks._side_blocks(p, 2) for p in singles)
+        run_suite("thm1", max_n=8)
+        for pair in singles:
+            for r in range(2, 13):
+                if gcd(pair.e, r) == 1:
+                    series_blocks(pair, r, GU)
+                    block_partition(pair.e, 0, pair.core, r)
+        assert stale() == []
+
 
 class TestSingletonSeries:
     # a series with a = 0 has one member, the empty multipartition, so its

@@ -113,6 +113,12 @@ class TestSeriesMap:
                     count = len(multipartitions_of(pair.e, pair.a))
                     assert len(members) == count
 
+    def test_members_are_listed_in_sorted_order(self):
+        for n in range(1, 11):
+            for e in range(1, 13):
+                for members in hc_partition(n, e).values():
+                    assert list(members) == sorted(members)
+
     def test_partition_examples(self):
         two_two = {
             pr.core.parts: [q.parts for q in members]

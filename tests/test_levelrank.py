@@ -95,6 +95,20 @@ class TestQuotientRemainder:
         assert qr_em(3, 0, 2, 3) == (2, 0)
         assert type(qr_em(3, 0, 2, 3)[0]) is int
 
+    @pytest.mark.parametrize(
+        "x, y, shown",
+        [(2.5, 0, "2.5, 0"), (True, 0, "True, 0"), (0, True, "0, True"), (3, 1.0, "3, 1.0")],
+    )
+    def test_qr_em_refuses_beads_that_are_not_int(self, x, y, shown):
+        # qr_em(2.5, 0, 2, 3) gave the float bead (0.0, 2.5) and True was read
+        # as 1; the bead is checked first, so bad levels do not mask it
+        for e, m in ((2, 3), (2.0, 0)):
+            with pytest.raises(ValueError) as exc:
+                qr_em(x, y, e, m)
+            assert str(exc.value) == f"bead entries must be integers, got {shown}"
+        assert qr_em(2, 0, 2, 3) == (0, 2)
+        assert qr_em(1, 1, 2, 3) == (1, 1)
+
     def test_qr_em_swapped_levels_examples(self):
         # qr_em with the levels swapped inverts it
         assert qr_em(0, 1, 3, 2) == (1, 0)

@@ -129,6 +129,11 @@ class TestPartitionBasics:
         assert sorted(ps) == sorted(ps, key=lambda q: q.parts)
         assert sorted(ps) != ps  # partitions_of lists each size in reverse
 
+    def test_partitions_of_lists_the_reverse_of_sorted(self):
+        # the series and the thm1 report walk it reversed instead of sorting
+        for n in range(17):
+            assert list(reversed(partitions_of(n))) == sorted(partitions_of(n))
+
     def test_repr_str_and_slots(self):
         assert repr(P((1, 1))) == "Partition(parts=(1, 1))"
         assert repr(P(())) == "Partition(parts=())"
@@ -340,6 +345,9 @@ class TestValueTypes:
             (lambda: AffinePerm(2, (1.0, 0), (0, 0)), "inconsistent affine permutation data"),
             (lambda: AffinePerm(2, (0, True), (0, 0)), "inconsistent affine permutation data"),
             (lambda: AffinePerm(2, (1, "0"), (0, 0)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(True, (0,), (0,)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm(2.0, (1, 0), (0, 0)), "inconsistent affine permutation data"),
+            (lambda: AffinePerm("1", (0,), (0,)), "inconsistent affine permutation data"),
             (
                 lambda: CuspidalPairGL(3, 2, 0, P((2,))),
                 "sizes of core and torus part do not add up",

@@ -297,8 +297,10 @@ def multipartitions_callers(sources):
 
 
 def test_one_block_grouping():
-    # besides the side table, only the enumeration's own recursion lists them
+    # besides the side table and its memoised one-block case, only the
+    # enumeration's own recursion lists them
     assert multipartitions_callers(_library_sources()) == [
+        "blocks._one_block",
         "blocks._side_blocks",
         "partitions.multipartitions_of",
     ]
