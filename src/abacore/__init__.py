@@ -14,10 +14,10 @@ from .partitions import (
     is_e_core,
     to_beta,
 )
-from .levelrank import AffinePerm, affine_perm, apply_affine, qr_em, uglov
+from .levelrank import AffinePerm, affine_perm, qr_em, uglov
 from .polynomials import IntPolynomial, cyclotomic, generic_degree, gl_order
 from .hc_series import CuspidalPairGL, hc_pairs, hc_partition, hc_series_of
-from .blocks import block_match_report, block_partition, residue_multiset, same_block
+from .blocks import block_match_report, residue_multiset, series_blocks
 
 __version__ = "0.1.0"
 
@@ -29,9 +29,7 @@ __all__ = [
     "IntPolynomial",
     "Partition",
     "affine_perm",
-    "apply_affine",
     "block_match_report",
-    "block_partition",
     "cyclotomic",
     "e_core",
     "e_quotient_charged",
@@ -45,7 +43,7 @@ __all__ = [
     "is_e_core",
     "qr_em",
     "residue_multiset",
-    "same_block",
+    "series_blocks",
     "to_beta",
     "uglov",
 ]

@@ -126,40 +126,6 @@ def _member_key(p: Partition, e: int, m: int) -> Key:
     return _root_counts(image, *_level_values(e_core(p, e), e, m))
 
 
-def _require_blocks(e: int, m: int) -> None:
-    """Reject levels below 1; raise OmegaIsOne when m | e, where x^e is 1."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if e % m == 0:
-        raise OmegaIsOne(f"level {m} blocks are undefined at level e={e}")
-
-
-def same_block(p: Partition, r: Partition, e: int, m: int, core: Partition) -> bool:
-    """Whether p and r lie in the same level-m block of their common series.
-
-    Both partitions must have e-core equal to core (ValueError otherwise).
-    Compares the residue keys of their images modulo m.  Raises OmegaIsOne
-    when m divides e, before the cores are checked.
-    """
-    _require_blocks(e, m)
-    if e_core(p, e) != core or e_core(r, e) != core:
-        raise ValueError("both partitions must have the given core")
-    return _member_key(p, e, m) == _member_key(r, e, m)
-
-
-def block_partition(
-    e: int, a: int, core: Partition, m: int
-) -> tuple[tuple[MultiPartition, ...], ...]:
-    """Partition of all e-multipartitions of size a into level-m blocks: the
-    GL blocks of the series of core, which must be an e-core (ValueError
-    otherwise).  Raises OmegaIsOne when m divides e, where the underlying
-    ratio specializes to 1.
-    """
-    return series_blocks(CuspidalPairGL(core.size + a * e, e, a, core), m)
-
-
 def series_blocks(
     pair: CuspidalPairGL, m: int, variant: str = GL
 ) -> tuple[tuple[MultiPartition, ...], ...]:
@@ -174,8 +140,8 @@ def series_blocks(
         raise ValueError("m must be >= 1")
     if variant == GU and pair.a > 0:
         _root_values(specialization(pair, GU), ennola_e(m))
-    else:
-        _require_blocks(pair.e, m)
+    elif pair.e % m == 0:
+        raise OmegaIsOne(f"level {m} blocks are undefined at level e={pair.e}")
     _, numbers, gu_ok = _side_blocks(pair, m)
     if variant == GU and not gu_ok:
         raise ArithmeticError(f"GU keys at {ennola_e(m)} do not group as GL keys at {m}")

@@ -111,16 +111,6 @@ def affine_perm(e: int, m: int, s: int) -> AffinePerm:
     return AffinePerm(e, tuple(w), shifts)
 
 
-def apply_affine(ap: AffinePerm, cmp: ChargedMultiPartition) -> ChargedMultiPartition:
-    """Act on a charged multipartition through its abacus, bead by bead
-    (_shift_pairs): component i moves to perm[i], keeping its partition, and
-    its charge moves by the target's shift.
-    """
-    if cmp.level != ap.e:
-        raise ValueError(f"expected {ap.e} components, got {cmp.level}")
-    return _charged(_shift_pairs(ap, _abaci(cmp.components, cmp.charges)))
-
-
 def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
     """The affine action on canonical (floor, tail) pairs: component i moves
     to perm[i], its floor and every tail bead shifted by shifts[perm[i]].

@@ -5,7 +5,8 @@ finite general linear groups.
 All coefficients are Python integers; any inexact division raises instead of
 approximating, since an inexact division here always means a transcription
 bug somewhere upstream.  Products and long division loop only over the
-nonzero terms of the right operand or divisor.
+nonzero terms of the right operand or divisor.  Long division takes monic
+divisors only: the library divides by cyclotomic polynomials alone.
 
 generic_degree cancels each numerator factor x^i - 1 of the q-hook formula
 against an equal hook length, multiplies out the factors left over and
@@ -83,28 +84,23 @@ class IntPolynomial:
         return IntPolynomial(*out)
 
     def __divmod__(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Long division over the integers.
+        """Long division by a monic divisor (ValueError for any other).
 
-        Each elimination step must divide exactly in Z (automatic for monic
-        divisors); otherwise InexactDivisionError is raised.  The top index
-        walks down over the remainder, and each step subtracts only the
-        divisor's nonzero terms below its lead.
+        The top index walks down over the remainder, and each step subtracts
+        only the divisor's nonzero terms below its lead.
         """
         if d.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if d.coeffs[-1] != 1:
+            raise ValueError(f"divisor {d} is not monic")
         deg = d.degree
-        lead = d.coeffs[-1]
         terms = [(i, c) for i, c in enumerate(d.coeffs[:-1]) if c]
         q = [0] * max(len(self.coeffs) - deg, 0)
         r = list(self.coeffs)
         for top in range(len(r) - 1, deg - 1, -1):
-            if not r[top]:
+            t = r[top]
+            if not t:
                 continue
-            t, rem = divmod(r[top], lead)
-            if rem:
-                raise InexactDivisionError(
-                    f"leading coefficient {r[top]} not divisible by {lead}"
-                )
             shift = top - deg
             q[shift] = t
             for i, c in terms:

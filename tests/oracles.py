@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from abacore import blocks, levelrank, partitions
+from abacore import blocks, hc_series, levelrank, partitions
 from abacore.partitions import _abaci
 
 
@@ -137,6 +137,17 @@ def apply_affine_on_beads(perm, shifts, bead_sets):
     return out
 
 
+def apply_affine_on_components(ap, cmp):
+    """The affine permutation ap acting on a charged multipartition without
+    beads: component i moves to ap.perm[i], keeping its partition, and its
+    charge moves by the target's shift."""
+    components, charges = [None] * ap.e, [None] * ap.e
+    for i, j in enumerate(ap.perm):
+        components[j] = cmp.components[i]
+        charges[j] = cmp.charges[i] + ap.shifts[j]
+    return partitions.ChargedMultiPartition(components, charges)
+
+
 def regroup_on_beads(components, m, index_offset=0):
     """The bead map (x, i) -> (e*q + i, r) with (q, r) = divmod(x, m), applied
     to explicit finite bead windows.
@@ -222,11 +233,8 @@ def _trim(coeffs):
 
 
 def schoolbook_divmod(f, d):
-    """Dense long division of coefficient tuples (constant term first).
-
-    d must have a nonzero lead.  Returns the trimmed (quotient, remainder)
-    pair, or the error message when a leading coefficient is not divisible
-    by d's lead.
+    """Dense long division of coefficient tuples (constant term first) by a
+    monic d.  Returns the trimmed (quotient, remainder) pair.
     """
     q = [0] * max(len(f) - len(d) + 1, 0)
     r = list(f)
@@ -235,9 +243,7 @@ def schoolbook_divmod(f, d):
             r.pop()
         if len(r) < len(d):
             break
-        t, rem = divmod(r[-1], d[-1])
-        if rem:
-            return f"leading coefficient {r[-1]} not divisible by {d[-1]}"
+        t = r[-1]
         shift = len(r) - len(d)
         q[shift] = t
         for i, c in enumerate(d):
@@ -258,6 +264,50 @@ def ennola_substitute(coeffs):
     """f(-x) for f given as a coefficient tuple (constant term first): every
     odd-degree coefficient changes sign."""
     return tuple(-c if k % 2 else c for k, c in enumerate(coeffs))
+
+
+def classical_cases():
+    """(case, pair, variant, tau ratio, sigma_1) for the known parameter
+    cases, each parameter an (argument, exponent) pair as in HeckeParam, the
+    tau ratio tau_0/tau_1 (None where it is not checked) and sigma_1 the
+    second symmetric parameter, the first being 1.
+
+    - "GU ordinary series" (Lusztig, Invent. Math. 43, 1977: a Hecke algebra
+      of type B_a with parameters q^(2t+1) and q^2): the pair at e = 2 over
+      the staircase core (t, t-1, ..., 1), t <= 10 and 1 <= a <= 3, read as
+      GU, has tau_0/tau_1 = -x^-(2t+1) and sigma = (1, -x^2).
+    - "GL principal series" (Iwahori), e = 1 and n <= 5: sigma = (1, -x),
+      the relation (T - x)(T + 1).
+    - "GU Phi_2 principal series" (its Ennola image, Broue-Malle-Michel
+      1993), e = 1 read as GU and n <= 5: sigma = (1, x), so the Hecke
+      algebra is that of S_n at -x.
+    """
+    half = Fraction(1, 2)
+    for t in range(11):
+        core = partitions.Partition(tuple(range(t, 0, -1)))
+        for a in range(1, 4):
+            pair = hc_series.CuspidalPairGL(core.size + 2 * a, 2, a, core)
+            yield "GU ordinary series", pair, hc_series.GU, (half, -(2 * t + 1)), (half, 2)
+    for n in range(1, 6):
+        (pair,) = hc_series.hc_pairs(n, 1)
+        yield "GL principal series", pair, hc_series.GL, None, (half, 1)
+        yield "GU Phi_2 principal series", pair, hc_series.GU, None, (0, 1)
+
+
+def classical_case_mismatches(specialize):
+    """(case, pair) for each of classical_cases() whose parameters, as
+    specialize(pair, variant) gives them, are not the known ones."""
+    one = hc_series.HeckeParam(Fraction(0), 0)
+    found = []
+    for case, pair, variant, ratio, sigma in classical_cases():
+        sp = specialize(pair, variant)
+        ok = sp.sigma_params == (one, hc_series.HeckeParam(*sigma))
+        if ratio is not None:
+            t0, t1 = sp.tau_params
+            ok = ok and ((t0.arg - t1.arg) % 1, t0.exponent - t1.exponent) == ratio
+        if not ok:
+            found.append((case, pair))
+    return found
 
 
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]

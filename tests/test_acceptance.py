@@ -4,10 +4,17 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.  All checks are exact; no tolerances anywhere.
 """
 
+from abacore.hc_series import specialization
 from abacore.suites import run_suite
 from abacore.partitions import partitions_of
 from abacore.polynomials import IntPolynomial, cyclotomic, ennola_e, generic_degree
-from oracles import PARTITION_COUNTS, ennola_substitute, syt_by_recursion
+from oracles import (
+    PARTITION_COUNTS,
+    classical_case_mismatches,
+    classical_cases,
+    ennola_substitute,
+    syt_by_recursion,
+)
 
 # coprime level pairs 1 <= e < m <= 12, the default thm1/thm2 sweep
 COPRIME_PAIRS_TO_12 = 45
@@ -125,4 +132,15 @@ def test_criterion_8_sign_twists_and_tableaux():
         "sign-twist pairing and tableau counts",
         not problems,
         f"problems: {problems[:5]}" if problems else "e <= 24, sizes <= 8",
+    )
+
+
+def test_criterion_9_classical_parameters():
+    cases = len(list(classical_cases()))
+    mismatches = classical_case_mismatches(specialization)
+    _report(
+        9,
+        "the predicted parameters reproduce the classical cases",
+        cases == 43 and not mismatches,
+        f"{cases} pairs, {len(mismatches)} mismatches, first: {mismatches[:3]}",
     )

@@ -8,10 +8,8 @@ from abacore import blocks, suites
 from abacore.blocks import (
     OmegaIsOne,
     block_match_report,
-    block_partition,
     check_content_lemma,
     residue_multiset,
-    same_block,
     series_blocks,
 )
 from abacore.hc_series import (
@@ -44,6 +42,11 @@ from oracles import (
 )
 
 P = Partition
+
+
+def _gl_blocks(e, a, core, m):
+    """The level-m GL blocks of the level-e series of rank a over core."""
+    return series_blocks(CuspidalPairGL(core.size + a * e, e, a, core), m)
 
 
 class TestResidueMultisets:
@@ -115,7 +118,7 @@ def _dense(pairs, m):
 def _key_disagreements(index_offset=0):
     """Compare the level-m keys of every series of hc_pairs(n, e), n <= 8,
     e <= 4, m = 2..7 with e % m != 0, against the residue oracle: each
-    member's _member_key, and block_partition against the oracle's grouping.
+    member's _member_key, and series_blocks against the oracle's grouping.
     Returns ((series, m) pairs compared, keys compared, disagreements)."""
     series = keys = wrong = 0
     for n in range(1, 9):
@@ -137,7 +140,7 @@ def _key_disagreements(index_offset=0):
                             [q.parts for q in mp], charges, e, m, index_offset
                         )
                         grouped.setdefault(key, set()).add(mp)
-                    found = block_partition(e, pair.a, pair.core, m)
+                    found = series_blocks(pair, m)
                     series += 1
                     wrong += {frozenset(b) for b in found} != {
                         frozenset(g) for g in grouped.values()
@@ -288,7 +291,7 @@ class TestRootKeys:
         # index induce exactly the integer-residue grouping
         for n, e, m in ((4, 2, 3), (5, 2, 5), (4, 3, 2), (6, 3, 4)):
             for pair in (pr for pr in hc_pairs(n, e) if pr.a >= 1):
-                gl_blocks = block_partition(pair.e, pair.a, pair.core, m)
+                gl_blocks = series_blocks(pair, m)
                 assert series_blocks(pair, m, GU) == gl_blocks
 
     def test_gu_blocks_raise_where_gu_keys_do_not_group_like_gl(self, monkeypatch):
@@ -364,52 +367,37 @@ class TestRootKeyOracle:
             root_key_oracle([(1,)], [(Fraction(0), 0)], params.sigma_params, 2)
 
 
-class TestSameBlock:
+class TestMemberKey:
     def test_examples(self):
-        empty = P(())
-        assert same_block(P((3,)), P((1, 1, 1)), 3, 2, empty)
-        assert not same_block(P((3,)), P((2, 1)), 3, 2, empty)
-        assert same_block(P((2, 1)), P((2, 1)), 3, 2, empty)
+        def key(p):
+            return blocks._member_key(p, 3, 2)
 
-    def test_core_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            same_block(P((2, 1)), P((3,)), 2, 3, P(()))
-        # only the second partition's 2-core, (2, 1), differs from core
-        with pytest.raises(ValueError, match="given core"):
-            same_block(P((2,)), P((2, 1)), 2, 3, P(()))
+        assert key(P((3,))) == key(P((1, 1, 1)))
+        assert key(P((3,))) != key(P((2, 1)))
 
-    def test_omega_one_hard_error(self):
-        # m dividing e (m = 1 included) specializes the symmetric ratio to
-        # 1, as in block_partition; checked before the core precondition
-        for e, m in ((2, 2), (2, 1), (4, 2), (3, 1), (1, 1)):
-            with pytest.raises(OmegaIsOne):
-                same_block(P((2,)), P((1, 1)), e, m, P(()))
-        with pytest.raises(OmegaIsOne):
-            same_block(P((2, 1)), P((3,)), 2, 2, P(()))
-        with pytest.raises(ValueError, match="m must be >= 1"):
-            same_block(P((2,)), P((1, 1)), 2, 0, P(()))
-
-    def test_equivalence_relation(self):
+    def test_member_keys_group_as_the_series_blocks(self):
+        # sharing a key is sharing a block: the members' key classes, read
+        # through the series map, are the blocks of their series
         core = P(())
-        members = [p for p in partitions_of(6) if e_core(p, 2) == core]
-        for a in members:
-            assert same_block(a, a, 2, 3, core)
-            for b in members:
-                assert same_block(a, b, 2, 3, core) == same_block(b, a, 2, 3, core)
-                for c in members:
-                    if same_block(a, b, 2, 3, core) and same_block(b, c, 2, 3, core):
-                        assert same_block(a, c, 2, 3, core)
+        classes = {}
+        for p in partitions_of(6):
+            if e_core(p, 2) == core:
+                image = e_quotient_charged(p, 2).components
+                classes.setdefault(blocks._member_key(p, 2, 3), set()).add(image)
+        assert len(classes) > 1
+        expected = {frozenset(b) for b in _gl_blocks(2, 3, core, 3)}
+        assert {frozenset(c) for c in classes.values()} == expected
 
 
-class TestBlockPartition:
+class TestSeriesBlocks:
     def test_examples(self):
-        one_block = block_partition(1, 2, P(()), 2)
+        one_block = _gl_blocks(1, 2, P(()), 2)
         assert [
             sorted(p.parts for (p,) in block) for block in one_block
         ] == [[(1, 1), (2,)]]
-        two_blocks = block_partition(1, 2, P(()), 3)
+        two_blocks = _gl_blocks(1, 2, P(()), 3)
         assert len(two_blocks) == 2
-        empty_series = block_partition(3, 0, P((1,)), 2)
+        empty_series = _gl_blocks(3, 0, P((1,)), 2)
         assert empty_series == (((P(()), P(()), P(())),),)
 
     def test_level_one_blocks_are_m_cores(self):
@@ -417,7 +405,7 @@ class TestBlockPartition:
         # of partitions by their m-core
         for n in range(1, 9):
             for m in range(2, 6):
-                blocks = block_partition(1, n, P(()), m)
+                blocks = _gl_blocks(1, n, P(()), m)
                 grouped = {}
                 for p in partitions_of(n):
                     grouped.setdefault(e_core(p, m).parts, set()).add((p,))
@@ -426,7 +414,7 @@ class TestBlockPartition:
 
     def test_covers_all_multipartitions(self):
         for e, a, core, m in ((2, 2, P(()), 3), (3, 2, P((1,)), 2)):
-            blocks = block_partition(e, a, core, m)
+            blocks = _gl_blocks(e, a, core, m)
             flattened = sorted(
                 tuple(p.parts for p in mp) for block in blocks for mp in block
             )
@@ -435,32 +423,29 @@ class TestBlockPartition:
             )
 
     def test_omega_one_hard_error(self):
-        with pytest.raises(OmegaIsOne):
-            block_partition(2, 1, P(()), 2)
-        with pytest.raises(OmegaIsOne):
-            block_partition(4, 1, P((2,)), 2)
-        with pytest.raises(OmegaIsOne):
-            block_partition(3, 1, P(()), 1)
+        # m dividing e (m = 1 included) specializes the symmetric ratio to 1
+        for e, a, core, m in (
+            (2, 1, P(()), 2), (4, 1, P((2,)), 2), (3, 1, P(()), 1),
+            (2, 1, P(()), 1), (4, 1, P(()), 2), (1, 2, P(()), 1),
+        ):
+            message = f"^level {m} blocks are undefined at level e={e}$"
+            with pytest.raises(OmegaIsOne, match=message):
+                _gl_blocks(e, a, core, m)
 
     @pytest.mark.parametrize("a", [1, 0])
     def test_rejects_a_core_that_is_no_e_core(self, a):
         # (2) is no 2-core: it heads no series, even one whose only member,
         # at a = 0, needs no key
         with pytest.raises(ValueError, match=r"^\(2,\) is not a 2-core$") as exc:
-            block_partition(2, a, P((2,)), 3)
+            _gl_blocks(2, a, P((2,)), 3)
         assert not isinstance(exc.value, OmegaIsOne)
 
     @pytest.mark.parametrize("e", [0, -1])
     def test_rejects_nonpositive_e(self, e):
         # every m divides e = 0, so the level check must precede the m | e test
-        calls = (
-            lambda: block_partition(e, 1, P(()), 2),
-            lambda: same_block(P((1,)), P((1,)), e, 2, P(())),
-        )
-        for call in calls:
-            with pytest.raises(ValueError, match="^e must be >= 1$") as exc:
-                call()
-            assert not isinstance(exc.value, OmegaIsOne)
+        with pytest.raises(ValueError, match="^e must be >= 1$") as exc:
+            _gl_blocks(e, 1, P(()), 2)
+        assert not isinstance(exc.value, OmegaIsOne)
 
     @pytest.mark.parametrize("variant", [GL, GU])
     @pytest.mark.parametrize("m", [0, -1])
@@ -532,7 +517,7 @@ class TestBlockPartition:
                         (sorted(block, key=key) for block in grouped.values()),
                         key=lambda block: key(block[0]),
                     )
-                    result = block_partition(e, a, P(()), m)
+                    result = _gl_blocks(e, a, P(()), m)
                     assert result == tuple(tuple(block) for block in expected)
 
     def test_series_blocks_rejects_unknown_variant(self):
@@ -540,9 +525,7 @@ class TestBlockPartition:
         # to GL blocks, for toral and cuspidal pairs alike
         toral = CuspidalPairGL(4, 2, 2, P(()))
         for pair in (toral, CuspidalPairGL(3, 2, 0, P((2, 1)))):
-            assert series_blocks(pair, 3, GL) == block_partition(
-                pair.e, pair.a, pair.core, 3
-            )
+            assert series_blocks(pair, 3, GL) == series_blocks(pair, 3)
             for variant in ("xyz", "GU", "GL", ""):
                 with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
                     series_blocks(pair, 3, variant)
@@ -1095,7 +1078,7 @@ class TestSideBlocks:
             for r in range(2, 13):
                 if gcd(pair.e, r) == 1:
                     series_blocks(pair, r, GU)
-                    block_partition(pair.e, 0, pair.core, r)
+                    series_blocks(pair, r)
         assert stale() == []
 
 
@@ -1116,7 +1099,7 @@ class TestSingletonSeries:
                             continue
                         one = ([1], {only[0][0]: 0}, True)
                         assert blocks._side_blocks(pair, r) == one
-                        assert block_partition(e, 0, pair.core, r) == only
+                        assert series_blocks(pair, r) == only
                         assert series_blocks(pair, r, GU) == only
                         checked += 1
         assert checked == 5_437

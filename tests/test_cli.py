@@ -1011,6 +1011,35 @@ class TestSubprocessDeterminism:
         assert first.stdout.endswith(b"\n")
         assert b"\r" not in first.stdout
 
+    def test_cases_do_not_depend_on_the_hash_seed(self):
+        # every SUITES row at a small size, in one child per PYTHONHASHSEED:
+        # no set or hash order may reach a case, in any suite added later too
+        script = (
+            "import json\n"
+            "from abacore.suites import SUITES, run_suite\n"
+            "for suite, (_, flags) in SUITES.items():\n"
+            "    small = {'max_n': 6 if suite == 'content-lemma' else 8, 'trials': 500}\n"
+            "    given = {flag: v for flag, v in small.items() if flag in flags}\n"
+            "    emit = lambda case: print(json.dumps(case, sort_keys=True))\n"
+            "    _, cases, failures = run_suite(suite, emit, **given)\n"
+            "    print(json.dumps([suite, cases, len(failures)]))\n"
+        )
+        outputs = []
+        for seed in ("1", "977"):
+            _, env = _child_command()
+            env["PYTHONHASHSEED"] = seed
+            child = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, env=env
+            )
+            assert child.returncode == 0 and child.stderr == b"", child.stderr
+            outputs.append(child.stdout)
+        assert outputs[0] == outputs[1]
+        summaries = [
+            json.loads(line) for line in outputs[0].splitlines() if line.startswith(b"[")
+        ]
+        assert [suite for suite, _, _ in summaries] == list(suites.SUITES)
+        assert all(cases > 0 for _, cases, _ in summaries)
+
     def test_unbuffered_stdout_writes_the_same_bytes(self):
         # PYTHONUNBUFFERED makes stdout write through: each write is a syscall
         cmd, env = _child_command("verify", "thm2", "--max-n", "8", "--stream")

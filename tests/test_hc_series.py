@@ -27,7 +27,13 @@ from abacore.partitions import (
     partitions_of,
 )
 from abacore.polynomials import singular_check
-from oracles import rim_hook_core, syt_by_recursion, wreath_dim
+from oracles import (
+    classical_case_mismatches,
+    classical_cases,
+    rim_hook_core,
+    syt_by_recursion,
+    wreath_dim,
+)
 
 P = Partition
 
@@ -307,6 +313,30 @@ class TestSpecialization:
                 HeckeParam(Fraction(0), 0),
                 HeckeParam(Fraction(1, 2), e),
             )
+
+    @pytest.mark.parametrize(
+        "case, pairs",
+        [("GU ordinary series", 33), ("GL principal series", 5), ("GU Phi_2 principal series", 5)],
+    )
+    def test_classical_case(self, case, pairs):
+        # the known Hecke parameters of Lusztig's GU series and of the GL
+        # and GU principal series, beside the Coxeter case above
+        assert sum(c == case for c, *_ in classical_cases()) == pairs
+        assert [pair for c, pair in classical_case_mismatches(specialization) if c == case] == []
+
+    def test_flipped_gu_tau_parity_fails_the_gu_case(self):
+        # negative control: GU's tau_0 read with the wrong parity of its
+        # exponent breaks every GU ordinary pair and nothing else
+        def flipped(pair, variant):
+            sp = specialization(pair, variant)
+            if variant != GU:
+                return sp
+            arg, exponent = sp.tau_params[0]
+            tau0 = HeckeParam((arg + Fraction(1, 2)) % 1, exponent)
+            return sp._replace(tau_params=(tau0, *sp.tau_params[1:]))
+
+        found = classical_case_mismatches(flipped)
+        assert [case for case, _ in found] == ["GU ordinary series"] * 33
 
     def test_gu_is_sign_twist_of_gl(self):
         # replacing x by -x adds exponent/2 to every argument

@@ -9,12 +9,13 @@ from abacore import levelrank, partitions
 from abacore.suites import LEVEL_SWEEP_MAX
 from abacore.levelrank import (
     AffinePerm,
+    _shift_pairs,
     affine_perm,
-    apply_affine,
     qr_em,
     uglov,
 )
 from abacore.partitions import (
+    BetaSet,
     ChargedMultiPartition,
     Partition,
     _abaci,
@@ -26,6 +27,7 @@ from abacore.partitions import (
 )
 from oracles import (
     apply_affine_on_beads,
+    apply_affine_on_components,
     check_core_matched_diagram,
     check_uglov_diagram,
     regroup_on_beads,
@@ -186,26 +188,22 @@ class TestAffinePerm:
                             b,
                         )
 
-    def test_apply_affine_charge_shifts(self):
+    def test_shift_pairs_charge_shifts(self):
         ap = affine_perm(2, 3, 0)
-        cmp0 = ChargedMultiPartition((P(()), P(())), (4, 7))
-        assert apply_affine(ap, cmp0) == ChargedMultiPartition(
-            (P(()), P(())), (4, 6)
-        )
+        empties = (P(()), P(()))
+        assert _shift_pairs(ap, _abaci(empties, (4, 7))) == _abaci(empties, (4, 6))
         identity = affine_perm(1, 1, 0)
-        one = ChargedMultiPartition((P((2, 1)),), (3,))
-        assert apply_affine(identity, one) == one
+        one = _abaci((P((2, 1)),), (3,))
+        assert _shift_pairs(identity, one) == one
 
-    def test_apply_affine_permutes_and_shifts(self):
+    def test_shift_pairs_permutes_and_shifts(self):
         # bead (a, i) goes to component perm[i] shifted by shifts[perm[i]]:
         # for (3, 2, 0) the empty triple at charges (0,0,0) lands on (0,0,-1)
         ap = affine_perm(3, 2, 0)
-        cmp0 = ChargedMultiPartition((P(()),) * 3, (0, 0, 0))
-        assert apply_affine(ap, cmp0) == ChargedMultiPartition(
-            (P(()),) * 3, (0, 0, -1)
-        )
+        empties = (P(()),) * 3
+        assert _shift_pairs(ap, _abaci(empties, (0, 0, 0))) == _abaci(empties, (0, 0, -1))
 
-    def test_apply_affine_against_bead_oracle(self):
+    def test_shift_pairs_against_bead_oracle(self):
         # compare with the action on explicit bead sets, window far below 0
         cases = [
             ((3, 2, 0), ((P(()),) * 3, (0, 0, 0))),
@@ -215,7 +213,6 @@ class TestAffinePerm:
         low = -40
         for (e, m, s), (comps, charges) in cases:
             ap = affine_perm(e, m, s)
-            cmp0 = ChargedMultiPartition(comps, charges)
             expected_sets = apply_affine_on_beads(
                 ap.perm,
                 ap.shifts,
@@ -224,15 +221,11 @@ class TestAffinePerm:
                     for p, c in zip(comps, charges)
                 ],
             )
-            result = apply_affine(ap, cmp0)
+            result = _shift_pairs(ap, _abaci(comps, charges))
             for j in range(e):
-                beta = to_beta(charged(result.components[j], result.charges[j]))
+                beta = BetaSet(*result[j])
                 got = {x for x in range(low + 10, 20) if x in beta}
                 assert got == {x for x in expected_sets[j] if x >= low + 10}
-
-    def test_component_count_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_affine(affine_perm(3, 2, 0), ChargedMultiPartition((P(()),), (0,)))
 
 
 class TestUglov:
@@ -519,9 +512,11 @@ class TestDiagrams:
 
 def object_routes(p, e, m, s, t, make_perm=affine_perm):
     """The two routes of check_uglov_diagram through the public, validated
-    objects: split, affine correction and (on the e-side) the Uglov map."""
-    route_e = uglov(apply_affine(make_perm(e, m, s), uglov(charged(p, s), e)), m)
-    route_m = apply_affine(make_perm(m, e, t), uglov(charged(p, t), m))
+    objects: split and (on the e-side) the Uglov map, with the affine
+    correction read off its definition on components, not on beads."""
+    act = apply_affine_on_components
+    route_e = uglov(act(make_perm(e, m, s), uglov(charged(p, s), e)), m)
+    route_m = act(make_perm(m, e, t), uglov(charged(p, t), m))
     return route_e, route_m
 
 

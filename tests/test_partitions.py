@@ -34,7 +34,7 @@ from abacore.partitions import (
     to_beta,
 )
 from abacore.hc_series import CuspidalPairGL, HeckeParam, HeckeSpecialization
-from abacore.levelrank import AffinePerm, _shift_pairs, affine_perm, apply_affine, uglov
+from abacore.levelrank import AffinePerm, _shift_pairs, affine_perm, uglov
 from abacore.polynomials import IntPolynomial
 from oracles import (
     PARTITION_COUNTS,
@@ -403,21 +403,20 @@ class TestValueTypes:
         assert type(image) is CMP and image == CP(P((2, 1)), 0)
         assert type(image.charges[0]) is int
 
-    def test_apply_affine_input_is_checked_at_the_boundary(self):
-        # the shifts reach _charged too: a float shift of an empty component
-        # came back as a float charge once the output was no longer checked
-        empty = CMP((P(()),), (0,))
+    def test_affine_input_is_checked_at_the_boundary(self):
+        # the shifts reach the abaci that _shift_pairs returns: a float shift
+        # of an empty component would come back as a float floor
         with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
-            apply_affine(AffinePerm(1, (0,), (0.5,)), empty)
+            AffinePerm(1, (0,), (0.5,))
         with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
             AffinePerm(1, (0,), (0,))._replace(shifts=(True,))
         # a float perm entry failed in _shift_pairs with a bare TypeError
         with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
-            apply_affine(AffinePerm(2, (1.0, 0), (0, 0)), CMP((P(()), P((1,))), (0, 0)))
+            AffinePerm(2, (1.0, 0), (0, 0))
         with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
             AffinePerm(2, (1, 0), (0, 0))._replace(perm=(1.0, 0))
-        image = apply_affine(AffinePerm(1, (0,), (2,)), empty)
-        assert image == CP(P(()), 2) and type(image.charges[0]) is int
+        (image,) = _shift_pairs(AffinePerm(1, (0,), (2,)), _abaci((P(()),), (0,)))
+        assert image == (2, ()) and type(image[0]) is int
 
     # a value built from lists, and the same value built from tuples
     FROM_LISTS = [
