@@ -16,7 +16,7 @@ from .partitions import (
 )
 from .levelrank import AffinePerm, affine_perm, qr_em, uglov
 from .polynomials import IntPolynomial, cyclotomic, generic_degree, gl_order
-from .hc_series import CuspidalPairGL, hc_pairs, hc_partition, hc_series_of
+from .hc_series import CuspidalPairGL, hc_pairs, hc_partition
 from .blocks import block_match_report, residue_multiset, series_blocks
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "gl_order",
     "hc_pairs",
     "hc_partition",
-    "hc_series_of",
     "hook_lengths",
     "is_e_core",
     "qr_em",

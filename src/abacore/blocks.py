@@ -216,21 +216,19 @@ def _one_block(e: int, a: int) -> tuple[list[int], dict, bool]:
     return [len(mps)], dict.fromkeys(mps, 0), True
 
 
-@lru_cache(maxsize=None)
-def _name(p: Partition) -> str:
-    """str(p), rendered once per partition for block_match_report."""
-    return str(p)
-
-
-def block_match_report(n: int, e: int, m: int) -> dict:
+def block_match_report(
+    n: int, e: int, m: int
+) -> list[tuple[Partition, Partition, list[Partition], list[int], list[int], bool]]:
     """Check that every nonempty intersection of a level-e series and a
     level-m series maps to exactly one block on each side.
 
     For each pair of series with nonempty intersection, the image of the
     intersection in the e-side multipartitions must equal one full block of
     the e-side block partition at level m, and symmetrically.  The unitary
-    variant must induce the same block partitions.  Returns a report dict
-    with one entry per nonempty intersection.
+    variant must induce the same block partitions.  Returns one tuple
+    (core_e, core_m, members, sizes_e, sizes_m, ok) per nonempty
+    intersection, sorted by the two cores: the sizes are those of the blocks
+    the members' images touch on each side, in block order.
     """
     if n < 1 or e < 1 or m < 1:
         raise ValueError("n, e, m must be >= 1")
@@ -257,24 +255,9 @@ def block_match_report(n: int, e: int, m: int) -> dict:
         ok = gu_ok and None not in hits and len(images) == len(members)
         return ok and touched == [len(members)], touched
 
-    intersections = []
+    report = []
     for (core_e, core_m), members in sorted(groups.items()):
         ok_e, sizes_e = side(members, e, core_e)
         ok_m, sizes_m = side(members, m, core_m)
-        intersections.append(
-            {
-                "coreE": _name(core_e),
-                "coreM": _name(core_m),
-                "members": [_name(p) for p in members],
-                "blockE_sizes": sizes_e,
-                "blockM_sizes": sizes_m,
-                "pass": ok_e and ok_m,
-            }
-        )
-    return {
-        "n": n,
-        "e": e,
-        "m": m,
-        "intersections": intersections,
-        "pass": all(entry["pass"] for entry in intersections),
-    }
+        report.append((core_e, core_m, members, sizes_e, sizes_m, ok_e and ok_m))
+    return report

@@ -24,10 +24,11 @@ import os
 import sys
 
 from .blocks import series_blocks
-from .hc_series import hc_pairs, hc_partition, hc_series_of
+from .hc_series import hc_pairs, hc_partition
 from .levelrank import uglov
 from .partitions import (
     ChargedMultiPartition,
+    e_core,
     e_quotient_charged,
     parse_charges,
     parse_multipartition,
@@ -36,7 +37,7 @@ from .partitions import (
 )
 from .suites import LEVEL_MAX, SUITES, _check_bounds, run_suite
 
-VERIFY_FLAGS = ("max_n", "e", "m", "seed", "trials")
+VERIFY_FLAGS = tuple(dict.fromkeys(flag for _, flags in SUITES.values() for flag in flags))
 SERIES_MAX_N = 40  # p(40) = 37,338; series/blocks cost grows about 6x per +10
 INPUT_MAX = 1000  # levels, partition sizes and |charges| of core and uglov
 BLOCK_LINES = 512  # stdout lines per write
@@ -73,10 +74,10 @@ class _Lines(list):
 def _cmd_core(args, emit) -> int:
     p = parse_partition(args.partition)
     _check_bounds(INPUT_MAX, ("--e", args.e), ("partition size", p.size))
-    pair, image = hc_series_of(p, args.e)
+    image = e_quotient_charged(p, args.e)
     emit(
         {
-            "core": str(pair.core),
+            "core": str(e_core(p, args.e)),
             "quotient": [render_multipartition(image.components)],
             "charges": list(image.charges),
         }
@@ -216,18 +217,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bl.set_defaults(func=_cmd_blocks)
 
     p_ver = sub.add_parser("verify", help="batch verification suites")
-    p_ver.add_argument(
-        "suite",
-        choices=sorted(SUITES),
-        help="which suite to run",
-    )
+    p_ver.add_argument("suite", choices=sorted(SUITES), help="which suite to run")
     # no defaults here: run_suite fills them in, and must see which flags
     # were given to reject the ones a suite does not read
-    p_ver.add_argument("--max-n", dest="max_n", type=int)
-    p_ver.add_argument("--e", type=int)
-    p_ver.add_argument("--m", type=int)
-    p_ver.add_argument("--seed", type=int, help=f"default {SUITES['roundtrip'][1]['seed'][0]}")
-    p_ver.add_argument("--trials", type=int)
+    for flag in VERIFY_FLAGS:
+        p_ver.add_argument("--" + flag.replace("_", "-"), dest=flag, type=int)
     p_ver.add_argument(
         "--stream", action="store_true", help="one JSON line per case, summary last"
     )

@@ -1,8 +1,8 @@
 """Series combinatorics for the general linear and unitary groups: cuspidal
-pairs, the partition of unipotent characters into series by their cores, the
-quotient map onto multipartitions, signs of degree polynomials modulo
-cyclotomics (checked against the wreath degree of the series image, read off
-the hooks), and the predicted Hecke parameters.
+pairs, the partition of unipotent characters into series by their cores,
+signs of degree polynomials modulo cyclotomics (checked against the wreath
+degree of the series image, read off the hooks), and the predicted Hecke
+parameters.
 
 A cuspidal pair for GL_n at level e is encoded by an e-core of size n - a*e;
 the pairs with a = 0 are cuspidal singletons.  The members of a pair's series
@@ -19,11 +19,9 @@ from math import factorial, prod
 from typing import NamedTuple
 
 from .partitions import (
-    ChargedMultiPartition,
     Partition,
     core_exponents,
     e_core,
-    e_quotient_charged,
     hook_lengths,
     is_e_core,
     partitions_of,
@@ -80,18 +78,6 @@ def hc_pairs(n: int, e: int) -> tuple[CuspidalPairGL, ...]:
         raise ValueError("n and e must be >= 1")
     cores = sorted({e_core(p, e) for p in partitions_of(n)})
     return tuple(CuspidalPairGL(n, e, (n - c.size) // e, c) for c in cores)
-
-
-def hc_series_of(p: Partition, e: int) -> tuple[CuspidalPairGL, ChargedMultiPartition]:
-    """The cuspidal pair whose series contains p, and p's image in it.
-
-    The image is the charged e-quotient at charge e + len(core); a partition
-    that is itself an e-core maps to the empty multipartition (the trivial
-    character of the trivial wreath group).
-    """
-    core = e_core(p, e)
-    pair = CuspidalPairGL(p.size, e, (p.size - core.size) // e, core)
-    return pair, e_quotient_charged(p, e)
 
 
 def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:

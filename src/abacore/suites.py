@@ -72,10 +72,17 @@ def _coprime_pairs(e, m) -> list[tuple[int, int]]:
 
 def _thm1_cases(max_n, e, m):
     pairs = _coprime_pairs(e, m)
+    # every member and every core is a partition of at most max_n: each named once
+    names = {p: str(p) for k in range(max_n + 1) for p in partitions_of(k)}
     for n in range(1, max_n + 1):
         for e, m in pairs:
-            for entry in block_match_report(n, e, m)["intersections"]:
-                yield len(entry["members"]), {"n": n, "e": e, "m": m, **entry}
+            for core_e, core_m, members, sizes_e, sizes_m, ok in block_match_report(n, e, m):
+                yield len(members), {
+                    "n": n, "e": e, "m": m,
+                    "coreE": names[core_e], "coreM": names[core_m],
+                    "members": [names[p] for p in members],
+                    "blockE_sizes": sizes_e, "blockM_sizes": sizes_m, "pass": ok,
+                }
 
 
 def _thm2_cases(max_n, e, m):

@@ -44,6 +44,14 @@ from oracles import (
 P = Partition
 
 
+def _named(report):
+    """block_match_report's tuples with each partition rendered as text."""
+    return [
+        (str(core_e), str(core_m), [str(p) for p in members], sizes_e, sizes_m, ok)
+        for core_e, core_m, members, sizes_e, sizes_m, ok in report
+    ]
+
+
 def _gl_blocks(e, a, core, m):
     """The level-m GL blocks of the level-e series of rank a over core."""
     return series_blocks(CuspidalPairGL(core.size + a * e, e, a, core), m)
@@ -747,31 +755,26 @@ def _collapse_gu_values(monkeypatch, pairs):
 
 class TestBlockMatchReport:
     def test_small_reports_pass(self):
-        report = block_match_report(3, 2, 3)
-        assert report["pass"] is True
-        shapes = [
-            (entry["coreE"], entry["coreM"], len(entry["members"]))
-            for entry in report["intersections"]
-        ]
+        report = _named(block_match_report(3, 2, 3))
+        assert all(ok for *_, ok in report)
+        shapes = [(core_e, core_m, len(members)) for core_e, core_m, members, *_ in report]
         assert shapes == [("1", "", 2), ("2,1", "", 1)]
-        assert all(entry["blockE_sizes"] == [len(entry["members"])] for entry in report["intersections"])
+        assert all(sizes_e == [len(members)] for _, _, members, sizes_e, _, _ in report)
 
-        report2 = block_match_report(2, 2, 3)
-        assert report2["pass"] is True
-        assert {e["coreM"] for e in report2["intersections"]} == {"2", "1,1"}
+        report2 = _named(block_match_report(2, 2, 3))
+        assert all(ok for *_, ok in report2)
+        assert {core_m for _, core_m, *_ in report2} == {"2", "1,1"}
 
-    def test_schema(self):
+    def test_returns_library_values(self):
+        # the report holds facts, not output: partitions, int lists, a bool
         report = block_match_report(4, 3, 2)
-        assert set(report) == {"n", "e", "m", "intersections", "pass"}
-        for entry in report["intersections"]:
-            assert set(entry) == {
-                "coreE",
-                "coreM",
-                "members",
-                "blockE_sizes",
-                "blockM_sizes",
-                "pass",
-            }
+        assert report and all(len(row) == 6 for row in report)
+        for core_e, core_m, members, sizes_e, sizes_m, ok in report:
+            assert type(core_e) is type(core_m) is Partition
+            assert members and all(type(p) is Partition for p in members)
+            assert all(type(size) is int for size in sizes_e + sizes_m)
+            assert type(members) is type(sizes_e) is type(sizes_m) is list
+            assert type(ok) is bool
 
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError):
@@ -787,17 +790,13 @@ class TestBlockMatchReport:
 
     def test_level_one_side(self):
         # level 1 on either side collapses that side to a single block
-        report = block_match_report(4, 1, 2)
-        assert report["pass"] is True
-        report2 = block_match_report(4, 1, 5)
-        assert report2["pass"] is True
+        assert all(ok for *_, ok in block_match_report(4, 1, 2))
+        assert all(ok for *_, ok in block_match_report(4, 1, 5))
 
     def test_members_cover_all_partitions(self):
         report = block_match_report(6, 2, 3)
-        members = sorted(
-            m for entry in report["intersections"] for m in entry["members"]
-        )
-        assert members == sorted(str(p) for p in partitions_of(6))
+        members = sorted(p for _, _, ms, *_ in report for p in ms)
+        assert members == sorted(partitions_of(6))
 
     def test_colliding_images_fail(self, monkeypatch):
         # negative control: two members of one intersection share an image
@@ -807,11 +806,11 @@ class TestBlockMatchReport:
             return real(P((3,)) if p == P((1, 1, 1)) else p, e)
 
         monkeypatch.setattr(blocks, "e_quotient_charged", collide)
-        report = block_match_report(3, 2, 3)
-        assert [
-            (entry["members"], entry["pass"]) for entry in report["intersections"]
-        ] == [(["1,1,1", "3"], False), (["2,1"], True)]
-        assert report["pass"] is False
+        report = _named(block_match_report(3, 2, 3))
+        assert [(members, ok) for _, _, members, _, _, ok in report] == [
+            (["1,1,1", "3"], False),
+            (["2,1"], True),
+        ]
         _, cases, failures = run_suite("thm1", max_n=4, e=2, m=3)
         assert cases == 1 + 2 + 3 + 5
         assert [(f["n"], f["members"]) for f in failures] == [(3, ["1,1,1", "3"])]
@@ -826,10 +825,7 @@ class TestBlockMatchReport:
 
         monkeypatch.setattr(blocks, "_side_blocks", singletons)
         report = block_match_report(3, 2, 3)
-        assert [
-            (entry["blockE_sizes"], entry["blockM_sizes"], entry["pass"])
-            for entry in report["intersections"]
-        ] == [([1], [1], False), ([1], [1], True)]
+        assert [row[3:] for row in report] == [([1], [1], False), ([1], [1], True)]
 
     def test_image_outside_every_block_fails(self, monkeypatch):
         # negative control: one member's image is no multipartition of the
@@ -845,20 +841,20 @@ class TestBlockMatchReport:
             return image
 
         monkeypatch.setattr(blocks, "e_quotient_charged", stray_at(P((2, 1))))
-        report = block_match_report(3, 2, 3)
-        assert [
-            (e["members"], e["blockE_sizes"], e["blockM_sizes"], e["pass"])
-            for e in report["intersections"]
-        ] == [(["1,1,1", "3"], [2], [2], True), (["2,1"], [], [], False)]
+        report = _named(block_match_report(3, 2, 3))
+        assert [row[2:] for row in report] == [
+            (["1,1,1", "3"], [2], [2], True),
+            (["2,1"], [], [], False),
+        ]
 
         # still a failure when the other member's image lies in a block
         # whose size is the member count
         monkeypatch.setattr(blocks, "e_quotient_charged", stray_at(P((3,))))
-        report = block_match_report(3, 2, 3)
-        assert [
-            (e["members"], e["blockE_sizes"], e["blockM_sizes"], e["pass"])
-            for e in report["intersections"]
-        ] == [(["1,1,1", "3"], [2], [2], False), (["2,1"], [1], [1], True)]
+        report = _named(block_match_report(3, 2, 3))
+        assert [row[2:] for row in report] == [
+            (["1,1,1", "3"], [2], [2], False),
+            (["2,1"], [1], [1], True),
+        ]
 
     @pytest.mark.parametrize(
         "reshape, failing",
@@ -896,12 +892,11 @@ class TestBlockMatchReport:
             return sizes, numbers, gu_ok
 
         monkeypatch.setattr(blocks, "_side_blocks", reshaped)
-        report = block_match_report(5, 2, 3)
-        assert report["pass"] is False
+        report = _named(block_match_report(5, 2, 3))
         assert {
-            tuple(entry["members"]): entry["blockE_sizes"]
-            for entry in report["intersections"]
-            if not entry["pass"]
+            tuple(members): sizes_e
+            for _, _, members, sizes_e, _, ok in report
+            if not ok
         } == failing
 
     def test_gu_partition_mismatch_fails(self, monkeypatch):
@@ -911,10 +906,8 @@ class TestBlockMatchReport:
         assert len(series_blocks(pair, 3)) > 1
         _collapse_gu_values(monkeypatch, [pair])
         report = block_match_report(5, 2, 3)
-        assert report["pass"] is False
-        assert [entry["pass"] for entry in report["intersections"]] == [
-            entry["coreE"] != "1" for entry in report["intersections"]
-        ]
+        assert [ok for *_, ok in report] == [core_e != P((1,)) for core_e, *_ in report]
+        assert not all(ok for *_, ok in report)
 
     # negative controls for the m side: at (n, e, m) = (5, 2, 3) the level-3
     # series are reshaped while every level-2 series is left as it is, so
@@ -929,9 +922,9 @@ class TestBlockMatchReport:
     @staticmethod
     def _failing_m_side(report):
         return {
-            tuple(entry["members"]): entry["blockM_sizes"]
-            for entry in report["intersections"]
-            if not entry["pass"]
+            tuple(members): sizes_m
+            for _, _, members, _, sizes_m, ok in _named(report)
+            if not ok
         }
 
     def test_merged_m_side_blocks_fail(self, monkeypatch):
@@ -947,7 +940,6 @@ class TestBlockMatchReport:
 
         monkeypatch.setattr(blocks, "_side_blocks", merged)
         report = block_match_report(5, 2, 3)
-        assert report["pass"] is False
         assert self._failing_m_side(report) == self.M_SIDE_FAILING
 
     def test_m_side_gu_partition_mismatch_fails(self, monkeypatch):
@@ -957,10 +949,8 @@ class TestBlockMatchReport:
         _collapse_gu_values(monkeypatch, pairs)
         report = block_match_report(5, 2, 3)
         assert self._failing_m_side(report).keys() == self.M_SIDE_FAILING.keys()
-        assert {
-            tuple(entry["members"]): entry["pass"]
-            for entry in report["intersections"]
-        }[("3,1,1",)] is True
+        verdicts = {tuple(members): ok for _, _, members, *_, ok in _named(report)}
+        assert verdicts[("3,1,1",)] is True
 
 
 class TestSideBlocks:
@@ -1126,24 +1116,22 @@ class TestSingletonSeries:
     ):
         # each a = 0 series in turn, on both sides, fails its own intersections
         # and no other; (4, 3, 4) includes the 3-core 2,1,1 sent to (1);;
-        assert block_match_report(n, e, m)["pass"] is True
+        assert all(ok for *_, ok in block_match_report(n, e, m))
         mutants = 0
-        for level, side in ((e, "E"), (m, "M")):
+        # side: the index of that level's core in a report tuple; its
+        # block sizes are three places on
+        for level, side in ((e, 0), (m, 1)):
             for pair in hc_pairs(n, level):
                 if pair.a:
                     continue
                 monkeypatch.setattr(
                     blocks, "e_quotient_charged", self._misplaced(pair.core, level)
                 )
-                entries = block_match_report(n, e, m)["intersections"]
-                hit = [entry["core" + side] == str(pair.core) for entry in entries]
+                report = block_match_report(n, e, m)
+                hit = [row[side] == pair.core for row in report]
                 assert any(hit)
-                assert [entry["pass"] for entry in entries] == [not h for h in hit]
-                assert all(
-                    entry["block" + side + "_sizes"] == []
-                    for entry, h in zip(entries, hit)
-                    if h
-                )
+                assert [ok for *_, ok in report] == [not h for h in hit]
+                assert all(row[side + 3] == [] for row, h in zip(report, hit) if h)
                 mutants += 1
         assert mutants == singletons
 

@@ -248,6 +248,39 @@ class TestVerify:
         assert doc["pass"] is True
         assert doc["cases_checked"] == sum(PARTITION_COUNTS[1:13])
 
+    def test_thm1_cases_print_the_report(self):
+        # each case is one block_match_report tuple, its partitions rendered
+        cases = []
+        run_suite("thm1", cases.append, max_n=6)
+        assert all(
+            set(case) == {
+                "n", "e", "m", "coreE", "coreM", "members",
+                "blockE_sizes", "blockM_sizes", "pass",
+            }
+            for case in cases
+        )
+        assert cases == [
+            {
+                "n": n, "e": e, "m": m,
+                "coreE": str(core_e), "coreM": str(core_m),
+                "members": [str(p) for p in members],
+                "blockE_sizes": sizes_e, "blockM_sizes": sizes_m, "pass": ok,
+            }
+            for n in range(1, 7)
+            for e, m in suites._coprime_pairs(None, None)
+            for core_e, core_m, members, sizes_e, sizes_m, ok in blocks.block_match_report(n, e, m)
+        ]
+
+    def test_options_are_the_suite_flags(self):
+        # one declaration: the verify options are the SUITES flags, in order
+        verify = next(
+            action for action in cli.build_parser()._actions if action.dest == "command"
+        ).choices["verify"]
+        options = [o for action in verify._actions for o in action.option_strings]
+        flags = ["--" + flag.replace("_", "-") for flag in cli.VERIFY_FLAGS]
+        assert options == ["-h", "--help", *flags, "--stream"]
+        assert cli.VERIFY_FLAGS == ("max_n", "e", "m", "seed", "trials")
+
     def test_rejects_non_coprime_pair(self, capsys):
         code, _, err = run(
             capsys, "verify", "thm1", "--max-n", "2", "--e", "2", "--m", "2"

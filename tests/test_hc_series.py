@@ -14,7 +14,6 @@ from abacore.hc_series import (
     degree_sign,
     hc_pairs,
     hc_partition,
-    hc_series_of,
     specialization,
 )
 from abacore.partitions import (
@@ -90,13 +89,13 @@ class TestPairs:
 
 class TestSeriesMap:
     def test_examples(self):
-        pair, image = hc_series_of(P((3,)), 3)
-        assert (pair.a, pair.core) == (1, P(()))
+        assert e_core(P((3,)), 3) == P(())
+        image = e_quotient_charged(P((3,)), 3)
         assert [q.parts for q in image.components] == [(), (), (1,)]
         assert image.charges == (1, 1, 1)
 
-        pair2, image2 = hc_series_of(P((2, 1)), 2)
-        assert (pair2.a, pair2.core) == (0, P((2, 1)))
+        assert e_core(P((2, 1)), 2) == P((2, 1))
+        image2 = e_quotient_charged(P((2, 1)), 2)
         assert all(q.size == 0 for q in image2.components)
 
     def test_core_members_map_to_empty(self):
@@ -104,7 +103,7 @@ class TestSeriesMap:
             for p in partitions_of(n):
                 for e in range(1, 7):
                     if is_e_core(p, e):
-                        _, image = hc_series_of(p, e)
+                        image = e_quotient_charged(p, e)
                         assert all(q.size == 0 for q in image.components)
 
     def test_partition_property(self):
@@ -147,7 +146,7 @@ class TestSeriesMap:
             for e in range(1, 7):
                 for pair, members in hc_partition(n, e).items():
                     images = sorted(
-                        tuple(q.parts for q in hc_series_of(p, e)[1].components)
+                        tuple(q.parts for q in e_quotient_charged(p, e).components)
                         for p in members
                     )
                     expected = sorted(
@@ -160,12 +159,8 @@ class TestSeriesMap:
         for n in range(1, 11):
             for p in partitions_of(n):
                 for e in range(1, 11):
-                    pair, _ = hc_series_of(p, e)
-                    assert (
-                        is_e_core(p, e)
-                        == (pair.a == 0)
-                        == singular_check(p, e)
-                    )
+                    a = (n - e_core(p, e).size) // e
+                    assert is_e_core(p, e) == (a == 0) == singular_check(p, e)
 
     @pytest.mark.parametrize("n, e", [(3, 2), (9, 3), (12, 5)])
     def test_series_builds_no_pair_per_partition(self, capsys, monkeypatch, n, e):
@@ -184,7 +179,8 @@ class TestSeriesMap:
         series = json.loads(capsys.readouterr().out)["series"]
         assert built == []
         assert sum(len(entry["members"]) for entry in series) == len(partitions_of(n))
-        hc_series_of(P((1,) * n), e)
+        core = e_core(P((1,) * n), e)
+        CuspidalPairGL(n, e, (n - core.size) // e, core)
         assert len(built) == 1  # the counter sees a construction
 
     def test_intersection_examples(self):

@@ -18,7 +18,7 @@ from partitions without the level-rank layer.  Every value type is built
 through its checked constructor but in one place, partitions._charged, which
 makes the bead maps' outputs from fields it builds itself.  Output is shaped
 where it is printed: only cli.py and suites.py build dict literals with string
-keys, apart from the public report blocks.block_match_report.  The README
+keys, so thm1's report returns tuples of library values.  The README
 verify table and its bounds sentence state each SUITES row's flags, defaults
 and bounds.
 """
@@ -817,13 +817,10 @@ def string_keyed_dicts(sources):
 
 
 def test_output_is_shaped_in_the_front_ends():
-    # the library computes and the command and the suites print; thm1's
-    # report is public, and the tests pin its dict shape
+    # the library computes and the command and the suites print
     found = string_keyed_dicts(_library_sources())
-    assert [name for name in found if not name.startswith(("cli.", "suites."))] == [
-        "blocks.block_match_report"
-    ]
-    assert "cli._cmd_series" in found
+    assert [name for name in found if not name.startswith(("cli.", "suites."))] == []
+    assert {"cli._cmd_series", "suites._thm1_cases"} <= set(found)
 
 
 def test_scan_catches_a_string_keyed_dict():
