@@ -2,10 +2,10 @@
 
 The block key of a charged e-multipartition is the multiset of integers
 e*(content + charge) + component over its boxes; blocks at level m compare
-this multiset modulo m.  For parameters involving roots of unity the key is
-evaluated in Q/Z instead, which keeps sign twists exact: every value lies in
-(1/d)Z/Z for d = lcm(2 * at_root, the denominators of the parameter
-arguments).  Both keys are dense length-d tuples whose entry k counts the
+this multiset modulo m.  A root key evaluates the Hecke parameters, each
+sign * x^k with sign 1 or -1, at a primitive R-th root instead, as integers
+mod d = 2R: x^k is 2k and the sign -1 adds R, which keeps sign twists
+exact.  Both keys are dense length-d tuples whose entry k counts the
 boxes with value content*omega + alpha_j = k mod d: a level-m key takes
 d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and
 a root key takes the evaluated parameters.  Root keys are evaluated for GU
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from .hc_series import (
     GL,
     GU,
     CuspidalPairGL,
-    HeckeParam,
     HeckeSpecialization,
     hc_pairs,
     specialization,
@@ -82,23 +81,19 @@ def _root_values(
     params: HeckeSpecialization, at_root: int
 ) -> tuple[int, int, tuple[int, ...]]:
     """(d, omega, alphas): the parameters evaluated at a primitive at_root-th
-    root as integers mod d, the value k standing for k/d in Q/Z, for d the
-    lcm of 2 * at_root and the argument denominators.  omega is the negated
-    second symmetric parameter (the first is 1, as specialization gives it);
-    raises OmegaIsOne when omega is 0, where the block criterion does not
-    apply."""
+    root as integers mod d = 2 * at_root, the value k standing for
+    exp(2 pi i k / d).  omega is the negated second symmetric parameter (the
+    first is 1, as specialization gives it); raises OmegaIsOne when omega is
+    0, where the block criterion does not apply."""
     d = 2 * at_root
-    for param in params.tau_params + params.sigma_params:
-        d = lcm(d, param.arg.denominator)
 
-    def value(param: HeckeParam) -> int:
-        turns = param.arg.numerator * (d // param.arg.denominator)
-        return (turns + param.exponent * (d // at_root)) % d
+    def value(sign: int, exponent: int) -> int:
+        return (2 * exponent + (at_root if sign < 0 else 0)) % d
 
-    omega = (value(params.sigma_params[1]) + d // 2) % d
+    omega = (value(*params.sigma_params[1]) + at_root) % d
     if omega == 0:
         raise OmegaIsOne(f"symmetric ratio is 1 at a {at_root}-th root")
-    return d, omega, tuple(value(t) for t in params.tau_params)
+    return d, omega, tuple(value(*t) for t in params.tau_params)
 
 
 def _level_values(core: Partition, e: int, m: int) -> tuple[int, int, tuple[int, ...]]:

@@ -13,10 +13,8 @@ sends a member to its charged e-quotient taken at charge e + len(core).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
-from typing import NamedTuple
 
 from .partitions import (
     Partition,
@@ -47,23 +45,11 @@ class CuspidalPairGL(namedtuple("CuspidalPairGL", "n e a core")):
         return tuple.__new__(cls, (n, e, a, core))
 
 
-class HeckeParam(NamedTuple):
-    """One Hecke parameter: a root of unity times a power of x.
-
-    arg is the argument of the root in full turns (a reduced fraction in
-    [0, 1)); exponent is the power of x.
-    """
-
-    arg: Fraction
-    exponent: int
-
-
-class HeckeSpecialization(NamedTuple):
-    """Parameter data of a specialized Ariki-Koike algebra: one parameter
-    per cyclic-generator eigenvalue and two for the symmetric generators."""
-
-    tau_params: tuple[HeckeParam, ...]
-    sigma_params: tuple[HeckeParam, HeckeParam]
+# one Hecke parameter, sign * x^exponent with sign the integer 1 or -1
+HeckeParam = namedtuple("HeckeParam", "sign exponent")
+# parameter data of a specialized Ariki-Koike algebra: one parameter per
+# cyclic-generator eigenvalue and two for the symmetric generators
+HeckeSpecialization = namedtuple("HeckeSpecialization", "tau_params sigma_params")
 
 
 @lru_cache(maxsize=None)
@@ -122,31 +108,24 @@ def degree_sign(p: Partition, e: int) -> int:
 GL = "gl"
 GU = "gu"
 
-_HALF = Fraction(1, 2)
-
 
 @lru_cache(maxsize=None)
 def specialization(pair: CuspidalPairGL, variant: str = GL) -> HeckeSpecialization:
     """Predicted Hecke parameters of a cuspidal pair (memoised).
 
-    The cyclic-generator parameters are x to the core exponents (unitary
-    variant: -x in place of x); the symmetric-generator parameters are
-    (1, -x^e) (unitary: 1, -(-x)^e).  Pairs with a = 0 have no Hecke data.
-    Replacing x by -x turns the root argument of x^k by k/2, so each
-    unitary argument is the parity of its exponent, 1/2 or 0, and that of
-    -(-x)^e is 1/2 exactly when e is even.
+    The cyclic-generator parameters are x to the core exponents and the
+    symmetric-generator parameters are (1, -x^e); the unitary variant is the
+    same expression at -x (Ennola duality), which puts the sign -1 on x^k
+    exactly when k is odd.  Pairs with a = 0 have no Hecke data.
     """
     if pair.a < 1:
         raise ValueError("cuspidal singletons carry no Hecke parameters")
     if variant not in (GL, GU):
         raise ValueError(f"unknown variant {variant!r}")
-    e = pair.e
-    exps = core_exponents(pair.core, e)
-    zero = Fraction(0)
-    if variant == GL:
-        tau = tuple(HeckeParam(zero, a) for a in exps)
-        sigma1 = HeckeParam(_HALF, e)
-    else:
-        tau = tuple(HeckeParam(_HALF if a % 2 else zero, a) for a in exps)
-        sigma1 = HeckeParam(zero if e % 2 else _HALF, e)
-    return HeckeSpecialization(tau, (HeckeParam(zero, 0), sigma1))
+
+    def param(sign: int, k: int) -> HeckeParam:
+        """sign * x^k, read at -x in the unitary variant."""
+        return HeckeParam(-sign if variant == GU and k % 2 else sign, k)
+
+    tau = tuple(param(1, a) for a in core_exponents(pair.core, pair.e))
+    return HeckeSpecialization(tau, (param(1, 0), param(-1, pair.e)))

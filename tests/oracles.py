@@ -178,6 +178,16 @@ def regroup_on_beads(components, m, index_offset=0):
     return out
 
 
+def oracle_param(param):
+    """The (argument, exponent) pair that root_key_oracle and classical_cases
+    read for a HeckeParam sign * x^exponent: sign 1 is the argument 0 and
+    sign -1 the argument 1/2, in full turns."""
+    sign, exponent = param
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+    return (Fraction(0) if sign == 1 else Fraction(1, 2)), exponent
+
+
 def root_key_oracle(components, tau, sigma, at_root):
     """The root-of-unity block key, computed with Fractions in Q/Z.
 
@@ -268,9 +278,9 @@ def ennola_substitute(coeffs):
 
 def classical_cases():
     """(case, pair, variant, tau ratio, sigma_1) for the known parameter
-    cases, each parameter an (argument, exponent) pair as in HeckeParam, the
-    tau ratio tau_0/tau_1 (None where it is not checked) and sigma_1 the
-    second symmetric parameter, the first being 1.
+    cases, each parameter an (argument, exponent) pair as oracle_param reads
+    a HeckeParam, the tau ratio tau_0/tau_1 (None where it is not checked)
+    and sigma_1 the second symmetric parameter, the first being 1.
 
     - "GU ordinary series" (Lusztig, Invent. Math. 43, 1977: a Hecke algebra
       of type B_a with parameters q^(2t+1) and q^2): the pair at e = 2 over
@@ -297,14 +307,13 @@ def classical_cases():
 def classical_case_mismatches(specialize):
     """(case, pair) for each of classical_cases() whose parameters, as
     specialize(pair, variant) gives them, are not the known ones."""
-    one = hc_series.HeckeParam(Fraction(0), 0)
     found = []
     for case, pair, variant, ratio, sigma in classical_cases():
         sp = specialize(pair, variant)
-        ok = sp.sigma_params == (one, hc_series.HeckeParam(*sigma))
+        ok = [oracle_param(s) for s in sp.sigma_params] == [(0, 0), sigma]
         if ratio is not None:
-            t0, t1 = sp.tau_params
-            ok = ok and ((t0.arg - t1.arg) % 1, t0.exponent - t1.exponent) == ratio
+            (arg0, exp0), (arg1, exp1) = map(oracle_param, sp.tau_params)
+            ok = ok and ((arg0 - arg1) % 1, exp0 - exp1) == ratio
         if not ok:
             found.append((case, pair))
     return found

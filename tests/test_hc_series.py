@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, prod
 
 import pytest
 
@@ -29,6 +29,7 @@ from abacore.polynomials import singular_check
 from oracles import (
     classical_case_mismatches,
     classical_cases,
+    oracle_param,
     rim_hook_core,
     syt_by_recursion,
     wreath_dim,
@@ -278,22 +279,15 @@ class TestDegreeSign:
 class TestSpecialization:
     def test_gl_examples(self):
         sp = specialization(CuspidalPairGL(2, 2, 1, P(())), GL)
-        assert [t.exponent for t in sp.tau_params] == [2, 3]
-        assert all(t.arg == 0 for t in sp.tau_params)
-        assert sp.sigma_params == (
-            HeckeParam(Fraction(0), 0),
-            HeckeParam(Fraction(1, 2), 2),
-        )
+        assert sp.tau_params == (HeckeParam(1, 2), HeckeParam(1, 3))
+        assert sp.sigma_params == (HeckeParam(1, 0), HeckeParam(-1, 2))
 
         sp2 = specialization(CuspidalPairGL(3, 2, 1, P((1,))), GL)
         assert [t.exponent for t in sp2.tau_params] == [2, 5]
 
         sp1 = specialization(CuspidalPairGL(1, 1, 1, P(())), GL)
-        assert sp1.tau_params == (HeckeParam(Fraction(0), 1),)
-        assert sp1.sigma_params == (
-            HeckeParam(Fraction(0), 0),
-            HeckeParam(Fraction(1, 2), 1),
-        )
+        assert sp1.tau_params == (HeckeParam(1, 1),)
+        assert sp1.sigma_params == (HeckeParam(1, 0), HeckeParam(-1, 1))
 
     def test_coxeter_case(self):
         # empty core, a = 1, n = e: the parameters are x^e, ..., x^(2e - 1)
@@ -302,13 +296,8 @@ class TestSpecialization:
         # Coxeter variety (Lusztig, Invent. Math. 1976)
         for e in range(1, 13):
             sp = specialization(CuspidalPairGL(e, e, 1, P(())), GL)
-            assert sp.tau_params == tuple(
-                HeckeParam(Fraction(0), k) for k in range(e, 2 * e)
-            )
-            assert sp.sigma_params == (
-                HeckeParam(Fraction(0), 0),
-                HeckeParam(Fraction(1, 2), e),
-            )
+            assert sp.tau_params == tuple(HeckeParam(1, k) for k in range(e, 2 * e))
+            assert sp.sigma_params == (HeckeParam(1, 0), HeckeParam(-1, e))
 
     @pytest.mark.parametrize(
         "case, pairs",
@@ -327,8 +316,8 @@ class TestSpecialization:
             sp = specialization(pair, variant)
             if variant != GU:
                 return sp
-            arg, exponent = sp.tau_params[0]
-            tau0 = HeckeParam((arg + Fraction(1, 2)) % 1, exponent)
+            sign, exponent = sp.tau_params[0]
+            tau0 = HeckeParam(-sign, exponent)
             return sp._replace(tau_params=(tau0, *sp.tau_params[1:]))
 
         found = classical_case_mismatches(flipped)
@@ -343,18 +332,19 @@ class TestSpecialization:
                         continue
                     gl = specialization(pair, GL)
                     gu = specialization(pair, GU)
-                    for a, b in zip(gl.tau_params, gu.tau_params):
-                        assert b.exponent == a.exponent
-                        assert b.arg == (a.arg + Fraction(a.exponent, 2)) % 1
-                    s0, s1 = gl.sigma_params
-                    t0, t1 = gu.sigma_params
-                    assert t0 == s0
-                    assert t1.exponent == s1.exponent
-                    assert t1.arg == (s1.arg + Fraction(s1.exponent, 2)) % 1
+                    for a, b in zip(
+                        gl.tau_params + gl.sigma_params,
+                        gu.tau_params + gu.sigma_params,
+                        strict=True,
+                    ):
+                        (arg_a, exp_a), (arg_b, exp_b) = oracle_param(a), oracle_param(b)
+                        assert exp_b == exp_a
+                        assert arg_b == (arg_a + Fraction(exp_a, 2)) % 1
 
     def test_arguments_match_the_fraction_formula(self):
-        # each argument is the exact parity of its exponent, as the Fraction
-        # formula (exponent / 2) mod 1 gives it, in lowest terms in [0, 1)
+        # each parameter is an integer sign 1 or -1 times an integer power
+        # of x, and the argument the sign stands for is the exact parity of
+        # the exponent, as the Fraction formula (exponent / 2) mod 1 gives it
         half = Fraction(1, 2)
         pairs = [
             pair
@@ -367,22 +357,22 @@ class TestSpecialization:
         for pair in pairs:
             for variant in (GL, GU):
                 sp = specialization(pair, variant)
-                s0, s1 = sp.sigma_params
                 for param in sp.tau_params + sp.sigma_params:
-                    assert type(param.arg) is Fraction
-                    assert 0 <= param.arg < 1
-                    assert gcd(param.arg.numerator, param.arg.denominator) == 1
-                assert s0 == HeckeParam(Fraction(0), 0)
-                assert s1.exponent == pair.e
+                    assert type(param.sign) is int and param.sign in (1, -1)
+                    assert type(param.exponent) is int
+                sigma0, (sigma_arg, sigma_exp) = map(oracle_param, sp.sigma_params)
+                tau = [oracle_param(t) for t in sp.tau_params]
+                assert sigma0 == (0, 0)
+                assert sigma_exp == pair.e
                 if variant == GL:
-                    assert all(t.arg == 0 for t in sp.tau_params)
-                    assert s1.arg == half
+                    assert all(arg == 0 for arg, _ in tau)
+                    assert sigma_arg == half
                     continue
-                for t in sp.tau_params:
-                    assert t.arg == (t.exponent * half) % 1
-                    gu_tau_args.add(t.arg)
-                assert s1.arg == ((pair.e + 1) * half) % 1
-                gu_sigma_args.add(s1.arg)
+                for arg, exponent in tau:
+                    assert arg == (exponent * half) % 1
+                    gu_tau_args.add(arg)
+                assert sigma_arg == ((pair.e + 1) * half) % 1
+                gu_sigma_args.add(sigma_arg)
         assert len(pairs) == 325
         # both parities occur on both kinds of argument
         assert gu_tau_args == gu_sigma_args == {0, half}

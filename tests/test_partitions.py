@@ -275,16 +275,15 @@ VALUE_TYPES = {
     ),
     "HeckeSpecialization": (
         lambda: HeckeSpecialization(
-            (HeckeParam(Fraction(1, 2), 1),),
-            (HeckeParam(Fraction(0), 0), HeckeParam(Fraction(0), 2)),
+            (HeckeParam(-1, 1),),
+            (HeckeParam(1, 0), HeckeParam(1, 2)),
         ),
         {
-            "tau_params": (HeckeParam(Fraction(1, 2), 1),),
-            "sigma_params": (HeckeParam(Fraction(0), 0), HeckeParam(Fraction(0), 2)),
+            "tau_params": (HeckeParam(-1, 1),),
+            "sigma_params": (HeckeParam(1, 0), HeckeParam(1, 2)),
         },
-        "HeckeSpecialization(tau_params=(HeckeParam(arg=Fraction(1, 2), "
-        "exponent=1),), sigma_params=(HeckeParam(arg=Fraction(0, 1), exponent=0), "
-        "HeckeParam(arg=Fraction(0, 1), exponent=2)))",
+        "HeckeSpecialization(tau_params=(HeckeParam(sign=-1, exponent=1),), "
+        "sigma_params=(HeckeParam(sign=1, exponent=0), HeckeParam(sign=1, exponent=2)))",
     ),
     "IntPolynomial": (
         lambda: IntPolynomial(-1, 0, 1, 0),

@@ -620,7 +620,10 @@ def test_scan_catches_unmemoised_hit_ratio():
 
 
 # stdlib modules that cost start-up time in every process that imports them
-STARTUP_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+STARTUP_HEAVY = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize",
+    "fractions", "decimal", "numbers", "typing",
+)
 
 
 def heavy_imports(sources):
