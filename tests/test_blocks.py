@@ -353,6 +353,22 @@ class TestRootKeyOracle:
                                     keyed += 1
         assert (keyed, omega_one) == (1442, 346)
 
+    def test_argument_with_denominator_three(self):
+        # every argument is k/R or k/R + 1/2, so denominators 3 and 6 come
+        # from roots R divisible by 3; the tau signs here (-1 on even
+        # exponents) are ones specialization never builds.  omega = x^3 + 1/2
+        # is 0 exactly at roots 2 and 6
+        tau = (HeckeParam(-1, 2), HeckeParam(1, 4), HeckeParam(-1, 0))
+        params = HeckeSpecialization(tau, (HeckeParam(1, 0), HeckeParam(1, 3)))
+        for a in range(4):
+            for mp in multipartitions_of(3, a):
+                for at_root in range(2, 8):
+                    refused = _compare_with_oracle(mp, params, at_root)
+                    assert refused == (at_root in (2, 6))
+        # at root 3: -x^2 is 1/2 + 2/3, x^4 is 1/3 and omega is 1/2
+        key = _root_key((P((2,)), P((1,)), P(())), params, 3)
+        assert key == ((Fraction(1, 6), 1), (Fraction(1, 3), 1), (Fraction(2, 3), 1))
+
     def test_first_symmetric_parameter_must_be_one(self):
         sigma = [(Fraction(1, 3), 0), (Fraction(0), 1)]
         with pytest.raises(ValueError, match="first symmetric"):
