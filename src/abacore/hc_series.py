@@ -1,8 +1,7 @@
 """Series combinatorics for the general linear and unitary groups: cuspidal
-pairs, the partition of unipotent characters into series by their cores,
-signs of degree polynomials modulo cyclotomics (checked against the wreath
-degree of the series image, read off the hooks), and the predicted Hecke
-parameters.
+pairs, the partition of unipotent characters into series by their cores, the
+wreath degree of a member's series image (read off its hooks), and the
+predicted Hecke parameters.
 
 A cuspidal pair for GL_n at level e is encoded by an e-core of size n - a*e;
 the pairs with a = 0 are cuspidal singletons.  The members of a pair's series
@@ -24,11 +23,6 @@ from .partitions import (
     is_e_core,
     partitions_of,
 )
-from .polynomials import generic_degree, mod_cyclotomic
-
-
-class DegreeSignError(ArithmeticError):
-    """The degree polynomial did not reduce to the expected constant."""
 
 
 class CuspidalPairGL(namedtuple("CuspidalPairGL", "n e a core")):
@@ -80,29 +74,19 @@ def hc_partition(n: int, e: int) -> dict[CuspidalPairGL, tuple[Partition, ...]]:
     return {pair: tuple(by_core[pair.core]) for pair in pairs}
 
 
-def degree_sign(p: Partition, e: int) -> int:
-    """Sign of the degree polynomial of p modulo the e-th cyclotomic.
-
-    The remainder must be a constant of absolute value equal to the wreath
-    degree of p's e-quotient, a! over the product of its hook lengths.  The
-    quotient's hooks are p's hooks divisible by e, each divided by e
-    (James-Kerber 2.7.40), so the degree is read off hook_lengths(p) and the
-    quotient is not built.  A mismatch raises DegreeSignError.
+def wreath_degree(p: Partition, e: int) -> int:
+    """Degree of the wreath-product character indexed by p's e-quotient: a!
+    over the product of the quotient's hook lengths.  The quotient's hooks
+    are p's hooks divisible by e, each divided by e (James-Kerber 2.7.40), so
+    the degree is read off hook_lengths(p) and the quotient is not built.
     """
-    rem = mod_cyclotomic(generic_degree(p), e)
-    if rem.degree > 0:
-        raise DegreeSignError(f"nonconstant remainder {rem} for {p.parts} at e={e}")
-    c = rem(0)
+    if e < 1:
+        raise ValueError("e must be >= 1")
     hooks = [h // e for h in hook_lengths(p) if h % e == 0]
-    expected, rest = divmod(factorial(len(hooks)), prod(hooks))
+    degree, rest = divmod(factorial(len(hooks)), prod(hooks))
     if rest:
         raise ArithmeticError("hook formula did not divide evenly")
-    if abs(c) != expected:
-        raise DegreeSignError(
-            f"remainder {c} does not match wreath degree {expected}"
-            f" for {p.parts} at e={e}"
-        )
-    return 1 if c > 0 else -1
+    return degree
 
 
 GL = "gl"

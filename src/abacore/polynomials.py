@@ -272,17 +272,6 @@ def generic_degree(p: Partition) -> IntPolynomial:
     return IntPolynomial(*([0] * shift), *reduce(_divide_binomial, hooks, poly.coeffs))
 
 
-def singular_check(p: Partition, e: int) -> bool:
-    """True iff the degree polynomial of p carries the full cyclotomic
-    multiplicity of the group order at e (the cuspidality criterion)."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    n = p.size
-    if n == 0:
-        return True
-    return phi_multiplicity(generic_degree(p), e) == phi_multiplicity(gl_order(n), e)
-
-
 def ennola_e(e: int) -> int:
     """The index pairing of cyclotomic polynomials under x -> -x.
 

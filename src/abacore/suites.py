@@ -21,7 +21,7 @@ import random
 from math import gcd
 
 from .blocks import _member_key, block_match_report, check_content_lemma
-from .hc_series import DegreeSignError, degree_sign, hc_partition
+from .hc_series import hc_partition, wreath_degree
 from .levelrank import _routes_agree, qr_em, uglov
 from .partitions import (
     ChargedMultiPartition,
@@ -34,7 +34,7 @@ from .partitions import (
     regroup,
     to_beta,
 )
-from .polynomials import generic_degree, phi_multiplicity, singular_check
+from .polynomials import generic_degree, gl_order, mod_cyclotomic, phi_multiplicity
 
 LEVEL_SWEEP_MAX = 12
 LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 11 s
@@ -149,9 +149,11 @@ def _cuspidal_cases(max_n):
         for p in partitions_of(n):
             hooks = hook_lengths(p)
             for e in range(1, 11):
-                ok = singular_check(p, e) == is_e_core(p, e)
+                # Phi_e-cuspidal: the degree carries the order's whole Phi_e-part
+                valuation = phi_multiplicity(generic_degree(p), e)
+                cuspidal = n == 0 or valuation == phi_multiplicity(gl_order(n), e)
                 expected = n // e - sum(1 for h in hooks if h % e == 0)
-                ok = ok and phi_multiplicity(generic_degree(p), e) == expected
+                ok = cuspidal == is_e_core(p, e) and valuation == expected
                 yield 1, {"partition": str(p), "e": e, "pass": ok}
 
 
@@ -159,13 +161,19 @@ def _degmod_cases(max_n):
     for n in range(1, max_n + 1):
         for p in partitions_of(n):
             for e in range(1, n + 1):
+                rem = mod_cyclotomic(generic_degree(p), e)
+                c = rem(0)
                 case = {"partition": str(p), "e": e}
-                try:
-                    case["sign"] = degree_sign(p, e)
-                    case["pass"] = True
-                except DegreeSignError as exc:
-                    case["pass"] = False
-                    case["error"] = str(exc)
+                if rem.degree > 0:
+                    error = f"nonconstant remainder {rem}"
+                elif abs(c) != (expected := wreath_degree(p, e)):
+                    error = f"remainder {c} does not match wreath degree {expected}"
+                else:
+                    error = None
+                    case["sign"] = 1 if c > 0 else -1
+                case["pass"] = error is None
+                if error:
+                    case["error"] = f"{error} for {p.parts} at e={e}"
                 yield 1, case
 
 

@@ -87,10 +87,10 @@ def test_criterion_5_cuspidal_multiplicities():
 def test_criterion_6_degree_remainders():
     # As stated: for every partition of size at most 10 and every e up to the
     # size, the degree polynomial reduces modulo the e-th cyclotomic to a
-    # constant of absolute value wreath_dim(e-quotient), and the sign
-    # computation never raises.  This fails beyond the series attached to
-    # maximal tori; the smallest witnesses are (2,1) at e=2 (remainder 0)
-    # and (4,1) at e=3 (remainder x).
+    # constant of absolute value wreath_dim(e-quotient), so that every case
+    # has a sign.  This fails beyond the series attached to maximal tori;
+    # the smallest witnesses are (2,1) at e=2 (remainder 0) and (4,1) at
+    # e=3 (remainder x).
     _, cases, failures = run_suite("degmod")
     expected_cases = sum(n * PARTITION_COUNTS[n] for n in range(1, 11))
     _report(

@@ -430,9 +430,9 @@ class TestVerify:
         "name, first_arg, wrong",
         [
             ("phi_multiplicity", generic_degree, lambda value: value + 1),
-            ("singular_check", lambda p: p, operator.not_),
+            ("is_e_core", lambda p: p, operator.not_),
         ],
-        ids=["phi_multiplicity", "singular_check"],
+        ids=["phi_multiplicity", "is_e_core"],
     )
     def test_cuspidal_reports_a_planted_failure(
         self, capsys, monkeypatch, name, first_arg, wrong
@@ -612,7 +612,7 @@ class TestVerify:
         assert ("4,1", 3) in failing
 
     def test_degmod_fails_on_wrong_hook_data(self, monkeypatch):
-        # negative control: degree_sign reads the wreath degree off p's
+        # negative control: wreath_degree reads the degree off p's
         # hooks, so one extra hook of length 1 must fail every e = 1 case,
         # all of which pass unpatched, and leave the e > 1 verdicts alone
         _, cases, failures = run_suite("degmod", max_n=7)
@@ -747,7 +747,7 @@ class TestPerMemberFacts:
         assert calls == len(cases) + 12 * members == 3762
 
     def test_degmod_makes_no_bead_map(self, monkeypatch):
-        # degree_sign reads the wreath degree off p's hooks: from cold caches
+        # wreath_degree reads the degree off p's hooks: from cold caches
         # degmod makes no regroup call and caches no series quotient
         cases, calls, filled = self.regroup_calls(monkeypatch, "degmod", max_n=8)
         assert len(cases) == sum(n * PARTITION_COUNTS[n] for n in range(1, 9))
@@ -769,261 +769,98 @@ class TestPerMemberFacts:
         assert (cases, calls) == (5045, 1168)
 
 
+# (argv, exit code, sha256 of stdout).  Each digest was recorded before a
+# change that had to keep stdout byte-identical; CHANGES.md names the change.
+# The first rows run every verify suite at its defaults; degmod exits 1
+# because criterion 6 fails.  thm1 --max-n 14 is the blocks-sweep benchmark's
+# reference and degmod --max-n 12 degmod's size in the degree-sweep one.
+OUTPUT_DIGESTS = [
+    (("verify", "thm1", "--stream"), 0,
+     "308717137dc7f17b6251f56fb00c4dd5abcef71571044ba3e3ce0dcbec935fe3"),
+    (("verify", "thm2", "--stream"), 0,
+     "0d03ffb1a8b283df237b689a79463e54be74e85501f64ef2da4ec39fa7565ea5"),
+    (("verify", "content-lemma", "--stream"), 0,
+     "5c06e966675862f117234e8fdd88568b6cde5909cba00142ed0a12a299ef64ec"),
+    (("verify", "content-prop", "--stream"), 0,
+     "24642c044d87db8910925a2f2904264273791b389b64cf9458e8ec8fb47ddb85"),
+    (("verify", "cuspidal", "--stream"), 0,
+     "37053a7ce70a0b102c1a9abd27c569cedb4bac6b5f1e8dc034bc861de12f9e84"),
+    (("verify", "degmod", "--stream"), 1,
+     "e3539847c99ee15ac54e7ee906e640e8f3eba43bb211223e716ba8968db7e4c5"),
+    (("verify", "roundtrip", "--stream"), 0,
+     "4729bb7bc4af100392aa178596874ef848d6c9f157c71f710df99ef04c419955"),
+    (("verify", "thm1", "--max-n", "8", "--stream"), 0,
+     "1655698859fb61c6c48827fdf2eee11540bca85c7dc95f10241971d85a1cfd05"),
+    (("verify", "thm1", "--max-n", "14", "--stream"), 0,
+     "456004112cbca466909bae159019dec1b5b37e183d63d10b14c7d7780a466c82"),
+    (("verify", "thm1", "--max-n", "16", "--stream"), 0,
+     "a12f6499b161aee4fb8230fd0389def36c1bcc8a4f2421aec987131f3641afb1"),
+    (("verify", "thm2", "--max-n", "8", "--stream"), 0,
+     "9761216fd4a8b79b2d56d9683e0ef7a5afe3570d48194aeb6b2f78c9caf37ce5"),
+    (("verify", "thm2", "--max-n", "16", "--stream"), 0,
+     "41135825308f340a39e61def70c934e64e27fef2e050bd3cefc0cad4340c788c"),
+    (("verify", "content-lemma", "--max-n", "6", "--stream"), 0,
+     "52aa09de272a8cb69e05971260ca474cc9d7dac4430933ce66abc4b7645c9d92"),
+    (("verify", "content-lemma", "--max-n", "9", "--stream"), 0,
+     "bbd01205dd4033d3e05f5c969b49c30506b2e0cedabbc802138879df4c0f1c6e"),
+    (("verify", "content-lemma", "--max-n", "16", "--stream"), 0,
+     "6a92c2d16fda4fec9747ae401917ebd39f95f912195e08cb712ab95483967330"),
+    (("verify", "content-prop", "--max-n", "7", "--stream"), 0,
+     "8c0965ed85808c11a3d9653f6e9c6381bd881137a8d0eda338ca507f73646762"),
+    (("verify", "content-prop", "--max-n", "16", "--stream"), 0,
+     "991fb6a0102defc7d7568cd255b2ee1aab11f52f25ec6ce7ad14a0119ba4ba8c"),
+    (("verify", "cuspidal", "--max-n", "8", "--stream"), 0,
+     "a0a556963420c91ba0ac722f4b04b1edb6224eeea5fb6afb8c3c4f5ca8daec22"),
+    (("verify", "cuspidal", "--max-n", "16", "--stream"), 0,
+     "92d682d3f4db01201352154459b8a414c538ec3d4202648c0566f9f5efe21a30"),
+    (("verify", "degmod", "--max-n", "7", "--stream"), 1,
+     "cba3ecd78eabd61b8c4e8922923fcb8f64d10257e1938b7b0c6fbe2e31810a93"),
+    (("verify", "degmod", "--max-n", "12", "--stream"), 1,
+     "fcfecd833d4511ba73ffac9a969b15aaf6461ffca8d4c3de7f4434dfd253bd7b"),
+    (("verify", "degmod", "--max-n", "16", "--stream"), 1,
+     "83a9d4fc73c1d71b35cebb2da0836b653b217a02df689d800551f253c7a705dc"),
+    (("verify", "roundtrip", "--trials", "200", "--seed", "7", "--stream"), 0,
+     "3df37c5080a3fa717895737ca2de03bc041f8dc0fc2cd7c903c077561aee57ac"),
+    (("series", "--n", "14", "--e", "3"), 0,
+     "4278bf63b027989b810d173ef924e5bfa48e9e7f4c7c1e20b3733963102c9349"),
+    (("series", "--n", "16", "--e", "10"), 0,
+     "9a2ceafb9ddf97169982314d19ac653ebf0f7f9acc28ddbd72ecbd6988c7b79e"),
+    (("series", "--n", "18", "--e", "4"), 0,
+     "2b36b739158949a4690cde90e3413cdc2f32e1e7db1e9b2419f9163118d04b84"),
+    (("blocks", "--n", "8", "--e", "2", "--m", "3", "--variant", "gu"), 0,
+     "f02c66198e073c934e3f62fc165ede0f8b8de309f7d1773cb83de3961a9fd689"),
+    (("blocks", "--n", "9", "--e", "2", "--m", "3", "--core", "2,1", "--variant", "gu"), 0,
+     "fa1dd7031a6c398c0a3ceaaea1f6c07394ebd97d1151a1ca3d040a2769be85f3"),
+    (("blocks", "--n", "10", "--e", "3", "--m", "2", "--core", "1"), 0,
+     "4adc4e6e49f2c27f41a319a16ab23e68d030131e3164e0ae66f5669230a455c6"),
+    (("blocks", "--n", "10", "--e", "3", "--m", "4"), 0,
+     "8715e76f1e8e512bdd54015b7dc1f05f7a86b44efa1e254959091724355bab94"),
+    (("blocks", "--n", "16", "--e", "3", "--m", "4"), 0,
+     "467e08f2d93af0bbdef2f49cc0a6db4b86de9b0bfc851dd640346a62dde9660b"),
+    (("blocks", "--n", "16", "--e", "2", "--m", "5", "--variant", "gu"), 0,
+     "00c04c79e90621e8c324a7f49d6cf32cf15296353de72c3639efb5fa10018698"),
+    # the README's uglov examples
+    (("uglov", "--mp", ";", "--charges", "1,0", "--e", "2", "--m", "3"), 0,
+     "1198ef758c85ac607c3b316a96b2c2531e6549228be6d1dcc0521a89abcd2ea1"),
+    (("uglov", "--mp", ";", "--charges=-1,0", "--e", "2", "--m", "3"), 0,
+     "b6a62253f5e04f877b915a5e52e94f86791840aeaa99698e10a5ee2aa43ba8b3"),
+]
+
+
 class TestOutputBytes:
-    # sha256 of stdout as recorded with the Fraction-based block keys
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("verify", "thm1", "--max-n", "8", "--stream"),
-                "1655698859fb61c6c48827fdf2eee11540bca85c7dc95f10241971d85a1cfd05",
-            ),
-            (
-                ("blocks", "--n", "8", "--e", "2", "--m", "3", "--variant", "gu"),
-                "f02c66198e073c934e3f62fc165ede0f8b8de309f7d1773cb83de3961a9fd689",
-            ),
-        ],
-    )
-    def test_stdout_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout as recorded with a block partition keyed for every
-    # a = 0 series and the unitary parameter arguments computed in Fraction
-    # arithmetic; the default thm1 is the one size that reaches a > 0 series
-    # at levels 11 and 12
-    def test_default_thm1_digest(self, capsys):
-        code, out, _ = run(capsys, "verify", "thm1", "--stream")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "308717137dc7f17b6251f56fb00c4dd5abcef71571044ba3e3ce0dcbec935fe3"
-        )
-
-    # sha256 of stdout as recorded with a validated cuspidal pair built for
-    # every partition, twice, instead of filing members under the cached pairs
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("series", "--n", "14", "--e", "3"),
-                "4278bf63b027989b810d173ef924e5bfa48e9e7f4c7c1e20b3733963102c9349",
-            ),
-            (
-                ("series", "--n", "16", "--e", "10"),
-                "9a2ceafb9ddf97169982314d19ac653ebf0f7f9acc28ddbd72ecbd6988c7b79e",
-            ),
-            (
-                ("series", "--n", "18", "--e", "4"),
-                "2b36b739158949a4690cde90e3413cdc2f32e1e7db1e9b2419f9163118d04b84",
-            ),
-        ],
-    )
-    def test_series_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout as recorded with the GL/GU choice made in the blocks
-    # command itself rather than in blocks.series_blocks
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("blocks", "--n", "9", "--e", "2", "--m", "3", "--core", "2,1", "--variant", "gu"),
-                "fa1dd7031a6c398c0a3ceaaea1f6c07394ebd97d1151a1ca3d040a2769be85f3",
-            ),
-            (
-                ("blocks", "--n", "10", "--e", "3", "--m", "2", "--core", "1"),
-                "4adc4e6e49f2c27f41a319a16ab23e68d030131e3164e0ae66f5669230a455c6",
-            ),
-        ],
-    )
-    def test_blocks_core_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout as recorded with dense, unmemoised polynomial division;
-    # degmod exits 1 because criterion 6 fails
     @pytest.mark.parametrize(
         "argv, exit_code, digest",
-        [
-            (
-                ("verify", "cuspidal", "--max-n", "8", "--stream"),
-                0,
-                "a0a556963420c91ba0ac722f4b04b1edb6224eeea5fb6afb8c3c4f5ca8daec22",
-            ),
-            (
-                ("verify", "degmod", "--max-n", "7", "--stream"),
-                1,
-                "cba3ecd78eabd61b8c4e8922923fcb8f64d10257e1938b7b0c6fbe2e31810a93",
-            ),
-            # degmod's size in the degree-sweep benchmark, recorded with the
-            # wreath degree read off the series quotient
-            (
-                ("verify", "degmod", "--max-n", "12", "--stream"),
-                1,
-                "fcfecd833d4511ba73ffac9a969b15aaf6461ffca8d4c3de7f4434dfd253bd7b",
-            ),
-        ],
+        OUTPUT_DIGESTS,
+        ids=[" ".join(argv) for argv, _, _ in OUTPUT_DIGESTS],
     )
-    def test_degree_suite_digest(self, capsys, argv, exit_code, digest):
+    def test_stdout_digest(self, capsys, argv, exit_code, digest):
         code, out, _ = run(capsys, *argv)
         assert code == exit_code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    # sha256 of stdout at the degree suites' scale point, as recorded with
-    # every numerator factor of the q-hook formula multiplied out before any
-    # hook was divided, and remainders taken by dividing the full degree
-    @pytest.mark.parametrize(
-        "argv, exit_code, digest",
-        [
-            (
-                ("verify", "cuspidal", "--max-n", "16", "--stream"),
-                0,
-                "92d682d3f4db01201352154459b8a414c538ec3d4202648c0566f9f5efe21a30",
-            ),
-            (
-                ("verify", "degmod", "--max-n", "16", "--stream"),
-                1,
-                "83a9d4fc73c1d71b35cebb2da0836b653b217a02df689d800551f253c7a705dc",
-            ),
-        ],
-    )
-    def test_degree_scale_point_digest(self, capsys, argv, exit_code, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == exit_code
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout at the blocks scale points, as recorded with block keys
-    # kept as sorted (value, count) pairs and every e-core joined per
-    # partition; --max-n 14 is also the benchmark's blocks-sweep reference
-    @pytest.mark.parametrize(
-        "max_n, digest",
-        [
-            ("14", "456004112cbca466909bae159019dec1b5b37e183d63d10b14c7d7780a466c82"),
-            ("16", "a12f6499b161aee4fb8230fd0389def36c1bcc8a4f2421aec987131f3641afb1"),
-        ],
-    )
-    def test_thm1_scale_point_digest(self, capsys, max_n, digest):
-        code, out, _ = run(capsys, "verify", "thm1", "--max-n", max_n, "--stream")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout at the level-rank scale point, as recorded with regroup
-    # sweeping every residue over every component with a raised floor
-    def test_thm2_scale_point_digest(self, capsys):
-        code, out, _ = run(capsys, "verify", "thm2", "--max-n", "16", "--stream")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "41135825308f340a39e61def70c934e64e27fef2e050bd3cefc0cad4340c788c"
-        )
-
-    # sha256 of stdout at the content suites' scale point, as recorded with
-    # the content lemma walked exponent by exponent over a window and the
-    # core/key verdict raised from blocks for the suite to catch
-    @pytest.mark.parametrize(
-        "suite, digest",
-        [
-            ("content-lemma", "6a92c2d16fda4fec9747ae401917ebd39f95f912195e08cb712ab95483967330"),
-            ("content-prop", "991fb6a0102defc7d7568cd255b2ee1aab11f52f25ec6ce7ad14a0119ba4ba8c"),
-        ],
-    )
-    def test_content_scale_point_digest(self, capsys, suite, digest):
-        code, out, _ = run(capsys, "verify", suite, "--max-n", "16", "--stream")
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout as recorded with level-m keys reduced from
-    # ResidueMultiset objects, before they shared the root-key kernel
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("blocks", "--n", "10", "--e", "3", "--m", "4"),
-                "8715e76f1e8e512bdd54015b7dc1f05f7a86b44efa1e254959091724355bab94",
-            ),
-            (
-                ("verify", "content-prop", "--max-n", "7", "--stream"),
-                "8c0965ed85808c11a3d9653f6e9c6381bd881137a8d0eda338ca507f73646762",
-            ),
-        ],
-    )
-    def test_gl_block_key_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout as recorded with blocks sorted through sort-key
-    # helpers rather than as tuples of partitions; many blocks here have
-    # several members
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("blocks", "--n", "16", "--e", "3", "--m", "4"),
-                "467e08f2d93af0bbdef2f49cc0a6db4b86de9b0bfc851dd640346a62dde9660b",
-            ),
-            (
-                ("blocks", "--n", "16", "--e", "2", "--m", "5", "--variant", "gu"),
-                "00c04c79e90621e8c324a7f49d6cf32cf15296353de72c3639efb5fa10018698",
-            ),
-        ],
-    )
-    def test_block_order_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    # sha256 of stdout as recorded with regroup rescanning every input tail
-    # for each output residue, before it bucketed the tail beads once; the
-    # uglov lines are the README examples
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("verify", "thm2", "--max-n", "8", "--stream"),
-                "9761216fd4a8b79b2d56d9683e0ef7a5afe3570d48194aeb6b2f78c9caf37ce5",
-            ),
-            (
-                ("verify", "roundtrip", "--trials", "200", "--seed", "7", "--stream"),
-                "3df37c5080a3fa717895737ca2de03bc041f8dc0fc2cd7c903c077561aee57ac",
-            ),
-            (
-                ("uglov", "--mp", ";", "--charges", "1,0", "--e", "2", "--m", "3"),
-                "1198ef758c85ac607c3b316a96b2c2531e6549228be6d1dcc0521a89abcd2ea1",
-            ),
-            (
-                ("uglov", "--mp", ";", "--charges=-1,0", "--e", "2", "--m", "3"),
-                "b6a62253f5e04f877b915a5e52e94f86791840aeaa99698e10a5ee2aa43ba8b3",
-            ),
-        ],
-    )
-    def test_bead_map_digest(self, capsys, argv, digest):
-        code, out, _ = run(capsys, *argv)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_content_lemma_digest(self, capsys):
-        # sha256 of stdout as recorded with the content identities compared
-        # as truncated series
-        code, out, _ = run(capsys, "verify", "content-lemma", "--max-n", "6", "--stream")
-        assert code == 0
-        assert (
-            hashlib.sha256(out.encode()).hexdigest()
-            == "52aa09de272a8cb69e05971260ca474cc9d7dac4430933ce66abc4b7645c9d92"
-        )
-
-    def test_content_lemma_level_one_digest(self, capsys):
-        # sha256 of stdout as recorded with the level-1 identity checked
-        # beside the level-e one in every case
-        code, out, _ = run(capsys, "verify", "content-lemma", "--max-n", "9", "--stream")
-        assert code == 0
-        assert (
-            hashlib.sha256(out.encode()).hexdigest()
-            == "bbd01205dd4033d3e05f5c969b49c30506b2e0cedabbc802138879df4c0f1c6e"
-        )
+    def test_every_suite_has_a_default_row(self):
+        defaults = [argv[1] for argv, _, _ in OUTPUT_DIGESTS if argv[2:] == ("--stream",)]
+        assert defaults == list(suites.SUITES)
 
 
 def _child_command(*argv):

@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 import pytest
 
@@ -9,12 +9,11 @@ from abacore.hc_series import (
     GL,
     GU,
     CuspidalPairGL,
-    DegreeSignError,
     HeckeParam,
-    degree_sign,
     hc_pairs,
     hc_partition,
     specialization,
+    wreath_degree,
 )
 from abacore.partitions import (
     Partition,
@@ -25,7 +24,7 @@ from abacore.partitions import (
     multipartitions_of,
     partitions_of,
 )
-from abacore.polynomials import singular_check
+from abacore.suites import run_suite
 from oracles import (
     classical_case_mismatches,
     classical_cases,
@@ -161,7 +160,7 @@ class TestSeriesMap:
             for p in partitions_of(n):
                 for e in range(1, 11):
                     a = (n - e_core(p, e).size) // e
-                    assert is_e_core(p, e) == (a == 0) == singular_check(p, e)
+                    assert is_e_core(p, e) == (a == 0)
 
     @pytest.mark.parametrize("n, e", [(3, 2), (9, 3), (12, 5)])
     def test_series_builds_no_pair_per_partition(self, capsys, monkeypatch, n, e):
@@ -227,53 +226,70 @@ class TestWreath:
                 assert total == e**a * factorial(a)
 
     def test_quotient_hooks_are_the_e_divisible_hooks(self):
-        # the identity degree_sign rests on (James-Kerber 2.7.40): the hooks
+        # the identity wreath_degree rests on (James-Kerber 2.7.40): the hooks
         # of p's e-quotient are p's hooks divisible by e, each divided by e,
         # so they give the quotient's size and wreath degree.  Control: the
-        # hooks divisible by e + 1 must miss the degree
-        def hook_route(p, d):
-            hooks = [h // d for h in hook_lengths(p) if h % d == 0]
-            return len(hooks), factorial(len(hooks)) // prod(hooks)
-
+        # degree at e + 1 must miss the degree at e
         cases = mismatches = control = 0
         for n in range(1, 13):
             for p in partitions_of(n):
                 for e in range(1, n + 1):
                     image = e_quotient_charged(p, e).components
                     size, dim = sum(q.size for q in image), wreath_dim(image)
+                    divisible = sum(1 for h in hook_lengths(p) if h % e == 0)
                     cases += 1
-                    mismatches += hook_route(p, e) != (size, dim)
-                    control += hook_route(p, e + 1)[1] != dim
+                    mismatches += (divisible, wreath_degree(p, e)) != (size, dim)
+                    control += wreath_degree(p, e + 1) != dim
         assert (cases, mismatches, control) == (2646, 0, 785)
 
-
-class TestDegreeSign:
-    def test_examples(self):
-        assert degree_sign(P((2,)), 2) == 1
-        assert degree_sign(P((1, 1)), 2) == -1
-        assert degree_sign(P((2, 1)), 3) == -1
-
     @pytest.mark.parametrize("e", [0, -1])
-    def test_rejects_bad_level(self, e):
+    def test_degree_rejects_bad_level(self, e):
         with pytest.raises(ValueError, match="e must be >= 1"):
-            degree_sign(P((1,)), e)
+            wreath_degree(P((1,)), e)
+
+
+def degmod_cases():
+    """The default degmod run's cases, keyed by (partition name, e)."""
+    cases = {}
+    run_suite("degmod", lambda case: cases.setdefault((case["partition"], case["e"]), case))
+    return cases
+
+
+class TestDegreeRemainders:
+    # criterion 6 as the degmod suite judges it: the degree of p reduces
+    # modulo the e-th cyclotomic to a signed wreath_degree(p, e)
+    def test_examples(self):
+        cases = degmod_cases()
+        assert cases["2", 2]["sign"] == 1
+        assert cases["1,1", 2]["sign"] == -1
+        assert cases["2,1", 3]["sign"] == -1
 
     def test_toral_series_always_work(self):
         # whenever the core has at most one box, the remainder is a constant
         # of the predicted size
+        cases = degmod_cases()
+        toral = 0
         for n in range(1, 11):
             for p in partitions_of(n):
                 for e in range(1, n + 1):
                     if e_core(p, e).size <= 1:
-                        assert degree_sign(p, e) in (1, -1)
+                        toral += 1
+                        case = cases[str(p), e]
+                        assert case["pass"] and case["sign"] in (1, -1)
+        assert (toral, len(cases)) == (452, 1106)
 
     def test_known_failures_beyond_toral_series(self):
         # the constant-remainder property genuinely fails once the cuspidal
         # core grows: these two are the smallest witnesses
-        with pytest.raises(DegreeSignError):
-            degree_sign(P((2, 1)), 2)  # remainder 0, series core (2,1)
-        with pytest.raises(DegreeSignError):
-            degree_sign(P((4, 1)), 3)  # remainder x, series core (1,1)
+        cases = degmod_cases()
+        assert cases["2,1", 2] == {  # remainder 0, series core (2,1)
+            "partition": "2,1", "e": 2, "pass": False,
+            "error": "remainder 0 does not match wreath degree 1 for (2, 1) at e=2",
+        }
+        assert cases["4,1", 3] == {  # remainder x, series core (1,1)
+            "partition": "4,1", "e": 3, "pass": False,
+            "error": "nonconstant remainder x for (4, 1) at e=3",
+        }
 
 
 class TestSpecialization:

@@ -14,10 +14,8 @@ from abacore.polynomials import (
     gl_order,
     mod_cyclotomic,
     phi_multiplicity,
-    singular_check,
     x_power_minus_one,
 )
-from abacore.partitions import is_e_core
 from oracles import (
     ennola_substitute,
     hooks_by_cells,
@@ -161,6 +159,16 @@ class TestMultiplicityAndRemainder:
         for n in range(1, 17):
             for e in range(1, 17):
                 assert phi_multiplicity(gl_order(n), e) == n // e
+
+    def test_multiplicity_formula(self):
+        for n in range(1, 11):
+            for p in partitions_of(n):
+                hooks = hook_lengths(p)
+                for e in range(1, 11):
+                    divisible = sum(1 for h in hooks if h % e == 0)
+                    assert (
+                        phi_multiplicity(generic_degree(p), e) == n // e - divisible
+                    )
 
     @pytest.mark.parametrize("e", [0, -1, -5])
     @pytest.mark.parametrize("f", [IntPolynomial(), IntPolynomial(1), IntPolynomial(-1, 1, 0, 1)])
@@ -369,36 +377,6 @@ class TestGenericDegree:
                     poly, rem = schoolbook_divmod(poly, (-1,) + (0,) * (h - 1) + (1,))
                     assert rem == ()
                 assert generic_degree(p).coeffs == poly, p
-
-
-class TestSingularCheck:
-    def test_examples(self):
-        assert singular_check(P((2, 1)), 2)
-        assert not singular_check(P((3,)), 3)
-        for e in (1, 2, 9):
-            assert singular_check(P(()), e)
-
-    @pytest.mark.parametrize("e", [0, -2])
-    def test_rejects_nonpositive_level(self, e):
-        with pytest.raises(ValueError) as exc:
-            singular_check(P((2, 1)), e)
-        assert str(exc.value) == "e must be >= 1"
-
-    def test_matches_core_criterion(self):
-        for n in range(9):
-            for p in partitions_of(n):
-                for e in range(1, 9):
-                    assert singular_check(p, e) == is_e_core(p, e)
-
-    def test_multiplicity_formula(self):
-        for n in range(1, 11):
-            for p in partitions_of(n):
-                hooks = hook_lengths(p)
-                for e in range(1, 11):
-                    divisible = sum(1 for h in hooks if h % e == 0)
-                    assert (
-                        phi_multiplicity(generic_degree(p), e) == n // e - divisible
-                    )
 
 
 class TestEnnola:

@@ -689,7 +689,7 @@ IMPORT_GRAPH = {
     "__main__": ["cli"],
     "blocks": ["hc_series", "partitions", "polynomials"],
     "cli": ["blocks", "hc_series", "levelrank", "partitions", "suites"],
-    "hc_series": ["partitions", "polynomials"],
+    "hc_series": ["partitions"],
     "levelrank": ["partitions"],
     "partitions": [],
     "polynomials": ["partitions"],
