@@ -113,16 +113,20 @@ def affine_perm(e: int, m: int, s: int) -> AffinePerm:
 
 def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
     """The affine action on canonical (floor, tail) pairs: component i moves
-    to perm[i], its floor and every tail bead shifted by shifts[perm[i]].
+    to perm[i], its floor and every tail bead shifted by shifts[perm[i]];
+    one whose shift is 0 moves as it is.
 
     >>> _shift_pairs(affine_perm(2, 3, 3), ((0, ()), (1, (3,))))
     ((0, (2,)), (-3, ()))
     """
-    out = [None] * ap.e
-    shifts = ap.shifts
-    for (floor, tail), j in zip(abaci, ap.perm):
+    e, perm, shifts = ap
+    out = [None] * e
+    for pair, j in zip(abaci, perm):
         d = shifts[j]
-        out[j] = (floor + d, tuple([x + d for x in tail]) if d and tail else tail)
+        if d:
+            floor, tail = pair
+            pair = (floor + d, tuple([x + d for x in tail]) if tail else tail)
+        out[j] = pair
     return tuple(out)
 
 

@@ -230,14 +230,17 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     Uglov level-rank map, bead by bead (levelrank.qr_em).
 
     One call relocates each bead once, in O(beads + lift + m) besides
-    sorting the output tails: beads is the total tail length, base the lowest
-    floor and lift the sum of floor_i - base.  Component i sends each of its
-    beads x >= base, the tail and the lifted range base <= x < floor_i, to
-    residue x % m as e*(x // m) + i.  Below base every component is full, so
-    residue rho also holds every e*q + i with m*q + rho < base: all of Z
-    below e*ceil((base - rho) / m), where its floor starts before climbing
-    over the run of beads just above.  The images are distinct, since
-    (x, i) -> (e*(x // m) + i, x % m) is one to one.
+    sorting each residue's beads: beads is the total tail length, base the
+    lowest floor and lift the sum of floor_i - base.  Component i sends each
+    of its beads x >= base, the tail and the lifted range base <= x < floor_i,
+    to residue x % m as e*(x // m) + i.  Below base every component is full,
+    so residue rho also holds every e*q + i with m*q + rho < base: all of Z
+    below e*ceil((base - rho) / m), where its floor starts.  The images are
+    distinct, since (x, i) -> (e*(x // m) + i, x % m) is one to one, so the
+    k beads of a residue, none below its floor, are one run from it exactly
+    when the highest is floor + k - 1.  An empty residue or one run is
+    finished in O(1), its floor climbing over the whole run at once; only a
+    residue that keeps a tail climbs bead by bead and builds a tuple.
 
     >>> regroup(((2, (5,)),), 3)
     ((1, ()), (1, ()), (0, (1,)))
@@ -245,6 +248,8 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     ((2, (5,)),)
     >>> regroup(((0, ()), (3, ()), (-1, (1,))), 2)
     ((0, (4, 1)), (-1, (2, 1)))
+    >>> regroup(((1, ()), (0, (2,))), 1)  # bead 0 is absorbed, 5 kept
+    ((1, (5,)),)
     """
     e = len(abaci)
     base = min(floor for floor, _ in abaci)
@@ -255,12 +260,19 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
         for x in range(base, floor):
             buckets[x % m].append(e * (x // m) + i)
     for rho, beads in enumerate(buckets):
-        beads.sort(reverse=True)
         floor = -e * ((rho - base) // m)
-        while beads and beads[-1] == floor:
-            beads.pop()
-            floor += 1
-        buckets[rho] = (floor, tuple(beads))
+        if beads:
+            beads.sort(reverse=True)
+            n = len(beads)
+            if beads[0] - floor == n - 1:  # one run from the floor
+                buckets[rho] = (floor + n, ())
+            else:
+                while beads[-1] == floor:
+                    beads.pop()
+                    floor += 1
+                buckets[rho] = (floor, tuple(beads))
+        else:
+            buckets[rho] = (floor, ())
     return tuple(buckets)
 
 

@@ -229,7 +229,7 @@ def _roundtrip_cases(seed, trials):
 SUITES = {
     "thm1": (_thm1_cases, {"max_n": (12, 16),  # 0.53 s
                            "e": (None, LEVEL_MAX), "m": (None, LEVEL_MAX)}),
-    "thm2": (_thm2_cases, {"max_n": (12, 16),  # 0.45 s
+    "thm2": (_thm2_cases, {"max_n": (12, 16),  # 0.41 s
                            "e": (None, LEVEL_MAX), "m": (None, LEVEL_MAX)}),
     "content-lemma": (_content_lemma_cases, {"max_n": (10, 16)}),  # 0.87 s
     "content-prop": (_content_prop_cases, {"max_n": (10, 16)}),  # 1.48 s

@@ -163,6 +163,55 @@ class TestResiduePerm:
             affine_perm(4, 2, 0)
 
 
+# ((e, m, s), (components, charges)): corrections whose shifts are all 0
+# (e = 1 at s = 0), some 0 (the b with m*b < e at s = 0) and none 0
+SHIFT_CASES = [
+    ((3, 2, 0), ((P(()),) * 3, (0, 0, 0))),
+    ((2, 3, 1), ((P((2,)), P((1, 1))), (1, -2))),
+    ((3, 4, -2), ((P((1,)), P(()), P((3, 1))), (0, 2, -1))),
+    ((1, 3, 0), ((P((2, 1)),), (1,))),
+    ((3, 2, 0), ((P((2,)), P((1, 1)), P((3,))), (0, 1, -1))),
+    ((4, 3, 0), ((P((1,)), P((2,)), P(()), P((2, 2))), (1, 0, -2, 2))),
+]
+
+
+def shift_pairs_misses(shift_pairs):
+    """The components of shift_pairs(affine_perm(e, m, s), abaci) over
+    SHIFT_CASES that differ from the action on explicit bead sets, compared
+    in a window far below 0; a component left unset is a miss."""
+    low = -40
+    misses = 0
+    for (e, m, s), (comps, charges) in SHIFT_CASES:
+        ap = affine_perm(e, m, s)
+        expected_sets = apply_affine_on_beads(
+            ap.perm,
+            ap.shifts,
+            [
+                {x for x in range(low, 20) if x in to_beta(charged(p, c))}
+                for p, c in zip(comps, charges)
+            ],
+        )
+        result = shift_pairs(ap, _abaci(comps, charges))
+        for j in range(e):
+            expected = {x for x in expected_sets[j] if x >= low + 10}
+            if result[j] is None:
+                misses += 1
+                continue
+            beta = BetaSet(*result[j])
+            misses += {x for x in range(low + 10, 20) if x in beta} != expected
+    return misses
+
+
+def unpermuted_zero_shift(ap, abaci):
+    """Mutant of _shift_pairs: a component whose shift is 0 stays at its own
+    index i instead of moving to perm[i]."""
+    out = [None] * ap.e
+    for i, ((floor, tail), j) in enumerate(zip(abaci, ap.perm)):
+        d = ap.shifts[j]
+        out[j if d else i] = (floor + d, tuple(x + d for x in tail))
+    return tuple(out)
+
+
 class TestAffinePerm:
     def test_examples(self):
         assert affine_perm(2, 3, 0) == AffinePerm(2, (0, 1), (0, -1))
@@ -204,28 +253,17 @@ class TestAffinePerm:
         assert _shift_pairs(ap, _abaci(empties, (0, 0, 0))) == _abaci(empties, (0, 0, -1))
 
     def test_shift_pairs_against_bead_oracle(self):
-        # compare with the action on explicit bead sets, window far below 0
-        cases = [
-            ((3, 2, 0), ((P(()),) * 3, (0, 0, 0))),
-            ((2, 3, 1), ((P((2,)), P((1, 1))), (1, -2))),
-            ((3, 4, -2), ((P((1,)), P(()), P((3, 1))), (0, 2, -1))),
-        ]
-        low = -40
-        for (e, m, s), (comps, charges) in cases:
-            ap = affine_perm(e, m, s)
-            expected_sets = apply_affine_on_beads(
-                ap.perm,
-                ap.shifts,
-                [
-                    {x for x in range(low, 20) if x in to_beta(charged(p, c))}
-                    for p, c in zip(comps, charges)
-                ],
-            )
-            result = _shift_pairs(ap, _abaci(comps, charges))
-            for j in range(e):
-                beta = BetaSet(*result[j])
-                got = {x for x in range(low + 10, 20) if x in beta}
-                assert got == {x for x in expected_sets[j] if x >= low + 10}
+        assert shift_pairs_misses(_shift_pairs) == 0
+        # component 2 of (3, 2, 0) moves to component 1, whose shift is 0
+        ap = affine_perm(3, 2, 0)
+        abaci = _abaci((P((2,)), P((1, 1)), P((3,))), (0, 1, -1))
+        assert (ap.perm[2], ap.shifts[1]) == (1, 0)
+        assert _shift_pairs(ap, abaci)[1] == abaci[2]
+
+    def test_bead_oracle_catches_unpermuted_zero_shift(self):
+        # every case but e = 1 moves one unshifted component: it lands on
+        # the wrong index and leaves its own target unset, 2 misses each
+        assert shift_pairs_misses(unpermuted_zero_shift) == 2 * 5
 
 
 class TestUglov:
@@ -373,6 +411,42 @@ def thm2_level_sweep():
                 yield [((), (7 * i + 3 * k) % (2 * m + 1) - m) for i in range(e)], m
 
 
+# (components, m) and how regroup finishes each residue of their abacus
+FINISH_CASES = [
+    ([((2,), 1)], 3, ("empty", "empty", "run")),
+    ([((3, 1), 2)], 2, ("kept", "run")),
+    # beads 0, 2 and 3: the floor climbs over 0 and keeps the tail (3, 2)
+    ([((), 2), ((1,), 1)], 1, ("partial",)),
+    ([((), 0), ((), 3), ((1,), 0)], 2, ("kept", "partial")),
+]
+
+
+def finish_sweep():
+    """(components, m) of FINISH_CASES."""
+    for comps, m, _ in FINISH_CASES:
+        yield comps, m
+
+
+def residue_finishes(comps, m):
+    """How each residue of the image of comps is finished, read from the
+    bead oracle: 'empty' with no bead at or above its starting floor
+    -e*((rho - base) // m), 'run' when the floor climbs over all of them,
+    'partial' when it climbs over some and keeps a tail, 'kept' when it
+    keeps all."""
+    e = len(comps)
+    base = min(s - len(parts) for parts, s in comps)
+    kinds = {
+        (False, False): "empty",
+        (True, False): "run",
+        (True, True): "partial",
+        (False, True): "kept",
+    }
+    return tuple(
+        kinds[s - len(parts) + e * ((rho - base) // m) > 0, bool(parts)]
+        for rho, (parts, s) in enumerate(regroup_on_beads(comps, m))
+    )
+
+
 def as_pairs(cmp):
     return [(p.parts, s) for p, s in zip(cmp.components, cmp.charges)]
 
@@ -426,6 +500,16 @@ class TestBeadMapOracle:
             cases += 1
         # 72 coprime pairs in 1..12 with max(e, m) >= 6, 3 shapes of 4 inputs
         assert cases == 72 * 12
+
+    def test_finishes_match_bead_windows(self):
+        # an empty residue, a run the floor climbs over whole, and a run
+        # ending at a gap below a kept tail each give the oracle's image
+        kinds = set()
+        for comps, m, finishes in FINISH_CASES:
+            assert as_pairs(uglov(from_pairs(comps), m)) == regroup_on_beads(comps, m)
+            assert residue_finishes(comps, m) == finishes
+            kinds.update(finishes)
+        assert kinds == {"empty", "run", "partial", "kept"}
 
     def test_regroup_inverts_on_wide_floors(self):
         # regroup(regroup(a, m), e) == a on the canonical abaci of both sweeps,
@@ -711,6 +795,36 @@ def lowest_lift_regroup(abaci, m):
     return tuple(buckets)
 
 
+def long_run_regroup(abaci, m):
+    """Mutant of regroup: the whole-run test is off by one, so a residue
+    whose beads miss one position between its floor and the highest is
+    finished as one run.  Its climb stops at an empty bucket, so it errs
+    only where that test does."""
+    e = len(abaci)
+    base = min(floor for floor, _ in abaci)
+    buckets = [[] for _ in range(m)]
+    for i, (floor, tail) in enumerate(abaci):
+        for x in tail:
+            buckets[x % m].append(e * (x // m) + i)
+        for x in range(base, floor):
+            buckets[x % m].append(e * (x // m) + i)
+    for rho, beads in enumerate(buckets):
+        floor = -e * ((rho - base) // m)
+        if beads:
+            beads.sort(reverse=True)
+            n = len(beads)
+            if beads[0] - floor == n:
+                buckets[rho] = (floor + n, ())
+            else:
+                while beads and beads[-1] == floor:
+                    beads.pop()
+                    floor += 1
+                buckets[rho] = (floor, tuple(beads))
+        else:
+            buckets[rho] = (floor, ())
+    return tuple(buckets)
+
+
 class TestRegroupMutants:
     @pytest.fixture(autouse=True)
     def fresh_cores(self):
@@ -741,6 +855,10 @@ class TestRegroupMutants:
             (lowest_lift_regroup, bead_sweep, 1544, 2128),
             (lowest_lift_regroup, wide_floor_sweep, 480, 600),
             (lowest_lift_regroup, thm2_level_sweep, 504, 864),
+            (long_run_regroup, bead_sweep, 834, 2128),
+            (long_run_regroup, wide_floor_sweep, 42, 600),
+            (long_run_regroup, thm2_level_sweep, 205, 864),
+            (long_run_regroup, finish_sweep, 1, 4),
         ],
     )
     def test_fails_bead_windows(self, monkeypatch, mutant, sweep, misses, cases):
@@ -760,6 +878,7 @@ class TestRegroupMutants:
             (misfiled_bead_regroup, 90),
             (first_floor_regroup, 106),
             (lowest_lift_regroup, 113),
+            (long_run_regroup, 67),
         ],
     )
     def test_fails_core_matched_diagram(self, monkeypatch, mutant, failed):
