@@ -134,7 +134,10 @@ def series_blocks(
     if m < 1:
         raise ValueError("m must be >= 1")
     if variant == GU and pair.a > 0:
-        _root_values(specialization(pair, GU), ennola_e(m))
+        try:
+            _root_values(specialization(pair, GU), ennola_e(m))
+        except OmegaIsOne:
+            raise OmegaIsOne(f"level {m} GU blocks are undefined at level e={pair.e}") from None
     elif pair.e % m == 0:
         raise OmegaIsOne(f"level {m} blocks are undefined at level e={pair.e}")
     _, numbers, gu_ok = _side_blocks(pair, m)

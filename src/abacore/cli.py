@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, the one module that parses and renders argv text.
 
 Subcommands:
 
@@ -24,16 +24,14 @@ import os
 import sys
 
 from .blocks import series_blocks
-from .hc_series import hc_pairs, hc_partition
+from .hc_series import GL, GU, hc_pairs, hc_partition
 from .levelrank import uglov
 from .partitions import (
     ChargedMultiPartition,
+    MultiPartition,
+    Partition,
     e_core,
     e_quotient_charged,
-    parse_charges,
-    parse_multipartition,
-    parse_partition,
-    render_multipartition,
 )
 from .suites import LEVEL_MAX, SUITES, _check_bounds, run_suite
 
@@ -66,6 +64,48 @@ class _Lines(list):
         sys.stdout.write("".join(self))
         sys.stdout.flush()
         self.clear()
+
+
+# ---------------------------------------------------------------------------
+# text formats: str(Partition) is "3,1,1", multipartitions join with ";"
+
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """The comma-separated integers of text; `what` names it in the error."""
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"bad {what} text {text!r}") from exc
+
+
+def parse_partition(text: str) -> Partition:
+    """Parse "3,1,1"; the empty string denotes the empty partition."""
+    text = text.strip()
+    return Partition(_parse_ints(text, "partition") if text else ())
+
+
+def parse_multipartition(text: str) -> MultiPartition:
+    """Parse components joined with ";".
+
+    >>> parse_multipartition(";1")
+    (Partition(parts=()), Partition(parts=(1,)))
+    """
+    return tuple(parse_partition(tok) for tok in text.split(";"))
+
+
+def render_multipartition(mp: MultiPartition) -> str:
+    """Join the components with ";", inverting parse_multipartition.
+
+    >>> render_multipartition((Partition(()), Partition((1,))))
+    ';1'
+    """
+    return ";".join(str(p) for p in mp)
+
+
+def parse_charges(text: str) -> tuple[int, ...]:
+    text = text.strip()
+    if not text:
+        raise ValueError("empty charge list")
+    return _parse_ints(text, "charge")
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +143,7 @@ def _cmd_uglov(args, emit) -> int:
             f" and {len(charges)} charges"
         )
     image = uglov(ChargedMultiPartition(mp, charges), args.m)
-    emit(
-        {
-            "mp": render_multipartition(image.components),
-            "charges": list(image.charges),
-        }
-    )
+    emit({"mp": render_multipartition(image.components), "charges": list(image.charges)})
     return 0
 
 
@@ -148,9 +183,7 @@ def _cmd_blocks(args, emit) -> int:
             {
                 "core": str(pair.core),
                 "a": pair.a,
-                "blocks": [
-                    [render_multipartition(mp) for mp in block] for block in blocks
-                ],
+                "blocks": [[render_multipartition(mp) for mp in b] for b in blocks],
             }
         )
     if wanted is not None and not series:
@@ -213,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bl.add_argument("--e", type=int, required=True, help="series level")
     p_bl.add_argument("--m", type=int, required=True, help="block level")
     p_bl.add_argument("--core", help="restrict to the series of this core")
-    p_bl.add_argument("--variant", choices=("gl", "gu"), default="gl")
+    p_bl.add_argument("--variant", choices=(GL, GU), default=GL)
     p_bl.set_defaults(func=_cmd_blocks)
 
     p_ver = sub.add_parser("verify", help="batch verification suites")
@@ -244,7 +277,3 @@ def main(argv=None) -> int:
         # reader gone: stdout to devnull, so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE; 1 would read as a failed check
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -395,37 +395,3 @@ def multipartitions_of(e: int, a: int) -> tuple[MultiPartition, ...]:
         for rest in multipartitions_of(e - 1, a - p.size)
     )
 
-
-# ---------------------------------------------------------------------------
-# text formats: str(Partition) is "3,1,1", multipartitions join with ";"
-
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    """The comma-separated integers of text; `what` names it in the error."""
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad {what} text {text!r}") from exc
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse "3,1,1"; the empty string denotes the empty partition."""
-    text = text.strip()
-    if not text:
-        return Partition(())
-    return Partition(_parse_ints(text, "partition"))
-
-
-def parse_multipartition(text: str) -> MultiPartition:
-    """Parse components joined with ";" (";1" parses as (empty, (1)))."""
-    return tuple(parse_partition(tok) for tok in text.split(";"))
-
-
-def render_multipartition(mp: MultiPartition) -> str:
-    return ";".join(str(p) for p in mp)
-
-
-def parse_charges(text: str) -> MultiCharge:
-    text = text.strip()
-    if not text:
-        raise ValueError("empty charge list")
-    return _parse_ints(text, "charge")

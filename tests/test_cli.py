@@ -13,7 +13,13 @@ import pytest
 
 import abacore
 from abacore import blocks, cli, hc_series, levelrank, partitions, suites
-from abacore.cli import main
+from abacore.cli import (
+    main,
+    parse_charges,
+    parse_multipartition,
+    parse_partition,
+    render_multipartition,
+)
 from abacore.partitions import ChargedMultiPartition, Partition, _abaci, partitions_of
 from abacore.polynomials import generic_degree
 from abacore.suites import run_suite
@@ -23,6 +29,8 @@ from oracles import (
     check_core_key_equivalence,
     check_core_matched_diagram,
 )
+
+P = Partition
 
 
 def run(capsys, *argv):
@@ -209,20 +217,18 @@ class TestBlocksCommand:
     def test_omega_one_is_input_error(self, capsys):
         code, _, err = run(capsys, "blocks", "--n", "2", "--e", "2", "--m", "2")
         assert code == 2
-        assert "error" in err
-        # GU evaluates its root keys at the paired index ennola_e(3) = 6
-        code, out, err = run(
-            capsys, "blocks", "--n", "6", "--e", "3", "--m", "3", "--variant", "gu"
-        )
-        assert (code, out) == (2, "")
-        assert "symmetric ratio is 1 at a 6-th root" in err
-        # at m = 1 GU refuses through its own root keys at ennola_e(1) = 2,
-        # not through a one-block series table
-        code, out, err = run(
-            capsys, "blocks", "--n", "2", "--e", "2", "--m", "1", "--variant", "gu"
-        )
-        assert (code, out) == (2, "")
-        assert "symmetric ratio is 1 at a 2-th root" in err
+        assert err == "error: level 2 blocks are undefined at level e=2\n"
+        # GU evaluates its root keys at the paired index ennola_e(3) = 6, at
+        # m = 1 through its own root keys at ennola_e(1) = 2, not through a
+        # one-block series table, and at m = 2 at ennola_e(2) = 1: each
+        # refusal names m and e, not the root
+        for n, e, m in ((6, 3, 3), (2, 2, 1), (6, 4, 2)):
+            code, out, err = run(
+                capsys, "blocks", "--n", str(n), "--e", str(e), "--m", str(m),
+                "--variant", "gu",
+            )
+            assert (code, out) == (2, "")
+            assert err == f"error: level {m} GU blocks are undefined at level e={e}\n"
 
     def test_unknown_core(self, capsys):
         code, _, _ = run(
@@ -1022,6 +1028,32 @@ class TestStreamWriter:
         assert out.splitlines() == [
             json.dumps({"pass": True, "trial": trial}) for trial in range(3)
         ]
+
+
+class TestTextFormats:
+    def test_partition_round_trip(self):
+        for text in ("", "3,1,1", "5"):
+            assert str(parse_partition(text)) == text
+
+    def test_multipartition_round_trip(self):
+        for text in (";1", "", ";;", "2,1;;3"):
+            assert render_multipartition(parse_multipartition(text)) == text
+        assert parse_multipartition(";1") == (P(()), P((1,)))
+
+    def test_charges(self):
+        assert parse_charges("1,0,-2") == (1, 0, -2)
+        with pytest.raises(ValueError):
+            parse_charges("")
+        with pytest.raises(ValueError):
+            parse_charges("1,x")
+
+    def test_bad_partition_text(self):
+        with pytest.raises(ValueError):
+            parse_partition("1,3")
+        with pytest.raises(ValueError):
+            parse_partition("a,b")
+        with pytest.raises(ValueError):
+            parse_partition("3,0")
 
 
 class TestUsageErrors:

@@ -4,10 +4,12 @@ import shlex
 from pathlib import Path
 
 import abacore.blocks
+import abacore.cli
 import abacore.hc_series
 import abacore.levelrank
 import abacore.partitions
 import abacore.polynomials
+import abacore.suites
 from abacore.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -21,6 +23,8 @@ def test_doctests():
         abacore.polynomials,
         abacore.hc_series,
         abacore.blocks,
+        abacore.cli,
+        abacore.suites,
     ):
         failures, _ = doctest.testmod(module)
         assert failures == 0, f"doctest failures in {module.__name__}"

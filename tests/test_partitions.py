@@ -25,12 +25,8 @@ from abacore.partitions import (
     hook_lengths,
     is_e_core,
     multipartitions_of,
-    parse_charges,
-    parse_multipartition,
-    parse_partition,
     partitions_of,
     regroup,
-    render_multipartition,
     to_beta,
 )
 from abacore.hc_series import CuspidalPairGL, HeckeParam, HeckeSpecialization
@@ -805,29 +801,3 @@ class TestCoreExponents:
                     continue
                 exps = core_exponents(core, e)
                 assert sorted(a % e for a in exps) == list(range(e))
-
-
-class TestTextFormats:
-    def test_partition_round_trip(self):
-        for text in ("", "3,1,1", "5"):
-            assert str(parse_partition(text)) == text
-
-    def test_multipartition_round_trip(self):
-        for text in (";1", "", ";;", "2,1;;3"):
-            assert render_multipartition(parse_multipartition(text)) == text
-        assert parse_multipartition(";1") == (P(()), P((1,)))
-
-    def test_charges(self):
-        assert parse_charges("1,0,-2") == (1, 0, -2)
-        with pytest.raises(ValueError):
-            parse_charges("")
-        with pytest.raises(ValueError):
-            parse_charges("1,x")
-
-    def test_bad_partition_text(self):
-        with pytest.raises(ValueError):
-            parse_partition("1,3")
-        with pytest.raises(ValueError):
-            parse_partition("a,b")
-        with pytest.raises(ValueError):
-            parse_partition("3,0")

@@ -2,8 +2,11 @@
 src/abacore, public or private, is used by the library itself, so code that
 only the tests need lives under tests/ (being exported in __all__ is no use),
 and a helper does not outlive its last caller.  Every public method and
-property of a library class is used by the library too.  No sort in the
-library restates the lexicographic order of Partition with a key on .parts.
+property of a library class is used by the library too, and so is every
+dunder method but those a table names with the operator or protocol that
+calls them.  Only cli.py splits or strips text: the library takes values
+and the CLI parses argv text into them.  No sort in the library restates
+the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once, and one function, the side
 table, groups a series' multipartitions into blocks, which only one key kernel
@@ -106,6 +109,79 @@ def unreferenced_methods(sources):
     )
 
 
+# every dunder method a library class defines that Python, not the library,
+# calls, with the operator or protocol that calls it
+PROTOCOL_DUNDERS = {
+    "AffinePerm.__new__": "the class call, and _make",
+    "BetaSet.__new__": "the class call, and _make",
+    "ChargedMultiPartition.__new__": "the class call, and _make",
+    "CuspidalPairGL.__new__": "the class call, and _make",
+    "Partition.__new__": "the class call",
+    "IntPolynomial.__init__": "the class call",
+    # only tests ask `k in beta`, but without it a namedtuple answers for the
+    # pair (floor, tail): k in BetaSet(0, (2,)) would be False for k = -1
+    "BetaSet.__contains__": "in",
+    "Partition.__repr__": "repr(): doctests and the README",
+    "Partition.__str__": "str(): the suites and the CLI name partitions",
+    "IntPolynomial.__repr__": "repr(): doctests",
+    "IntPolynomial.__str__": "str() and f-strings: degmod's error text",
+    "IntPolynomial.__setattr__": "attribute assignment, refused",
+    "IntPolynomial.__delattr__": "del, refused",
+    "IntPolynomial.__eq__": "==",
+    "IntPolynomial.__hash__": "hash(): the lru_cache keys of phi_multiplicity",
+    "IntPolynomial.__reduce__": "pickle and copy",
+    "IntPolynomial.__call__": "a call: suites._degmod_cases reads rem(0)",
+    "IntPolynomial.__mul__": "*",
+    "IntPolynomial.__divmod__": "divmod()",
+    "IntPolynomial.__mod__": "%",
+}
+
+
+def unaccounted_dunders(sources, protocols):
+    """(unaccounted, stale): the dunder methods of top-level classes, as
+    "Class.__name__", that no ast Attribute references outside their own
+    definition and that protocols does not name; and the names protocols
+    holds that no class defines.
+
+    A dunder method is a def, or an alias of one (__delattr__ =
+    __setattr__); __slots__ and other class data are not methods.  An
+    attribute is matched by name alone, as in unreferenced_methods.
+    """
+    attrs = Counter()
+    defined = {}
+    for text in sources.values():
+        tree = ast.parse(text)
+        attrs.update(
+            node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+        )
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, ast.Assign) and isinstance(item.value, ast.Name):
+                    names = [getattr(target, "id", "") for target in item.targets]
+                else:
+                    continue
+                for name in names:
+                    if name.startswith("__") and name.endswith("__"):
+                        defined[f"{cls.name}.{name}"] = name, item
+
+    def own_references(name, item):
+        return sum(
+            isinstance(node, ast.Attribute) and node.attr == name
+            for node in ast.walk(item)
+        )
+
+    unaccounted = sorted(
+        qualified
+        for qualified, (name, item) in defined.items()
+        if qualified not in protocols and attrs[name] == own_references(name, item)
+    )
+    return unaccounted, sorted(set(protocols) - set(defined))
+
+
 def _library_sources():
     return {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
 
@@ -125,7 +201,11 @@ def test_no_orphaned_private_helper():
 
 
 def test_no_orphaned_method():
-    assert unreferenced_methods(_library_sources()) == []
+    # public methods have a library caller; dunders have one too, or are
+    # named in PROTOCOL_DUNDERS with what calls them
+    sources = _library_sources()
+    assert unreferenced_methods(sources) == []
+    assert unaccounted_dunders(sources, PROTOCOL_DUNDERS) == ([], [])
 
 
 def test_scan_counts_only_code_references():
@@ -193,6 +273,40 @@ def test_scan_catches_orphaned_method():
         ),
     }
     assert unreferenced_methods(sources) == ["Shape.orphan", "Shape.scaled"]
+
+
+def test_scan_catches_unaccounted_dunder():
+    sources = {
+        "a": (
+            "class Shape:\n"
+            "    __slots__ = ()\n"
+            "    def __new__(cls):\n"
+            "        self = object.__new__(cls)\n"
+            "        self.__post_init__()\n"
+            "        return self\n"
+            "    def __post_init__(self):\n"
+            "        pass\n"
+            "    def __len__(self):\n"
+            "        return self.__len__() if False else 0\n"
+            "    def __eq__(self, other):\n"
+            "        return True\n"
+            "    __ne__ = __eq__\n"
+            "    def __iter__(self):\n"
+            '        """Not a reference: shape.__len__()."""\n'
+            "        return iter(())\n"
+        ),
+        "b": "def walk(shape):\n    return shape.__iter__()\n",
+    }
+    protocols = {"Shape.__new__": "the class call", "Shape.__eq__": "==", "Gone.__eq__": "=="}
+    assert unaccounted_dunders(sources, protocols) == (
+        ["Shape.__len__", "Shape.__ne__"],
+        ["Gone.__eq__"],
+    )
+    # the library's own table: with BetaSet's membership test unlisted, the
+    # scan names it
+    library = _library_sources()
+    unlisted = {k: v for k, v in PROTOCOL_DUNDERS.items() if k != "BetaSet.__contains__"}
+    assert unaccounted_dunders(library, unlisted) == (["BetaSet.__contains__"], [])
 
 
 def parts_sort_keys(sources):
@@ -841,6 +955,47 @@ def test_scan_catches_a_string_keyed_dict():
         "b": "TABLE = {'thm1': 1}\n",
     }
     assert string_keyed_dicts(sources) == ["a.Report", "a.shaped", "b.<module>"]
+
+
+TEXT_METHODS = ("split", "rsplit", "splitlines", "strip", "lstrip", "rstrip")
+
+
+def text_parsing_calls(sources):
+    """"module:line" of every call of a splitting or stripping method
+    (.split(, .strip( and their variants), whatever object it is taken
+    from: argv text is parsed in cli.py alone, and the library takes
+    values."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in TEXT_METHODS
+            ):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_text_is_parsed_only_in_the_cli():
+    found = text_parsing_calls(_library_sources())
+    assert [site for site in found if not site.startswith("cli:")] == []
+    assert found  # the CLI's own parsers are seen
+
+
+def test_scan_catches_a_planted_parser():
+    sources = {
+        "a": (
+            "def parse(text):\n"
+            '    """Splits text.split(",") into ints."""\n'
+            "    return tuple(int(tok) for tok in text.strip().split(','))\n"
+            # a bare reference and other str methods parse nothing
+            "SPLIT = str.split\n"
+            "name = flag.replace('_', '-').upper()\n"
+        ),
+        "b": "def rows(doc):\n    return [line.rstrip() for line in doc.splitlines()]\n",
+    }
+    assert text_parsing_calls(sources) == ["a:3", "a:3", "b:2", "b:2"]
 
 
 def _row_flags(cell):
