@@ -11,8 +11,10 @@ d = m, omega = e mod m and alpha_j = core_exponents(core, e)[j] mod m, and
 a root key takes the evaluated parameters.  Root keys are evaluated for GU
 only: the GL parameters at a primitive m-th root give the level-m values
 doubled, so the GL root key is the level key; the GU parameters at a
-primitive ennola_e(m)-th root give them relabelled one to one (Ennola
-duality).  Every grouping reads one side table, which counts GL keys only.
+primitive R-th root, R = ennola_e(m), give them relabelled one to one by
+v -> (2 + R)v mod 2R (Ennola duality).  2 + R has order m mod 2R, so the
+GU ratio, like the GL one, is 1 exactly where m | e, and both variants
+refuse there.  Every grouping reads one side table, which counts GL keys only.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts on the identity's support, which covers every exponent, and underlies
 the equivalence between sharing an m-core and sharing a key.
@@ -51,7 +53,7 @@ from .polynomials import ennola_e
 
 class OmegaIsOne(ValueError):
     """The symmetric-generator ratio specialized to 1, where the block
-    criterion does not apply."""
+    criterion does not apply: at level m, where m divides e, GL or GU."""
 
 
 # sorted (value, count) pairs: a residue multiset
@@ -125,21 +127,18 @@ def series_blocks(
     pair: CuspidalPairGL, m: int, variant: str = GL
 ) -> tuple[tuple[MultiPartition, ...], ...]:
     """Level-m blocks of a series: GL residue keys, or for GU with a > 0 the
-    root keys at ennola_e(m), where the sign-twisted parameters hit a
+    root keys at R = ennola_e(m), where the sign-twisted parameters hit a
     primitive m-th root, grouped alike from the side table's GL numbers at m
-    (ArithmeticError if GU disagrees).  Each variant first refuses where its
-    ratio is 1: the table takes m = 1 as one block."""
+    (ArithmeticError if GU disagrees).  Both variants first refuse where m
+    divides e, where both ratios are 1 as 2 + R has order m mod 2R: the
+    table takes m = 1 as one block."""
     if variant not in (GL, GU):
         raise ValueError(f"unknown variant {variant!r}")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if variant == GU and pair.a > 0:
-        try:
-            _root_values(specialization(pair, GU), ennola_e(m))
-        except OmegaIsOne:
-            raise OmegaIsOne(f"level {m} GU blocks are undefined at level e={pair.e}") from None
-    elif pair.e % m == 0:
-        raise OmegaIsOne(f"level {m} blocks are undefined at level e={pair.e}")
+    if pair.e % m == 0:
+        label = "GU " if variant == GU else ""
+        raise OmegaIsOne(f"level {m} {label}blocks are undefined at level e={pair.e}")
     _, numbers, gu_ok = _side_blocks(pair, m)
     if variant == GU and not gu_ok:
         raise ArithmeticError(f"GU keys at {ennola_e(m)} do not group as GL keys at {m}")

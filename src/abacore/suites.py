@@ -37,7 +37,7 @@ from .partitions import (
 from .polynomials import generic_degree, gl_order, mod_cyclotomic, phi_multiplicity
 
 LEVEL_SWEEP_MAX = 12
-LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 11 s
+LEVEL_MAX = 40  # --e/--m of series, blocks, verify; series --n 40 --e 40: about 4.4 s
 
 
 def _check_bounds(bound: int, *named: tuple[str, int]) -> None:
@@ -227,16 +227,16 @@ def _roundtrip_cases(seed, trials):
 # suite name -> (case generator, {flag the suite reads: (default, bound)});
 # beside each row: CPU time of `verify <suite> --stream` at its bounds, 2-vCPU VM
 SUITES = {
-    "thm1": (_thm1_cases, {"max_n": (12, 16),  # 0.53 s
+    "thm1": (_thm1_cases, {"max_n": (12, 16),  # 0.81 s
                            "e": (None, LEVEL_MAX), "m": (None, LEVEL_MAX)}),
-    "thm2": (_thm2_cases, {"max_n": (12, 16),  # 0.41 s
+    "thm2": (_thm2_cases, {"max_n": (12, 16),  # 0.60 s
                            "e": (None, LEVEL_MAX), "m": (None, LEVEL_MAX)}),
-    "content-lemma": (_content_lemma_cases, {"max_n": (10, 16)}),  # 0.87 s
-    "content-prop": (_content_prop_cases, {"max_n": (10, 16)}),  # 1.48 s
-    "cuspidal": (_cuspidal_cases, {"max_n": (10, 16)}),  # 0.21 s
-    "degmod": (_degmod_cases, {"max_n": (10, 16)}),  # 0.23 s
+    "content-lemma": (_content_lemma_cases, {"max_n": (10, 16)}),  # 0.99 s
+    "content-prop": (_content_prop_cases, {"max_n": (10, 16)}),  # 2.10 s
+    "cuspidal": (_cuspidal_cases, {"max_n": (10, 16)}),  # 0.28 s
+    "degmod": (_degmod_cases, {"max_n": (10, 16)}),  # 0.31 s
     "roundtrip": (_roundtrip_cases, {"seed": (123456789, None),  # unbounded
-                                     "trials": (10000, 100_000)}),  # 4.3 s
+                                     "trials": (10000, 100_000)}),  # 6.2 s
 }
 
 

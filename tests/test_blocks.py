@@ -432,13 +432,18 @@ class TestSeriesBlocks:
 
     def test_omega_one_hard_error(self):
         # m dividing e (m = 1 included) specializes the symmetric ratio to 1
+        # on both variants; a GU refusal says GU whatever the series, the
+        # singleton (1) at a = 0, which needs no key, included
         for e, a, core, m in (
             (2, 1, P(()), 2), (4, 1, P((2,)), 2), (3, 1, P(()), 1),
             (2, 1, P(()), 1), (4, 1, P(()), 2), (1, 2, P(()), 1),
+            (2, 0, P((1,)), 2),
         ):
-            message = f"^level {m} blocks are undefined at level e={e}$"
-            with pytest.raises(OmegaIsOne, match=message):
-                _gl_blocks(e, a, core, m)
+            pair = CuspidalPairGL(core.size + a * e, e, a, core)
+            for variant, label in ((GL, ""), (GU, "GU ")):
+                message = f"^level {m} {label}blocks are undefined at level e={e}$"
+                with pytest.raises(OmegaIsOne, match=message):
+                    series_blocks(pair, m, variant)
 
     @pytest.mark.parametrize("a", [1, 0])
     def test_rejects_a_core_that_is_no_e_core(self, a):
@@ -497,10 +502,13 @@ class TestSeriesBlocks:
 
     def test_gl_and_gu_refuse_the_same_levels(self, monkeypatch):
         assert self._refusal_disagreements() == (6372, 1755, 0, 0)
-        # negative control: GU root keys taken at m itself, not ennola_e(m),
-        # refuse at other levels or do not group as GL keys
+        # negative control: GU root keys taken at m itself, not ennola_e(m).
+        # Both variants refuse by m | e alone, so the mutant shows only in
+        # the side table's GU values: they do not group as GL keys in 170
+        # cases, and in 46, where e is an odd multiple of m / 2, their ratio
+        # is 1, so GL and GU both refuse there though m does not divide e
         monkeypatch.setattr(blocks, "ennola_e", lambda m: m)
-        assert self._refusal_disagreements() == (6372, 1755, 264, 174)
+        assert self._refusal_disagreements() == (6372, 1755, 216, 170)
 
     def test_canonical_order(self):
         # members sorted, then blocks by first member, both by part tuples,

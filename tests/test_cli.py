@@ -218,11 +218,10 @@ class TestBlocksCommand:
         code, _, err = run(capsys, "blocks", "--n", "2", "--e", "2", "--m", "2")
         assert code == 2
         assert err == "error: level 2 blocks are undefined at level e=2\n"
-        # GU evaluates its root keys at the paired index ennola_e(3) = 6, at
-        # m = 1 through its own root keys at ennola_e(1) = 2, not through a
-        # one-block series table, and at m = 2 at ennola_e(2) = 1: each
-        # refusal names m and e, not the root
-        for n, e, m in ((6, 3, 3), (2, 2, 1), (6, 4, 2)):
+        # GU refuses where GL does, m | e, m = 1 included, and says GU
+        # whatever series comes first: at n = 1 it is the singleton (1) at
+        # a = 0, which needs no key
+        for n, e, m in ((6, 3, 3), (2, 2, 1), (6, 4, 2), (1, 2, 2)):
             code, out, err = run(
                 capsys, "blocks", "--n", str(n), "--e", str(e), "--m", str(m),
                 "--variant", "gu",

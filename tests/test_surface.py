@@ -10,7 +10,8 @@ the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once, and one function, the side
 table, groups a series' multipartitions into blocks, which only one key kernel
-counts box by box.  Only cli.py's one writer writes stdout.  Every cache
+counts box by box; series_blocks refuses both variants by m | e alone, without
+evaluating the parameters.  Only cli.py's one writer writes stdout.  Every cache
 hit ratio the benchmark's per-layer report reads belongs to a memoised
 library function.  No library function is an alias that only passes its own
 parameters on to another library function.  No library module imports
@@ -433,6 +434,52 @@ def test_scan_catches_second_grouping():
         "b": "ALL = multipartitions_of(1, 2)\n",
     }
     assert multipartitions_callers(sources) == ["a.Grouping", "a.table", "b.<module>"]
+
+
+def refusal_evaluations(sources):
+    """"module.series_blocks: name" for each reference to specialization or
+    _root_values, by name or attribute, inside a top-level series_blocks:
+    GL and GU blocks refuse by the one test m | e, since 2 + ennola_e(m) has
+    order m mod 2 * ennola_e(m), so a refusal that evaluates the parameters
+    would be a second route to the same decision."""
+    found = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            if getattr(stmt, "name", None) != "series_blocks":
+                continue
+            for node in ast.walk(stmt):
+                name = getattr(node, "id", getattr(node, "attr", None))
+                if name in ("specialization", "_root_values"):
+                    found.add(f"{module}.series_blocks: {name}")
+    return sorted(found)
+
+
+def test_one_refusal_route():
+    assert refusal_evaluations(_library_sources()) == []
+
+
+def test_scan_catches_a_second_refusal_route():
+    sources = {
+        # the GU refusal series_blocks made before one m | e test served both
+        "a": (
+            "def series_blocks(pair, m, variant=GL):\n"
+            "    if variant == GU and pair.a > 0:\n"
+            "        try:\n"
+            "            _root_values(specialization(pair, GU), ennola_e(m))\n"
+            "        except OmegaIsOne:\n"
+            "            raise OmegaIsOne(f'level {m} GU blocks') from None\n"
+            "    elif pair.e % m == 0:\n"
+            "        raise OmegaIsOne(f'level {m} blocks')\n"
+        ),
+        "b": "def series_blocks(pair, m):\n    check = blocks._root_values\n",
+        # the side table evaluates the GU parameters: not a refusal route
+        "c": "def _side_blocks(pair, m):\n    return _root_values(specialization(pair, GU), m)\n",
+    }
+    assert refusal_evaluations(sources) == [
+        "a.series_blocks: _root_values",
+        "a.series_blocks: specialization",
+        "b.series_blocks: _root_values",
+    ]
 
 
 def contents_loops(sources):
