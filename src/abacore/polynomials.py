@@ -4,9 +4,10 @@ finite general linear groups.
 
 All coefficients are Python integers; any inexact division raises instead of
 approximating, since an inexact division here always means a transcription
-bug somewhere upstream.  Products and long division loop only over the
-nonzero terms of the right operand or divisor.  Long division takes monic
-divisors only: the library divides by cyclotomic polynomials alone.
+bug somewhere upstream.  The library multiplies and divides by x^h - 1
+with the list kernels _times_binomial and _divide_binomial; IntPolynomial
+has no product.  Long division skips the divisor's zero terms and takes
+monic divisors only: it divides by cyclotomic polynomials alone.
 
 generic_degree cancels each numerator factor x^i - 1 of the q-hook formula
 against an equal hook length, multiplies out the factors left over and
@@ -73,15 +74,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             value = value * x + c
         return value
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a = self.coeffs
-        n = len(a)
-        out = [0] * (n + len(other.coeffs) - 1)
-        for j, b in enumerate(other.coeffs):
-            if b:
-                out[j : j + n] = [o + b * c for o, c in zip(out[j : j + n], a)]
-        return IntPolynomial(*out)
 
     def __divmod__(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division by a monic divisor (ValueError for any other).
@@ -235,15 +227,18 @@ def _divide_binomial(coeffs, h: int) -> list[int]:
     return q
 
 
+def _times_binomial(coeffs, h: int) -> list[int]:
+    """coeffs * (x^h - 1): the coefficients moved up h places, less themselves."""
+    return [a - b for a, b in zip([0] * h + list(coeffs), list(coeffs) + [0] * h)]
+
+
 @lru_cache(maxsize=None)
 def gl_order(n: int) -> IntPolynomial:
     """Order polynomial of GL_n: x^(n(n-1)/2) * prod_{i<=n} (x^i - 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    poly = IntPolynomial(*([0] * (n * (n - 1) // 2)), 1)
-    for i in range(1, n + 1):
-        poly = poly * x_power_minus_one(i)
-    return poly
+    shift = n * (n - 1) // 2
+    return IntPolynomial(*([0] * shift), *reduce(_times_binomial, range(1, n + 1), [1]))
 
 
 @lru_cache(maxsize=None)
@@ -262,14 +257,14 @@ def generic_degree(p: Partition) -> IntPolynomial:
     IntPolynomial('x^2 + x')
     """
     hooks = list(hook_lengths(p))
-    poly = IntPolynomial(1)
+    coeffs = [1]
     for i in range(1, p.size + 1):
         if i in hooks:
             hooks.remove(i)
         else:
-            poly = poly * x_power_minus_one(i)
+            coeffs = _times_binomial(coeffs, i)
     shift = sum(i * part for i, part in enumerate(p))
-    return IntPolynomial(*([0] * shift), *reduce(_divide_binomial, hooks, poly.coeffs))
+    return IntPolynomial(*([0] * shift), *reduce(_divide_binomial, hooks, coeffs))
 
 
 def ennola_e(e: int) -> int:

@@ -318,6 +318,8 @@ class TestValueTypes:
     def test_polynomials_do_not_add(self):
         with pytest.raises(TypeError):
             IntPolynomial(1) + IntPolynomial(1)
+        with pytest.raises(TypeError):
+            IntPolynomial(1) * IntPolynomial(1)
 
     @pytest.mark.parametrize(
         "make, message",

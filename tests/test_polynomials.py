@@ -1,4 +1,5 @@
 import re
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -34,9 +35,8 @@ class TestIntPolynomial:
         assert IntPolynomial(0).is_zero()
 
     def test_arithmetic(self):
-        f = IntPolynomial(1, 1)
-        g = IntPolynomial(-1, 1)
-        assert f * g == IntPolynomial(-1, 0, 1)
+        # (x + 1)(x - 1), through the one product the library has
+        assert IntPolynomial(*polynomials._times_binomial([1, 1], 1)) == IntPolynomial(-1, 0, 1)
 
     def test_divmod_monic(self):
         f = IntPolynomial(-1, 0, 0, 1)
@@ -75,6 +75,19 @@ def _tuples(max_len):
         yield from product(COEFFS, repeat=length)
 
 
+def _product_mismatches():
+    """(f, h), 1 <= h <= 5, where polynomials._times_binomial differs from the
+    schoolbook product of f and x^h - 1, both trimmed, for every f of length
+    <= 4 over COEFFS (the empty tuple and trailing zeros included)."""
+    bad = []
+    for h in range(1, 6):
+        d = (-1,) + (0,) * (h - 1) + (1,)
+        for f in _tuples(4):
+            if IntPolynomial(*polynomials._times_binomial(f, h)).coeffs != naive_product(f, d):
+                bad.append((f, h))
+    return bad
+
+
 class TestAgainstSchoolbook:
     # every f of length <= 4 against every divisor of length 1-3 with a
     # nonzero lead, trailing zeros and the empty tuple included
@@ -101,11 +114,8 @@ class TestAgainstSchoolbook:
         assert cases == 96_844
         assert refused == 93 * len(self.FS)
 
-    def test_product(self):
-        for g in [()] + self.DIVISORS:
-            gp = IntPolynomial(*g)
-            for f in self.FS:
-                assert (IntPolynomial(*f) * gp).coeffs == naive_product(f, g), (f, g)
+    def test_times_binomial(self):
+        assert _product_mismatches() == []
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
@@ -124,11 +134,11 @@ class TestCyclotomic:
 
     def test_product_over_divisors(self):
         for n in range(1, 31):
-            prod = IntPolynomial(1)
+            prod = (1,)
             for d in range(1, n + 1):
                 if n % d == 0:
-                    prod = prod * cyclotomic(d)
-            assert prod == x_power_minus_one(n)
+                    prod = naive_product(prod, cyclotomic(d).coeffs)
+            assert prod == x_power_minus_one(n).coeffs
 
     def test_degree_is_totient(self):
         from math import gcd
@@ -272,6 +282,15 @@ def _own_coefficient_quotient(real):
     return lambda c, h: [q + a for q, a in zip(real(c, h), c)]
 
 
+def _plus_one_product(real):
+    # c * (x^h + 1) = c * (x^h - 1) + 2c
+    def mutant(c, h):
+        p = real(c, h)
+        return [q + 2 * a for q, a in zip(p, c)] + p[len(c) :]
+
+    return mutant
+
+
 class TestRemainderAgainstSchoolbook:
     def test_mod_cyclotomic(self):
         assert _remainder_mismatches() == []
@@ -300,6 +319,8 @@ class TestRemainderAgainstSchoolbook:
             ("_derivative", _unweighted_derivative, _multiplicity_mismatches, set(range(1, 9))),
             # below length 8 only the zero polynomial is divisible by x^7 - 1
             ("_divide_binomial", _own_coefficient_quotient, _binomial_mismatches, set(range(1, 7))),
+            # off by 2f, so every nonzero f is caught at every h
+            ("_times_binomial", _plus_one_product, _product_mismatches, set(range(1, 6))),
         ],
     )
     def test_mutant_is_caught(self, monkeypatch, name, mutant, mismatches, levels):
@@ -321,15 +342,10 @@ class TestRemainderAgainstSchoolbook:
 class TestGlOrder:
     def test_examples(self):
         assert gl_order(1) == IntPolynomial(-1, 1)
-        x = IntPolynomial(0, 1)
-        assert gl_order(2) == x * IntPolynomial(-1, 1) * IntPolynomial(-1, 0, 1)
-        expected3 = (
-            IntPolynomial(0, 0, 0, 1)
-            * IntPolynomial(-1, 1)
-            * IntPolynomial(-1, 0, 1)
-            * IntPolynomial(-1, 0, 0, 1)
-        )
-        assert gl_order(3) == expected3
+        expected2 = reduce(naive_product, [(0, 1), (-1, 1), (-1, 0, 1)])
+        assert gl_order(2).coeffs == expected2
+        expected3 = reduce(naive_product, [(0, 0, 0, 1), (-1, 1), (-1, 0, 1), (-1, 0, 0, 1)])
+        assert gl_order(3).coeffs == expected3
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -405,6 +421,6 @@ class TestEnnola:
             twisted = IntPolynomial(*ennola_substitute(cyclotomic(e).coeffs))
             partner = cyclotomic(ennola_e(e))
             if e in (1, 2):
-                assert twisted == IntPolynomial(-1) * partner
+                assert twisted == IntPolynomial(*(-c for c in partner.coeffs))
             else:
                 assert twisted == partner

@@ -132,7 +132,6 @@ PROTOCOL_DUNDERS = {
     "IntPolynomial.__hash__": "hash(): the lru_cache keys of phi_multiplicity",
     "IntPolynomial.__reduce__": "pickle and copy",
     "IntPolynomial.__call__": "a call: suites._degmod_cases reads rem(0)",
-    "IntPolynomial.__mul__": "*",
     "IntPolynomial.__divmod__": "divmod()",
     "IntPolynomial.__mod__": "%",
 }
