@@ -4,17 +4,13 @@ finite general linear groups.
 
 All coefficients are Python integers; any inexact division raises instead of
 approximating, since an inexact division here always means a transcription
-bug somewhere upstream.  The library multiplies and divides by x^h - 1
-with the list kernels _times_binomial and _divide_binomial; IntPolynomial
-has no product.  Long division skips the divisor's zero terms and takes
-monic divisors only: it divides by cyclotomic polynomials alone.
-
-generic_degree cancels each numerator factor x^i - 1 of the q-hook formula
-against an equal hook length, multiplies out the factors left over and
-divides by the hooks left over with running sums.  mod_cyclotomic folds f
-modulo x^e - 1, which the e-th cyclotomic divides, and long-divides only the
-fold.  phi_multiplicity (memoised) divides nothing: it counts the
-derivatives of f that the cyclotomic divides, each tested by that fold.
+bug somewhere upstream.  cyclotomic (by Moebius inversion), gl_order and
+generic_degree are quotients of binomials x^h - 1, each built by
+_binomial_quotient with the list kernels _times_binomial and
+_divide_binomial; IntPolynomial has no product.  The one long division is
+mod_cyclotomic's: f folded modulo x^e - 1, by the monic Phi_e.
+phi_multiplicity divides nothing: it tests each derivative of f by that
+fold and cyclic rotations.
 """
 
 from __future__ import annotations
@@ -102,12 +98,6 @@ class IntPolynomial:
     def __mod__(self, d: "IntPolynomial") -> "IntPolynomial":
         return divmod(self, d)[1]
 
-    def exact_div(self, d: "IntPolynomial") -> "IntPolynomial":
-        q, r = divmod(self, d)
-        if not r.is_zero():
-            raise InexactDivisionError(f"{self} is not divisible by {d}")
-        return q
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -134,38 +124,38 @@ class IntPolynomial:
         return f"IntPolynomial('{self}')"
 
 
-def x_power_minus_one(k: int) -> IntPolynomial:
-    """x^k - 1 for k >= 1.
+def _prime_factors(e: int) -> list[int]:
+    """The distinct primes of e, by trial division up to the square root.
 
-    >>> x_power_minus_one(3)
-    IntPolynomial('x^3 - 1')
+    >>> _prime_factors(360), _prime_factors(1), _prime_factors(97)
+    ([2, 3, 5], [], [97])
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return IntPolynomial(-1, *([0] * (k - 1)), 1)
+    if e < 1:
+        raise ValueError("e must be >= 1")
+    primes, p = [], 2
+    while p * p <= e:
+        if e % p == 0:
+            primes.append(p)
+            while e % p == 0:
+                e //= p
+        p += 1
+    return primes + [e] if e > 1 else primes
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(e: int) -> IntPolynomial:
-    """The e-th cyclotomic polynomial, by exact division of x^e - 1.
+    """The e-th cyclotomic polynomial prod_{d | e} (x^d - 1)^mu(e/d): each
+    prime p of e adds x^(d/p) - 1 to the other side for each x^d - 1 so far.
 
     >>> cyclotomic(6)
     IntPolynomial('x^2 - x + 1')
+    >>> cyclotomic(12) == IntPolynomial(*_binomial_quotient([12, 2], [6, 4]))
+    True
     """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    poly = x_power_minus_one(e)
-    for d in range(1, e):
-        if e % d == 0:
-            poly = poly.exact_div(cyclotomic(d))
-    return poly
-
-
-@lru_cache(maxsize=None)
-def _cofactor(e: int) -> IntPolynomial:
-    """Psi_e = (x^e - 1) / Phi_e."""
-    phi = cyclotomic(e)  # checks e before x_power_minus_one can
-    return x_power_minus_one(e).exact_div(phi)
+    ups, downs = [e], []
+    for p in _prime_factors(e):
+        ups, downs = ups + [d // p for d in downs], downs + [u // p for u in ups]
+    return IntPolynomial(*_binomial_quotient(ups, downs))
 
 
 def _fold(coeffs, e: int) -> list[int]:
@@ -177,28 +167,29 @@ def _derivative(coeffs) -> list[int]:
     return [k * coeffs[k] for k in range(1, len(coeffs))]
 
 
-@lru_cache(maxsize=None)
 def phi_multiplicity(f: IntPolynomial, e: int) -> int:
     """The largest power k of the e-th cyclotomic polynomial Phi_e dividing f.
 
     Phi_e is irreducible with simple roots, so k is the number of derivatives
     f, f', ... that Phi_e divides.  Phi_e divides g iff g folded modulo
-    x^e - 1 = Phi_e * Psi_e, times Psi_e, is 0 modulo x^e - 1.  The (deg f)-th
-    derivative is a nonzero constant, so a test passing them all is wrong.
+    x^e - 1 = Phi_e * Psi_e, times x^(e/p) - 1 for each prime p of e (a
+    rotation by e/p less itself), is 0 modulo x^e - 1: Psi_e, the product of
+    Phi_d over the proper divisors d of e, divides that product, as each d
+    divides some e/p, and Phi_e is prime to it.  The (deg f)-th derivative
+    is a nonzero constant, so a test passing them all is wrong.
 
     >>> phi_multiplicity(gl_order(6), 3)
     2
     """
-    psi = [(i, c) for i, c in enumerate(_cofactor(e).coeffs) if c]
+    shifts = [e // p for p in _prime_factors(e)]  # checks e before f
     if f.is_zero():
         raise ValueError("multiplicity undefined for the zero polynomial")
     g = f.coeffs
     for count in range(len(g)):
-        product = [0] * e
-        for r, a in enumerate(_fold(g, e)):
-            for i, c in psi:
-                product[(r + i) % e] += a * c
-        if any(product):
+        h = _fold(g, e)
+        for k in shifts:
+            h = [a - b for a, b in zip(h[-k:] + h[:-k], h)]
+        if any(h):
             return count
         g = _derivative(g)
     raise InexactDivisionError(f"every derivative of {f} tests divisible by Phi_{e}")
@@ -232,13 +223,19 @@ def _times_binomial(coeffs, h: int) -> list[int]:
     return [a - b for a, b in zip([0] * h + list(coeffs), list(coeffs) + [0] * h)]
 
 
+def _binomial_quotient(ups, downs) -> list[int]:
+    """prod (x^u - 1) / prod (x^d - 1), if a polynomial: each partial quotient
+    is that polynomial times the binomials not yet divided, so it is exact."""
+    return reduce(_divide_binomial, downs, reduce(_times_binomial, ups, [1]))
+
+
 @lru_cache(maxsize=None)
 def gl_order(n: int) -> IntPolynomial:
     """Order polynomial of GL_n: x^(n(n-1)/2) * prod_{i<=n} (x^i - 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     shift = n * (n - 1) // 2
-    return IntPolynomial(*([0] * shift), *reduce(_times_binomial, range(1, n + 1), [1]))
+    return IntPolynomial(*([0] * shift), *_binomial_quotient(range(1, n + 1), ()))
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +245,8 @@ def generic_degree(p: Partition) -> IntPolynomial:
     Computed by the q-analogue of the hook length formula:
     x^(sum (i-1) p_i) * prod_{i<=n} (x^i - 1) / prod_boxes (x^h - 1).
     Each numerator factor x^i - 1 first cancels against one hook of length
-    i; only the factors left over are multiplied, and the hooks left over
-    divided, each division exact-checked.  The power of x is prepended last.
+    i, and _binomial_quotient takes the factors and the hooks left over.
+    The power of x is prepended last.
     The full-row partition indexes the trivial character (degree 1) and the
     full-column partition the Steinberg character.
 
@@ -257,14 +254,14 @@ def generic_degree(p: Partition) -> IntPolynomial:
     IntPolynomial('x^2 + x')
     """
     hooks = list(hook_lengths(p))
-    coeffs = [1]
+    factors = []
     for i in range(1, p.size + 1):
         if i in hooks:
             hooks.remove(i)
         else:
-            coeffs = _times_binomial(coeffs, i)
+            factors.append(i)
     shift = sum(i * part for i, part in enumerate(p))
-    return IntPolynomial(*([0] * shift), *reduce(_divide_binomial, hooks, coeffs))
+    return IntPolynomial(*([0] * shift), *_binomial_quotient(factors, hooks))
 
 
 def ennola_e(e: int) -> int:

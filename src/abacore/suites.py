@@ -146,12 +146,14 @@ def _content_prop_cases(max_n):
 
 def _cuspidal_cases(max_n):
     for n in range(max_n + 1):
+        # the Phi_e-part of |GL_n|, which is 0 for the trivial group GL_0
+        whole = {e: n and phi_multiplicity(gl_order(n), e) for e in range(1, 11)}
         for p in partitions_of(n):
             hooks = hook_lengths(p)
             for e in range(1, 11):
                 # Phi_e-cuspidal: the degree carries the order's whole Phi_e-part
                 valuation = phi_multiplicity(generic_degree(p), e)
-                cuspidal = n == 0 or valuation == phi_multiplicity(gl_order(n), e)
+                cuspidal = valuation == whole[e]
                 expected = n // e - sum(1 for h in hooks if h % e == 0)
                 ok = cuspidal == is_e_core(p, e) and valuation == expected
                 yield 1, {"partition": str(p), "e": e, "pass": ok}

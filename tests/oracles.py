@@ -261,6 +261,19 @@ def schoolbook_divmod(f, d):
     return _trim(q), _trim(r)
 
 
+@lru_cache(maxsize=None)
+def schoolbook_cyclotomic(e):
+    """The e-th cyclotomic polynomial as a coefficient tuple: x^e - 1 divided
+    by the cyclotomic polynomial of each proper divisor of e, in schoolbook
+    division, each step exact."""
+    poly = (-1,) + (0,) * (e - 1) + (1,)
+    for d in range(1, e):
+        if e % d == 0:
+            poly, rem = schoolbook_divmod(poly, schoolbook_cyclotomic(d))
+            assert rem == ()
+    return poly
+
+
 def naive_product(f, g):
     """Product of coefficient tuples, every pair of terms multiplied."""
     out = [0] * (len(f) + len(g))

@@ -444,7 +444,7 @@ class TestVerify:
     ):
         # negative control: one (partition, e) gone wrong must surface as
         # exactly one failure.  The patch sits on the name the suite calls,
-        # above the multiplicity cache, so no stale entry outlives it.
+        # so every call the suite makes meets it.
         real = getattr(suites, name)
         target = (first_arg(Partition((2, 1))), 3)
 

@@ -15,12 +15,12 @@ from abacore.polynomials import (
     gl_order,
     mod_cyclotomic,
     phi_multiplicity,
-    x_power_minus_one,
 )
 from oracles import (
     ennola_substitute,
     hooks_by_cells,
     naive_product,
+    schoolbook_cyclotomic,
     schoolbook_divmod,
     syt_by_recursion,
 )
@@ -42,17 +42,6 @@ class TestIntPolynomial:
         f = IntPolynomial(-1, 0, 0, 1)
         q, r = divmod(f, IntPolynomial(-1, 1))
         assert q == IntPolynomial(1, 1, 1) and r.is_zero()
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(InexactDivisionError):
-            IntPolynomial(1, 1).exact_div(IntPolynomial(-1, 1))
-
-    def test_x_power_minus_one(self):
-        assert x_power_minus_one(1) == IntPolynomial(-1, 1)
-        assert x_power_minus_one(4) == IntPolynomial(-1, 0, 0, 0, 1)
-        for k in (0, -2):
-            with pytest.raises(ValueError, match="k must be >= 1"):
-                x_power_minus_one(k)
 
     def test_evaluate(self):
         assert IntPolynomial(1, -2, 1)(3) == 4
@@ -138,14 +127,22 @@ class TestCyclotomic:
             for d in range(1, n + 1):
                 if n % d == 0:
                     prod = naive_product(prod, cyclotomic(d).coeffs)
-            assert prod == x_power_minus_one(n).coeffs
+            assert prod == (-1,) + (0,) * (n - 1) + (1,)
 
     def test_degree_is_totient(self):
         from math import gcd
 
-        for e in range(1, 25):
+        # up to 30030 = 2 * 3 * 5 * 7 * 11 * 13, with 64 binomials to multiply and divide
+        for e in [*range(1, 25), 210, 2_310, 30_030]:
             totient = sum(1 for k in range(1, e + 1) if gcd(k, e) == 1)
             assert cyclotomic(e).degree == totient
+
+    def test_prime_factors_against_sieve(self):
+        # the sieve of Eratosthenes: strike the multiples of 2 to 31 from their squares
+        composite = {k for p in range(2, 32) for k in range(p * p, 1000, p)}
+        primes = [p for p in range(2, 1000) if p not in composite]
+        for e in range(1, 1000):
+            assert polynomials._prime_factors(e) == [p for p in primes if e % p == 0], e
 
 
 class TestMultiplicityAndRemainder:
@@ -170,6 +167,17 @@ class TestMultiplicityAndRemainder:
             for e in range(1, 17):
                 assert phi_multiplicity(gl_order(n), e) == n // e
 
+    def test_multiplicity_at_three_and_four_primes(self):
+        # Phi_d times Phi_e^k for each d | e, where three or four rotations
+        # must clear every Phi_d but Phi_e
+        for e in (30, 42, 60, 210):
+            phi = schoolbook_cyclotomic(e)
+            for d in (d for d in range(1, e + 1) if e % d == 0):
+                f = schoolbook_cyclotomic(d)
+                for k in range(3):
+                    assert phi_multiplicity(IntPolynomial(*f), e) == k + (d == e), (d, e)
+                    f = naive_product(f, phi)
+
     def test_multiplicity_formula(self):
         for n in range(1, 11):
             for p in partitions_of(n):
@@ -183,8 +191,9 @@ class TestMultiplicityAndRemainder:
     @pytest.mark.parametrize("e", [0, -1, -5])
     @pytest.mark.parametrize("f", [IntPolynomial(), IntPolynomial(1), IntPolynomial(-1, 1, 0, 1)])
     def test_rejects_bad_level(self, f, e):
-        # the level is checked by cyclotomic(e) before any fold, so a zero
-        # step or an empty range of residues never gets to answer instead
+        # the level is checked by _prime_factors(e) before any fold and before
+        # the zero polynomial is refused, so a zero step, an empty range of
+        # residues or the zero check never gets to answer instead
         with pytest.raises(ValueError, match="e must be >= 1"):
             mod_cyclotomic(f, e)
         with pytest.raises(ValueError, match="e must be >= 1"):
@@ -211,10 +220,10 @@ SMALL = [f for n in range(1, 5) for f in product((-1, 0, 1), repeat=n) if any(f)
 
 def _remainder_mismatches():
     """(f, e), 1 <= e <= 12, where polynomials.mod_cyclotomic differs from
-    the schoolbook remainder."""
+    the schoolbook remainder by the schoolbook cyclotomic polynomial."""
     bad = []
     for e in range(1, 13):
-        phi = cyclotomic(e).coeffs
+        phi = schoolbook_cyclotomic(e)
         for f in TERNARY:
             expected = schoolbook_divmod(f, phi)[1]
             if polynomials.mod_cyclotomic(IntPolynomial(*f), e).coeffs != expected:
@@ -223,15 +232,16 @@ def _remainder_mismatches():
 
 
 def _multiplicity_mismatches():
-    """(g, e), 1 <= e <= 8, where the uncached phi_multiplicity differs from
-    counting schoolbook divisions, or raises instead."""
+    """(g, e), 1 <= e <= 8, where phi_multiplicity differs from counting
+    schoolbook divisions by the schoolbook cyclotomic polynomial, or raises
+    instead."""
     bad = []
     for e in range(1, 9):
-        phi = cyclotomic(e).coeffs
+        phi = schoolbook_cyclotomic(e)
         for g in SMALL:
             for _ in range(3):
                 try:
-                    got = phi_multiplicity.__wrapped__(IntPolynomial(*g), e)
+                    got = phi_multiplicity(IntPolynomial(*g), e)
                 except InexactDivisionError:
                     got = None
                 if got != _schoolbook_multiplicity(g, phi):
@@ -264,14 +274,8 @@ def _binomial_mismatches():
 
 # mutants of the pieces of phi_multiplicity and generic_degree, each made
 # from the real one
-def _rotated_cofactor(real):
-    # rotates the coefficients of Psi_e one place; rotating the cyclic
-    # product instead would multiply it by x, a unit modulo x^e - 1
-    def mutant(e):
-        c = real(e).coeffs
-        return IntPolynomial(*c[-1:], *c[:-1])
-
-    return mutant
+def _largest_prime_dropped(real):
+    return lambda e: real(e)[:-1]
 
 
 def _unweighted_derivative(real):
@@ -299,14 +303,20 @@ class TestRemainderAgainstSchoolbook:
         assert _multiplicity_mismatches() == []
 
     def test_fold_through_the_wrong_binomial_is_caught(self, monkeypatch):
-        # folds modulo x^(e+1) - 1, which the e-th cyclotomic divides only at e = 1
+        # folds modulo x^(e+1) - 1, which the e-th cyclotomic divides only at
+        # e = 1.  Phi_e comes from the oracle: cyclotomic divides by binomials,
+        # and a cold cache would send those divisions through the wrong fold
         real = polynomials._fold
         monkeypatch.setattr(polynomials, "_fold", lambda c, e: real(c, e + 1))
+        monkeypatch.setattr(
+            polynomials, "cyclotomic", lambda e: IntPolynomial(*schoolbook_cyclotomic(e))
+        )
         # the cyclotomic divides x^2 - 1 at e = 1, and an f of degree <= 5
-        # folds to itself modulo x^(e+1) - 1 from e = 5 on; the products
-        # in the multiplicity check are long enough to reach every level
+        # folds to itself modulo x^(e+1) - 1 from e = 5 on
         assert {e for _, e in _remainder_mismatches()} == {2, 3, 4}
-        assert {e for _, e in _multiplicity_mismatches()} == set(range(2, 9))
+        # at e = 1 there is no rotation, so the fold tests x^2 - 1 for x - 1;
+        # the products in the check are long enough to reach every level
+        assert {e for _, e in _multiplicity_mismatches()} == set(range(1, 9))
 
     def test_x_power_minus_one_division(self):
         assert _binomial_mismatches() == []
@@ -314,8 +324,9 @@ class TestRemainderAgainstSchoolbook:
     @pytest.mark.parametrize(
         "name, mutant, mismatches, levels",
         [
-            # the rotation keeps Psi_1 = 1 and only negates Psi_e = x - 1 at prime e
-            ("_cofactor", _rotated_cofactor, _multiplicity_mismatches, {4, 6, 8}),
+            # some Phi_d, d a proper divisor of e, then leaves the product, and the
+            # test asks f for it too; e = 1 has no prime to drop
+            ("_prime_factors", _largest_prime_dropped, _multiplicity_mismatches, set(range(2, 9))),
             ("_derivative", _unweighted_derivative, _multiplicity_mismatches, set(range(1, 9))),
             # below length 8 only the zero polynomial is divisible by x^7 - 1
             ("_divide_binomial", _own_coefficient_quotient, _binomial_mismatches, set(range(1, 7))),
@@ -324,8 +335,15 @@ class TestRemainderAgainstSchoolbook:
         ],
     )
     def test_mutant_is_caught(self, monkeypatch, name, mutant, mismatches, levels):
-        monkeypatch.setattr(polynomials, name, mutant(getattr(polynomials, name)))
-        assert {level for _, level in mismatches()} == levels
+        # cyclotomic is built from _prime_factors and the binomial kernels, so
+        # its cache must neither answer for a mutant nor keep what one built
+        polynomials.cyclotomic.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(polynomials, name, mutant(getattr(polynomials, name)))
+                assert {level for _, level in mismatches()} == levels
+        finally:
+            polynomials.cyclotomic.cache_clear()
 
     def test_planted_zero_fold_raises(self, monkeypatch):
         # the (deg f)-th derivative is a nonzero constant, so a fold that
@@ -335,7 +353,7 @@ class TestRemainderAgainstSchoolbook:
         f = gl_order(3)
         message = f"every derivative of {f} tests divisible by Phi_2"
         with pytest.raises(InexactDivisionError, match=re.escape(message)):
-            phi_multiplicity.__wrapped__(f, 2)
+            phi_multiplicity(f, 2)
         assert len(folds) == len(f.coeffs)
 
 

@@ -129,7 +129,7 @@ PROTOCOL_DUNDERS = {
     "IntPolynomial.__setattr__": "attribute assignment, refused",
     "IntPolynomial.__delattr__": "del, refused",
     "IntPolynomial.__eq__": "==",
-    "IntPolynomial.__hash__": "hash(): the lru_cache keys of phi_multiplicity",
+    "IntPolynomial.__hash__": "hash(): equal values hash equal, as TestValueTypes checks",
     "IntPolynomial.__reduce__": "pickle and copy",
     "IntPolynomial.__call__": "a call: suites._degmod_cases reads rem(0)",
     "IntPolynomial.__divmod__": "divmod()",
