@@ -4,9 +4,11 @@ verification CLI.
 """
 
 from .partitions import (
+    AffinePerm,
     BetaSet,
     ChargedMultiPartition,
     Partition,
+    affine_perm,
     e_core,
     e_quotient_charged,
     from_beta,
@@ -14,7 +16,7 @@ from .partitions import (
     is_e_core,
     to_beta,
 )
-from .levelrank import AffinePerm, affine_perm, qr_em, uglov
+from .levelrank import qr_em, uglov
 from .polynomials import IntPolynomial, cyclotomic, generic_degree, gl_order
 from .hc_series import CuspidalPairGL, hc_pairs, hc_partition
 from .blocks import block_match_report, residue_multiset, series_blocks

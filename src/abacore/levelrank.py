@@ -1,31 +1,26 @@
-"""Level-rank combinatorics: twisted index maps, the Uglov bijection between
-charged e- and m-multipartitions, and the affine permutations that make the
-two core-quotient routes commute.
+"""Level-rank combinatorics: the twisted index map qr_em, the Uglov bijection
+between charged e- and m-multipartitions, and the diagram verify thm2 checks.
 
 A bead of an e-abacus is a pair (x, i) with x an integer position in
 component i.  The twisted quotient-remainder map qr_em re-reads one such bead
 as a bead of an m-abacus; the Uglov bijection moves every bead this way, with
 partitions.regroup.  It is the one public bead map: from level 1 it is the
-abacus split of a charged partition, and to level 1 the join.  The affine
-permutations are the corrections that relate splitting at two different
-charges; they permute components and shift charges, on abaci by _shift_pairs.
-The diagram they make commute is checked on canonical abaci from (charge,
-split) facts; verify thm2 splits each partition once per level at charge 0,
-as the corrected split is the same at every charge.
+abacus split of a charged partition, and to level 1 the join.  The diagram
+commutes up to the affine permutations imported from partitions, which
+correct the splits at two charges; verify thm2 checks it on canonical abaci,
+splitting each partition once per level at charge 0, as the corrected split
+is the same at every charge.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import lru_cache
-from math import gcd
-
 from .partitions import (
-    Abacus,
     ChargedMultiPartition,
     Partition,
     _abaci,
     _charged,
+    _shift_pairs,
+    affine_perm,
     regroup,
 )
 
@@ -69,65 +64,6 @@ def uglov(cmp: ChargedMultiPartition, m: int) -> ChargedMultiPartition:
     if m < 1:
         raise ValueError("target level must be >= 1")
     return _charged(regroup(_abaci(cmp.components, cmp.charges), m))
-
-
-class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
-    """An affine permutation of beads (x, i): component i is sent to
-    perm[i], and a bead landing in component j is shifted by shifts[j].
-
-    perm, e integers, must be a bijection of range(e); shifts, e integers, is
-    indexed by the target component.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
-
-    def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
-        types = list(map(type, (e, *perm, *shifts)))
-        if types != [int] * (2 * len(perm) + 1) or sorted(perm) != list(range(e)):
-            raise ValueError("inconsistent affine permutation data")
-        return tuple.__new__(cls, (e, tuple(perm), tuple(shifts)))
-
-
-@lru_cache(maxsize=None)
-def affine_perm(e: int, m: int, s: int) -> AffinePerm:
-    """The affine permutation correcting the e-abacus for charge s.
-
-    Sends a bead (a, r_e(m*b + s)) to (a - q_e(m*b + s), b): its perm w has
-    w((m*b + s) mod e) = b, and the shift is indexed by the target component
-    b.  Defined only for coprime e, m.
-
-    >>> affine_perm(3, 2, 0).perm
-    (0, 2, 1)
-    """
-    if e < 1 or m < 1:
-        raise ValueError("levels must be >= 1")
-    if gcd(e, m) != 1:
-        raise ValueError(f"levels {e}, {m} must be coprime")
-    w = [0] * e
-    for b in range(e):
-        w[(m * b + s) % e] = b
-    shifts = tuple(-((m * b + s) // e) for b in range(e))
-    return AffinePerm(e, tuple(w), shifts)
-
-
-def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
-    """The affine action on canonical (floor, tail) pairs: component i moves
-    to perm[i], its floor and every tail bead shifted by shifts[perm[i]];
-    one whose shift is 0 moves as it is.
-
-    >>> _shift_pairs(affine_perm(2, 3, 3), ((0, ()), (1, (3,))))
-    ((0, (2,)), (-3, ()))
-    """
-    e, perm, shifts = ap
-    out = [None] * e
-    for pair, j in zip(abaci, perm):
-        d = shifts[j]
-        if d:
-            floor, tail = pair
-            pair = (floor + d, tuple([x + d for x in tail]) if tail else tail)
-        out[j] = pair
-    return tuple(out)
 
 
 def _routes_agree(e: int, m: int, split_e, split_m) -> bool:

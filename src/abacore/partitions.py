@@ -21,18 +21,19 @@ Conventions used throughout the package:
 * charge(beta) = floor + len(tail), which equals the charge used to build
   the beta set.
 * An e-abacus is an e-tuple of beta sets, components indexed 0..e-1.  The
-  one bead map between abaci of two levels is `regroup`.  On charged
-  multipartitions it is levelrank.uglov: splitting a charged partition into
-  its charged e-quotient is uglov from level 1 to level e, and joining is
-  uglov back to level 1.
-* The series charge of p at level e is e + len(e-core of p); e_quotient_charged
-  reads it off one charge-0 split and rotates that split's charged components.
+  one bead map between abaci of two levels is `regroup`; on charged
+  multipartitions it is levelrank.uglov, which splits a charged partition into
+  its charged e-quotient from level 1 and joins it back to level 1.  Beside
+  regroup live the affine permutations of abaci, affine_perm and _shift_pairs.
+* The series charge s of p at level e is e + len(e-core of p); e_quotient_charged
+  reads it off one charge-0 split and corrects that by affine_perm(e, 1, -s).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from math import gcd
 from operator import add, sub
 
 
@@ -192,7 +193,7 @@ def is_e_core(p: Partition, e: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the abacus: charged partitions <-> beta sets, and the one bead map
+# the abacus: charged partitions <-> beta sets, the bead map and its corrections
 
 Abacus = tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -276,6 +277,65 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     return tuple(buckets)
 
 
+class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
+    """An affine permutation of beads (x, i): component i is sent to
+    perm[i], and a bead landing in component j is shifted by shifts[j].
+
+    perm, e integers, must be a bijection of range(e); shifts, e integers, is
+    indexed by the target component.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
+
+    def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
+        types = list(map(type, (e, *perm, *shifts)))
+        if types != [int] * (2 * len(perm) + 1) or sorted(perm) != list(range(e)):
+            raise ValueError("inconsistent affine permutation data")
+        return tuple.__new__(cls, (e, tuple(perm), tuple(shifts)))
+
+
+@lru_cache(maxsize=None)
+def affine_perm(e: int, m: int, s: int) -> AffinePerm:
+    """The affine permutation correcting the e-abacus for charge s.
+
+    Sends a bead (a, r_e(m*b + s)) to (a - q_e(m*b + s), b): its perm w has
+    w((m*b + s) mod e) = b, and the shift is indexed by the target component
+    b.  Defined only for coprime e, m.
+
+    >>> affine_perm(3, 2, 0).perm
+    (0, 2, 1)
+    """
+    if e < 1 or m < 1:
+        raise ValueError("levels must be >= 1")
+    if gcd(e, m) != 1:
+        raise ValueError(f"levels {e}, {m} must be coprime")
+    w = [0] * e
+    for b in range(e):
+        w[(m * b + s) % e] = b
+    shifts = tuple(-((m * b + s) // e) for b in range(e))
+    return AffinePerm(e, tuple(w), shifts)
+
+
+def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
+    """The affine action on canonical (floor, tail) pairs: component i moves
+    to perm[i], its floor and every tail bead shifted by shifts[perm[i]];
+    one whose shift is 0 moves as it is.
+
+    >>> _shift_pairs(affine_perm(2, 3, 3), ((0, ()), (1, (3,))))
+    ((0, (2,)), (-3, ()))
+    """
+    e, perm, shifts = ap
+    out = [None] * e
+    for pair, j in zip(abaci, perm):
+        d = shifts[j]
+        if d:
+            floor, tail = pair
+            pair = (floor + d, tuple([x + d for x in tail]) if tail else tail)
+        out[j] = pair
+    return tuple(out)
+
+
 def to_beta(cmp: ChargedMultiPartition) -> BetaSet:
     """The beta set {parts[i] - (i+1) + charge : i >= 0} of a charged
     partition, a ChargedMultiPartition of level 1.
@@ -316,30 +376,31 @@ def _join_emptied(charges: MultiCharge) -> Partition:
 @lru_cache(maxsize=None)
 def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
     """The series map: p's charged e-quotient at the series charge
-    s = e + len(e-core of p), read off one split of p's charge-0 abacus.
+    s = e + len(e-core of p), its charge-0 split corrected by affine_perm(e, 1, -s).
 
-    Emptying its components, of charges c_r, leaves the core at charge 0,
-    whose lowest empty position min(e*c_r + r) is -len(core).  With (q, k) =
-    divmod(s, e), charge s moves the last k components to the front, raised
-    by q + 1, and the rest after them, raised by q, rebuilding no tail.  The
-    components are p's image in the series of its e-core; the charges depend
-    on the core alone and give the core itself (e_core), the Hecke exponents
-    (core_exponents) and the residue keys.
-    At charge 0, (3) splits into (1) and () of charges 1 and -1; s = 3:
+    Emptying the split's components, of charges c_r, leaves the core at
+    charge 0, whose lowest empty position min(e*c_r + r) is -len(core).
+    Adding s to every bead e*x + r moves component r to (r + s) mod e,
+    raised by (r + s) // e: affine_perm(e, 1, t) sends component (b + t) mod e
+    to b, shifted by -((b + t) // e), so at t = -s it is that move, the m = 1
+    case of thm2's correction.  The components are p's image in its e-core's
+    series; the charges depend on the core alone and give the core (e_core),
+    the Hecke exponents (core_exponents) and the residue keys.  At charge 0,
+    (3) splits into (1), () of charges 1, -1 and s = 3; at e = 3, (2, 2)
+    splits into (), (1), () of charges 1, 0, -1 and s = 4, as its core is (1):
 
     >>> image = e_quotient_charged(Partition((3,)), 2)
     >>> image.components, image.charges
     ((Partition(parts=()), Partition(parts=(1,))), (1, 2))
+    >>> image = e_quotient_charged(Partition((2, 2)), 3)
+    >>> image.components, image.charges
+    ((Partition(parts=()), Partition(parts=()), Partition(parts=(1,))), (1, 2, 1))
     """
     if e < 1:
         raise ValueError("e must be >= 1")
-    components, charges = _charged(regroup(_abaci((p,), (0,)), e))
-    q, k = divmod(e - min(e * c + r for r, c in enumerate(charges)), e)
-    cut = e - k
-    return ChargedMultiPartition(
-        components[cut:] + components[:cut],
-        tuple([c + q + 1 for c in charges[cut:]] + [c + q for c in charges[:cut]]),
-    )
+    split = regroup(_abaci((p,), (0,)), e)
+    s = e - min(e * (floor + len(tail)) + r for r, (floor, tail) in enumerate(split))
+    return _charged(_shift_pairs(affine_perm(e, 1, -s), split))
 
 
 @lru_cache(maxsize=None)

@@ -826,6 +826,14 @@ OUTPUT_DIGESTS = [
      "83a9d4fc73c1d71b35cebb2da0836b653b217a02df689d800551f253c7a705dc"),
     (("verify", "roundtrip", "--trials", "200", "--seed", "7", "--stream"), 0,
      "3df37c5080a3fa717895737ca2de03bc041f8dc0fc2cd7c903c077561aee57ac"),
+    # the series map's charges and quotient as core prints them: a level-5
+    # shift, a series charge far above e = 2, and parts at the input bound
+    (("core", "--partition", "9,7,7,4,2,2,1", "--e", "5"), 0,
+     "a6fc013ad53e961353a2dd6cea8cdc73b7529fc23814ef4b3c13d4e3a3bd00bb"),
+    (("core", "--partition", "5,5,5,5,5,4,4,3,3,2,1,1,1", "--e", "2"), 0,
+     "424fec1f66c158930c1f42efa552f4730d4148122fb7acb77ae744cfc5166232"),
+    (("core", "--partition", "600,300,99", "--e", "1000"), 0,
+     "e5ad70f0d3f32835cb7774f0d6d139de21551f433ec0096294bc8c75d2b7aed5"),
     (("series", "--n", "14", "--e", "3"), 0,
      "4278bf63b027989b810d173ef924e5bfa48e9e7f4c7c1e20b3733963102c9349"),
     (("series", "--n", "16", "--e", "10"), 0,

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from abacore import levelrank, partitions
 from abacore.suites import LEVEL_SWEEP_MAX
-from abacore.levelrank import (
-    AffinePerm,
-    _shift_pairs,
-    affine_perm,
-    qr_em,
-    uglov,
-)
+from abacore.levelrank import qr_em, uglov
 from abacore.partitions import (
+    AffinePerm,
     BetaSet,
     ChargedMultiPartition,
     Partition,
     _abaci,
+    _shift_pairs,
+    affine_perm,
     from_beta,
     is_e_core,
     partitions_of,
@@ -606,9 +603,8 @@ def object_routes(p, e, m, s, t, make_perm=affine_perm):
 
 def pair_routes(p, e, m, s, t):
     """The same two routes on canonical (floor, tail) pairs."""
-    shift = levelrank._shift_pairs
-    route_e = regroup(shift(affine_perm(e, m, s), regroup(_abaci((p,), (s,)), e)), m)
-    route_m = shift(affine_perm(m, e, t), regroup(_abaci((p,), (t,)), m))
+    route_e = regroup(_shift_pairs(affine_perm(e, m, s), regroup(_abaci((p,), (s,)), e)), m)
+    route_m = _shift_pairs(affine_perm(m, e, t), regroup(_abaci((p,), (t,)), m))
     return route_e, route_m
 
 
@@ -661,23 +657,43 @@ class TestSeriesChargeIndependence:
         # route one of thm2 corrects the split at charge s by the (e, m, s)
         # affine permutation.  The result is the one at s = 0, so thm2's
         # verdicts cannot see a wrong series charge; the charge is pinned by
-        # test_partitions' TestCoreMatchedSplit and test_cli's series digests
+        # test_partitions' TestCoreMatchedSplit and test_cli's series and core digests
         pairs = [(e, m) for e in range(1, 9) for m in range(1, 9) if gcd(e, m) == 1]
         assert len(pairs) == 43
         cases = moved = 0
         for p in chain.from_iterable(partitions_of(n) for n in range(7)):
             for e, m in pairs:
                 at_zero = regroup(_abaci((p,), (0,)), e)
-                expected = levelrank._shift_pairs(affine_perm(e, m, 0), at_zero)
+                expected = _shift_pairs(affine_perm(e, m, 0), at_zero)
                 for s in range(-6, 7):
                     split = regroup(_abaci((p,), (s,)), e)
-                    assert levelrank._shift_pairs(affine_perm(e, m, s), split) == expected
+                    assert _shift_pairs(affine_perm(e, m, s), split) == expected
                     # control: the permutation of the next charge moves it
-                    wrong = levelrank._shift_pairs(affine_perm(e, m, s + 1), split)
+                    wrong = _shift_pairs(affine_perm(e, m, s + 1), split)
                     moved += wrong != expected
                     cases += 1
         # 30 partitions of size <= 6, 43 pairs, 13 charges
         assert cases == moved == 30 * 43 * 13
+
+    def test_series_map_correction_is_the_split_at_charge_s(self):
+        # the m = 1 case, which e_quotient_charged applies: the charge-0
+        # split corrected by affine_perm(e, 1, -s) is the split at charge s,
+        # on abaci and, by the component action, on charged multipartitions
+        cases = moved = 0
+        for p in chain.from_iterable(partitions_of(n) for n in range(7)):
+            for e in range(1, 13):
+                at_zero = regroup(_abaci((p,), (0,)), e)
+                quotient = uglov(charged(p, 0), e)
+                for s in range(-30, 31):
+                    split = regroup(_abaci((p,), (s,)), e)
+                    assert _shift_pairs(affine_perm(e, 1, -s), at_zero) == split
+                    on_components = apply_affine_on_components(affine_perm(e, 1, -s), quotient)
+                    assert on_components == uglov(charged(p, s), e)
+                    # control: the correction for the next charge moves it
+                    moved += _shift_pairs(affine_perm(e, 1, -(s + 1)), at_zero) != split
+                    cases += 1
+        # 30 partitions of size <= 6, 12 levels, 61 charges
+        assert cases == moved == 30 * 12 * 61
 
 
 def floor_only_shift(ap, abaci):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from abacore.partitions import (
     _EMPTY,
+    AffinePerm,
     BetaSet,
     ChargedMultiPartition,
     Partition,
@@ -18,6 +19,8 @@ from abacore.partitions import (
     _charged,
     _contents,
     _join_emptied,
+    _shift_pairs,
+    affine_perm,
     core_exponents,
     e_core,
     e_quotient_charged,
@@ -30,7 +33,7 @@ from abacore.partitions import (
     to_beta,
 )
 from abacore.hc_series import CuspidalPairGL, HeckeParam, HeckeSpecialization
-from abacore.levelrank import AffinePerm, _shift_pairs, affine_perm, uglov
+from abacore.levelrank import uglov
 from abacore.polynomials import IntPolynomial
 from oracles import (
     PARTITION_COUNTS,
@@ -746,6 +749,27 @@ def residue_blind_split(p, level):
     return CMP(*map(tuple, zip(*rotated)))
 
 
+def charge_zero_split(p, level):
+    """p's split at charge 0 into level components, and its series charge
+    read off the split as e_quotient_charged reads it."""
+    split = regroup(_abaci((p,), (0,)), level)
+    return split, level - min(level * (f + len(t)) + r for r, (f, t) in enumerate(split))
+
+
+def sign_flipped_correction(p, level):
+    """Mutant of e_quotient_charged: the charge-0 split is corrected by
+    affine_perm(level, 1, s), with the sign of the charge flipped."""
+    split, s = charge_zero_split(p, level)
+    return _charged(_shift_pairs(affine_perm(level, 1, s), split))
+
+
+def charge_off_by_one_correction(p, level):
+    """Mutant of e_quotient_charged: the charge-0 split is corrected for
+    charge s + 1, by affine_perm(level, 1, -(s + 1))."""
+    split, s = charge_zero_split(p, level)
+    return _charged(_shift_pairs(affine_perm(level, 1, -(s + 1)), split))
+
+
 class TestCoreMatchedSplit:
     """e_quotient_charged against an oracle that never runs regroup: the
     series charge from the rim-hook core, the split from explicit beads."""
@@ -768,15 +792,22 @@ class TestCoreMatchedSplit:
         assert self.mismatches(e_quotient_charged) == ([], 3264)
 
     @pytest.mark.parametrize(
-        "mutant, missed",
-        [(rotated_off_by_one_split, 2974), (residue_blind_split, 2437)],
+        "mutant, missed, lowest",
+        [
+            (rotated_off_by_one_split, 2974, 2),
+            (residue_blind_split, 2437, 2),
+            (sign_flipped_correction, 3264, 1),
+            (charge_off_by_one_correction, 3264, 1),
+        ],
     )
-    def test_mutants_are_caught(self, mutant, missed):
-        # at level 1 there is one component and r = 0, so both mutants are
-        # the real split there; each misses cases at every level from 2 up
+    def test_mutants_are_caught(self, mutant, missed, lowest):
+        # at level 1 there is one component and r = 0, so the first two
+        # mutants are the real split there and miss cases at every level from
+        # 2 up; a wrong correction charge moves the total charge off s, so the
+        # last two miss every case at every level
         cases, _ = self.mismatches(mutant)
         assert len(cases) == missed
-        assert {level for _, level in cases} == set(range(2, 13))
+        assert {level for _, level in cases} == set(range(lowest, 13))
 
     @pytest.mark.parametrize("level", [0, -1])
     def test_rejects_nonpositive_level(self, level):

@@ -20,7 +20,9 @@ of them: every abacore process would pay for them at start-up.  The modules
 import one another only along a pinned graph, in which blocks reads abaci
 from partitions without the level-rank layer.  Every value type is built
 through its checked constructor but in one place, partitions._charged, which
-makes the bead maps' outputs from fields it builds itself.  Output is shaped
+makes the bead maps' outputs from fields it builds itself; it makes every
+charged multipartition of the library, and only the front ends cli.py and
+suites.py call the checked ChargedMultiPartition.  Output is shaped
 where it is printed: only cli.py and suites.py build dict literals with string
 keys, so thm1's report returns tuples of library values.  The README
 verify table and its bounds sentence state each SUITES row's flags, defaults
@@ -960,6 +962,50 @@ def test_scan_catches_a_second_unchecked_builder():
         "b": "V = tuple.__new__(*ARGS)\nW = object.__new__(V)\n",
     }
     assert unchecked_builds(sources) == ["a.Sub", "a.build", "b.<module>"]
+
+
+def checked_charged_builds(sources):
+    """"module.owner" for each call of ChargedMultiPartition, by name or
+    attribute: the library makes every charged multipartition through
+    partitions._charged, so only the front ends call the checked
+    constructor.  owner is the top-level function or class ("<module>" for
+    a call outside them)."""
+    found = set()
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                func = node.func if isinstance(node, ast.Call) else None
+                if getattr(func, "id", getattr(func, "attr", None)) == "ChargedMultiPartition":
+                    found.add(f"{module}.{owner}")
+    return sorted(found)
+
+
+def test_charged_multipartitions_come_from_charged():
+    # validation at the API boundary: the front ends check what the user
+    # gives, and the library's own outputs are built from fields _charged makes
+    found = checked_charged_builds(_library_sources())
+    assert [name for name in found if not name.startswith(("cli.", "suites."))] == []
+    assert {"cli._cmd_uglov", "suites._roundtrip_cases"} <= set(found)
+
+
+def test_scan_catches_a_checked_charged_build():
+    sources = {
+        # the rotation e_quotient_charged made before one affine correction
+        "a": (
+            "def e_quotient_charged(p, e):\n"
+            "    components, charges = _charged(regroup(_abaci((p,), (0,)), e))\n"
+            "    return ChargedMultiPartition(components[1:] + components[:1], charges)\n"
+            # a docstring, a bare reference and a subclass build nothing
+            "def mention():\n"
+            "    \"ChargedMultiPartition((p,), (0,))\"\n"
+            "    return ChargedMultiPartition\n"
+            "class Image(ChargedMultiPartition):\n"
+            "    pass\n"
+        ),
+        "b": "ONE = partitions.ChargedMultiPartition((P,), (0,))\n",
+    }
+    assert checked_charged_builds(sources) == ["a.e_quotient_charged", "b.<module>"]
 
 
 def string_keyed_dicts(sources):
