@@ -14,10 +14,11 @@ doubled, so the GL root key is the level key; the GU parameters at a
 primitive R-th root, R = ennola_e(m), give them relabelled one to one by
 v -> (2 + R)v mod 2R (Ennola duality).  2 + R has order m mod 2R, so the
 GU ratio, like the GL one, is 1 exactly where m | e, and both variants
-refuse there.  Every grouping reads one side table, which counts GL keys only.
+refuse there.  Every grouping reads one side table, which counts GL keys only:
+series_blocks, thm1's report and content-prop's member comparisons alike.
 The content lemma ties the residue multisets to beta sets, comparing integer
 counts on the identity's support, which covers every exponent, and underlies
-the equivalence between sharing an m-core and sharing a key.
+the equivalence between sharing an m-core and sharing a block.
 """
 
 from __future__ import annotations
@@ -115,12 +116,6 @@ def _root_counts(
             for content in _contents(p):
                 counts[(content * omega + alpha) % d] += 1
     return tuple(counts)
-
-
-def _member_key(p: Partition, e: int, m: int) -> Key:
-    """The level-m residue key of p's image under the series map."""
-    image = e_quotient_charged(p, e).components
-    return _root_counts(image, *_level_values(e_core(p, e), e, m))
 
 
 def series_blocks(

@@ -4,7 +4,7 @@ checked on every small case.
     thm1           a Phi_e-series meets a Phi_m-series in one block on each side
     thm2           Uglov's level-rank bijection commutes with the affine corrections
     content-lemma  the content generating identity, at each level 1..5
-    content-prop   members of an e-series share an m-core iff their keys agree
+    content-prop   members of an e-series share an m-core iff they share a block
     cuspidal       Phi_e-cuspidal iff e-core; a degree's Phi_e-valuation is
                    n // e minus the number of its hooks divisible by e
     degmod         degree remainders mod Phi_e are signed wreath dimensions
@@ -20,13 +20,14 @@ from __future__ import annotations
 import random
 from math import gcd
 
-from .blocks import _member_key, block_match_report, check_content_lemma
+from .blocks import _side_blocks, block_match_report, check_content_lemma
 from .hc_series import hc_partition, wreath_degree
 from .levelrank import _routes_agree, qr_em, uglov
 from .partitions import (
     ChargedMultiPartition,
     _abaci,
     e_core,
+    e_quotient_charged,
     from_beta,
     hook_lengths,
     is_e_core,
@@ -117,17 +118,20 @@ def _content_lemma_cases(max_n):
 
 
 def _content_prop_cases(max_n):
-    """Member pairs of each e-series of hc_partition(n, e), at each coprime m:
-    series listed by largest member, largest first, members named once."""
+    """Member pairs of each e-series at each coprime m, keyed by side-table
+    number: series listed by largest member, largest first, members named
+    and mapped once."""
     for n in range(1, max_n + 1):
         for e in range(1, 7):
-            series = sorted(hc_partition(n, e).values(), key=max, reverse=True)
-            classes = [[(p, str(p)) for p in ms] for ms in series if len(ms) > 1]
+            series = sorted(hc_partition(n, e).items(), key=lambda s: max(s[1]), reverse=True)
+            classes = [
+                (pair, [(p, str(p), e_quotient_charged(p, e).components) for p in ms])
+                for pair, ms in series if len(ms) > 1
+            ]
             for m in (m for m in range(1, 7) if gcd(e, m) == 1):
-                for members in classes:
-                    facts = [
-                        (p, name, e_core(p, m), _member_key(p, e, m)) for p, name in members
-                    ]
+                for pair, members in classes:
+                    numbers = _side_blocks(pair, m)[1]
+                    facts = [(p, name, e_core(p, m), numbers[mp]) for p, name, mp in members]
                     for i, (p, name_p, core_p, key_p) in enumerate(facts):
                         for r, name_r, core_r, key_r in facts[i + 1:]:
                             case = {"n": n, "e": e, "m": m, "p": name_p, "r": name_r}

@@ -374,7 +374,8 @@ def check_core_matched_diagram(p, e, m):
 def check_core_key_equivalence(p, r, e, m):
     """Assert that sharing an m-core and sharing a level-m residue key are
     equivalent for same-size partitions with the same e-core, and return the
-    common truth value.
+    common truth value.  Each key is residue_key_oracle's over the member's
+    series image, so no key kernel of the library is read.
 
     Raises EquivalenceViolation if the two sides disagree; requires e and m
     positive and coprime.
@@ -387,8 +388,14 @@ def check_core_key_equivalence(p, r, e, m):
         raise ValueError("partitions must have the same size")
     if blocks.e_core(r, e) != blocks.e_core(p, e):
         raise ValueError("partitions must have the same e-core")
+
+    def key(q):
+        image = partitions.e_quotient_charged(q, e)
+        parts = [c.parts for c in image.components]
+        return residue_key_oracle(parts, image.charges, e, m)
+
     same_core = blocks.e_core(p, m) == blocks.e_core(r, m)
-    same_key = blocks._member_key(p, e, m) == blocks._member_key(r, e, m)
+    same_key = key(p) == key(r)
     if same_core != same_key:
         raise EquivalenceViolation(
             f"core comparison {same_core} but key comparison {same_key}"

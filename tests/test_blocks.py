@@ -125,22 +125,13 @@ def _dense(pairs, m):
 
 
 def _key_disagreements(index_offset=0):
-    """Compare the level-m keys of every series of hc_pairs(n, e), n <= 8,
-    e <= 4, m = 2..7 with e % m != 0, against the residue oracle: each
-    member's _member_key, and series_blocks against the oracle's grouping.
-    Returns ((series, m) pairs compared, keys compared, disagreements)."""
-    series = keys = wrong = 0
+    """Compare the level-m blocks of every series of hc_pairs(n, e), n <= 8,
+    e <= 4, m = 2..7 with e % m != 0, against the residue oracle's grouping.
+    Returns ((series, m) pairs compared, disagreements)."""
+    series = wrong = 0
     for n in range(1, 9):
         for e in range(1, 5):
             for m in (m for m in range(2, 8) if e % m != 0):
-                for p in partitions_of(n):
-                    quotient = e_quotient_charged(p, e)
-                    expected = residue_key_oracle(
-                        [q.parts for q in quotient.components],
-                        quotient.charges, e, m, index_offset,
-                    )
-                    keys += 1
-                    wrong += blocks._member_key(p, e, m) != _dense(expected, m)
                 for pair in hc_pairs(n, e):
                     charges = e_quotient_charged(pair.core, e).charges
                     grouped = {}
@@ -154,37 +145,51 @@ def _key_disagreements(index_offset=0):
                     wrong += {frozenset(b) for b in found} != {
                         frozenset(g) for g in grouped.values()
                     }
-    return series, keys, wrong
+    return series, wrong
+
+
+# (components, core, e, key): the oracle's level-2 keys of residues {1, 2},
+# {3} and {5}, at the series charges (1,), (1, 1) and (1, 2) of the cores ()
+# and (1)
+FIXED_KEYS = [
+    (((2,),), P(()), 1, ((0, 1), (1, 1))),
+    (((), (1,)), P(()), 2, ((1, 1),)),
+    (((), (1,)), P((1,)), 2, ((1, 1),)),
+]
+
+
+def _kernel_disagreements(index_offset=0):
+    """How many FIXED_KEYS the library's box-count kernel keys otherwise than
+    the residue oracle, which reads component j as j + index_offset."""
+    wrong = 0
+    for parts, core, e, _ in FIXED_KEYS:
+        charges = e_quotient_charged(core, e).charges
+        expected = residue_key_oracle(parts, charges, e, 2, index_offset)
+        mp = tuple(P(q) for q in parts)
+        values = blocks._level_values(core, e, 2)
+        wrong += blocks._root_counts(mp, *values) != _dense(expected, 2)
+    return wrong
 
 
 class TestResidueKeyOracle:
     def test_fixed_examples(self):
-        # residues {1, 2}, {3} and {5} reduced mod 2, from the oracle at the
-        # series charges (1,), (1, 1) and (1, 2) of the cores () and (1),
-        # and from the library's box-count kernel, whose dense key _dense
-        # builds from the same pairs
-        cases = [
-            (((2,),), P(()), 1, ((0, 1), (1, 1))),
-            (((), (1,)), P(()), 2, ((1, 1),)),
-            (((), (1,)), P((1,)), 2, ((1, 1),)),
-        ]
-        for parts, core, e, expected in cases:
+        # the oracle's keys, and the library's kernel against them
+        for parts, core, e, expected in FIXED_KEYS:
             charges = e_quotient_charged(core, e).charges
             assert residue_key_oracle(parts, charges, e, 2) == expected
-            mp = tuple(P(q) for q in parts)
-            values = blocks._level_values(core, e, 2)
-            assert blocks._root_counts(mp, *values) == _dense(expected, 2)
+        assert _kernel_disagreements() == 0
 
     def test_sweep_series(self):
-        # 66 partitions of 1..8 at each of the 20 (e, m) pairs, and 329
-        # (series, m) pairs
-        assert _key_disagreements() == (329, 1320, 0)
+        # 329 (series, m) pairs over the partitions of 1..8
+        assert _key_disagreements() == (329, 0)
 
     def test_component_offset_disagrees(self):
         # negative control: an oracle reading component j as j + 1 shifts
-        # every key, so the sweep must see it
-        _, _, wrong = _key_disagreements(index_offset=1)
-        assert wrong > 0
+        # every key by 1, so the kernel comparison must see it wherever the
+        # shift moves a key: not at residues {1, 2} mod 2, which it swaps.
+        # Grouping is blind to a uniform shift, so the series sweep is not
+        # the place for this control
+        assert _kernel_disagreements(index_offset=1) == 2
 
 
 def _root_key(mp, params, at_root):
@@ -375,23 +380,28 @@ class TestRootKeyOracle:
             root_key_oracle([(1,)], [(Fraction(0), 0)], sigma, 2)
 
 
-class TestMemberKey:
+class TestSideTableNumbers:
     def test_examples(self):
-        def key(p):
-            return blocks._member_key(p, 3, 2)
+        # at (e, m) = (3, 2): the images of (3) and (1, 1, 1) share a block
+        # of their 3-series, and those of (3) and (2, 1) do not
+        (pair,) = hc_pairs(3, 3)
+        numbers = blocks._side_blocks(pair, 2)[1]
 
-        assert key(P((3,))) == key(P((1, 1, 1)))
-        assert key(P((3,))) != key(P((2, 1)))
+        def number(p):
+            return numbers[e_quotient_charged(p, 3).components]
 
-    def test_member_keys_group_as_the_series_blocks(self):
-        # sharing a key is sharing a block: the members' key classes, read
-        # through the series map, are the blocks of their series
+        assert number(P((3,))) == number(P((1, 1, 1)))
+        assert number(P((3,))) != number(P((2, 1)))
+
+    def test_member_m_cores_group_as_the_series_blocks(self):
+        # sharing an m-core is sharing a block: the members' 3-core classes,
+        # read through the series map, are the blocks of their 2-series
         core = P(())
         classes = {}
         for p in partitions_of(6):
             if e_core(p, 2) == core:
                 image = e_quotient_charged(p, 2).components
-                classes.setdefault(blocks._member_key(p, 2, 3), set()).add(image)
+                classes.setdefault(e_core(p, 3), set()).add(image)
         assert len(classes) > 1
         expected = {frozenset(b) for b in _gl_blocks(2, 3, core, 3)}
         assert {frozenset(c) for c in classes.values()} == expected

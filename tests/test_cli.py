@@ -491,17 +491,22 @@ class TestVerify:
     def test_content_prop_corrupt_key_fails_the_pairs_of_its_member(
         self, monkeypatch
     ):
-        # negative control: (2, 2) gets a wrong key at (e, m) = (2, 1) alone.
+        # negative control: (2, 2)'s image gets a block number of its own at
+        # (e, m) = (2, 1) alone, in a copy of the memoised one-block table.
         # At m = 1 every member of a class shares its m-core and its key, so
         # exactly the pairs with (2, 2) in its class at n = 4 must fail: a
         # key is a fact of one member at one (e, m), not of a pair or a size
-        real = suites._member_key
-        target = (Partition((2, 2)), 2, 1)
+        real = suites._side_blocks
+        target = hc_series.CuspidalPairGL(4, 2, 2, P(()))
+        image = partitions.e_quotient_charged(P((2, 2)), 2).components
 
-        def wrong(p, e, m):
-            return () if (p, e, m) == target else real(p, e, m)
+        def wrong(pair, m):
+            sizes, numbers, gu_ok = real(pair, m)
+            if (pair, m) == (target, 1):
+                numbers = {**numbers, image: -1}
+            return sizes, numbers, gu_ok
 
-        monkeypatch.setattr(suites, "_member_key", wrong)
+        monkeypatch.setattr(suites, "_side_blocks", wrong)
         _, cases, failures = run_suite("content-prop", max_n=5)
         assert cases == 413
         # the 2-core class of (2, 2) at n = 4: 1,1,1,1  2,1,1  2,2  3,1  4
@@ -701,18 +706,36 @@ class TestPerMemberFacts:
         ]
         assert split_at == {level for pair in pairs for level in pair}
 
-    @pytest.mark.parametrize("mutant", [None, _wrong_two_core], ids=["real", "mutant"])
-    def test_content_prop_cases_match_the_per_call_oracle(self, monkeypatch, mutant):
-        # the mutant makes the suite and the oracle raise, so the error
-        # text is compared as well as same and pass
-        if mutant is not None:
+    @pytest.mark.parametrize(
+        "mutant, expected",
+        [(None, (True, 0, 0)), ("e_core", (True, 4, 4)), ("alpha_blind", (False, 769, 0))],
+        ids=["real", "mutant", "alpha_blind"],
+    )
+    def test_content_prop_cases_match_the_per_call_oracle(
+        self, monkeypatch, mutant, expected
+    ):
+        # the e_core mutant makes the suite and the oracle raise, so the error
+        # text is compared as well as same and pass.  The alpha-blind kernel
+        # reads every alpha_j as 0: the suite keys members through it and the
+        # oracle through residue_key_oracle, so only the suite sees it.
+        # expected: (suite cases equal the oracle's, suite errors, oracle errors)
+        if mutant == "e_core":
             for module in (blocks, suites):
-                monkeypatch.setattr(module, "e_core", mutant)
+                monkeypatch.setattr(module, "e_core", _wrong_two_core)
+        if mutant == "alpha_blind":
+            real = blocks._root_counts
+            monkeypatch.setattr(
+                blocks, "_root_counts",
+                lambda mp, d, omega, alphas: real(mp, d, omega, (0,) * len(alphas)),
+            )
         cases = []
         run_suite("content-prop", cases.append, max_n=8)
-        assert cases == list(_content_prop_oracle_cases(8))
-        errors = sum("error" in case for case in cases)
-        assert errors == (0 if mutant is None else 4)
+        oracle = list(_content_prop_oracle_cases(8))
+        assert (
+            cases == oracle,
+            sum("error" in case for case in cases),
+            sum("error" in case for case in oracle),
+        ) == expected
 
     @staticmethod
     def regroup_calls(monkeypatch, suite, **given):
@@ -758,20 +781,20 @@ class TestPerMemberFacts:
         assert len(cases) == sum(n * PARTITION_COUNTS[n] for n in range(1, 9))
         assert (calls, filled) == (0, 0)
 
-    def test_content_prop_keys_each_member_once_per_level_pair(self, monkeypatch):
-        # one _member_key per member of an e-core class with a pair to
-        # compare, at each (e, m); per pair it would be twice the cases
-        real = suites._member_key
+    def test_content_prop_reads_one_side_table_per_class_and_level(self, monkeypatch):
+        # one _side_blocks per (n, e, e-core class of two or more members, m);
+        # each member's image is then looked up, never keyed again
+        real = suites._side_blocks
         calls = 0
 
-        def spy(p, e, m):
+        def spy(pair, m):
             nonlocal calls
             calls += 1
-            return real(p, e, m)
+            return real(pair, m)
 
-        monkeypatch.setattr(suites, "_member_key", spy)
+        monkeypatch.setattr(suites, "_side_blocks", spy)
         _, cases, _ = run_suite("content-prop", max_n=8)
-        assert (cases, calls) == (5045, 1168)
+        assert (cases, calls) == (5045, 186)
 
 
 # (argv, exit code, sha256 of stdout).  Each digest was recorded before a
