@@ -4,11 +4,9 @@ verification CLI.
 """
 
 from .partitions import (
-    AffinePerm,
     BetaSet,
     ChargedMultiPartition,
     Partition,
-    affine_perm,
     e_core,
     e_quotient_charged,
     from_beta,
@@ -24,13 +22,11 @@ from .blocks import block_match_report, residue_multiset, series_blocks
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinePerm",
     "BetaSet",
     "ChargedMultiPartition",
     "CuspidalPairGL",
     "IntPolynomial",
     "Partition",
-    "affine_perm",
     "block_match_report",
     "cyclotomic",
     "e_core",

@@ -6,10 +6,11 @@ component i.  The twisted quotient-remainder map qr_em re-reads one such bead
 as a bead of an m-abacus; the Uglov bijection moves every bead this way, with
 partitions.regroup.  It is the one public bead map: from level 1 it is the
 abacus split of a charged partition, and to level 1 the join.  The diagram
-commutes up to the affine permutations imported from partitions, which
-correct the splits at two charges; verify thm2 checks it on canonical abaci,
-splitting each partition once per level at charge 0, as the corrected split
-is the same at every charge.
+commutes up to the affine correction partitions._shift_pairs, which gives
+target component b of the split at charge s into e components the source
+(m*b + s) mod e, lowered by (m*b + s) // e; verify thm2 checks it on
+canonical abaci, splitting each partition once per level at charge 0, as the
+corrected split is the same at every charge.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .partitions import (
     _abaci,
     _charged,
     _shift_pairs,
-    affine_perm,
     regroup,
 )
 
@@ -70,13 +70,11 @@ def _routes_agree(e: int, m: int, split_e, split_m) -> bool:
     """Commutation of the two routes from a partition to an m-multipartition,
     given its (charge, split) at level e and at level m.
 
-    Route one: apply the (e, m, s) affine permutation to the split at charge
-    s into e components, then the Uglov bijection to level m.  Route two:
-    apply the (m, e, t) affine permutation to the split at charge t into m
-    components.  Both routes stay on canonical abaci, which determine the
-    charged multipartitions.
+    Route one: correct the split at charge s into e components by
+    _shift_pairs(abaci_e, m, s), then apply the Uglov bijection to level m.
+    Route two: correct the split at charge t into m components by
+    _shift_pairs(abaci_m, e, t).  Both routes stay on canonical abaci, which
+    determine the charged multipartitions.
     """
     (s, abaci_e), (t, abaci_m) = split_e, split_m
-    route_e = regroup(_shift_pairs(affine_perm(e, m, s), abaci_e), m)
-    route_m = _shift_pairs(affine_perm(m, e, t), abaci_m)
-    return route_e == route_m
+    return regroup(_shift_pairs(abaci_e, m, s), m) == _shift_pairs(abaci_m, e, t)

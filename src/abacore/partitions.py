@@ -8,11 +8,12 @@ Conventions used throughout the package:
   from them compare, hash and sort as their part tuples: sorted() gives the
   lexicographic order (Macdonald, I.1) in which series, their members and
   blocks are listed.  Every value type but IntPolynomial is an immutable
-  tuple, read by field name and equal to the plain tuple of its fields, and
-  checked by its public constructor (_charged builds the bead maps' outputs
-  from fields it makes) but for HeckeParam and HeckeSpecialization, the
-  unchecked records that specialization builds.  Boxes are indexed (row,
-  column), both 1-based, and the content of a box is column - row.
+  tuple, read by field name and equal to the plain tuple of its fields.  Such
+  a type is checked at construction exactly when a public function accepts
+  it; HeckeParam and HeckeSpecialization, the records that specialization
+  builds, are not checked.  _charged builds the bead maps' outputs from
+  fields it makes, without the check.  Boxes are indexed (row, column), both
+  1-based, and the content of a box is column - row.
 * A charged partition is a ChargedMultiPartition of level 1.  Its beta set
   is {parts[i] - (i+1) + charge : i >= 0}, which contains every integer
   below some floor.  We store the canonical pair (floor, tail): floor is the
@@ -24,16 +25,15 @@ Conventions used throughout the package:
   one bead map between abaci of two levels is `regroup`; on charged
   multipartitions it is levelrank.uglov, which splits a charged partition into
   its charged e-quotient from level 1 and joins it back to level 1.  Beside
-  regroup live the affine permutations of abaci, affine_perm and _shift_pairs.
+  regroup lives the affine correction of an abacus, _shift_pairs.
 * The series charge s of p at level e is e + len(e-core of p); e_quotient_charged
-  reads it off one charge-0 split and corrects that by affine_perm(e, 1, -s).
+  reads it off one charge-0 split and corrects that by _shift_pairs(split, 1, -s).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from math import gcd
 from operator import add, sub
 
 
@@ -277,62 +277,25 @@ def regroup(abaci: Abacus, m: int) -> Abacus:
     return tuple(buckets)
 
 
-class AffinePerm(namedtuple("AffinePerm", "e perm shifts")):
-    """An affine permutation of beads (x, i): component i is sent to
-    perm[i], and a bead landing in component j is shifted by shifts[j].
+def _shift_pairs(abaci: Abacus, m: int, s: int) -> Abacus:
+    """The affine correction of an e-abacus, e = len(abaci), for levels e, m
+    and charge s: target component b takes source component (m*b + s) mod e,
+    its floor and every tail bead lowered by (m*b + s) // e.  A component
+    lowered by 0 moves as it is.  A bijection of components only for coprime
+    e, m, which the callers' levels are.
 
-    perm, e integers, must be a bijection of range(e); shifts, e integers, is
-    indexed by the target component.
-    """
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace calls it: checked too
-
-    def __new__(cls, e: int, perm: tuple[int, ...], shifts: tuple[int, ...]):
-        types = list(map(type, (e, *perm, *shifts)))
-        if types != [int] * (2 * len(perm) + 1) or sorted(perm) != list(range(e)):
-            raise ValueError("inconsistent affine permutation data")
-        return tuple.__new__(cls, (e, tuple(perm), tuple(shifts)))
-
-
-@lru_cache(maxsize=None)
-def affine_perm(e: int, m: int, s: int) -> AffinePerm:
-    """The affine permutation correcting the e-abacus for charge s.
-
-    Sends a bead (a, r_e(m*b + s)) to (a - q_e(m*b + s), b): its perm w has
-    w((m*b + s) mod e) = b, and the shift is indexed by the target component
-    b.  Defined only for coprime e, m.
-
-    >>> affine_perm(3, 2, 0).perm
-    (0, 2, 1)
-    """
-    if e < 1 or m < 1:
-        raise ValueError("levels must be >= 1")
-    if gcd(e, m) != 1:
-        raise ValueError(f"levels {e}, {m} must be coprime")
-    w = [0] * e
-    for b in range(e):
-        w[(m * b + s) % e] = b
-    shifts = tuple(-((m * b + s) // e) for b in range(e))
-    return AffinePerm(e, tuple(w), shifts)
-
-
-def _shift_pairs(ap: AffinePerm, abaci: Abacus) -> Abacus:
-    """The affine action on canonical (floor, tail) pairs: component i moves
-    to perm[i], its floor and every tail bead shifted by shifts[perm[i]];
-    one whose shift is 0 moves as it is.
-
-    >>> _shift_pairs(affine_perm(2, 3, 3), ((0, ()), (1, (3,))))
+    >>> _shift_pairs(((0, ()), (1, (3,))), 3, 3)
     ((0, (2,)), (-3, ()))
     """
-    e, perm, shifts = ap
-    out = [None] * e
-    for pair, j in zip(abaci, perm):
-        d = shifts[j]
+    e = len(abaci)
+    out = []
+    for b in range(e):
+        d, i = divmod(m * b + s, e)
+        pair = abaci[i]
         if d:
             floor, tail = pair
-            pair = (floor + d, tuple([x + d for x in tail]) if tail else tail)
-        out[j] = pair
+            pair = (floor - d, tuple([x - d for x in tail]) if tail else tail)
+        out.append(pair)
     return tuple(out)
 
 
@@ -376,18 +339,20 @@ def _join_emptied(charges: MultiCharge) -> Partition:
 @lru_cache(maxsize=None)
 def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
     """The series map: p's charged e-quotient at the series charge
-    s = e + len(e-core of p), its charge-0 split corrected by affine_perm(e, 1, -s).
+    s = e + len(e-core of p), its charge-0 split corrected by
+    _shift_pairs(split, 1, -s).
 
     Emptying the split's components, of charges c_r, leaves the core at
     charge 0, whose lowest empty position min(e*c_r + r) is -len(core).
     Adding s to every bead e*x + r moves component r to (r + s) mod e,
-    raised by (r + s) // e: affine_perm(e, 1, t) sends component (b + t) mod e
-    to b, shifted by -((b + t) // e), so at t = -s it is that move, the m = 1
-    case of thm2's correction.  The components are p's image in its e-core's
-    series; the charges depend on the core alone and give the core (e_core),
-    the Hecke exponents (core_exponents) and the residue keys.  At charge 0,
-    (3) splits into (1), () of charges 1, -1 and s = 3; at e = 3, (2, 2)
-    splits into (), (1), () of charges 1, 0, -1 and s = 4, as its core is (1):
+    raised by (r + s) // e: _shift_pairs(split, 1, -s) gives target b the
+    source (b - s) mod e, lowered by (b - s) // e, which is that move, the
+    m = 1 case of thm2's correction.  The components are p's image in its
+    e-core's series; the charges depend on the core alone and give the core
+    (e_core), the Hecke exponents (core_exponents) and the residue keys.  At
+    charge 0, (3) splits into (1), () of charges 1, -1 and s = 3; at e = 3,
+    (2, 2) splits into (), (1), () of charges 1, 0, -1 and s = 4, as its core
+    is (1):
 
     >>> image = e_quotient_charged(Partition((3,)), 2)
     >>> image.components, image.charges
@@ -400,7 +365,7 @@ def e_quotient_charged(p: Partition, e: int) -> ChargedMultiPartition:
         raise ValueError("e must be >= 1")
     split = regroup(_abaci((p,), (0,)), e)
     s = e - min(e * (floor + len(tail)) + r for r, (floor, tail) in enumerate(split))
-    return _charged(_shift_pairs(affine_perm(e, 1, -s), split))
+    return _charged(_shift_pairs(split, 1, -s))
 
 
 @lru_cache(maxsize=None)

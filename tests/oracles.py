@@ -1,20 +1,19 @@
 """Independent brute-force oracles used by the tests.
 
 These deliberately avoid the library's abacus machinery: cores are computed
-by removing rim hooks from the Young diagram, tableau counts by recursive
-corner removal, hooks by counting boxes in the raw cell set, and wreath
-degrees from those hooks.  The exception is the per-call checks at the end,
-which compute one partition's or one pair's facts afresh with the library's
-kernels at every call: they are the references for the suites that compute
-each fact once per member.
+by removing rim hooks from the Young diagram, the level-rank diagram on
+explicit bead windows, tableau counts by recursive corner removal, hooks by
+counting boxes in the raw cell set, and wreath degrees from those hooks.  The
+exception is check_core_key_equivalence at the end, which reads the library's
+e_core and series map afresh at every call: it is the reference for
+content-prop, which computes each fact once per member.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, prod
 
-from abacore import blocks, hc_series, levelrank, partitions
-from abacore.partitions import _abaci
+from abacore import blocks, hc_series, partitions
 
 
 class EquivalenceViolation(AssertionError):
@@ -123,6 +122,24 @@ def wreath_dim(mp):
     return dim
 
 
+def affine_perm_oracle(e, m, s):
+    """The affine permutation correcting an e-abacus for levels e, m and
+    charge s, as (perm, shifts): source component i goes to the b in
+    range(e) with m*b + s = i mod e, found by search, so perm is the w with
+    w((m*b + s) mod e) = b; a bead landing in b is shifted by shifts[b], the
+    exact quotient (i - m*b - s) / e.  Raises ValueError unless every source
+    has exactly one target, that is unless e and m are coprime."""
+    perm, shifts = [], [None] * e
+    for i in range(e):
+        targets = [b for b in range(e) if (m * b + s - i) % e == 0]
+        if len(targets) != 1:
+            raise ValueError(f"levels {e}, {m} must be coprime")
+        (b,) = targets
+        perm.append(b)
+        shifts[b] = (i - m * b - s) // e
+    return tuple(perm), tuple(shifts)
+
+
 def apply_affine_on_beads(perm, shifts, bead_sets):
     """Apply the affine permutation to explicit finite bead sets.
 
@@ -137,15 +154,20 @@ def apply_affine_on_beads(perm, shifts, bead_sets):
     return out
 
 
-def apply_affine_on_components(ap, cmp):
-    """The affine permutation ap acting on a charged multipartition without
-    beads: component i moves to ap.perm[i], keeping its partition, and its
-    charge moves by the target's shift."""
-    components, charges = [None] * ap.e, [None] * ap.e
-    for i, j in enumerate(ap.perm):
-        components[j] = cmp.components[i]
-        charges[j] = cmp.charges[i] + ap.shifts[j]
-    return partitions.ChargedMultiPartition(components, charges)
+def apply_affine_on_pairs(perm, shifts, pairs):
+    """The affine permutation acting on a list of (parts, charge) without
+    beads: component i moves to perm[i], keeping its parts, and its charge
+    moves by the target's shift."""
+    out = [None] * len(pairs)
+    for (parts, charge), j in zip(pairs, perm):
+        out[j] = (parts, charge + shifts[j])
+    return out
+
+
+def apply_affine_on_components(perm, shifts, cmp):
+    """apply_affine_on_pairs on a charged multipartition."""
+    pairs = apply_affine_on_pairs(perm, shifts, list(zip(cmp.components, cmp.charges)))
+    return partitions.ChargedMultiPartition(*zip(*pairs))
 
 
 def regroup_on_beads(components, m, index_offset=0):
@@ -336,39 +358,41 @@ PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135]
 
 
 # ---------------------------------------------------------------------------
-# per-call checks on the library's kernels; each looks the kernels up in
-# their modules at call time, so a test that patches one reaches these too
+# per-call checks: each computes one partition's or one pair's facts afresh at
+# every call, the reference for the suites that compute each fact once per
+# member.  The thm2 checks read no kernel of the library; the content-prop
+# check reads e_core and the series map, and looks them up at call time, so
+# a test that patches one reaches it too
 
 def check_uglov_diagram(p, e, m, s, t):
-    """Commutation of the two routes from a partition to an m-multipartition.
+    """Commutation of the two routes from a partition to an m-multipartition,
+    on explicit bead windows.
 
     Route one: split at charge s into e components, apply the (e, m, s)
-    affine permutation, then the Uglov bijection to level m.  Route two:
-    split at charge t into m components and apply the (m, e, t) affine
-    permutation.  Both routes stay on canonical abaci, which determine the
-    charged multipartitions.
+    affine permutation on components, then the bead map to level m.  Route
+    two: split at charge t into m components and apply the (m, e, t) affine
+    permutation.  Raises ValueError unless e and m are coprime.
     """
-    split_e = (s, levelrank.regroup(_abaci((p,), (s,)), e))
-    split_m = (t, levelrank.regroup(_abaci((p,), (t,)), m))
-    return levelrank._routes_agree(e, m, split_e, split_m)
+    route_e = apply_affine_on_pairs(
+        *affine_perm_oracle(e, m, s), regroup_on_beads([(p.parts, s)], e)
+    )
+    route_m = apply_affine_on_pairs(
+        *affine_perm_oracle(m, e, t), regroup_on_beads([(p.parts, t)], m)
+    )
+    return regroup_on_beads(route_e, m) == route_m
+
+
+@lru_cache(maxsize=None)
+def series_charge(parts, e):
+    """e + len(e-core), the core found by removing rim hooks (memoised)."""
+    return e + len(rim_hook_core(parts, e))
 
 
 def check_core_matched_diagram(p, e, m):
-    """The diagram check at the canonical charges e + len(e-core) and
-    m + len(m-core), the charges used by the series combinatorics: each
-    split is the abacus of the series image e_quotient_charged, at its
-    total charge.  A split that the series map rejects as non-canonical,
-    as a broken regroup can leave, fails the check."""
-
-    def split(level):
-        image = partitions.e_quotient_charged(p, level)
-        return image.total_charge, _abaci(image.components, image.charges)
-
-    try:
-        e_split, m_split = split(e), split(m)
-    except ValueError:
-        return False
-    return levelrank._routes_agree(e, m, e_split, m_split)
+    """The diagram check at the series charges e + len(e-core) and
+    m + len(m-core), the charges used by the series combinatorics, each
+    core found by removing rim hooks."""
+    return check_uglov_diagram(p, e, m, series_charge(p.parts, e), series_charge(p.parts, m))
 
 
 def check_core_key_equivalence(p, r, e, m):

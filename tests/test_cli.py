@@ -413,7 +413,7 @@ class TestVerify:
     def test_thm2_fails_with_splits_labelled_charge_1(self, capsys, monkeypatch):
         # negative control for the charge-0 route: the suite's e-side split,
         # made at charge 0, is labelled charge 1, so _routes_agree corrects
-        # it by affine_perm(e, m, 1) and every case of every pair fails;
+        # it by _shift_pairs(abaci, m, 1) and every case of every pair fails;
         # unpatched, every case passes
         real = suites._routes_agree
 
@@ -677,10 +677,24 @@ class TestPerMemberFacts:
     """The suites compute each per-member fact once per member; every case
     must equal the one the per-call oracles compute for it alone."""
 
-    @pytest.mark.parametrize("levels", [{}, {"e": 5, "m": 2}, {"e": 3, "m": 4}])
-    def test_thm2_cases_match_the_per_call_oracle(self, monkeypatch, levels):
+    @pytest.mark.parametrize(
+        "levels, mutant, expected",
+        [
+            ({}, None, (True, 0, 0)),
+            ({"e": 5, "m": 2}, None, (True, 0, 0)),
+            ({"e": 3, "m": 4}, None, (True, 0, 0)),
+            ({}, "lowered_zero", (False, 3320, 0)),
+        ],
+        ids=["real", "e5-m2", "e3-m4", "lowered_zero"],
+    )
+    def test_thm2_cases_match_the_per_call_oracle(self, monkeypatch, levels, mutant, expected):
         # with one pair given, the suite must split at its two levels alone;
-        # the oracle splits at the series charges, the suite at charge 0
+        # the oracle splits at the series charges, the suite at charge 0.
+        # The lowered-zero kernel lowers target component 0 of every
+        # correction one step too far: the suite corrects through it and the
+        # oracle by affine_perm_oracle on bead windows, so only the suite
+        # sees it.  expected: (suite cases equal the oracle's, suite
+        # failures, oracle failures)
         real = suites.regroup
         split_at = set()
 
@@ -689,10 +703,18 @@ class TestPerMemberFacts:
             return real(abaci, level)
 
         monkeypatch.setattr(suites, "regroup", spy)
+        if mutant == "lowered_zero":
+            real_shift = levelrank._shift_pairs
+
+            def lowered_zero(abaci, m, s):
+                (floor, tail), *rest = real_shift(abaci, m, s)
+                return ((floor - 1, tuple(x - 1 for x in tail)), *rest)
+
+            monkeypatch.setattr(levelrank, "_shift_pairs", lowered_zero)
         cases = []
         run_suite("thm2", cases.append, max_n=9, **levels)
         pairs = suites._coprime_pairs(levels.get("e"), levels.get("m"))
-        assert cases == [
+        oracle = [
             {
                 "n": n,
                 "e": e,
@@ -704,6 +726,11 @@ class TestPerMemberFacts:
             for e, m in pairs
             for p in partitions_of(n)
         ]
+        assert (
+            cases == oracle,
+            sum(not case["pass"] for case in cases),
+            sum(not case["pass"] for case in oracle),
+        ) == expected
         assert split_at == {level for pair in pairs for level in pair}
 
     @pytest.mark.parametrize(

@@ -6,23 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abacore import levelrank, partitions
-from abacore.suites import LEVEL_SWEEP_MAX
+from abacore.suites import LEVEL_SWEEP_MAX, _coprime_pairs
 from abacore.levelrank import qr_em, uglov
 from abacore.partitions import (
-    AffinePerm,
     BetaSet,
     ChargedMultiPartition,
     Partition,
     _abaci,
     _shift_pairs,
-    affine_perm,
+    e_quotient_charged,
     from_beta,
     is_e_core,
+    multipartitions_of,
     partitions_of,
     regroup,
     to_beta,
 )
 from oracles import (
+    affine_perm_oracle,
     apply_affine_on_beads,
     apply_affine_on_components,
     check_core_matched_diagram,
@@ -39,10 +40,11 @@ def charged(p, s):
 
 
 def bead(ap, x, i):
-    """The bead (x, i) moved by the affine permutation ap: to component
-    perm[i], shifted by that component's shift."""
-    j = ap.perm[i]
-    return (x + ap.shifts[j], j)
+    """The bead (x, i) moved by the affine permutation ap = (perm, shifts):
+    to component perm[i], shifted by that component's shift."""
+    perm, shifts = ap
+    j = perm[i]
+    return (x + shifts[j], j)
 
 
 def check_bead_square(x, e, m, s, t):
@@ -53,9 +55,9 @@ def check_bead_square(x, e, m, s, t):
     m-side (charge t) and correct there.  The two must agree.
     """
     a, b = divmod(x + s, e)
-    via_e = qr_em(*bead(affine_perm(e, m, s), a, b), e, m)
+    via_e = qr_em(*bead(affine_perm_oracle(e, m, s), a, b), e, m)
     c, d = divmod(x + t, m)
-    return via_e == bead(affine_perm(m, e, t), c, d)
+    return via_e == bead(affine_perm_oracle(m, e, t), c, d)
 
 
 class TestQuotientRemainder:
@@ -140,10 +142,10 @@ class TestQuotientRemainder:
 
 class TestResiduePerm:
     def test_examples(self):
-        assert affine_perm(2, 3, 0).perm == (0, 1)
-        assert affine_perm(3, 2, 0).perm == (0, 2, 1)
+        assert affine_perm_oracle(2, 3, 0)[0] == (0, 1)
+        assert affine_perm_oracle(3, 2, 0)[0] == (0, 2, 1)
         # maps 1 -> 0, 2 -> 1, 0 -> 2
-        assert affine_perm(3, 1, 1).perm == (2, 0, 1)
+        assert affine_perm_oracle(3, 1, 1)[0] == (2, 0, 1)
 
     def test_defining_relation(self):
         for e in range(1, 7):
@@ -151,13 +153,17 @@ class TestResiduePerm:
                 if gcd(e, m) != 1:
                     continue
                 for s in range(-5, 6):
-                    w = affine_perm(e, m, s).perm
+                    w, _ = affine_perm_oracle(e, m, s)
                     for b in range(e):
                         assert w[(m * b + s) % e] == b
 
     def test_rejects_non_coprime(self):
+        # the kernel checks no levels: the oracle refuses them, and so does
+        # the sweep's boundary, where levels enter the library
         with pytest.raises(ValueError):
-            affine_perm(4, 2, 0)
+            affine_perm_oracle(4, 2, 0)
+        with pytest.raises(ValueError, match="^levels 4, 2 must be coprime$"):
+            _coprime_pairs(4, 2)
 
 
 # ((e, m, s), (components, charges)): corrections whose shifts are all 0
@@ -173,22 +179,20 @@ SHIFT_CASES = [
 
 
 def shift_pairs_misses(shift_pairs):
-    """The components of shift_pairs(affine_perm(e, m, s), abaci) over
-    SHIFT_CASES that differ from the action on explicit bead sets, compared
-    in a window far below 0; a component left unset is a miss."""
+    """The components of shift_pairs(abaci, m, s) over SHIFT_CASES that
+    differ from affine_perm_oracle(e, m, s) acting on explicit bead sets,
+    compared in a window far below 0; a component left unset is a miss."""
     low = -40
     misses = 0
     for (e, m, s), (comps, charges) in SHIFT_CASES:
-        ap = affine_perm(e, m, s)
         expected_sets = apply_affine_on_beads(
-            ap.perm,
-            ap.shifts,
+            *affine_perm_oracle(e, m, s),
             [
                 {x for x in range(low, 20) if x in to_beta(charged(p, c))}
                 for p, c in zip(comps, charges)
             ],
         )
-        result = shift_pairs(ap, _abaci(comps, charges))
+        result = shift_pairs(_abaci(comps, charges), m, s)
         for j in range(e):
             expected = {x for x in expected_sets[j] if x >= low + 10}
             if result[j] is None:
@@ -199,34 +203,80 @@ def shift_pairs_misses(shift_pairs):
     return misses
 
 
-def unpermuted_zero_shift(ap, abaci):
-    """Mutant of _shift_pairs: a component whose shift is 0 stays at its own
-    index i instead of moving to perm[i]."""
-    out = [None] * ap.e
-    for i, ((floor, tail), j) in enumerate(zip(abaci, ap.perm)):
-        d = ap.shifts[j]
-        out[j if d else i] = (floor + d, tuple(x + d for x in tail))
+def unpermuted_zero_shift(abaci, m, s):
+    """Mutant of _shift_pairs: taken in source order, a component i lowered
+    by 0 stays at index i instead of moving to its target b."""
+    e = len(abaci)
+    out = [None] * e
+    for i, b in sorted(((m * b + s) % e, b) for b in range(e)):
+        d = (m * b + s) // e
+        floor, tail = abaci[i]
+        out[b if d else i] = (floor - d, tuple(x - d for x in tail))
     return tuple(out)
 
 
 class TestAffinePerm:
     def test_examples(self):
-        assert affine_perm(2, 3, 0) == AffinePerm(2, (0, 1), (0, -1))
-        assert affine_perm(3, 2, 0) == AffinePerm(3, (0, 2, 1), (0, 0, -1))
+        assert affine_perm_oracle(2, 3, 0) == ((0, 1), (0, -1))
+        assert affine_perm_oracle(3, 2, 0) == ((0, 2, 1), (0, 0, -1))
         for s in range(-4, 5):
-            assert affine_perm(1, 5, s) == AffinePerm(1, (0,), (-s,))
+            assert affine_perm_oracle(1, 5, s) == ((0,), (-s,))
 
     @pytest.mark.parametrize("e, m", [(0, 1), (1, 0), (-1, 2)])
     def test_rejects_nonpositive_levels(self, e, m):
-        # gcd(e, m) is 1 for each, so only the level check can name the fault
+        # levels enter at the sweep's boundary; gcd(e, m) is 1 for each, so
+        # only the level check can name the fault
         with pytest.raises(ValueError) as exc:
-            affine_perm(e, m, 0)
+            _coprime_pairs(e, m)
         assert str(exc.value) == "levels must be >= 1"
+
+    # (e, m, s): coprime levels from 1 to 12 and charges of both signs, some
+    # beyond e, so that targets are lowered by more than one step
+    KERNEL_CASES = [
+        (1, 5, -3),
+        (2, 3, 0),
+        (2, 3, 5),
+        (3, 2, 0),
+        (3, 4, -7),
+        (4, 3, 2),
+        (5, 2, 1),
+        (5, 7, -4),
+        (7, 5, 3),
+        (12, 11, -13),
+    ]
+
+    @pytest.mark.parametrize("e, m, s", KERNEL_CASES)
+    def test_shift_pairs_acts_as_the_oracle_on_components(self, e, m, s):
+        # every e-multipartition of size <= 3 at two charge vectors: the
+        # kernel on abaci equals the oracle's permutation on components
+        perm, shifts = affine_perm_oracle(e, m, s)
+        for a in range(4):
+            for comps in multipartitions_of(e, a):
+                for charges in (tuple(range(e)), tuple(-2 * i for i in range(e))):
+                    cmp = ChargedMultiPartition(comps, charges)
+                    image = apply_affine_on_components(perm, shifts, cmp)
+                    assert _shift_pairs(_abaci(comps, charges), m, s) == _abaci(
+                        image.components, image.charges
+                    )
+
+    @pytest.mark.parametrize("e", [1, 2, 3, 5])
+    def test_series_corrections_compose_by_adding_charges(self, e):
+        # at m = 1 the correction by s re-reads the beads moved down by s, so
+        # correcting by s and then by t is correcting by s + t; control: the
+        # correction by s + t + 1 has another total charge
+        for p in chain.from_iterable(partitions_of(n) for n in range(6)):
+            split = regroup(_abaci((p,), (0,)), e)
+            for s in range(-2 * e - 1, 2 * e + 2):
+                once = _shift_pairs(split, 1, s)
+                for t in (-e - 1, -1, 1, e):
+                    twice = _shift_pairs(once, 1, t)
+                    assert twice == _shift_pairs(split, 1, s + t)
+                    assert twice != _shift_pairs(split, 1, s + t + 1)
 
     def test_bead_action_definition(self):
         for e, m in ((2, 3), (3, 4), (5, 2)):
             for s in (-3, 0, 2):
-                ap = affine_perm(e, m, s)
+                ap = affine_perm_oracle(e, m, s)
                 for b in range(e):
                     for a in (-3, 0, 7):
                         assert bead(ap, a, (m * b + s) % e) == (
@@ -235,27 +285,24 @@ class TestAffinePerm:
                         )
 
     def test_shift_pairs_charge_shifts(self):
-        ap = affine_perm(2, 3, 0)
         empties = (P(()), P(()))
-        assert _shift_pairs(ap, _abaci(empties, (4, 7))) == _abaci(empties, (4, 6))
-        identity = affine_perm(1, 1, 0)
+        assert _shift_pairs(_abaci(empties, (4, 7)), 3, 0) == _abaci(empties, (4, 6))
         one = _abaci((P((2, 1)),), (3,))
-        assert _shift_pairs(identity, one) == one
+        assert _shift_pairs(one, 1, 0) == one
 
     def test_shift_pairs_permutes_and_shifts(self):
-        # bead (a, i) goes to component perm[i] shifted by shifts[perm[i]]:
+        # target b takes source (m*b + s) mod e lowered by (m*b + s) // e:
         # for (3, 2, 0) the empty triple at charges (0,0,0) lands on (0,0,-1)
-        ap = affine_perm(3, 2, 0)
         empties = (P(()),) * 3
-        assert _shift_pairs(ap, _abaci(empties, (0, 0, 0))) == _abaci(empties, (0, 0, -1))
+        assert _shift_pairs(_abaci(empties, (0, 0, 0)), 2, 0) == _abaci(empties, (0, 0, -1))
 
     def test_shift_pairs_against_bead_oracle(self):
         assert shift_pairs_misses(_shift_pairs) == 0
         # component 2 of (3, 2, 0) moves to component 1, whose shift is 0
-        ap = affine_perm(3, 2, 0)
+        perm, shifts = affine_perm_oracle(3, 2, 0)
         abaci = _abaci((P((2,)), P((1, 1)), P((3,))), (0, 1, -1))
-        assert (ap.perm[2], ap.shifts[1]) == (1, 0)
-        assert _shift_pairs(ap, abaci)[1] == abaci[2]
+        assert (perm[2], shifts[1]) == (1, 0)
+        assert _shift_pairs(abaci, 2, 0)[1] is abaci[2]
 
     def test_bead_oracle_catches_unpermuted_zero_shift(self):
         # every case but e = 1 moves one unshifted component: it lands on
@@ -530,6 +577,47 @@ class TestBeadMapOracle:
         }
 
 
+def library_uglov_diagram(p, e, m, s, t):
+    """The library's verdict on the diagram for p at charges s and t:
+    levelrank._routes_agree on p's splits, looked up at call time, so a
+    test that patches a kernel in levelrank reaches it."""
+    split_e = (s, regroup(_abaci((p,), (s,)), e))
+    split_m = (t, regroup(_abaci((p,), (t,)), m))
+    return levelrank._routes_agree(e, m, split_e, split_m)
+
+
+def library_core_matched_diagram(p, e, m):
+    """levelrank._routes_agree at the series charges, each split the abacus
+    of the series image e_quotient_charged at its total charge.  A split
+    that the series map rejects as non-canonical, as a broken regroup can
+    leave, fails the check."""
+
+    def split(level):
+        image = e_quotient_charged(p, level)
+        return image.total_charge, _abaci(image.components, image.charges)
+
+    try:
+        e_split, m_split = split(e), split(m)
+    except ValueError:
+        return False
+    return levelrank._routes_agree(e, m, e_split, m_split)
+
+
+def raise_target_zero(real, level=None):
+    """Mutant of _shift_pairs made from the real one: target component 0 is
+    lowered one step too little; with a level given, only on abaci of that
+    many components."""
+
+    def mutant(abaci, m, s):
+        out = real(abaci, m, s)
+        if level not in (None, len(abaci)):
+            return out
+        (floor, tail), *rest = out
+        return ((floor + 1, tuple(x + 1 for x in tail)), *rest)
+
+    return mutant
+
+
 class TestDiagrams:
     def test_bead_square_windows(self):
         for e in range(1, 7):
@@ -547,10 +635,11 @@ class TestDiagrams:
         assert all(check_bead_square(x, 3, 4, 2, -1) for x in range(-20, 21))
 
     def test_uglov_diagram_cases(self):
-        assert check_uglov_diagram(P((3,)), 2, 3, 2, 3)
-        for n in range(11):
-            for p in partitions_of(n):
-                assert check_uglov_diagram(p, 3, 4, 0, 0)
+        for check in (library_uglov_diagram, check_uglov_diagram):
+            assert check(P((3,)), 2, 3, 2, 3)
+            for n in range(11):
+                for p in partitions_of(n):
+                    assert check(p, 3, 4, 0, 0)
 
     def test_uglov_diagram_all_coprime_levels(self):
         for e in range(1, 7):
@@ -560,27 +649,40 @@ class TestDiagrams:
                 for s, t in ((0, 0), (2, -1)):
                     for n in range(7):
                         for p in partitions_of(n):
+                            assert library_uglov_diagram(p, e, m, s, t)
                             assert check_uglov_diagram(p, e, m, s, t)
 
     def test_uglov_diagram_rejects_non_coprime(self):
+        # the oracle's permutation has no answer for levels 2, 4
         with pytest.raises(ValueError):
             check_uglov_diagram(P((1,)), 2, 4, 0, 0)
 
+    def test_e_one_pairs_are_identities(self):
+        # the README's "11 of the 45 pairs cannot fail": at s = 0 the
+        # correction of a 1-component abacus to level m, and of an
+        # m-component one to level 1, returns it as it is, so both routes
+        # are regroup(abacus, m)
+        pairs = _coprime_pairs(None, None)
+        ones = [m for e, m in pairs if e == 1]
+        assert (len(ones), len(pairs)) == (11, 45)
+        for p in chain.from_iterable(partitions_of(n) for n in range(9)):
+            abacus = _abaci((p,), (0,))
+            for m in ones:
+                split = regroup(abacus, m)
+                for abaci, level in ((abacus, m), (split, 1)):
+                    image = _shift_pairs(abaci, level, 0)
+                    assert image == abaci
+                    assert all(a is b for a, b in zip(image, abaci))
+
     def test_core_matched_diagram_catches_shift_mutant(self, monkeypatch):
-        # the e-side correction sends target component 0 one step too far
-        real = affine_perm
+        # the e-side correction lowers target component 0 one step too little
         failed = total = 0
         for e, m in ((1, 2), (2, 3), (3, 4), (3, 5), (4, 3)):
-            def off_by_one(a, b, s, e=e):
-                ap = real(a, b, s)
-                if a != e:
-                    return ap
-                return AffinePerm(a, ap.perm, (ap.shifts[0] + 1,) + ap.shifts[1:])
-
-            monkeypatch.setattr(levelrank, "affine_perm", off_by_one)
+            mutant = raise_target_zero(_shift_pairs, level=e)
+            monkeypatch.setattr(levelrank, "_shift_pairs", mutant)
             for n in range(7):
                 for p in partitions_of(n):
-                    failed += not check_core_matched_diagram(p, e, m)
+                    failed += not library_core_matched_diagram(p, e, m)
                     total += 1
         assert failed > 0.9 * total
 
@@ -588,23 +690,25 @@ class TestDiagrams:
         for n in range(9):
             for p in partitions_of(n):
                 for e, m in ((2, 3), (3, 5), (4, 3)):
+                    assert library_core_matched_diagram(p, e, m)
                     assert check_core_matched_diagram(p, e, m)
 
 
-def object_routes(p, e, m, s, t, make_perm=affine_perm):
-    """The two routes of check_uglov_diagram through the public, validated
-    objects: split and (on the e-side) the Uglov map, with the affine
-    correction read off its definition on components, not on beads."""
+def object_routes(p, e, m, s, t, make_perm=affine_perm_oracle):
+    """The two routes of the diagram through the public, validated objects:
+    split and (on the e-side) the Uglov map, with the affine correction
+    (perm, shifts) = make_perm(level, other level, charge) acting on
+    components, not on beads."""
     act = apply_affine_on_components
-    route_e = uglov(act(make_perm(e, m, s), uglov(charged(p, s), e)), m)
-    route_m = act(make_perm(m, e, t), uglov(charged(p, t), m))
+    route_e = uglov(act(*make_perm(e, m, s), uglov(charged(p, s), e)), m)
+    route_m = act(*make_perm(m, e, t), uglov(charged(p, t), m))
     return route_e, route_m
 
 
 def pair_routes(p, e, m, s, t):
     """The same two routes on canonical (floor, tail) pairs."""
-    route_e = regroup(_shift_pairs(affine_perm(e, m, s), regroup(_abaci((p,), (s,)), e)), m)
-    route_m = _shift_pairs(affine_perm(m, e, t), regroup(_abaci((p,), (t,)), m))
+    route_e = regroup(_shift_pairs(regroup(_abaci((p,), (s,)), e), m, s), m)
+    route_m = _shift_pairs(regroup(_abaci((p,), (t,)), m), e, t)
     return route_e, route_m
 
 
@@ -624,7 +728,9 @@ class TestRouteAgreement:
                             pair_e, pair_m = pair_routes(p, e, m, s, t)
                             assert _abaci(obj_e.components, obj_e.charges) == pair_e
                             assert _abaci(obj_m.components, obj_m.charges) == pair_m
-                            assert check_uglov_diagram(p, e, m, s, t) == (obj_e == obj_m)
+                            verdict = library_uglov_diagram(p, e, m, s, t)
+                            assert verdict == (obj_e == obj_m)
+                            assert verdict == check_uglov_diagram(p, e, m, s, t)
                             cases += 1
         # 23 coprime pairs, 4 charge pairs, 67 partitions of size <= 8
         assert cases == 23 * 4 * 67
@@ -632,20 +738,18 @@ class TestRouteAgreement:
     def test_verdicts_agree_under_a_shift_mutant(self, monkeypatch):
         # the same wrong correction in both checks: the verdicts still agree,
         # and now some are false, so the agreement is not only on true ones
-        real = affine_perm
-
         def off_by_one(a, b, s):
-            ap = real(a, b, s)
-            return AffinePerm(a, ap.perm, (ap.shifts[0] + 1,) + ap.shifts[1:])
+            perm, shifts = affine_perm_oracle(a, b, s)
+            return perm, (shifts[0] + 1,) + shifts[1:]
 
-        monkeypatch.setattr(levelrank, "affine_perm", off_by_one)
+        monkeypatch.setattr(levelrank, "_shift_pairs", raise_target_zero(_shift_pairs))
         failed = total = 0
         for e, m in ((2, 3), (3, 4), (5, 2)):
             for s, t in self.CHARGES:
                 for n in range(7):
                     for p in partitions_of(n):
                         obj_e, obj_m = object_routes(p, e, m, s, t, off_by_one)
-                        verdict = check_uglov_diagram(p, e, m, s, t)
+                        verdict = library_uglov_diagram(p, e, m, s, t)
                         assert verdict == (obj_e == obj_m)
                         failed += not verdict
                         total += 1
@@ -664,12 +768,12 @@ class TestSeriesChargeIndependence:
         for p in chain.from_iterable(partitions_of(n) for n in range(7)):
             for e, m in pairs:
                 at_zero = regroup(_abaci((p,), (0,)), e)
-                expected = _shift_pairs(affine_perm(e, m, 0), at_zero)
+                expected = _shift_pairs(at_zero, m, 0)
                 for s in range(-6, 7):
                     split = regroup(_abaci((p,), (s,)), e)
-                    assert _shift_pairs(affine_perm(e, m, s), split) == expected
+                    assert _shift_pairs(split, m, s) == expected
                     # control: the permutation of the next charge moves it
-                    wrong = _shift_pairs(affine_perm(e, m, s + 1), split)
+                    wrong = _shift_pairs(split, m, s + 1)
                     moved += wrong != expected
                     cases += 1
         # 30 partitions of size <= 6, 43 pairs, 13 charges
@@ -677,7 +781,7 @@ class TestSeriesChargeIndependence:
 
     def test_series_map_correction_is_the_split_at_charge_s(self):
         # the m = 1 case, which e_quotient_charged applies: the charge-0
-        # split corrected by affine_perm(e, 1, -s) is the split at charge s,
+        # split corrected by _shift_pairs(split, 1, -s) is the split at charge s,
         # on abaci and, by the component action, on charged multipartitions
         cases = moved = 0
         for p in chain.from_iterable(partitions_of(n) for n in range(7)):
@@ -686,31 +790,38 @@ class TestSeriesChargeIndependence:
                 quotient = uglov(charged(p, 0), e)
                 for s in range(-30, 31):
                     split = regroup(_abaci((p,), (s,)), e)
-                    assert _shift_pairs(affine_perm(e, 1, -s), at_zero) == split
-                    on_components = apply_affine_on_components(affine_perm(e, 1, -s), quotient)
+                    assert _shift_pairs(at_zero, 1, -s) == split
+                    perm, shifts = affine_perm_oracle(e, 1, -s)
+                    on_components = apply_affine_on_components(perm, shifts, quotient)
                     assert on_components == uglov(charged(p, s), e)
                     # control: the correction for the next charge moves it
-                    moved += _shift_pairs(affine_perm(e, 1, -(s + 1)), at_zero) != split
+                    moved += _shift_pairs(at_zero, 1, -(s + 1)) != split
                     cases += 1
         # 30 partitions of size <= 6, 12 levels, 61 charges
         assert cases == moved == 30 * 12 * 61
 
 
-def floor_only_shift(ap, abaci):
+def floor_only_shift(abaci, m, s):
     """Mutant of _shift_pairs: the floor moves but the tail does not."""
-    out = [None] * ap.e
-    for (floor, tail), j in zip(abaci, ap.perm):
-        out[j] = (floor + ap.shifts[j], tail)
+    e = len(abaci)
+    out = []
+    for b in range(e):
+        d, i = divmod(m * b + s, e)
+        floor, tail = abaci[i]
+        out.append((floor - d, tail))
     return tuple(out)
 
 
-def source_indexed_shift(ap, abaci):
-    """Mutant of _shift_pairs: shifts indexed by the source component i
-    instead of the target perm[i]."""
-    out = [None] * ap.e
-    for i, ((floor, tail), j) in enumerate(zip(abaci, ap.perm)):
-        d = ap.shifts[i]
-        out[j] = (floor + d, tuple(x + d for x in tail))
+def source_indexed_shift(abaci, m, s):
+    """Mutant of _shift_pairs: source component i is lowered by the amount
+    of target i, (m*i + s) // e, instead of that of its own target b."""
+    e = len(abaci)
+    out = []
+    for b in range(e):
+        i = (m * b + s) % e
+        d = (m * i + s) // e
+        floor, tail = abaci[i]
+        out.append((floor - d, tuple(x - d for x in tail)))
     return tuple(out)
 
 
@@ -720,7 +831,7 @@ class TestPairShiftMutants:
     def verdicts(self, monkeypatch, mutant):
         monkeypatch.setattr(levelrank, "_shift_pairs", mutant)
         return {
-            (p, e, m): check_core_matched_diagram(p, e, m)
+            (p, e, m): library_core_matched_diagram(p, e, m)
             for e, m in self.LEVELS
             for n in range(7)
             for p in partitions_of(n)
@@ -903,6 +1014,6 @@ class TestRegroupMutants:
         for e, m in TestPairShiftMutants.LEVELS:
             for n in range(7):
                 for p in partitions_of(n):
-                    verdicts.append(check_core_matched_diagram(p, e, m))
+                    verdicts.append(library_core_matched_diagram(p, e, m))
         # 4 level pairs, 30 partitions of size <= 6
         assert (verdicts.count(False), len(verdicts)) == (failed, 120)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from abacore.partitions import (
     _EMPTY,
-    AffinePerm,
     BetaSet,
     ChargedMultiPartition,
     Partition,
@@ -20,7 +19,6 @@ from abacore.partitions import (
     _contents,
     _join_emptied,
     _shift_pairs,
-    affine_perm,
     core_exponents,
     e_core,
     e_quotient_charged,
@@ -262,11 +260,6 @@ VALUE_TYPES = {
         {"floor": -2, "tail": (1, -1)},
         "BetaSet(floor=-2, tail=(1, -1))",
     ),
-    "AffinePerm": (
-        lambda: AffinePerm(3, (0, 2, 1), (0, -1, -1)),
-        {"e": 3, "perm": (0, 2, 1), "shifts": (0, -1, -1)},
-        "AffinePerm(e=3, perm=(0, 2, 1), shifts=(0, -1, -1))",
-    ),
     "CuspidalPairGL": (
         lambda: CuspidalPairGL(3, 2, 1, P((1,))),
         {"n": 3, "e": 2, "a": 1, "core": P((1,))},
@@ -338,16 +331,6 @@ class TestValueTypes:
             (lambda: BetaSet(0, (True,)), "floor and tail entries must be integers, got True"),
             (lambda: BetaSet(0, (-1.0,)), re.escape("entries must be integers, got -1.0")),
             (lambda: BetaSet(0, (2, "1")), "entries must be integers, got '1'"),
-            (lambda: AffinePerm(2, (0, 0), (0, 0)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(2, (1, 0), (0,)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(1, (0,), (0.5,)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(2, (1, 0), (0, True)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(2, (1.0, 0), (0, 0)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(2, (0, True), (0, 0)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(2, (1, "0"), (0, 0)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(True, (0,), (0,)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm(2.0, (1, 0), (0, 0)), "inconsistent affine permutation data"),
-            (lambda: AffinePerm("1", (0,), (0,)), "inconsistent affine permutation data"),
             (
                 lambda: CuspidalPairGL(3, 2, 0, P((2,))),
                 "sizes of core and torus part do not add up",
@@ -403,30 +386,19 @@ class TestValueTypes:
         assert type(image) is CMP and image == CP(P((2, 1)), 0)
         assert type(image.charges[0]) is int
 
-    def test_affine_input_is_checked_at_the_boundary(self):
-        # the shifts reach the abaci that _shift_pairs returns: a float shift
-        # of an empty component would come back as a float floor
-        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
-            AffinePerm(1, (0,), (0.5,))
-        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
-            AffinePerm(1, (0,), (0,))._replace(shifts=(True,))
-        # a float perm entry failed in _shift_pairs with a bare TypeError
-        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
-            AffinePerm(2, (1.0, 0), (0, 0))
-        with pytest.raises(ValueError, match="^inconsistent affine permutation data$"):
-            AffinePerm(2, (1, 0), (0, 0))._replace(perm=(1.0, 0))
-        (image,) = _shift_pairs(AffinePerm(1, (0,), (2,)), _abaci((P(()),), (0,)))
+    def test_shift_pairs_keeps_an_integer_floor(self):
+        # the correction reaches the abaci _charged builds without checks: an
+        # empty component raised by an integer shift keeps an integer floor
+        (image,) = _shift_pairs(_abaci((P(()),), (0,)), 1, -2)
         assert image == (2, ()) and type(image[0]) is int
 
     # a value built from lists, and the same value built from tuples
     FROM_LISTS = [
         (lambda: CMP([P((1,)), P(())], [0, 2]), lambda: CMP((P((1,)), P(())), (0, 2))),
         (lambda: BetaSet(0, [1]), lambda: BetaSet(0, (1,))),
-        (lambda: AffinePerm(2, [1, 0], [0, -1]), lambda: AffinePerm(2, (1, 0), (0, -1))),
         (lambda: CMP._make([[P(())], [1]]), lambda: CMP((P(()),), (1,))),
         (lambda: CMP((P(()),), (0,))._replace(charges=[1]), lambda: CMP((P(()),), (1,))),
         (lambda: BetaSet(0)._replace(tail=[2, 1]), lambda: BetaSet(0, (2, 1))),
-        (lambda: AffinePerm._make([1, [0], [3]]), lambda: AffinePerm(1, (0,), (3,))),
     ]
 
     @pytest.mark.parametrize("make, twin", FROM_LISTS)
@@ -441,11 +413,6 @@ class TestValueTypes:
     CHECKED = {
         "BetaSet": (
             lambda: BetaSet(0, ()), {"tail": (0,)}, "tail entries must exceed the floor"
-        ),
-        "AffinePerm": (
-            lambda: AffinePerm(2, (0, 1), (0, 0)),
-            {"perm": (0, 0)},
-            "inconsistent affine permutation data",
         ),
         "ChargedMultiPartition": (
             lambda: CMP((P(()), P((1,))), (0, 0)),
@@ -616,7 +583,7 @@ class TestUncheckedBuild:
                     yield split
                     for m in range(1, 7):
                         if gcd(e, m) == 1:
-                            yield _shift_pairs(affine_perm(e, m, s), split)
+                            yield _shift_pairs(split, m, s)
 
     @classmethod
     def disagreements(cls, charged):
@@ -758,16 +725,16 @@ def charge_zero_split(p, level):
 
 def sign_flipped_correction(p, level):
     """Mutant of e_quotient_charged: the charge-0 split is corrected by
-    affine_perm(level, 1, s), with the sign of the charge flipped."""
+    _shift_pairs(split, 1, s), with the sign of the charge flipped."""
     split, s = charge_zero_split(p, level)
-    return _charged(_shift_pairs(affine_perm(level, 1, s), split))
+    return _charged(_shift_pairs(split, 1, s))
 
 
 def charge_off_by_one_correction(p, level):
     """Mutant of e_quotient_charged: the charge-0 split is corrected for
-    charge s + 1, by affine_perm(level, 1, -(s + 1))."""
+    charge s + 1, by _shift_pairs(split, 1, -(s + 1))."""
     split, s = charge_zero_split(p, level)
-    return _charged(_shift_pairs(affine_perm(level, 1, -(s + 1)), split))
+    return _charged(_shift_pairs(split, 1, -(s + 1)))
 
 
 class TestCoreMatchedSplit:

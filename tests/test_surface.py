@@ -115,7 +115,6 @@ def unreferenced_methods(sources):
 # every dunder method a library class defines that Python, not the library,
 # calls, with the operator or protocol that calls it
 PROTOCOL_DUNDERS = {
-    "AffinePerm.__new__": "the class call, and _make",
     "BetaSet.__new__": "the class call, and _make",
     "ChargedMultiPartition.__new__": "the class call, and _make",
     "CuspidalPairGL.__new__": "the class call, and _make",
