@@ -7,11 +7,12 @@ Conventions used throughout the package:
   Partition subclasses tuple, so partitions and the multipartitions built
   from them compare, hash and sort as their part tuples: sorted() gives the
   lexicographic order (Macdonald, I.1) in which series, their members and
-  blocks are listed.  Every value type but IntPolynomial is an immutable
-  tuple, read by field name and equal to the plain tuple of its fields.  Such
-  a type is checked at construction exactly when a public function accepts
-  it; HeckeParam and HeckeSpecialization, the records that specialization
-  builds, are not checked.  _charged builds the bead maps' outputs from
+  blocks are listed.  Every value type is an immutable tuple, equal to the
+  plain tuple it holds: a record's fields, read by name, or IntPolynomial's
+  coefficients.  Such a type is checked at construction exactly when a
+  public function accepts it (IntPolynomial only trims: any integers are
+  coefficients); HeckeParam and HeckeSpecialization, the records that
+  specialization builds, are not checked.  _charged builds the bead maps' outputs from
   fields it makes, without the check.  Boxes are indexed (row, column), both
   1-based, and the content of a box is column - row.
 * A charged partition is a ChargedMultiPartition of level 1.  Its beta set

@@ -2,15 +2,16 @@
 multiplicities and remainders, and the order and degree polynomials of the
 finite general linear groups.
 
-All coefficients are Python integers; any inexact division raises instead of
-approximating, since an inexact division here always means a transcription
-bug somewhere upstream.  cyclotomic (by Moebius inversion), gl_order and
-generic_degree are quotients of binomials x^h - 1, each built by
+A polynomial, IntPolynomial, is its trimmed coefficient tuple, constant term
+first; its one operation is long division by a monic divisor, exact over the
+integers.  All coefficients are Python integers; any inexact division raises
+instead of approximating, since an inexact division here always means a
+transcription bug somewhere upstream.  cyclotomic (by Moebius inversion),
+gl_order and generic_degree are quotients of binomials x^h - 1, each built by
 _binomial_quotient with the list kernels _times_binomial and
-_divide_binomial; IntPolynomial has no product.  The one long division is
-mod_cyclotomic's: f folded modulo x^e - 1, by the monic Phi_e.
-phi_multiplicity divides nothing: it tests each derivative of f by that
-fold and cyclic rotations.
+_divide_binomial.  The one long division is mod_cyclotomic's: f folded
+modulo x^e - 1, by the monic Phi_e.  phi_multiplicity divides nothing: it
+tests each derivative of f by that fold and cyclic rotations.
 """
 
 from __future__ import annotations
@@ -24,52 +25,32 @@ class InexactDivisionError(ArithmeticError):
     """A polynomial division that should have been exact was not."""
 
 
-class IntPolynomial:
-    """A polynomial over the integers, as a dense coefficient tuple with the
-    constant term first.  Trailing zeros are trimmed, so the zero polynomial
-    has an empty tuple.  Not a tuple itself, so + does not concatenate.
+class IntPolynomial(tuple):
+    """A polynomial over the integers: its dense coefficient tuple, constant
+    term first, with trailing zeros trimmed, so the zero polynomial is the
+    empty tuple.  Its one operation is long division by a monic divisor;
+    + and *, which would concatenate and repeat the tuple, are refused.
 
-    >>> IntPolynomial(-1, 0, 1)
-    IntPolynomial('x^2 - 1')
+    >>> IntPolynomial(-1, 0, 1, 0)
+    IntPolynomial(-1, 0, 1)
     >>> IntPolynomial(-1, 0, 1) % IntPolynomial(-1, 1)
-    IntPolynomial('0')
+    IntPolynomial()
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    __add__ = __radd__ = __mul__ = __rmul__ = None
 
-    def __init__(self, *coeffs: int):
+    def __new__(cls, *coeffs: int):
         end = len(coeffs)
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", tuple(coeffs[:end]))
+        return super().__new__(cls, coeffs[:end])
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot set or delete {name!r}: IntPolynomial is immutable")
+    def __getnewargs__(self):
+        return tuple(self)
 
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self.coeffs == other.coeffs if type(other) is IntPolynomial else NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __reduce__(self):
-        return IntPolynomial, self.coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the leading term; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: int) -> int:
-        value = 0
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
+    def __repr__(self) -> str:
+        return f"IntPolynomial({', '.join(map(str, self))})"
 
     def __divmod__(self, d: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Long division by a monic divisor (ValueError for any other).
@@ -77,14 +58,14 @@ class IntPolynomial:
         The top index walks down over the remainder, and each step subtracts
         only the divisor's nonzero terms below its lead.
         """
-        if d.is_zero():
+        if not d:
             raise ZeroDivisionError("polynomial division by zero")
-        if d.coeffs[-1] != 1:
-            raise ValueError(f"divisor {d} is not monic")
-        deg = d.degree
-        terms = [(i, c) for i, c in enumerate(d.coeffs[:-1]) if c]
-        q = [0] * max(len(self.coeffs) - deg, 0)
-        r = list(self.coeffs)
+        if d[-1] != 1:
+            raise ValueError(f"divisor {d!r} is not monic")
+        deg = len(d) - 1
+        terms = [(i, c) for i, c in enumerate(d[:-1]) if c]
+        q = [0] * max(len(self) - deg, 0)
+        r = list(self)
         for top in range(len(r) - 1, deg - 1, -1):
             t = r[top]
             if not t:
@@ -97,31 +78,6 @@ class IntPolynomial:
 
     def __mod__(self, d: "IntPolynomial") -> "IntPolynomial":
         return divmod(self, d)[1]
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "x" if k == 1 else f"x^{k}"
-                body = var if mag == 1 else f"{mag}{var}"
-            terms.append((sign, body))
-        head_sign, head = terms[0]
-        text = ("-" if head_sign == "-" else "") + head
-        for sign, body in terms[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial('{self}')"
 
 
 def _prime_factors(e: int) -> list[int]:
@@ -148,7 +104,7 @@ def cyclotomic(e: int) -> IntPolynomial:
     prime p of e adds x^(d/p) - 1 to the other side for each x^d - 1 so far.
 
     >>> cyclotomic(6)
-    IntPolynomial('x^2 - x + 1')
+    IntPolynomial(1, -1, 1)
     >>> cyclotomic(12) == IntPolynomial(*_binomial_quotient([12, 2], [6, 4]))
     True
     """
@@ -182,9 +138,9 @@ def phi_multiplicity(f: IntPolynomial, e: int) -> int:
     2
     """
     shifts = [e // p for p in _prime_factors(e)]  # checks e before f
-    if f.is_zero():
+    if not f:
         raise ValueError("multiplicity undefined for the zero polynomial")
-    g = f.coeffs
+    g = f
     for count in range(len(g)):
         h = _fold(g, e)
         for k in shifts:
@@ -192,7 +148,7 @@ def phi_multiplicity(f: IntPolynomial, e: int) -> int:
         if any(h):
             return count
         g = _derivative(g)
-    raise InexactDivisionError(f"every derivative of {f} tests divisible by Phi_{e}")
+    raise InexactDivisionError(f"every derivative of {f!r} tests divisible by Phi_{e}")
 
 
 def mod_cyclotomic(f: IntPolynomial, e: int) -> IntPolynomial:
@@ -202,16 +158,16 @@ def mod_cyclotomic(f: IntPolynomial, e: int) -> IntPolynomial:
     so dividing that folded polynomial leaves the same remainder.
 
     >>> mod_cyclotomic(IntPolynomial(0, 0, 0, 1, 1), 3)
-    IntPolynomial('x + 1')
+    IntPolynomial(1, 1)
     """
     phi = cyclotomic(e)
-    return IntPolynomial(*_fold(f.coeffs, e)) % phi
+    return IntPolynomial(*_fold(f, e)) % phi
 
 
 def _divide_binomial(coeffs, h: int) -> list[int]:
     """coeffs / (x^h - 1) by suffix sums in each class mod h, whose totals must be 0."""
     if any(_fold(coeffs, h)):
-        raise InexactDivisionError(f"{IntPolynomial(*coeffs)} is not divisible by x^{h} - 1")
+        raise InexactDivisionError(f"{IntPolynomial(*coeffs)!r} is not divisible by x^{h} - 1")
     q = list(coeffs[h:])
     for k in range(len(q) - h - 1, -1, -1):
         q[k] += q[k + h]
@@ -251,7 +207,7 @@ def generic_degree(p: Partition) -> IntPolynomial:
     full-column partition the Steinberg character.
 
     >>> generic_degree(Partition((2, 1)))
-    IntPolynomial('x^2 + x')
+    IntPolynomial(0, 1, 1)
     """
     hooks = list(hook_lengths(p))
     factors = []

@@ -163,15 +163,36 @@ def _cuspidal_cases(max_n):
                 yield 1, {"partition": str(p), "e": e, "pass": ok}
 
 
+def _polynomial_text(coeffs) -> str:
+    """A coefficient tuple, constant term first, as text with the highest
+    power first; "0" if every coefficient is 0.
+
+    >>> _polynomial_text((1, -1, 0, -2)), _polynomial_text(())
+    ('-2x^3 - x + 1', '0')
+    """
+    text = ""
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c == 0:
+            continue
+        var = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+        body = var if abs(c) == 1 and var else f"{abs(c)}{var}"
+        if text:
+            text += f" {'-' if c < 0 else '+'} {body}"
+        else:
+            text = ("-" if c < 0 else "") + body
+    return text or "0"
+
+
 def _degmod_cases(max_n):
     for n in range(1, max_n + 1):
         for p in partitions_of(n):
             for e in range(1, n + 1):
                 rem = mod_cyclotomic(generic_degree(p), e)
-                c = rem(0)
+                c = rem[0] if rem else 0
                 case = {"partition": str(p), "e": e}
-                if rem.degree > 0:
-                    error = f"nonconstant remainder {rem}"
+                if len(rem) > 1:
+                    error = f"nonconstant remainder {_polynomial_text(rem)}"
                 elif abs(c) != (expected := wreath_degree(p, e)):
                     error = f"remainder {c} does not match wreath degree {expected}"
                 else:

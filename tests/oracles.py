@@ -305,6 +305,31 @@ def naive_product(f, g):
     return _trim(out)
 
 
+def evaluate(coeffs, x):
+    """The polynomial with these coefficients (constant term first) at x, by
+    Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
+
+
+def polynomial_text(coeffs):
+    """coeffs (constant term first) written out highest power first, as
+    "x^2 - x + 1": every nonzero term signed, listed from the constant term
+    up and reversed, then the leading "+ " dropped or "- " closed up."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c:
+            power = "" if k == 0 else "x" if k == 1 else "x^" + str(k)
+            digits = "" if abs(c) == 1 and k else str(abs(c))
+            terms.append(("+ " if c > 0 else "- ") + digits + power)
+    text = " ".join(reversed(terms))
+    if not text:
+        return "0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def ennola_substitute(coeffs):
     """f(-x) for f given as a coefficient tuple (constant term first): every
     odd-degree coefficient changes sign."""

@@ -277,10 +277,11 @@ VALUE_TYPES = {
         "HeckeSpecialization(tau_params=(HeckeParam(sign=-1, exponent=1),), "
         "sigma_params=(HeckeParam(sign=1, exponent=0), HeckeParam(sign=1, exponent=2)))",
     ),
+    # a polynomial has no named fields: it is its coefficient tuple
     "IntPolynomial": (
         lambda: IntPolynomial(-1, 0, 1, 0),
-        {"coeffs": (-1, 0, 1)},
-        "IntPolynomial('x^2 - 1')",
+        {},
+        "IntPolynomial(-1, 0, 1)",
     ),
 }
 
@@ -302,7 +303,12 @@ class TestValueTypes:
             value.unknown_field = 0
         twin = make()
         assert twin is not value and twin == value and hash(twin) == hash(value)
-        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        for copied in (
+            copy.copy(value),
+            copy.deepcopy(value),
+            pickle.loads(pickle.dumps(value, 0)),
+            pickle.loads(pickle.dumps(value)),
+        ):
             assert type(copied) is type(value) and copied == value
             assert repr(copied) == text
 
@@ -312,10 +318,18 @@ class TestValueTypes:
         assert make() == tuple(fields.values())
 
     def test_polynomials_do_not_add(self):
-        with pytest.raises(TypeError):
-            IntPolynomial(1) + IntPolynomial(1)
-        with pytest.raises(TypeError):
-            IntPolynomial(1) * IntPolynomial(1)
+        # a bare tuple subclass would concatenate or repeat in each of these
+        p = IntPolynomial(1)
+        for operation in (
+            lambda: p + p,
+            lambda: p * p,
+            lambda: p + (1,),
+            lambda: (1,) + p,
+            lambda: 2 * p,
+            lambda: p * 2,
+        ):
+            with pytest.raises(TypeError):
+                operation()
 
     @pytest.mark.parametrize(
         "make, message",

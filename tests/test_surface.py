@@ -4,8 +4,10 @@ only the tests need lives under tests/ (being exported in __all__ is no use),
 and a helper does not outlive its last caller.  Every public method and
 property of a library class is used by the library too, and so is every
 dunder method but those a table names with the operator or protocol that
-calls them.  Only cli.py splits or strips text: the library takes values
-and the CLI parses argv text into them.  No sort in the library restates
+calls them.  Every value type subclasses tuple and takes equality, hashing,
+pickling and immutability from it, with no hand-written method for them.
+Only cli.py splits or strips text: the library takes values and the CLI
+parses argv text into them.  No sort in the library restates
 the lexicographic order of Partition with a key on .parts.
 Every name the README library table gives for a module exists there.  The
 series charge e + len(e-core) is written once, and one function, the side
@@ -119,20 +121,14 @@ PROTOCOL_DUNDERS = {
     "ChargedMultiPartition.__new__": "the class call, and _make",
     "CuspidalPairGL.__new__": "the class call, and _make",
     "Partition.__new__": "the class call",
-    "IntPolynomial.__init__": "the class call",
+    "IntPolynomial.__new__": "the class call",
     # only tests ask `k in beta`, but without it a namedtuple answers for the
     # pair (floor, tail): k in BetaSet(0, (2,)) would be False for k = -1
     "BetaSet.__contains__": "in",
     "Partition.__repr__": "repr(): doctests and the README",
     "Partition.__str__": "str(): the suites and the CLI name partitions",
-    "IntPolynomial.__repr__": "repr(): doctests",
-    "IntPolynomial.__str__": "str() and f-strings: degmod's error text",
-    "IntPolynomial.__setattr__": "attribute assignment, refused",
-    "IntPolynomial.__delattr__": "del, refused",
-    "IntPolynomial.__eq__": "==",
-    "IntPolynomial.__hash__": "hash(): equal values hash equal, as TestValueTypes checks",
-    "IntPolynomial.__reduce__": "pickle and copy",
-    "IntPolynomial.__call__": "a call: suites._degmod_cases reads rem(0)",
+    "IntPolynomial.__repr__": "repr(): doctests and error messages",
+    "IntPolynomial.__getnewargs__": "pickle and copy: the coefficients, not the tuple",
     "IntPolynomial.__divmod__": "divmod()",
     "IntPolynomial.__mod__": "%",
 }
@@ -308,6 +304,108 @@ def test_scan_catches_unaccounted_dunder():
     library = _library_sources()
     unlisted = {k: v for k, v in PROTOCOL_DUNDERS.items() if k != "BetaSet.__contains__"}
     assert unaccounted_dunders(library, unlisted) == (["BetaSet.__contains__"], [])
+
+
+# the value contract a tuple already keeps: a value type that defines one of
+# these writes by hand what it would get from tuple
+TUPLE_CONTRACT = ("__init__", "__eq__", "__hash__", "__reduce__", "__setattr__", "__delattr__")
+
+
+def value_types(sources):
+    """"module.Class" -> ClassDef for each public top-level class that no
+    builtin exception class, named as a base, makes an exception.
+
+    sources maps module names to source text.  A namedtuple made by
+    assignment (HeckeParam = namedtuple(...)) is no class statement and
+    defines nothing, so it is not listed.
+    """
+    found = {}
+    for module, text in sources.items():
+        for cls in ast.parse(text).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            bases = [getattr(builtins, _dotted(b) or "", None) for b in cls.bases]
+            if not any(isinstance(b, type) and issubclass(b, BaseException) for b in bases):
+                found[f"{module}.{cls.name}"] = cls
+    return found
+
+
+def value_contract_breaches(sources):
+    """"module.Class" for each value type with no base tuple or
+    namedtuple(...), and "module.Class.__name__" for each name of
+    TUPLE_CONTRACT its body defines, by a def or an assignment."""
+    found = []
+    for qualified, cls in value_types(sources).items():
+        bases = [_dotted(b.func if isinstance(b, ast.Call) else b) for b in cls.bases]
+        if "tuple" not in bases and "namedtuple" not in bases:
+            found.append(qualified)
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif isinstance(item, ast.Assign):
+                names = [getattr(target, "id", "") for target in item.targets]
+            else:
+                continue
+            found.extend(f"{qualified}.{name}" for name in names if name in TUPLE_CONTRACT)
+    return sorted(found)
+
+
+def test_value_types_keep_their_contract_on_tuple():
+    sources = _library_sources()
+    assert sorted(value_types(sources)) == [
+        "hc_series.CuspidalPairGL",
+        "partitions.BetaSet",
+        "partitions.ChargedMultiPartition",
+        "partitions.Partition",
+        "polynomials.IntPolynomial",
+    ]
+    assert value_contract_breaches(sources) == []
+
+
+def test_scan_catches_a_hand_written_value_contract():
+    sources = {
+        # IntPolynomial as it was before it became its coefficient tuple
+        "a": (
+            "class IntPolynomial:\n"
+            '    __slots__ = ("coeffs",)\n'
+            "    def __init__(self, *coeffs):\n"
+            '        object.__setattr__(self, "coeffs", tuple(coeffs))\n'
+            "    def __setattr__(self, name, value=None):\n"
+            "        raise AttributeError(name)\n"
+            "    __delattr__ = __setattr__\n"
+            "    def __eq__(self, other):\n"
+            "        return self.coeffs == other.coeffs\n"
+            "    def __hash__(self):\n"
+            "        return hash(self.coeffs)\n"
+            "    def __reduce__(self):\n"
+            "        return IntPolynomial, self.coeffs\n"
+            "class Poly(tuple):\n"
+            "    __add__ = __mul__ = None\n"
+            "    def __new__(cls, *coeffs):\n"
+            "        return super().__new__(cls, coeffs)\n"
+        ),
+        "b": (
+            "class Pair(namedtuple('Pair', 'x y')):\n"
+            "    __hash__ = None\n"
+            "class Fault(ValueError):\n"
+            "    def __init__(self):\n"
+            "        pass\n"
+            "class _Lines(list):\n"
+            "    def __init__(self):\n"
+            "        pass\n"
+        ),
+    }
+    assert sorted(value_types(sources)) == ["a.IntPolynomial", "a.Poly", "b.Pair"]
+    assert value_contract_breaches(sources) == [
+        "a.IntPolynomial",
+        "a.IntPolynomial.__delattr__",
+        "a.IntPolynomial.__eq__",
+        "a.IntPolynomial.__hash__",
+        "a.IntPolynomial.__init__",
+        "a.IntPolynomial.__reduce__",
+        "a.IntPolynomial.__setattr__",
+        "b.Pair.__hash__",
+    ]
 
 
 def parts_sort_keys(sources):
